@@ -148,7 +148,7 @@ def cmd_eval_pep(args) -> int:
     cb = load_codebook(args.codebook)
     eta_c = args.eta_c if args.eta_c is not None else cb.eta_c
     ctx = PepContext(
-        dims=ChannelDims(m=cb.m, n=cb.n, t=args.block_length or cb.m),
+        dims=ChannelDims(m=cb.m, n=cb.n, t=cb.m),
         eta_c=eta_c,
         sigma_n2=noise_variance(cb.m, args.snr_db),
     )
@@ -466,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eta-c", type=float, default=None, help="override the design eta_c")
     p.add_argument("--snr-db", type=float, default=10.0, help="operating SNR for the noise term")
-    p.add_argument("--block-length", type=int, default=None, help="block length T (default M)")
     p.add_argument("--samples", type=int, default=20_000, help="direction samples")
     p.add_argument("--out", required=True, help="CSV output path")
     _add_common(p)

@@ -3,22 +3,22 @@
 Per frame: one quasi-static channel draw; the receiver quantizes the
 channel tail direction to a codebook index; the index crosses the noisy
 feedback link; the transmitter precodes every block of the frame with the
-entry it received; the receiver decodes each block by exhaustive maximum
-likelihood, knowing both the channel and the applied precoder index.
+entry it received; the receiver decodes each block by maximum likelihood,
+knowing both the channel and the applied precoder index.
 
 Decoding uses the precoder structure: with Z(s) = B Z_in(s) for the block
 diagonal B = diag(I, P), the received statistics satisfy
 
     Z(s)^H h = Z_in(s)^H h_eff,    h_eff = [head; P^H tail],
 
-so the candidate codeword set is precoder independent and one projection
-of h_eff against the inner-design candidates serves every hypothesis.
-
-For real orthogonal designs carrying a real alphabet the exhaustive metric
-decouples symbol by symbol: with v_k = A_k^T h_eff the cross terms
-Re(v_j^H v_k), j != k, vanish, so per-slot matched filtering reproduces
-the exhaustive decision exactly. Sweeps take that shortcut automatically;
-set force_exhaustive to keep the generic decoder.
+so the decoder sees the precoder only through h_eff. With Z_in(s) =
+sum_c x_c R_c over the real symbol components x_c (R = A_k + B_k for
+Re(z_k), i (A_k - B_k) for Im(z_k) of complex alphabets), the ML metric is
+x^T Gamma x - 2 x^T r, Gamma_cd = Re(u_c^H u_d), r_c = Re(u_c^H y), u_c =
+R_c^H h_eff. Slots with R_j R_k^H + R_k R_j^H = 0 never couple in Gamma,
+whatever the channel, so each slot group is searched on its own (exact ML,
+ties to the lexicographically first candidate): single slots for the
+orthogonal designs, (z1, z3) and (z2, z4) for the quasi-orthogonal code.
 
 Baselines: "closed-loop" runs the full loop; "open-loop" forces the
 identity precoder and uses no feedback; "genie" runs the encoder with an
@@ -31,9 +31,12 @@ worker count.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +61,7 @@ __all__ = [
 BASELINE_MODES = ("closed-loop", "open-loop", "genie")
 
 _CHUNK_FRAMES = 2048
+_SLAB_METRICS = 1 << 16  # group-candidate metrics per slab of blocks (512 KB)
 
 BER_CSV_HEADER = "snr_db,rho_f,frames,bits_sent,bit_errors,ber,ber_stderr"
 
@@ -130,6 +134,88 @@ def transmit_block(
     return y
 
 
+@dataclass(frozen=True)
+class _GroupDecoder:
+    """Exact ML block decoder of one design and alphabet, split into slot
+    groups that the metric never couples (see the module docstring).
+
+    Every group has S slots, C candidates and D_g real components; the D =
+    G * D_g components R_c are listed group by group, and vectors in C^t
+    are real rows [Re; Im] of length 2t.
+    """
+
+    slot_groups: np.ndarray  # (G, S) slots of each group, ascending
+    basis: np.ndarray  # (2m, 2t * D) maps the real view of h to u = R^H h as real rows
+    lin_map: np.ndarray  # (D, G * C) r -> -2 x^T r of each group candidate, 0 off its group
+    quad_map: np.ndarray  # (G * D_g^2, G * C) Gamma_g -> x^T Gamma_g x
+    cand_points: np.ndarray  # (n_cand, D) real components of each full candidate
+    cand_groups: np.ndarray  # (n_cand, G) group candidates of each full candidate
+    symbols: np.ndarray  # (G, C, S) slot symbols of each group candidate
+    bit_dist: np.ndarray  # (C, C) differing Gray-label bits between group candidates
+
+    def frame_terms(self, h_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per frame: u = R^H h_eff, shape (F, 2t, D), and x^T Gamma_g x of
+        every group candidate x, shape (F, 1, G * C), Gamma_g = u_g^T u_g."""
+        # Stacked (3-D) products keep every BLAS call small and single-threaded.
+        u = (h_eff.view(float)[:, None, :] @ self.basis).reshape(len(h_eff), -1, len(self.lin_map))
+        ug = u.reshape(*u.shape[:2], len(self.slot_groups), -1)
+        gram = np.einsum("fkgi,fkgj->fgij", ug, ug).reshape(len(u), 1, -1)
+        return u, gram @ self.quad_map
+
+    def decide(self, u: np.ndarray, quad: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Group candidates (F, S, G) minimizing ||y - Z_in^H h_eff||^2 over
+        S blocks y, shape (F, S, 2t), per frame; ties go to the first candidate."""
+        metric = ((y @ u) @ self.lin_map + quad).reshape(*y.shape[:2], len(self.symbols), -1)
+        if metric.shape[3] == 2:
+            # One comparison per group is much cheaper than a row-wise argmin.
+            return (metric[..., 1] < metric[..., 0]).astype(np.intp)
+        return np.argmin(metric, axis=3)
+
+
+@functools.lru_cache(maxsize=32)
+def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupDecoder:
+    """Derive the slot groups and per-group candidate tables of a design."""
+    alphabets = np.array(slot_alphabets(design, constellation))
+    a, b = design.coefficient_tensors()
+    # Z_in(z) = sum_k Re(z_k) (A_k + B_k) + Im(z_k) i (A_k - B_k)
+    parts = np.stack([a + b, 1j * (a - b)], axis=1)[:, : 2 if np.any(alphabets.imag) else 1]
+    cross = np.einsum("jpmt,kqnt->jkpqmn", parts, parts.conj())
+    linked = np.abs(cross + cross.conj().swapaxes(-1, -2)).max(axis=(2, 3, 4, 5)) > 1e-9
+    linked = np.linalg.matrix_power(linked.astype(float), design.n_sym) > 0  # joined by a chain
+    groups = sorted({tuple(np.flatnonzero(row)) for row in linked})
+    if len({len(g) for g in groups}) > 1:
+        # Batched decoding needs equal-size groups; one group is still exact.
+        groups = [tuple(range(design.n_sym))]
+    groups = np.array(groups)
+    n_groups, size = groups.shape
+    n_alpha = alphabets.shape[1]
+    digits = np.array(list(itertools.product(range(n_alpha), repeat=size)))
+    full_digits = np.array(list(itertools.product(range(n_alpha), repeat=design.n_sym)))
+    cand_groups = full_digits[:, groups] @ n_alpha ** np.arange(size - 1, -1, -1)
+    symbols = alphabets[groups[:, None, :], digits[None, :, :]]
+    points = np.stack([symbols.real, symbols.imag], axis=-1)[..., : parts.shape[1]]
+    points = points.reshape(n_groups, len(digits), -1)
+    eye, n_cols = np.eye(n_groups), n_groups * len(digits)
+    # u = R^H h is h^T conj(R): with h_j = 1, then h_j = i, row j gives u as [Re; Im]
+    conj = parts[groups].reshape(-1, design.m, 1, design.t).conj().transpose(1, 2, 3, 0)
+    basis = np.concatenate([conj, 1j * conj], axis=1)
+    gray = [gray_code(i) for i in range(n_alpha)]
+    flips = np.array([[bin(i ^ j).count("1") for j in gray] for i in gray])
+    tables = _GroupDecoder(
+        slot_groups=groups,
+        basis=np.concatenate([basis.real, basis.imag], axis=2).reshape(2 * design.m, -1),
+        lin_map=-2.0 * np.einsum("gh,gci->gihc", eye, points).reshape(-1, n_cols),
+        quad_map=np.einsum("gh,gci,gcj->gijhc", eye, points, points).reshape(-1, n_cols),
+        cand_points=points[np.arange(n_groups), cand_groups].reshape(len(full_digits), -1),
+        cand_groups=cand_groups,
+        symbols=symbols,
+        bit_dist=flips[digits[:, None, :], digits[None, :, :]].sum(axis=2),
+    )
+    for arr in vars(tables).values():
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return tables
+
+
 def ml_decode(
     pod: PodStructure,
     precoder: np.ndarray,
@@ -137,16 +223,17 @@ def ml_decode(
     ch: ChannelRealization,
     constellation: Constellation,
 ) -> np.ndarray:
-    """Exhaustive maximum-likelihood symbol decision for one block.
+    """Maximum-likelihood symbol decision for one block.
 
     Minimizes ||y - Z(candidate)^H h||^2 over every candidate symbol
     vector; ties resolve to the lexicographically first candidate.
     """
-    syms, words = candidate_codewords(pod.inner, constellation)
-    h_eff = effective_channel(pod, precoder, ch.h)
-    projected = np.einsum("cmt,m->ct", words.conj(), h_eff)
-    dist = np.sum(np.abs(np.asarray(y)[None, :] - projected) ** 2, axis=1)
-    return syms[int(np.argmin(dist))]
+    decoder = _group_decoder(pod.inner, constellation)
+    u, quad = decoder.frame_terms(effective_channel(pod, precoder, ch.h)[None, :])
+    rx = decoder.decide(u, quad, np.concatenate([np.real(y), np.imag(y)])[None, None, :])[0, 0]
+    out = np.empty(pod.inner.n_sym, dtype=complex)
+    out[decoder.slot_groups] = decoder.symbols[np.arange(len(rx)), rx]
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,8 +279,6 @@ class SimulationConfig:
     baseline_mode: "closed-loop", "open-loop", or "genie"
     symbols_per_frame: data symbols per frame; must fill whole blocks
     seed: master seed for the deterministic per-chunk seed tree
-    force_exhaustive: use the generic exhaustive decoder even when the
-        decoupled matched-filter shortcut applies
     """
 
     snr_grid_db: list[float]
@@ -205,7 +290,6 @@ class SimulationConfig:
     baseline_mode: str = "closed-loop"
     symbols_per_frame: int = 130
     seed: int = 0
-    force_exhaustive: bool = False
 
     def validate(self) -> None:
         if len(self.snr_grid_db) == 0:
@@ -250,138 +334,51 @@ class SimulationConfig:
         return 0.0
 
 
-def _candidate_bit_distances(design: InnerDesign, constellation: Constellation) -> np.ndarray:
-    """bit_dist[r, s]: differing information bits between candidates r, s."""
-    n_alpha = 2 if constellation.kind == "bpsk" else 4
-    bps = constellation.bits_per_symbol
-    n_cand = n_alpha**design.n_sym
-    # label of a candidate: per-slot Gray labels, most significant slot first
-    labels = np.zeros(n_cand, dtype=np.int64)
-    digits = np.arange(n_cand)
-    for _slot in range(design.n_sym):
-        idx = digits % n_alpha
-        digits = digits // n_alpha
-        slot_label = np.array([gray_code(v) for v in range(n_alpha)])[idx]
-        labels = labels | (slot_label << (_slot * bps))
-    xor = labels[:, None] ^ labels[None, :]
-    dist = np.zeros((n_cand, n_cand), dtype=np.int64)
-    for b in range(design.n_sym * bps):
-        dist += (xor >> b) & 1
-    return dist
-
-
-@dataclass
-class _SweepTables:
-    """Precomputed per-sweep state shared by every chunk."""
-
-    words: np.ndarray
-    bit_dist: np.ndarray
-    design_inv: np.ndarray | None
-    open_precoder: np.ndarray
-    # Decoupled-decoder tables; None when the shortcut does not apply.
-    mf_tensors: np.ndarray | None = None
-    digit_table: np.ndarray | None = None
-
-
-def _sweep_tables(config: SimulationConfig) -> _SweepTables:
-    _, words = candidate_codewords(config.pod.inner, config.constellation)
-    bit_dist = _candidate_bit_distances(config.pod.inner, config.constellation)
-    design_inv = None
-    if config.baseline_mode != "open-loop":
-        mapping = config.feedback.mapping if config.feedback is not None else None
-        design_inv = bsc_inversion_matrix(config.codebook.k, config.codebook.rho_d, mapping)
-    mf_tensors = None
-    digit_table = None
-    if (
-        config.pod.inner.is_real
-        and config.constellation.kind == "bpsk"
-        and not config.force_exhaustive
-    ):
-        a, _ = config.pod.inner.coefficient_tensors()
-        mf_tensors = a.real
-        n_sym = config.pod.inner.n_sym
-        shifts = np.arange(n_sym - 1, -1, -1)
-        digit_table = (np.arange(2**n_sym)[:, None] >> shifts[None, :]) & 1
-    return _SweepTables(
-        words=words,
-        bit_dist=bit_dist,
-        design_inv=design_inv,
-        open_precoder=np.eye(config.pod.n, dtype=complex),
-        mf_tensors=mf_tensors,
-        digit_table=digit_table,
-    )
-
-
 def _simulate_chunk(
     config: SimulationConfig,
-    tables: _SweepTables,
+    design_inv: np.ndarray | None,
     point_idx: int,
     chunk_idx: int,
     n_frames: int,
     sigma_n2: float,
 ) -> int:
     """Bit errors over one chunk of frames at one SNR point."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence((config.seed, point_idx, chunk_idx))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, point_idx, chunk_idx)))
     pod = config.pod
     m, n, t = pod.m, pod.n, pod.t
     blocks = config.blocks_per_frame
-    n_cand = tables.words.shape[0]
+    decoder = _group_decoder(pod.inner, config.constellation)
 
     h = complex_gaussian((n_frames, m), rng)
     h_eff = h.copy()
-    if config.baseline_mode == "open-loop":
-        pass
-    else:
+    if config.baseline_mode != "open-loop":
         tail = h[:, m - n :]
         norms = np.linalg.norm(tail, axis=1, keepdims=True)
         dirs = np.where(norms > 0, tail / np.where(norms == 0, 1.0, norms), 0.0)
         dirs[norms[:, 0] == 0, 0] = 1.0
-        sent = encode_batch(
-            dirs, np.asarray(config.codebook.matrices), config.codebook.eta_c, tables.design_inv
-        )
+        matrices = np.asarray(config.codebook.matrices)
+        applied = encode_batch(dirs, matrices, config.codebook.eta_c, design_inv)
         if config.baseline_mode == "closed-loop":
-            applied = config.feedback.transmit_batch(sent, rng)
-        else:
-            applied = sent
-        for j in np.unique(applied):
-            sel = applied == j
-            h_eff[sel, m - n :] = tail[sel] @ config.codebook.matrices[j].conj()
+            applied = config.feedback.transmit_batch(applied, rng)
+        h_eff[:, m - n :] = (tail[:, None, :] @ matrices.conj()[applied])[:, 0, :]
 
-    tx = rng.integers(0, n_cand, size=(n_frames, blocks))
+    tx = rng.integers(0, len(decoder.cand_groups), size=(n_frames, blocks))
+    u, quad = decoder.frame_terms(h_eff)
     scale = math.sqrt(sigma_n2 / 2.0)
+    # Slabs of blocks bound the metric size; one noise draw per slab keeps the per-block order.
+    step = max(1, _SLAB_METRICS // (n_frames * quad.shape[2]))
     errors = 0
-
-    if tables.mf_tensors is not None:
-        # Decoupled path: v[f, k, :] = A_k^T h_eff[f]; Re(v_j^H v_k) = 0 for
-        # j != k, so the per-slot matched filter sign decides each symbol.
-        v = np.tensordot(h_eff, tables.mf_tensors, axes=([1], [1]))
-        tx_digits = tables.digit_table[tx]
-        for b in range(blocks):
-            s = 1.0 - 2.0 * tx_digits[:, b, :]
-            y0 = (s[:, None, :].astype(complex) @ v)[:, 0, :]
-            y = y0 + scale * (
-                rng.standard_normal((n_frames, t)) + 1j * rng.standard_normal((n_frames, t))
-            )
-            mf = (v.conj() @ y[:, :, None])[:, :, 0].real
-            rx_digits = (mf < 0).astype(tx_digits.dtype)
-            errors += int(np.count_nonzero(rx_digits != tx_digits[:, b, :]))
-        return errors
-
-    # projected candidates: c[f, r, :] = Z_in(r)^H h_eff[f]
-    projected = np.tensordot(h_eff, tables.words.conj(), axes=([1], [1]))
-    cand_norm = np.sum(np.abs(projected) ** 2, axis=2)
-
-    for b in range(blocks):
-        y0 = np.take_along_axis(projected, tx[:, b, None, None], axis=1)[:, 0, :]
-        y = y0 + scale * (
-            rng.standard_normal((n_frames, t)) + 1j * rng.standard_normal((n_frames, t))
-        )
-        # ||y - c||^2 ranking without the common ||y||^2 term
-        ip = (projected.conj() @ y[:, :, None])[:, :, 0]
-        rx = np.argmin(cand_norm - 2.0 * ip.real, axis=1)
-        errors += int(tables.bit_dist[tx[:, b], rx].sum())
+    for b in range(0, blocks, step):
+        tx_slab = tx[:, b : b + step]
+        noise = scale * rng.standard_normal((tx_slab.shape[1], 2, n_frames, t))
+        # y = Z_in(s)^H h_eff + n = sum_c x_c u_c + n, as real rows [Re; Im]
+        y = decoder.cand_points[tx_slab] @ u.swapaxes(1, 2)
+        y_parts = y.reshape(n_frames, -1, 2, t)
+        y_parts += noise.transpose(2, 0, 1, 3)
+        rx = decoder.decide(u, quad, y)
+        tx_groups = decoder.cand_groups[tx_slab]
+        wrong = rx != tx_groups
+        errors += int(decoder.bit_dist[tx_groups[wrong], rx[wrong]].sum())
     return errors
 
 
@@ -392,9 +389,9 @@ def _chunk_plan(frames: int) -> list[int]:
     return sizes
 
 
-def _point_task(args) -> int:
-    config, tables, point_idx, chunk_idx, n_frames, sigma_n2 = args
-    return _simulate_chunk(config, tables, point_idx, chunk_idx, n_frames, sigma_n2)
+def _worker_count(requested: int, n_tasks: int) -> int:
+    """Worker processes worth starting: no more than the tasks or the cores."""
+    return min(requested, n_tasks, os.cpu_count() or 1)
 
 
 def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]:
@@ -406,7 +403,10 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
     config.validate()
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    tables = _sweep_tables(config)
+    design_inv = None
+    if config.baseline_mode != "open-loop":
+        mapping = config.feedback.mapping if config.feedback is not None else None
+        design_inv = bsc_inversion_matrix(config.codebook.k, config.codebook.rho_d, mapping)
     bits_per_frame = (
         config.blocks_per_frame * config.pod.inner.n_sym * config.constellation.bits_per_symbol
     )
@@ -416,13 +416,14 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
     for p_idx, snr_db in enumerate(config.snr_grid_db):
         sigma_n2 = noise_variance(config.pod.m, snr_db)
         for c_idx, size in enumerate(plan):
-            tasks.append((config, tables, p_idx, c_idx, size, sigma_n2))
+            tasks.append((config, design_inv, p_idx, c_idx, size, sigma_n2))
 
+    workers = _worker_count(workers, len(tasks))
     if workers == 1:
-        counts = [_point_task(t) for t in tasks]
+        counts = [_simulate_chunk(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_point_task, tasks, chunksize=1))
+            counts = list(pool.map(_simulate_chunk, *zip(*tasks), chunksize=1))
 
     results = []
     per_point = len(plan)

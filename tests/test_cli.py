@@ -128,6 +128,14 @@ def test_eval_pep_csv_layout(tiny_codebook_path, tmp_path):
     assert 0.0 < clean < noisy <= 0.5
 
 
+def test_eval_pep_block_length_is_usage_error(tiny_codebook_path, tmp_path):
+    # No bound depends on the block length, so eval-pep does not take one.
+    with pytest.raises(SystemExit) as ei:
+        main(["eval-pep", "--codebook", str(tiny_codebook_path), "--block-length", "4",
+              "--out", str(tmp_path / "pep.csv")])
+    assert ei.value.code == 2
+
+
 def test_simulate_csv_header_and_grid(tiny_codebook_path, tmp_path):
     out = tmp_path / "ber.csv"
     rc = main(["simulate", "--codebook", str(tiny_codebook_path), "--code", "od2",

@@ -4,15 +4,17 @@ Oracles:
 
 * noiseless transmission must reproduce Z^H h exactly, and decoding it must
   return the transmitted symbols whenever codewords are distinct.
-* the exhaustive decoder is checked against a second, blind brute-force
-  implementation and, for real orthogonal designs with identity precoding,
-  against the standard linear matched-filter detector.
+* the group-separable ML decoder is checked against a second, blind
+  brute-force implementation, against the standard linear matched-filter
+  detector for real orthogonal designs with identity precoding, and, in
+  sweeps, against error counts recorded from the exhaustive search.
 * the Alamouti block with h = (1, 0) only sees the first antenna row:
   y = (conj(s1), -s2).
 * empirical noise variance must match sigma_n2 = 1/(m * eta0) within 2%.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from podsim.link import (
     transmit_block,
     write_ber_csv,
 )
+from podsim.link import _group_decoder, _worker_count
 from podsim.stbc import Constellation, PodStructure, assemble, get_design, slot_alphabets
 from podsim.trainer import TrainerConfig, train
 
@@ -298,9 +301,25 @@ def test_closed_loop_beats_open_loop_with_clean_feedback():
     assert gap > 5.0 * sigma
 
 
+# Error counts of the exhaustive search over every candidate codeword (the
+# former SimulationConfig(force_exhaustive=True) path, run at the commit
+# before that option was removed) on the configs below. The group-separable
+# decoder is exact ML, so it must reproduce them bit for bit.
+EXHAUSTIVE_CLOSED_OD2 = 1411
+EXHAUSTIVE_OPEN_OD6X8 = 4
+EXHAUSTIVE_PAIR_COUNTS = {
+    ("real-od-2", "bpsk"): [360, 42],
+    ("real-od-4", "bpsk"): [520, 33],
+    ("real-od-6x8", "bpsk"): [1014, 42],
+    ("real-od-8", "bpsk"): [874, 26],
+    ("alamouti", "bpsk"): [360, 42],
+    ("alamouti", "qpsk-rot"): [1305, 244],
+    ("qostbc-4", "bpsk"): [634, 47],
+    ("qostbc-4", "qpsk-rot"): [2588, 417],
+}
+
+
 def test_decoupled_sweep_matches_exhaustive():
-    # Real designs with BPSK take the per-symbol matched-filter shortcut;
-    # forcing the exhaustive decoder must give the exact same error counts.
     cb = small_trained_codebook()
     design = get_design("real-od-2")
     pod = PodStructure(inner=design, n=2)
@@ -315,10 +334,7 @@ def test_decoupled_sweep_matches_exhaustive():
         symbols_per_frame=128,
         seed=17,
     )
-    fast = run_ber_sweep(SimulationConfig(**base))[0]
-    slow = run_ber_sweep(SimulationConfig(**base, force_exhaustive=True))[0]
-    assert fast.bit_errors > 0
-    assert fast.bit_errors == slow.bit_errors
+    assert run_ber_sweep(SimulationConfig(**base))[0].bit_errors == EXHAUSTIVE_CLOSED_OD2
 
     wide = dict(
         snr_grid_db=[10.0],
@@ -329,10 +345,38 @@ def test_decoupled_sweep_matches_exhaustive():
         symbols_per_frame=64,
         seed=9,
     )
-    fast = run_ber_sweep(SimulationConfig(**wide))[0]
-    slow = run_ber_sweep(SimulationConfig(**wide, force_exhaustive=True))[0]
-    assert fast.bit_errors > 0
-    assert fast.bit_errors == slow.bit_errors
+    assert run_ber_sweep(SimulationConfig(**wide))[0].bit_errors == EXHAUSTIVE_OPEN_OD6X8
+
+
+@pytest.mark.parametrize("kind,const", sorted(EXHAUSTIVE_PAIR_COUNTS))
+def test_sweep_matches_exhaustive_on_every_design(kind, const):
+    design = get_design(kind)
+    cfg = SimulationConfig(
+        snr_grid_db=[2.0, 8.0],
+        frames=300,
+        pod=PodStructure(inner=design, n=design.m),
+        constellation=Constellation(const),
+        baseline_mode="open-loop",
+        symbols_per_frame=8 * design.n_sym,
+        seed=23,
+    )
+    counts = [r.bit_errors for r in run_ber_sweep(cfg)]
+    assert counts == EXHAUSTIVE_PAIR_COUNTS[kind, const]
+
+
+@pytest.mark.parametrize("kind,const", sorted(EXHAUSTIVE_PAIR_COUNTS))
+def test_derived_slot_groups(kind, const):
+    groups = _group_decoder(get_design(kind), Constellation(const)).slot_groups.tolist()
+    if kind == "qostbc-4":
+        assert groups == [[0, 2], [1, 3]]
+    else:
+        assert groups == [[k] for k in range(get_design(kind).n_sym)]
+
+
+def test_worker_count_capped_by_tasks_and_cores():
+    assert _worker_count(10**6, 3) == min(3, os.cpu_count() or 1)
+    assert _worker_count(10**6, 10**6) == (os.cpu_count() or 1)
+    assert _worker_count(1, 50) == 1
 
 
 def test_genie_equals_closed_loop_at_zero_rho():
