@@ -369,8 +369,8 @@ def _recipe_smoke(out: Path, workers: int) -> list[list[str]]:
          "--rho-d", "0.1", "--design-snr-db", "8", "--train-size", "2000",
          "--step-m", "63", "--max-rounds", "40", "--seed", "5", "--out", cb],
         ["eigen", "--codebook", cb, "--out", str(out / "smoke_eigen.csv")],
-        ["eval-pep", "--codebook", cb, "--rho-f", "0,0.1", "--snr-db", "8",
-         "--samples", "4000", "--seed", "5", "--out", str(out / "smoke_pep.csv")],
+        ["eval-pep", "--codebook", cb, "--rho-f", "0,0.1", "--samples", "4000",
+         "--seed", "5", "--out", str(out / "smoke_pep.csv")],
         ["map-anneal", "--codebook", cb, "--rho-f", "0.1", "--sa-iters", "2000",
          "--seed", "5", "--out", str(out / "smoke_mapping.txt")],
         ["simulate", "--codebook", cb, "--code", "od2", "--constellation", "bpsk",
@@ -465,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated feedback crossover values, one CSV row each",
     )
     p.add_argument("--eta-c", type=float, default=None, help="override the design eta_c")
-    p.add_argument("--snr-db", type=float, default=10.0, help="operating SNR for the noise term")
+    p.add_argument("--snr-db", type=float, default=10.0, help="does not change the average bound")
     p.add_argument("--samples", type=int, default=20_000, help="direction samples")
     p.add_argument("--out", required=True, help="CSV output path")
     _add_common(p)

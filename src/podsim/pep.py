@@ -15,14 +15,19 @@ The bound chain has three levels:
    with beta = hbar^H P_j P_j^H hbar for unit directions hbar in the region
    and eta_c the distance-scaled SNR of the worst-case error event.
 
-3. average: weighting the region bounds by the feedback transition
-   probabilities p_f(j|i) and the empirical region occupancies p(i) gives
-   the average bound that codebook training minimizes, up to the constant
-   (1/2) (1 + eta_c)^{-(m - n)} factor.
+3. average: the region bounds weighted by the feedback transition
+   probabilities p_f(j|i) and the empirical region occupancies p(i). As
+   p(i) times a region mean is a sum over the region's rows, this is
+
+       (1/2) (1 + eta_c)^{-(m - n)} mean_s sum_j p_f(j|a_s) (1 + eta_c beta_sj)^{-n}
+
+   over the evaluation rows s with regions a_s: the constant factor times
+   the objective that codebook training minimizes.
 
 Expectations over regions are empirical means over a stored evaluation set,
-matching the trainer's convention. The closed forms rest on two Gamma
-integrals; `closed_form_integrals_check` verifies both by Monte Carlo.
+matching the trainer's convention, and every beta comes from the trainer's
+quadratic-form kernel. The closed forms rest on two Gamma integrals;
+`closed_form_integrals_check` verifies both by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .channel import ChannelDims
 from .codebook import PrecoderCodebook
-from .trainer import encode_batch
+from .trainer import _cost_matrix, _entry_forms, _quadratic_forms, encode_batch
 
 __all__ = [
     "EvaluationSet",
@@ -106,10 +111,12 @@ def conditional_pep_bound(ctx: PepContext, d: float) -> float:
     return min(0.5, 0.5 * math.exp(-d / (4.0 * ctx.sigma_n2)))
 
 
-def _region_betas(cb: PrecoderCodebook, j: int, dirs: np.ndarray) -> np.ndarray:
-    """beta[s] = hbar_s^H P_j P_j^H hbar_s for the Hermitian representative."""
-    x = dirs @ np.asarray(cb.matrices)[j].conj()
-    return np.einsum("sa,sa->s", x, x.conj()).real
+def _check_dims(ctx: PepContext, cb: PrecoderCodebook) -> None:
+    if ctx.dims.m != cb.m or ctx.dims.n != cb.n:
+        raise ValueError(
+            f"context dims ({ctx.dims.m}, {ctx.dims.n}) do not match "
+            f"codebook ({cb.m}, {cb.n})"
+        )
 
 
 def region_pep_bound(
@@ -117,15 +124,11 @@ def region_pep_bound(
 ) -> float:
     """Bound on the worst-case pairwise error probability given that the
     receiver quantized into region i and the transmitter used precoder j."""
-    if ctx.dims.m != cb.m or ctx.dims.n != cb.n:
-        raise ValueError(
-            f"context dims ({ctx.dims.m}, {ctx.dims.n}) do not match "
-            f"codebook ({cb.m}, {cb.n})"
-        )
+    _check_dims(ctx, cb)
     mask = evset.assignments == i
     if not mask.any():
         raise ValueError(f"region {i} is empty in the evaluation set")
-    beta = _region_betas(cb, j, evset.dirs[mask])
+    beta = _entry_forms(evset.dirs[mask], cb.matrices[j])[1]
     tail = float(np.mean((1.0 + ctx.eta_c * beta) ** (-cb.n)))
     head = (1.0 + ctx.eta_c) ** (-(cb.m - cb.n))
     return 0.5 * head * tail
@@ -134,22 +137,18 @@ def region_pep_bound(
 def average_pep_bound(
     ctx: PepContext, cb: PrecoderCodebook, inv: np.ndarray, evset: EvaluationSet
 ) -> float:
-    """Average of the region bounds over feedback noise and region occupancy.
+    """Average of the region bounds over feedback noise and region occupancy:
+    the sum over (i, j) of p_f(j|i) p(i) region_pep_bound(i, j), with p(i) the
+    empirical occupancy of region i, in the closed form
 
-    Sum over (i, j) of p_f(j|i) p(i) region_pep_bound(i, j) with p(i) taken
-    as the empirical occupancy of region i in the evaluation set. Empty
-    regions carry zero occupancy and are skipped.
+        (1/2) (1 + eta_c)^{-(m - n)} mean_s sum_j p_f(j|a_s) (1 + eta_c beta_sj)^{-n}
+
+    over the evaluation rows s in regions a_s; empty regions add nothing.
     """
-    s = evset.assignments.shape[0]
-    counts = np.bincount(evset.assignments, minlength=cb.k)
-    total = 0.0
-    for i in range(cb.k):
-        if counts[i] == 0:
-            continue
-        p_i = counts[i] / s
-        for j in range(cb.k):
-            total += inv[j, i] * p_i * region_pep_bound(ctx, cb, i, j, evset)
-    return total
+    _check_dims(ctx, cb)
+    costs = _cost_matrix(_quadratic_forms(evset.dirs, cb.matrices), ctx.eta_c, cb.n, inv)
+    tail = float(np.take_along_axis(costs, evset.assignments[:, None], axis=1).mean())
+    return 0.5 * (1.0 + ctx.eta_c) ** (-(cb.m - cb.n)) * tail
 
 
 @dataclass(frozen=True)

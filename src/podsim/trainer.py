@@ -23,6 +23,10 @@ Hermitian-PSD power-n set. Both half-steps are nonincreasing in J (the
 gradient half because increases are backtracked away), so the per-round
 objective history is monotone.
 
+One kernel, `_entry_forms`, gives x = dirs @ P^* and q = |x|^2 = h^H P P^H h
+for one entry. The encoder, `objective`, `gradient`, the descent loop and the
+bounds in `podsim.pep` all use it; the gradient reuses x as dirs^T (u * x^*).
+
 A worst-case design for a crossover range [f_a, f_b] trains at rho_d = f_b;
 the average-criterion alternative trains at the midpoint.
 """
@@ -124,14 +128,18 @@ class TrainingState:
     objective_history: list[float]
 
 
+def _entry_forms(dirs: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratic-form kernel for one entry: x = dirs @ P^* and
+    q[s] = |x_s|^2 = h_s^H P P^H h_s for the rows h_s of dirs."""
+    x = dirs @ p.conj()
+    return x, np.einsum("sa,sa->s", x, x.conj()).real
+
+
 def _quadratic_forms(dirs: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """q[s, j] = h_s^H P_j P_j^H h_s for unit rows h_s, shape (S, k)."""
-    s, _ = dirs.shape
-    k = matrices.shape[0]
-    out = np.empty((s, k))
-    for j in range(k):
-        x = dirs @ matrices[j].conj()
-        out[:, j] = np.einsum("sa,sa->s", x, x.conj()).real
+    out = np.empty((len(dirs), len(matrices)))
+    for j, p in enumerate(matrices):
+        out[:, j] = _entry_forms(dirs, p)[1]
     return out
 
 
@@ -175,25 +183,21 @@ def gradient(
     assignments: np.ndarray,
 ) -> np.ndarray:
     """Gradient of J with respect to P_j at fixed assignments."""
-    mats = np.asarray(cb.matrices)
-    weights = inv[j, assignments]
-    return _gradient_for_entry(training_set, mats[j], weights, cb.eta_c, cb.n)
+    x, q = _entry_forms(training_set, np.asarray(cb.matrices)[j])
+    return _entry_gradient(training_set, x, q, inv[j, assignments], cb.eta_c, cb.n)
 
 
-def _gradient_for_entry(dirs, pj, weights, eta_c, n):
-    x = dirs @ pj.conj()
-    q = np.einsum("sa,sa->s", x, x.conj()).real
-    u = weights * (1.0 + eta_c * q) ** (-(n + 1))
-    corr = (dirs.T * u) @ dirs.conj()
-    return -2.0 * n * eta_c / len(dirs) * (corr @ pj)
+def _entry_gradient(dirs, x, q, weights, eta_c, n):
+    """-2 n eta_c / S dirs^T (u * x^*) with u = p_f(j|a_s) (1 + eta_c q)^-(n+1)."""
+    ux = x.conj()
+    ux *= (weights * (1.0 + eta_c * q) ** (-(n + 1)))[:, None]
+    return -2.0 * n * eta_c / len(dirs) * (dirs.T @ ux)
 
 
-def _partial_objective(dirs, pj, weights, eta_c, n):
-    """Contribution of entry j to J at fixed assignments: mean of
-    p_f(j|a_s) (1 + eta_c q_s)^-n."""
-    x = dirs @ pj.conj()
-    q = np.einsum("sa,sa->s", x, x.conj()).real
-    return float(np.mean(weights * (1.0 + eta_c * q) ** (-n)))
+def _entry_state(dirs, p, weights, eta_c, n):
+    """(x, q, value) of p: value = mean of p_f(j|a_s) (1 + eta_c q)^-n, its share of J."""
+    x, q = _entry_forms(dirs, p)
+    return x, q, float(np.mean(weights * (1.0 + eta_c * q) ** (-n)))
 
 
 def _initial_matrices(cfg: TrainerConfig, rng: np.random.Generator) -> np.ndarray:
@@ -207,7 +211,6 @@ def _initial_matrices(cfg: TrainerConfig, rng: np.random.Generator) -> np.ndarra
 def _run_single(cfg: TrainerConfig, dirs: np.ndarray, inv: np.ndarray, rng: np.random.Generator):
     mats = _initial_matrices(cfg, rng)
     history: list[float] = []
-    assignments = np.zeros(len(dirs), dtype=np.int64)
     # Each entry runs its own diminishing-step descent; counters persist
     # across rounds and reset only when an entry is reinitialized.
     step_counts = np.zeros(cfg.k, dtype=np.int64)
@@ -235,33 +238,28 @@ def _run_single(cfg: TrainerConfig, dirs: np.ndarray, inv: np.ndarray, rng: np.r
                 step_counts[j] = 0
             costs = _cost_matrix(_quadratic_forms(dirs, mats), cfg.eta_c, cfg.n, inv)
             assignments = np.argmin(costs, axis=1)
+        del costs  # the descent does not need it; freeing it keeps peak memory down
 
+        # At fixed assignments J is the sum of the entry values. Each entry
+        # carries (x, q, value) of its matrix; an accepted candidate hands over its own.
+        values = []
         for j in range(cfg.k):
             weights = inv[j, assignments]
-            if weights.max() <= _DEAD_WEIGHT:
-                continue
-            value = _partial_objective(dirs, mats[j], weights, cfg.eta_c, cfg.n)
-            for _ in range(cfg.inner_iters):
-                grad = _gradient_for_entry(dirs, mats[j], weights, cfg.eta_c, cfg.n)
-                alpha = (1.0 + cfg.step_m) / (1.0 + step_counts[j])
-                step_counts[j] += 1
-                accepted = False
-                for _ in range(30):
-                    cand = project_psd_power(mats[j] - alpha * grad, cfg.n)
-                    cand_value = _partial_objective(dirs, cand, weights, cfg.eta_c, cfg.n)
-                    if not cfg.backtracking or cand_value <= value:
-                        accepted = True
-                        break
-                    alpha /= 2.0
-                if accepted:
-                    mats[j] = cand
-                    value = cand_value
-
-        total = 0.0
-        for j in range(cfg.k):
-            weights = inv[j, assignments]
-            total += _partial_objective(dirs, mats[j], weights, cfg.eta_c, cfg.n)
-        history.append(total)
+            x, q, value = _entry_state(dirs, mats[j], weights, cfg.eta_c, cfg.n)
+            if weights.max() > _DEAD_WEIGHT:
+                for _ in range(cfg.inner_iters):
+                    grad = _entry_gradient(dirs, x, q, weights, cfg.eta_c, cfg.n)
+                    alpha = (1.0 + cfg.step_m) / (1.0 + step_counts[j])
+                    step_counts[j] += 1
+                    for _ in range(30):
+                        cand = project_psd_power(mats[j] - alpha * grad, cfg.n)
+                        cand_state = _entry_state(dirs, cand, weights, cfg.eta_c, cfg.n)
+                        if not cfg.backtracking or cand_state[2] <= value:
+                            mats[j], (x, q, value) = cand, cand_state
+                            break
+                        alpha /= 2.0
+            values.append(value)
+        history.append(sum(values))
 
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]

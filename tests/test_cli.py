@@ -128,6 +128,19 @@ def test_eval_pep_csv_layout(tiny_codebook_path, tmp_path):
     assert 0.0 < clean < noisy <= 0.5
 
 
+def test_eval_pep_snr_db_does_not_change_the_bound(tiny_codebook_path, tmp_path):
+    # --snr-db only sets the context's noise variance, which the average
+    # bound does not read.
+    texts = []
+    for snr_db in ("0", "30"):
+        out = tmp_path / f"pep{snr_db}.csv"
+        rc = main(["eval-pep", "--codebook", str(tiny_codebook_path), "--rho-f", "0,0.1",
+                   "--snr-db", snr_db, "--samples", "2000", "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
 def test_eval_pep_block_length_is_usage_error(tiny_codebook_path, tmp_path):
     # No bound depends on the block length, so eval-pep does not take one.
     with pytest.raises(SystemExit) as ei:

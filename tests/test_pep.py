@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import naive_objective
 from podsim.channel import ChannelDims, sample_directions
 from podsim.codebook import PrecoderCodebook, project_psd_power
 from podsim.feedback import bsc_inversion_matrix
@@ -172,6 +173,49 @@ def test_average_bound_matches_trainer_objective():
         avg = average_pep_bound(ctx, cb, inv, evset)
         expect = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * objective(cb, inv, dirs)
         assert abs(avg - expect) <= 1e-12
+
+
+def test_average_bound_matches_region_sum_and_naive_objective():
+    # The closed form against two routes that do not share its code: the
+    # defining sum of region bounds, and the loop-based oracle objective.
+    rng = np.random.default_rng(23)
+    cases = [
+        random_codebook(4, 2, 4, 2.5, 0.1, rng),
+        random_codebook(4, 4, 8, 1.5, 0.03, rng),
+    ]
+    # Entry 3 repeats entry 0, so at rho = 0 every tie goes to index 0 and
+    # region 3 stays empty.
+    a, b, c = random_codebook(3, 2, 3, 2.0, 0.0, rng).matrices
+    cases.append(make_codebook(3, 2, 4, 2.0, 0.0, np.stack([a, b, c, a])))
+    for cb in cases:
+        inv = bsc_inversion_matrix(cb.k, cb.rho_d)
+        dirs = sample_directions(cb.n, 300, rng)
+        evset = build_evaluation_set(cb, inv, dirs)
+        ctx = PepContext(dims=ChannelDims(m=cb.m, n=cb.n, t=4), eta_c=cb.eta_c, sigma_n2=0.2)
+        counts = np.bincount(evset.assignments, minlength=cb.k)
+        region_sum = sum(
+            inv[j, i] * counts[i] / len(dirs) * region_pep_bound(ctx, cb, i, j, evset)
+            for i in range(cb.k)
+            if counts[i] > 0
+            for j in range(cb.k)
+        )
+        head = (1.0 + cb.eta_c) ** (-(cb.m - cb.n))
+        naive = 0.5 * head * naive_objective(dirs, cb.matrices, cb.eta_c, cb.n, inv)
+        avg = average_pep_bound(ctx, cb, inv, evset)
+        assert abs(avg - region_sum) <= 1e-12
+        assert abs(avg - naive) <= 1e-12
+    assert counts[3] == 0
+
+
+def test_average_bound_rejects_dim_mismatch():
+    rng = np.random.default_rng(29)
+    cb = random_codebook(3, 2, 2, 1.0, 0.1, rng)
+    inv = bsc_inversion_matrix(2, 0.1)
+    evset = build_evaluation_set(cb, inv, sample_directions(2, 100, rng))
+    for m, n in [(4, 2), (3, 3)]:
+        bad = PepContext(dims=ChannelDims(m=m, n=n, t=4), eta_c=1.0, sigma_n2=0.5)
+        with pytest.raises(ValueError, match="dims"):
+            average_pep_bound(bad, cb, inv, evset)
 
 
 def test_average_bound_mapping_invariant_at_half_rho():

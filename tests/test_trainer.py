@@ -271,6 +271,106 @@ def test_restarts_never_hurt():
     assert j3 <= j1 + 1e-12
 
 
+# Pinned fit results from a trainer whose gradient built the n x n
+# correlation of the directions; the gradient from x = dirs @ P^* sums in
+# another order, so the values agree to round-off only. The K = 4 config
+# takes steps large enough that backtracking rejects some of them.
+SMALL_HISTORY = [
+    0.0710184538594309, 0.06956105455672518, 0.06877920213947776, 0.06825808275015047,
+    0.06787298821340132, 0.06757064298502799, 0.06732343664820249, 0.06711531286712559,
+    0.06693635421403465, 0.06677985112066753, 0.06664107526464853, 0.06651672659961173,
+    0.06640426644596063, 0.06630171454174336, 0.06620763142928524, 0.06612081162649394,
+    0.06604028982308494, 0.06596527651900827, 0.06589511828698338, 0.06582926858274417,
+    0.06576726592790696, 0.06570871734869053, 0.06565328562811465, 0.06560067936940156,
+    0.06555064516170993, 0.06550296133875275, 0.06545743295879028, 0.06541388773144312,
+    0.06537217268591729, 0.06533215142522411, 0.06529370184756464, 0.06525671424313904,
+    0.06522108969491772, 0.06518670886544224, 0.06515352772319397, 0.06512146593351452,
+    0.06509045604814269, 0.06506043637158634, 0.0650313346226217, 0.06500311639036445,
+]
+SMALL_MATRICES = [
+    [
+        [1.08886217934+0.00000000000j, 0.14457304561+0.03891500219j],
+        [0.14457304561-0.03891500219j, 0.87723866112+0.00000000000j],
+    ],
+    [
+        [0.76925575292+0.00000000000j, -0.18158060361-0.08697308579j],
+        [-0.18158060361+0.08697308579j, 1.15203034686+0.00000000000j],
+    ],
+]
+K4_HISTORY = [
+    0.004526032516976338, 0.004151785193167039, 0.004082805694966968, 0.004040093337210412,
+    0.003995050921578421, 0.003964927047692876,
+]
+K4_MATRICES = [
+    [
+        [0.80264075533+0.00000000000j, -0.17371049412-0.05134759572j,
+         -0.08165358969+0.35559755230j, -0.13865163378-0.02797063004j],
+        [-0.17371049412+0.05134759572j, 0.86342519130+0.00000000000j,
+         0.02776573247-0.16454597905j, -0.14560839723-0.30243419211j],
+        [-0.08165358969-0.35559755230j, 0.02776573247+0.16454597905j,
+         0.82603089076+0.00000000000j, -0.20024300460+0.12804824709j],
+        [-0.13865163378+0.02797063004j, -0.14560839723+0.30243419211j,
+         -0.20024300460-0.12804824709j, 1.07798443009+0.00000000000j],
+    ],
+    [
+        [1.11054793721+0.00000000000j, -0.02783045746-0.04122464284j,
+         0.23561333740+0.07373393793j, 0.00958947281-0.00320877054j],
+        [-0.02783045746+0.04122464284j, 0.85476504815+0.00000000000j,
+         -0.24958583696-0.23387794821j, -0.31945275364+0.27290149885j],
+        [0.23561333740-0.07373393793j, -0.24958583696+0.23387794821j,
+         0.82188839835+0.00000000000j, -0.10769105163+0.09139866621j],
+        [0.00958947281+0.00320877054j, -0.31945275364-0.27290149885j,
+         -0.10769105163-0.09139866621j, 0.77882575035+0.00000000000j],
+    ],
+    [
+        [0.77692126326+0.00000000000j, 0.06834143962-0.04013304846j,
+         -0.28102544049-0.09264414706j, 0.01027062407+0.01459062207j],
+        [0.06834143962+0.04013304846j, 0.91328415476+0.00000000000j,
+         0.21642995144+0.22758869218j, 0.24048094118-0.19900956318j],
+        [-0.28102544049+0.09264414706j, 0.21642995144-0.22758869218j,
+         0.95526647303+0.00000000000j, 0.04617361130+0.02991373592j],
+        [0.01027062407-0.01459062207j, 0.24048094118+0.19900956318j,
+         0.04617361130-0.02991373592j, 1.03114169963+0.00000000000j],
+    ],
+    [
+        [1.02513701962+0.00000000000j, 0.18769853170+0.00622068243j,
+         0.04280592399-0.32007627389j, 0.14345293346+0.01556446619j],
+        [0.18769853170-0.00622068243j, 0.95570975025+0.00000000000j,
+         -0.01787242666+0.16170435994j, 0.09863581323+0.33423283737j],
+        [0.04280592399+0.32007627389j, -0.01787242666-0.16170435994j,
+         0.95383389744+0.00000000000j, 0.16584128597-0.09025114859j],
+        [0.14345293346-0.01556446619j, 0.09863581323-0.33423283737j,
+         0.16584128597+0.09025114859j, 0.66185858110+0.00000000000j],
+    ],
+]
+
+
+def backtracking_config(**kw):
+    return small_config(m=4, n=4, k=4, rho_d=0.1, n_train=1000, max_rounds=6,
+                        step_m=32767.0, **kw)
+
+
+@pytest.mark.parametrize(
+    "cfg, history, matrices",
+    [
+        (small_config(rho_d=0.05), SMALL_HISTORY, SMALL_MATRICES),
+        (backtracking_config(), K4_HISTORY, K4_MATRICES),
+    ],
+    ids=["small-rho0.05", "k4-backtracking"],
+)
+def test_fit_regression(cfg, history, matrices):
+    state = fit(cfg)
+    assert state.objective_history == pytest.approx(history, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(state.codebook.matrices, np.array(matrices), rtol=0.0, atol=1e-9)
+
+
+def test_backtracking_config_rejects_steps():
+    # Without backtracking the same config accepts every step and ends
+    # elsewhere, so the pinned K = 4 run above exercises rejections.
+    free = fit(backtracking_config(backtracking=False))
+    assert np.abs(free.codebook.matrices - np.array(K4_MATRICES)).max() > 1e-3
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig(m=2, n=3, k=2, eta_c=1.0)
