@@ -16,20 +16,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelDims, sample_directions
+from .channel import sample_directions
 from .codebook import eigen_profile, load_codebook, save_codebook
 from .feedback import (
     AnnealSchedule,
     FeedbackChannel,
+    _chordal_distance_matrix,
     bsc_inversion_matrix,
-    dominant_directions,
     load_mapping,
     mapping_cost,
     optimize_mapping,
     save_mapping,
 )
-from .link import SimulationConfig, noise_variance, run_ber_sweep, write_ber_csv
-from .pep import PepContext, average_pep_bound, build_evaluation_set
+from .link import SimulationConfig, run_ber_sweep, write_ber_csv
+from .pep import average_pep_bound, build_evaluation_set
 from .stbc import Constellation, PodStructure, get_design
 from .trainer import (
     TrainerConfig,
@@ -147,19 +147,12 @@ def cmd_train(args) -> int:
 def cmd_eval_pep(args) -> int:
     cb = load_codebook(args.codebook)
     eta_c = args.eta_c if args.eta_c is not None else cb.eta_c
-    ctx = PepContext(
-        dims=ChannelDims(m=cb.m, n=cb.n, t=cb.m),
-        eta_c=eta_c,
-        sigma_n2=noise_variance(cb.m, args.snr_db),
-    )
     rng = np.random.default_rng(args.seed)
     dirs = sample_directions(cb.n, args.samples, rng)
-    design_inv = bsc_inversion_matrix(cb.k, cb.rho_d)
-    evset = build_evaluation_set(cb, design_inv, dirs)
+    evset = build_evaluation_set(cb, bsc_inversion_matrix(cb.k, cb.rho_d), dirs, eta_c)
     lines = ["rho_f,eta_c,bound"]
     for rho_f in args.rho_f:
-        inv = bsc_inversion_matrix(cb.k, rho_f)
-        bound = average_pep_bound(ctx, cb, inv, evset)
+        bound = average_pep_bound(evset, bsc_inversion_matrix(cb.k, rho_f))
         lines.append(f"{rho_f:.12g},{eta_c:.12g},{bound:.12g}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info("wrote %s", args.out)
@@ -245,9 +238,7 @@ def cmd_map_anneal(args) -> int:
     rng = np.random.default_rng(args.seed)
     perm = optimize_mapping(np.asarray(cb.matrices), cb.marginals, args.rho_f, schedule, rng)
     save_mapping(args.out, perm)
-    dirs = dominant_directions(np.asarray(cb.matrices))
-    overlap = np.abs(dirs @ dirs.conj().T) ** 2
-    dist_sq = np.clip(1.0 - overlap, 0.0, 1.0)
+    dist_sq = _chordal_distance_matrix(np.asarray(cb.matrices))
     bit_matrix = bsc_inversion_matrix(cb.k, args.rho_f)
     log.info(
         "identity cost %.6g, annealed cost %.6g, wrote %s",
@@ -465,7 +456,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated feedback crossover values, one CSV row each",
     )
     p.add_argument("--eta-c", type=float, default=None, help="override the design eta_c")
-    p.add_argument("--snr-db", type=float, default=10.0, help="does not change the average bound")
+    p.add_argument(
+        "--snr-db", type=float, default=10.0,
+        help="accepted but ignored: no bound this command writes depends on the noise",
+    )
     p.add_argument("--samples", type=int, default=20_000, help="direction samples")
     p.add_argument("--out", required=True, help="CSV output path")
     _add_common(p)

@@ -137,6 +137,13 @@ def dominant_directions(matrices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chordal_distance_matrix(matrices: np.ndarray) -> np.ndarray:
+    """Squared chordal distances 1 - |u_i^H u_j|^2 between the dominant
+    directions of all entry pairs, clipped to [0, 1], shape (K, K)."""
+    dirs = dominant_directions(matrices)
+    return np.clip(1.0 - np.abs(dirs @ dirs.conj().T) ** 2, 0.0, 1.0)
+
+
 def chordal_distance_sq(u: np.ndarray, v: np.ndarray) -> float:
     """Squared chordal distance 1 - |u^H v|^2 between unit vectors."""
     return float(1.0 - np.abs(np.vdot(u, v)) ** 2)
@@ -193,9 +200,7 @@ def optimize_mapping(
     if marginals.shape != (k,) or marginals.min() < -1e-12:
         raise ValueError("marginals must be K nonnegative probabilities")
 
-    dirs = dominant_directions(matrices)
-    overlap = np.abs(dirs @ dirs.conj().T) ** 2
-    dist_sq = np.clip(1.0 - overlap, 0.0, 1.0)
+    dist_sq = _chordal_distance_matrix(matrices)
     bit_matrix = bsc_inversion_matrix(k, rho_f)
 
     identity = np.arange(k)

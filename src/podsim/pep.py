@@ -10,21 +10,28 @@ The bound chain has three levels:
    transmitter's precoder P_j, the unquantized head of the channel and the
    quantized-tail magnitude integrate out in closed form, leaving
 
-       (1/2) (1 + eta_c)^{-(m - n)} E_{V_i}[(1 + eta_c beta)^{-n}]
+       head E_{V_i}[(1 + eta_c beta)^{-n}],   head = (1/2) (1 + eta_c)^{-(m - n)}
 
    with beta = hbar^H P_j P_j^H hbar for unit directions hbar in the region
-   and eta_c the distance-scaled SNR of the worst-case error event.
+   and eta_c the distance-scaled SNR of the worst-case error event. Over an
+   evaluation set of S directions in encoder regions a_s, the occupancy p(i)
+   times the region mean is one entry of the region-pair table
+
+       tail[i, j] = (1/S) sum_{s: a_s = i} (1 + eta_c beta_sj)^{-n},
+
+   so the region bound is head tail[i, j] / p(i).
 
 3. average: the region bounds weighted by the feedback transition
-   probabilities p_f(j|i) and the empirical region occupancies p(i). As
-   p(i) times a region mean is a sum over the region's rows, this is
+   probabilities p_f(j|i) = inv[j, i] and the occupancies p(i),
 
-       (1/2) (1 + eta_c)^{-(m - n)} mean_s sum_j p_f(j|a_s) (1 + eta_c beta_sj)^{-n}
+       average = head sum_ij inv[j, i] tail[i, j],
 
-   over the evaluation rows s with regions a_s: the constant factor times
-   the objective that codebook training minimizes.
+   a K x K product. The table depends on the codebook, the directions and
+   eta_c but not on the feedback channel, so one table serves every rho_f.
+   At the eta_c and inv the regions were encoded with, the sum is the
+   objective that codebook training minimizes.
 
-Expectations over regions are empirical means over a stored evaluation set,
+Expectations over regions are empirical means over the evaluation set,
 matching the trainer's convention, and every beta comes from the trainer's
 quadratic-form kernel. The closed forms rest on two Gamma integrals;
 `closed_form_integrals_check` verifies both by Monte Carlo.
@@ -37,14 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelDims
 from .codebook import PrecoderCodebook
-from .trainer import _cost_matrix, _entry_forms, _quadratic_forms, encode_batch
+from .trainer import _quadratic_forms, encode_batch
 
 __all__ = [
     "EvaluationSet",
     "IntegralCheckReport",
-    "PepContext",
     "average_pep_bound",
     "build_evaluation_set",
     "closed_form_integrals_check",
@@ -54,101 +59,86 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PepContext:
-    """Evaluation parameters for the bound chain.
-
-    dims: channel dimensions the bound is evaluated for
-    eta_c: distance-scaled SNR of the error event,
-        (sum_k |z_k - z'_k|^2) / (4 sigma_n^2)
-    sigma_n2: receiver noise variance per complex sample
-    """
-
-    dims: ChannelDims
-    eta_c: float
-    sigma_n2: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.eta_c) and self.eta_c >= 0.0):
-            raise ValueError(f"eta_c must be finite and nonnegative, got {self.eta_c}")
-        if not (np.isfinite(self.sigma_n2) and self.sigma_n2 > 0.0):
-            raise ValueError(f"sigma_n2 must be finite and positive, got {self.sigma_n2}")
-
-
-@dataclass(frozen=True)
 class EvaluationSet:
-    """Unit channel directions with their encoder assignments.
+    """Region-pair table of one codebook over a set of unit directions.
 
-    dirs: (s, n) complex rows, each a unit vector
-    assignments: (s,) entry index chosen by the encoder for each row
+    occupancy: (K,) p(i), the share of directions the encoder put in region i
+    tail: (K, K) tail[i, j] = (1/S) sum_{s: a_s = i} (1 + eta_c beta_sj)^-n
+    head: (1/2) (1 + eta_c)^-(m - n)
     """
 
-    dirs: np.ndarray
-    assignments: np.ndarray
+    occupancy: np.ndarray
+    tail: np.ndarray
+    head: float
 
     def __post_init__(self) -> None:
-        if self.dirs.ndim != 2 or self.assignments.shape != (self.dirs.shape[0],):
+        k = len(self.occupancy)
+        if self.occupancy.shape != (k,) or self.tail.shape != (k, k):
             raise ValueError(
-                f"need dirs (s, n) with assignments (s,), got {self.dirs.shape} "
-                f"and {self.assignments.shape}"
+                f"need occupancy (K,) with tail (K, K), got {self.occupancy.shape} "
+                f"and {self.tail.shape}"
             )
 
 
 def build_evaluation_set(
-    cb: PrecoderCodebook, inv: np.ndarray, dirs: np.ndarray
+    cb: PrecoderCodebook, inv: np.ndarray, dirs: np.ndarray, eta_c: float | None = None
 ) -> EvaluationSet:
-    """Assign each direction to its encoder region for the given codebook."""
-    asg = encode_batch(dirs, np.asarray(cb.matrices), cb.eta_c, inv)
-    return EvaluationSet(dirs=np.asarray(dirs), assignments=asg)
+    """Assign each direction to its encoder region (at the codebook's eta_c and
+    the index channel inv) and tabulate the region-pair table at eta_c, which
+    defaults to the codebook's."""
+    eta_c = cb.eta_c if eta_c is None else eta_c
+    if not (np.isfinite(eta_c) and eta_c >= 0.0):
+        raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
+    if len(dirs) < 1:
+        raise ValueError(f"need at least one direction, got {len(dirs)}")
+    mats = np.asarray(cb.matrices)
+    asg = encode_batch(dirs, mats, cb.eta_c, inv)
+    # w[s, j] = (1 + eta_c beta_sj)^-n, formed in place and summed by region
+    # one column at a time, so no second (S, K) array is allocated.
+    w = _quadratic_forms(dirs, mats)
+    w *= eta_c
+    w += 1.0
+    w **= -cb.n
+    tail = np.empty((cb.k, cb.k))
+    for j in range(cb.k):
+        tail[:, j] = np.bincount(asg, weights=w[:, j], minlength=cb.k)
+    tail /= len(dirs)
+    return EvaluationSet(
+        occupancy=np.bincount(asg, minlength=cb.k) / len(dirs),
+        tail=tail,
+        head=0.5 * (1.0 + eta_c) ** (-(cb.m - cb.n)),
+    )
 
 
-def conditional_pep_bound(ctx: PepContext, d: float) -> float:
-    """Chernoff bound on the pairwise error probability at distance d.
+def conditional_pep_bound(sigma_n2: float, d: float) -> float:
+    """Chernoff bound on the pairwise error probability at distance d under
+    receiver noise variance sigma_n2 per complex sample.
 
     d is the squared received-constellation distance h^H (Z - Z')(Z - Z')^H h.
     """
+    if not (np.isfinite(sigma_n2) and sigma_n2 > 0.0):
+        raise ValueError(f"sigma_n2 must be finite and positive, got {sigma_n2}")
     if not (np.isfinite(d) and d >= 0.0):
         raise ValueError(f"squared distance must be finite and nonnegative, got {d}")
-    return min(0.5, 0.5 * math.exp(-d / (4.0 * ctx.sigma_n2)))
+    return min(0.5, 0.5 * math.exp(-d / (4.0 * sigma_n2)))
 
 
-def _check_dims(ctx: PepContext, cb: PrecoderCodebook) -> None:
-    if ctx.dims.m != cb.m or ctx.dims.n != cb.n:
-        raise ValueError(
-            f"context dims ({ctx.dims.m}, {ctx.dims.n}) do not match "
-            f"codebook ({cb.m}, {cb.n})"
-        )
-
-
-def region_pep_bound(
-    ctx: PepContext, cb: PrecoderCodebook, i: int, j: int, evset: EvaluationSet
-) -> float:
+def region_pep_bound(evset: EvaluationSet, i: int, j: int) -> float:
     """Bound on the worst-case pairwise error probability given that the
     receiver quantized into region i and the transmitter used precoder j."""
-    _check_dims(ctx, cb)
-    mask = evset.assignments == i
-    if not mask.any():
+    k = len(evset.occupancy)
+    if not (0 <= i < k and 0 <= j < k):
+        raise ValueError(f"need region and entry indices in [0, {k}), got ({i}, {j})")
+    if evset.occupancy[i] == 0.0:
         raise ValueError(f"region {i} is empty in the evaluation set")
-    beta = _entry_forms(evset.dirs[mask], cb.matrices[j])[1]
-    tail = float(np.mean((1.0 + ctx.eta_c * beta) ** (-cb.n)))
-    head = (1.0 + ctx.eta_c) ** (-(cb.m - cb.n))
-    return 0.5 * head * tail
+    return float(evset.head * evset.tail[i, j] / evset.occupancy[i])
 
 
-def average_pep_bound(
-    ctx: PepContext, cb: PrecoderCodebook, inv: np.ndarray, evset: EvaluationSet
-) -> float:
+def average_pep_bound(evset: EvaluationSet, inv: np.ndarray) -> float:
     """Average of the region bounds over feedback noise and region occupancy:
-    the sum over (i, j) of p_f(j|i) p(i) region_pep_bound(i, j), with p(i) the
-    empirical occupancy of region i, in the closed form
-
-        (1/2) (1 + eta_c)^{-(m - n)} mean_s sum_j p_f(j|a_s) (1 + eta_c beta_sj)^{-n}
-
-    over the evaluation rows s in regions a_s; empty regions add nothing.
-    """
-    _check_dims(ctx, cb)
-    costs = _cost_matrix(_quadratic_forms(evset.dirs, cb.matrices), ctx.eta_c, cb.n, inv)
-    tail = float(np.take_along_axis(costs, evset.assignments[:, None], axis=1).mean())
-    return 0.5 * (1.0 + ctx.eta_c) ** (-(cb.m - cb.n)) * tail
+    the sum over (i, j) of p_f(j|i) p(i) region_pep_bound(i, j), which is
+    head sum_ij inv[j, i] tail[i, j]; empty regions add nothing."""
+    return evset.head * float(np.trace(inv @ evset.tail))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,9 @@ __all__ = [
 # region's precoder still receives any gradient signal.
 _DEAD_WEIGHT = 1e-14
 
+# Spread of the random Hermitian perturbation of the identity at init.
+_INIT_SCALE = 0.1
+
 
 def eta_c_from_snr_db(m: int, t: int, snr_db: float) -> float:
     """Design distance parameter for a target SNR: eta_c = m * eta0 / (4 t)."""
@@ -82,7 +85,6 @@ class TrainerConfig:
     tol: stop when the relative objective decrease falls below this
     max_rounds: alternation round cap
     restarts: independent initializations; the best final objective wins
-    init_scale: spread of the random Hermitian perturbation at init
     mapping: optional index mapping applied during design
     seed: master seed (training set, inits, empty-region restarts)
     """
@@ -100,7 +102,6 @@ class TrainerConfig:
     tol: float = 1e-5
     max_rounds: int = 200
     restarts: int = 1
-    init_scale: float = 0.1
     mapping: np.ndarray | None = field(default=None)
     seed: int = 0
 
@@ -204,7 +205,7 @@ def _initial_matrices(cfg: TrainerConfig, rng: np.random.Generator) -> np.ndarra
     mats = np.empty((cfg.k, cfg.n, cfg.n), dtype=complex)
     for j in range(cfg.k):
         g = rng.standard_normal((cfg.n, cfg.n)) + 1j * rng.standard_normal((cfg.n, cfg.n))
-        mats[j] = project_psd_power(np.eye(cfg.n) + cfg.init_scale * (g + g.conj().T) / 2.0, cfg.n)
+        mats[j] = project_psd_power(np.eye(cfg.n) + _INIT_SCALE * (g + g.conj().T) / 2.0, cfg.n)
     return mats
 
 

@@ -36,7 +36,6 @@ from podsim.feedback import (
 )
 from podsim.link import SimulationConfig, ml_decode, run_ber_sweep, transmit_block
 from podsim.pep import (
-    PepContext,
     average_pep_bound,
     build_evaluation_set,
     closed_form_integrals_check,
@@ -315,9 +314,8 @@ def test_fast_analytic_consistency_suite():
         cb = _random_codebook(n, k, rng, eta_c=1.4, m=m)
         inv = bsc_inversion_matrix(k, 0.07)
         dirs = sample_directions(n, 400, rng)
-        ctx = PepContext(dims=ChannelDims(m=m, n=n, t=m), eta_c=cb.eta_c, sigma_n2=1.0)
         evset = build_evaluation_set(cb, inv, dirs)
-        lhs = average_pep_bound(ctx, cb, inv, evset)
+        lhs = average_pep_bound(evset, inv)
         rhs = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * objective(cb, inv, dirs)
         worst_id = max(worst_id, abs(lhs - rhs) / rhs)
     if worst_id > 1e-12:
@@ -381,8 +379,7 @@ def test_fast_analytic_consistency_suite():
 
     # (h) conditional bound dominates the simulated pairwise error rate
     sigma_n2, dist_sq = 0.8, 1.3
-    ctx = PepContext(dims=ChannelDims(m=2, n=1, t=2), eta_c=1.0, sigma_n2=sigma_n2)
-    bound = conditional_pep_bound(ctx, dist_sq)
+    bound = conditional_pep_bound(sigma_n2, dist_sq)
     g = rng.normal(0.0, math.sqrt(sigma_n2 / 2.0), size=200_000)
     rate = float(np.mean(g > math.sqrt(dist_sq) / 2.0))
     mc_sigma = math.sqrt(rate * (1.0 - rate) / len(g))

@@ -1,12 +1,15 @@
 """Command line interface tests: flag validation, exit codes, file
 artifacts, and recipe determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
+from podsim.channel import sample_directions
 from podsim.cli import _parse_snr_grid, main
 from podsim.codebook import load_codebook
-from podsim.feedback import load_mapping
+from podsim.feedback import bsc_inversion_matrix, load_mapping
 from podsim.link import BER_CSV_HEADER
 
 
@@ -128,9 +131,48 @@ def test_eval_pep_csv_layout(tiny_codebook_path, tmp_path):
     assert 0.0 < clean < noisy <= 0.5
 
 
+def test_eval_pep_eta_c_override_matches_numpy(tiny_codebook_path, tmp_path):
+    # Regions come from the codebook's eta_c and rho_d; only the bound is
+    # evaluated at the override. The reference recomputes both with numpy.
+    out = tmp_path / "pep.csv"
+    rho_f, eta_c, samples, seed = [0.0, 0.05, 0.2], 0.7, 3000, 6
+    rc = main(["eval-pep", "--codebook", str(tiny_codebook_path), "--rho-f", "0,0.05,0.2",
+               "--eta-c", "0.7", "--samples", str(samples), "--seed", str(seed),
+               "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().split()
+    assert lines[0] == "rho_f,eta_c,bound" and len(lines) == len(rho_f) + 1
+
+    cb = load_codebook(tiny_codebook_path)
+    dirs = sample_directions(cb.n, samples, np.random.default_rng(seed))
+    q = np.stack([np.sum(np.abs(dirs @ p.conj()) ** 2, axis=1) for p in cb.matrices], axis=1)
+    design_w = (1.0 + cb.eta_c * q) ** (-cb.n)
+    assigned = np.argmin(design_w @ bsc_inversion_matrix(cb.k, cb.rho_d), axis=1)
+    w = (1.0 + eta_c * q) ** (-cb.n)
+    head = 0.5 * (1.0 + eta_c) ** (-(cb.m - cb.n))
+    for rho, line in zip(rho_f, lines[1:]):
+        row = [float(v) for v in line.split(",")]
+        ref = head * float(np.mean(np.take_along_axis(
+            w @ bsc_inversion_matrix(cb.k, rho), assigned[:, None], axis=1)))
+        # The CSV keeps 12 significant digits: allow half a unit of the last
+        # one on top of 1e-12 relative.
+        last_digit = 10.0 ** (math.floor(math.log10(ref)) - 11)
+        assert row[:2] == [rho, eta_c]
+        assert abs(row[2] - ref) <= 0.5 * last_digit + 1e-12 * ref
+
+
+@pytest.mark.parametrize("flags", [["--eta-c", "-1"], ["--eta-c", "nan"],
+                                   ["--samples", "0"], ["--samples", "-1"]])
+def test_eval_pep_rejects_bad_eta_c_and_sample_count(tiny_codebook_path, tmp_path, flags):
+    out = tmp_path / "pep.csv"
+    rc = main(["eval-pep", "--codebook", str(tiny_codebook_path), "--rho-f", "0,0.1",
+               *flags, "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+
+
 def test_eval_pep_snr_db_does_not_change_the_bound(tiny_codebook_path, tmp_path):
-    # --snr-db only sets the context's noise variance, which the average
-    # bound does not read.
+    # No bound eval-pep writes depends on the noise variance.
     texts = []
     for snr_db in ("0", "30"):
         out = tmp_path / f"pep{snr_db}.csv"

@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 
 from oracles import naive_objective
-from podsim.channel import ChannelDims, sample_directions
+from podsim.channel import sample_directions
 from podsim.codebook import PrecoderCodebook, project_psd_power
 from podsim.feedback import bsc_inversion_matrix
 from podsim.pep import (
     EvaluationSet,
-    PepContext,
     average_pep_bound,
     build_evaluation_set,
     closed_form_integrals_check,
@@ -30,7 +29,7 @@ from podsim.pep import (
     region_pep_bound,
 )
 from podsim.stbc import Constellation, PodStructure, assemble, get_design
-from podsim.trainer import TrainerConfig, objective, train
+from podsim.trainer import TrainerConfig, encode_batch, objective, train
 
 
 def make_codebook(m, n, k, eta_c, rho_d, matrices, marginals=None):
@@ -53,44 +52,43 @@ def random_codebook(m, n, k, eta_c, rho_d, rng):
 
 
 def test_conditional_bound_at_zero_distance_is_half():
-    ctx = PepContext(dims=ChannelDims(m=2, n=2, t=2), eta_c=1.0, sigma_n2=0.5)
-    assert conditional_pep_bound(ctx, 0.0) == 0.5
+    assert conditional_pep_bound(0.5, 0.0) == 0.5
 
 
 def test_conditional_bound_quarter_point():
     sigma_n2 = 0.37
-    ctx = PepContext(dims=ChannelDims(m=2, n=2, t=2), eta_c=1.0, sigma_n2=sigma_n2)
     d = 4.0 * sigma_n2 * math.log(2.0)
-    assert conditional_pep_bound(ctx, d) == pytest.approx(0.25, abs=1e-15)
+    assert conditional_pep_bound(sigma_n2, d) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_conditional_bound_vanishes_at_large_distance():
-    ctx = PepContext(dims=ChannelDims(m=2, n=2, t=2), eta_c=1.0, sigma_n2=0.1)
-    assert conditional_pep_bound(ctx, 1e4) < 1e-300
-    assert conditional_pep_bound(ctx, 1e9) == 0.0
+    assert conditional_pep_bound(0.1, 1e4) < 1e-300
+    assert conditional_pep_bound(0.1, 1e9) == 0.0
 
 
 def test_conditional_bound_monotone_in_distance():
-    ctx = PepContext(dims=ChannelDims(m=3, n=2, t=2), eta_c=1.0, sigma_n2=0.2)
     grid = np.linspace(0.0, 5.0, 40)
-    vals = [conditional_pep_bound(ctx, d) for d in grid]
+    vals = [conditional_pep_bound(0.2, d) for d in grid]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_conditional_bound_rejects_negative_distance():
-    ctx = PepContext(dims=ChannelDims(m=2, n=2, t=2), eta_c=1.0, sigma_n2=0.5)
     with pytest.raises(ValueError):
-        conditional_pep_bound(ctx, -1e-9)
+        conditional_pep_bound(0.5, -1e-9)
 
 
-def test_context_validation():
-    dims = ChannelDims(m=2, n=2, t=2)
-    with pytest.raises(ValueError):
-        PepContext(dims=dims, eta_c=-0.1, sigma_n2=0.5)
-    with pytest.raises(ValueError):
-        PepContext(dims=dims, eta_c=1.0, sigma_n2=0.0)
-    with pytest.raises(ValueError):
-        PepContext(dims=dims, eta_c=math.nan, sigma_n2=0.5)
+def test_eta_c_and_noise_validation():
+    cb = make_codebook(2, 2, 1, 1.0, 0.0, np.eye(2)[None])
+    inv = bsc_inversion_matrix(1, 0.0)
+    dirs = sample_directions(2, 10, np.random.default_rng(2))
+    for eta_c in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta_c"):
+            build_evaluation_set(cb, inv, dirs, eta_c)
+    with pytest.raises(ValueError, match="direction"):
+        build_evaluation_set(cb, inv, dirs[:0])
+    for sigma_n2 in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="sigma_n2"):
+            conditional_pep_bound(sigma_n2, 1.0)
 
 
 def test_region_bound_scalar_codebook_is_one_eighth():
@@ -99,8 +97,7 @@ def test_region_bound_scalar_codebook_is_one_eighth():
     inv = bsc_inversion_matrix(1, 0.0)
     rng = np.random.default_rng(3)
     evset = build_evaluation_set(cb, inv, sample_directions(1, 400, rng))
-    ctx = PepContext(dims=ChannelDims(m=2, n=1, t=2), eta_c=1.0, sigma_n2=0.25)
-    assert region_pep_bound(ctx, cb, 0, 0, evset) == pytest.approx(0.125, abs=1e-12)
+    assert region_pep_bound(evset, 0, 0) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_region_bound_at_zero_eta_is_half():
@@ -109,11 +106,10 @@ def test_region_bound_at_zero_eta_is_half():
     rng = np.random.default_rng(5)
     cb = random_codebook(3, 2, 2, 2.0, 0.1, rng)
     inv = bsc_inversion_matrix(2, 0.1)
-    evset = build_evaluation_set(cb, inv, sample_directions(2, 300, rng))
-    ctx = PepContext(dims=ChannelDims(m=3, n=2, t=4), eta_c=0.0, sigma_n2=0.5)
-    for i in np.unique(evset.assignments):
+    evset = build_evaluation_set(cb, inv, sample_directions(2, 300, rng), eta_c=0.0)
+    for i in np.flatnonzero(evset.occupancy):
         for j in range(2):
-            assert region_pep_bound(ctx, cb, int(i), j, evset) == pytest.approx(0.5, abs=1e-12)
+            assert region_pep_bound(evset, int(i), j) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_region_bound_head_factor_unity_when_m_equals_n():
@@ -122,16 +118,15 @@ def test_region_bound_head_factor_unity_when_m_equals_n():
     inv = bsc_inversion_matrix(2, 0.0)
     dirs = sample_directions(2, 500, rng)
     evset = build_evaluation_set(cb, inv, dirs)
-    ctx = PepContext(dims=ChannelDims(m=2, n=2, t=2), eta_c=2.5, sigma_n2=0.1)
-    i = int(evset.assignments[0])
-    mask = evset.assignments == i
-    x = evset.dirs[mask] @ cb.matrices[0].conj()
+    assignments = encode_batch(dirs, cb.matrices, cb.eta_c, inv)
+    i = int(assignments[0])
+    x = dirs[assignments == i] @ cb.matrices[0].conj()
     beta = np.einsum("sa,sa->s", x, x.conj()).real
     expect = 0.5 * np.mean((1.0 + 2.5 * beta) ** -2.0)
-    assert region_pep_bound(ctx, cb, i, 0, evset) == pytest.approx(expect, rel=1e-15)
+    assert region_pep_bound(evset, i, 0) == pytest.approx(expect, rel=1e-15)
 
 
-def test_region_bound_rejects_empty_region_and_dim_mismatch():
+def test_region_bound_rejects_empty_region_and_bad_indices():
     rng = np.random.default_rng(9)
     # identical entries tie everywhere; ties go to index 0, so region 1
     # stays empty
@@ -139,17 +134,18 @@ def test_region_bound_rejects_empty_region_and_dim_mismatch():
     cb = make_codebook(3, 2, 2, 1.0, 0.0, np.stack([p, p]))
     inv = bsc_inversion_matrix(2, 0.0)
     evset = build_evaluation_set(cb, inv, sample_directions(2, 100, rng))
-    ctx = PepContext(dims=ChannelDims(m=3, n=2, t=4), eta_c=1.0, sigma_n2=0.5)
     with pytest.raises(ValueError, match="empty"):
-        region_pep_bound(ctx, cb, 1, 0, evset)
-    bad = PepContext(dims=ChannelDims(m=4, n=2, t=4), eta_c=1.0, sigma_n2=0.5)
-    with pytest.raises(ValueError, match="dims"):
-        region_pep_bound(bad, cb, 0, 0, evset)
+        region_pep_bound(evset, 1, 0)
+    for i, j in [(-1, 0), (2, 0), (0, -1), (0, 2)]:
+        with pytest.raises(ValueError, match="indices"):
+            region_pep_bound(evset, i, j)
 
 
 def test_evaluation_set_shape_validation():
     with pytest.raises(ValueError):
-        EvaluationSet(dirs=np.zeros((4, 2), dtype=complex), assignments=np.zeros(3, dtype=int))
+        EvaluationSet(occupancy=np.full(3, 1.0 / 3.0), tail=np.zeros((4, 4)), head=0.5)
+    with pytest.raises(ValueError):
+        EvaluationSet(occupancy=np.full(4, 0.25), tail=np.zeros((4, 3)), head=0.5)
 
 
 def test_average_bound_at_zero_eta_is_half():
@@ -157,8 +153,7 @@ def test_average_bound_at_zero_eta_is_half():
     cb = random_codebook(4, 2, 4, 0.0, 0.2, rng)
     inv = bsc_inversion_matrix(4, 0.2)
     evset = build_evaluation_set(cb, inv, sample_directions(2, 600, rng))
-    ctx = PepContext(dims=ChannelDims(m=4, n=2, t=4), eta_c=0.0, sigma_n2=0.5)
-    assert average_pep_bound(ctx, cb, inv, evset) == pytest.approx(0.5, abs=1e-12)
+    assert average_pep_bound(evset, inv) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_average_bound_matches_trainer_objective():
@@ -169,8 +164,7 @@ def test_average_bound_matches_trainer_objective():
         inv = bsc_inversion_matrix(k, rho)
         dirs = sample_directions(n, 2000, rng)
         evset = build_evaluation_set(cb, inv, dirs)
-        ctx = PepContext(dims=ChannelDims(m=m, n=n, t=4), eta_c=cb.eta_c, sigma_n2=0.2)
-        avg = average_pep_bound(ctx, cb, inv, evset)
+        avg = average_pep_bound(evset, inv)
         expect = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * objective(cb, inv, dirs)
         assert abs(avg - expect) <= 1e-12
 
@@ -191,31 +185,29 @@ def test_average_bound_matches_region_sum_and_naive_objective():
         inv = bsc_inversion_matrix(cb.k, cb.rho_d)
         dirs = sample_directions(cb.n, 300, rng)
         evset = build_evaluation_set(cb, inv, dirs)
-        ctx = PepContext(dims=ChannelDims(m=cb.m, n=cb.n, t=4), eta_c=cb.eta_c, sigma_n2=0.2)
-        counts = np.bincount(evset.assignments, minlength=cb.k)
+        counts = np.bincount(encode_batch(dirs, cb.matrices, cb.eta_c, inv), minlength=cb.k)
         region_sum = sum(
-            inv[j, i] * counts[i] / len(dirs) * region_pep_bound(ctx, cb, i, j, evset)
+            inv[j, i] * counts[i] / len(dirs) * region_pep_bound(evset, i, j)
             for i in range(cb.k)
             if counts[i] > 0
             for j in range(cb.k)
         )
         head = (1.0 + cb.eta_c) ** (-(cb.m - cb.n))
         naive = 0.5 * head * naive_objective(dirs, cb.matrices, cb.eta_c, cb.n, inv)
-        avg = average_pep_bound(ctx, cb, inv, evset)
+        avg = average_pep_bound(evset, inv)
         assert abs(avg - region_sum) <= 1e-12
         assert abs(avg - naive) <= 1e-12
     assert counts[3] == 0
 
 
-def test_average_bound_rejects_dim_mismatch():
+def test_average_bound_rejects_mismatched_inversion_matrix():
     rng = np.random.default_rng(29)
     cb = random_codebook(3, 2, 2, 1.0, 0.1, rng)
     inv = bsc_inversion_matrix(2, 0.1)
     evset = build_evaluation_set(cb, inv, sample_directions(2, 100, rng))
-    for m, n in [(4, 2), (3, 3)]:
-        bad = PepContext(dims=ChannelDims(m=m, n=n, t=4), eta_c=1.0, sigma_n2=0.5)
-        with pytest.raises(ValueError, match="dims"):
-            average_pep_bound(bad, cb, inv, evset)
+    for k in (1, 4):
+        with pytest.raises(ValueError):
+            average_pep_bound(evset, bsc_inversion_matrix(k, 0.1))
 
 
 def test_average_bound_mapping_invariant_at_half_rho():
@@ -224,9 +216,8 @@ def test_average_bound_mapping_invariant_at_half_rho():
     dirs = sample_directions(2, 500, rng)
     inv_identity = bsc_inversion_matrix(4, 0.5)
     inv_permuted = bsc_inversion_matrix(4, 0.5, mapping=[2, 0, 3, 1])
-    ctx = PepContext(dims=ChannelDims(m=4, n=2, t=4), eta_c=2.5, sigma_n2=0.2)
-    a = average_pep_bound(ctx, cb, inv_identity, build_evaluation_set(cb, inv_identity, dirs))
-    b = average_pep_bound(ctx, cb, inv_permuted, build_evaluation_set(cb, inv_permuted, dirs))
+    a = average_pep_bound(build_evaluation_set(cb, inv_identity, dirs), inv_identity)
+    b = average_pep_bound(build_evaluation_set(cb, inv_permuted, dirs), inv_permuted)
     assert a == pytest.approx(b, rel=1e-14)
 
 
@@ -241,8 +232,7 @@ def test_average_bound_in_unit_interval_half():
         cb = random_codebook(m, n, k, eta, rho, rng)
         inv = bsc_inversion_matrix(k, rho)
         evset = build_evaluation_set(cb, inv, sample_directions(n, 400, rng))
-        ctx = PepContext(dims=ChannelDims(m=m, n=n, t=4), eta_c=eta, sigma_n2=0.3)
-        val = average_pep_bound(ctx, cb, inv, evset)
+        val = average_pep_bound(evset, inv)
         assert 0.0 < val <= 0.5 + 1e-12
 
 
@@ -258,12 +248,11 @@ def test_average_bound_nondecreasing_in_rho_for_trained_codebook():
     cb = trained_small_codebook()
     rng = np.random.default_rng(31)
     dirs = sample_directions(2, 4000, rng)
-    ctx = PepContext(dims=ChannelDims(m=2, n=2, t=2), eta_c=cb.eta_c, sigma_n2=0.2)
     vals = []
     for rho in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]:
         inv = bsc_inversion_matrix(cb.k, rho)
         evset = build_evaluation_set(cb, inv, dirs)
-        vals.append(average_pep_bound(ctx, cb, inv, evset))
+        vals.append(average_pep_bound(evset, inv))
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -281,11 +270,10 @@ def test_region_bound_dominates_monte_carlo_error_rate():
     const = Constellation("bpsk")
     # worst-case error event: one flipped symbol, sum |dz|^2 = 4
     sigma_n2 = 4.0 / (4.0 * eta_c)
-    ctx = PepContext(dims=ChannelDims(m=2, n=2, t=2), eta_c=eta_c, sigma_n2=sigma_n2)
 
     i = 0
-    member = evset.dirs[evset.assignments == i]
-    bound = region_pep_bound(ctx, cb, i, i, evset)
+    member = dirs[encode_batch(dirs, cb.matrices, cb.eta_c, inv) == i]
+    bound = region_pep_bound(evset, i, i)
 
     z_good = assemble(pod, cb.matrices[i], np.array([1.0, 1.0]))
     z_bad = assemble(pod, cb.matrices[i], np.array([-1.0, 1.0]))
