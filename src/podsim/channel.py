@@ -114,6 +114,8 @@ def sample_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarra
     """Batch of `count` uniform unit vectors, shape (count, n)."""
     if n < 1:
         raise ValueError(f"direction length must be positive, got {n}")
+    if count < 0:
+        raise ValueError(f"direction count must be nonnegative, got {count}")
     v = complex_gaussian((count, n), rng)
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     return v / np.maximum(norms, 1e-300)

@@ -31,13 +31,7 @@ from .feedback import (
 from .link import SimulationConfig, run_ber_sweep, write_ber_csv
 from .pep import average_pep_bound, build_evaluation_set
 from .stbc import Constellation, PodStructure, get_design
-from .trainer import (
-    TrainerConfig,
-    eta_c_from_snr_db,
-    train,
-    train_average,
-    train_worst_case,
-)
+from .trainer import TrainerConfig, _range_design, eta_c_from_snr_db, fit
 
 __all__ = ["main"]
 
@@ -133,13 +127,13 @@ def cmd_train(args) -> int:
     log.info(
         "training M=%d N=%d K=%d eta_c=%.4g (%s rule)", m, n, k, eta_c, mode
     )
-    if mode == "fixed":
-        cb = train(cfg)
-    elif mode == "worst-case":
-        cb = train_worst_case(cfg)
-    else:
-        cb = train_average(cfg)
-    save_codebook(cb, args.out)
+    state = fit(cfg if mode == "fixed" else _range_design(cfg, mode))
+    log.info(
+        "stopped on %s after %d rounds, J=%.6g; backtracking halvings per round: %s",
+        state.stop_reason, len(state.objective_history), state.objective_history[-1],
+        " ".join(str(h) for h in state.halvings),
+    )
+    save_codebook(state.codebook, args.out)
     log.info("wrote %s", args.out)
     return 0
 
@@ -153,7 +147,8 @@ def cmd_eval_pep(args) -> int:
     lines = ["rho_f,eta_c,bound"]
     for rho_f in args.rho_f:
         bound = average_pep_bound(evset, bsc_inversion_matrix(cb.k, rho_f))
-        lines.append(f"{rho_f:.12g},{eta_c:.12g},{bound:.12g}")
+        # repr is the shortest text that reads back as the same float.
+        lines.append(",".join(repr(float(v)) for v in (rho_f, eta_c, bound)))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info("wrote %s", args.out)
     return 0

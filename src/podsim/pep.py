@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import PrecoderCodebook
-from .trainer import _quadratic_forms, encode_batch
+from .trainer import _coordinates, _encode_block, _features, _quadratic_forms
 
 __all__ = [
     "EvaluationSet",
@@ -91,20 +91,22 @@ def build_evaluation_set(
         raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
     if len(dirs) < 1:
         raise ValueError(f"need at least one direction, got {len(dirs)}")
-    mats = np.asarray(cb.matrices)
-    asg = encode_batch(dirs, mats, cb.eta_c, inv)
-    # w[s, j] = (1 + eta_c beta_sj)^-n, formed in place and summed by region
-    # one column at a time, so no second (S, K) array is allocated.
-    w = _quadratic_forms(dirs, mats)
-    w *= eta_c
-    w += 1.0
-    w **= -cb.n
-    tail = np.empty((cb.k, cb.k))
-    for j in range(cb.k):
-        tail[:, j] = np.bincount(asg, weights=w[:, j], minlength=cb.k)
-    tail /= len(dirs)
+    # One pass of quadratic forms serves both the table (at eta_c) and the
+    # encoder (at the codebook's eta_c, which overwrites q). Each block adds
+    # its rows to their region's row of the table with one bincount over
+    # (region, entry) pairs, so no (S, K) array is allocated.
+    k = cb.k
+    counts = np.zeros(k)
+    tail = np.zeros(k * k)
+    entries = np.arange(k)
+    for _, q in _quadratic_forms(_features(dirs), _coordinates(np.asarray(cb.matrices))):
+        w = (1.0 + eta_c * q) ** (-cb.n)
+        asg = _encode_block(q, cb.eta_c, cb.n, inv)[1]
+        counts += np.bincount(asg, minlength=k)
+        tail += np.bincount((asg[:, None] * k + entries).ravel(), weights=w.ravel(), minlength=k * k)
+    tail = tail.reshape(k, k) / len(dirs)
     return EvaluationSet(
-        occupancy=np.bincount(asg, minlength=cb.k) / len(dirs),
+        occupancy=counts / len(dirs),
         tail=tail,
         head=0.5 * (1.0 + eta_c) ** (-(cb.m - cb.n)),
     )

@@ -23,9 +23,20 @@ Hermitian-PSD power-n set. Both half-steps are nonincreasing in J (the
 gradient half because increases are backtracked away), so the per-round
 objective history is monotone.
 
-One kernel, `_entry_forms`, gives x = dirs @ P^* and q = |x|^2 = h^H P P^H h
-for one entry. The encoder, `objective`, `gradient`, the descent loop and the
-bounds in `podsim.pep` all use it; the gradient reuses x as dirs^T (u * x^*).
+One real kernel, `_quadratic_forms`, gives every h^H P P^H h. A direction h
+becomes the feature row F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b)]
+(a < b) and a matrix the coordinate column g(P) = [G_aa, 2 Re G_ab,
+-2 Im G_ab] of G = P P^H, so q = F(dirs) @ g(P_1 .. P_K) is one real
+product for all K entries. The same layout runs backwards for the gradient:
+R_j = sum_s u_sj h_s h_s^H unpacks from F^T @ u. The encoder, `objective`,
+`gradient`, `fit` and the bounds in `podsim.pep` all use the kernel.
+
+At fixed assignments J is a sum of independent per-entry values, so `fit`
+steps all entries at once: one gradient pass, one stacked projection and one
+candidate evaluation per try, with a per-entry mask that halves the step
+only for the entries whose candidate raised their value (at most 30 times).
+Every pass walks the training set in row blocks of `_BLOCK_ROWS`, so the
+(rows, K) intermediates stay small and no (S, K) array outlives a block.
 
 A worst-case design for a crossover range [f_a, f_b] trains at rho_d = f_b;
 the average-criterion alternative trains at the midpoint.
@@ -61,6 +72,14 @@ _DEAD_WEIGHT = 1e-14
 
 # Spread of the random Hermitian perturbation of the identity at init.
 _INIT_SCALE = 0.1
+
+# A backtracking search tries at most this many candidates for one step,
+# halving the step after each rejected one.
+_MAX_HALVINGS = 30
+
+# Rows per block in every pass over the training set: each (rows, K) block of
+# quadratic forms stays small, and no (S, K) array lives through the descent.
+_BLOCK_ROWS = 2048
 
 
 def eta_c_from_snr_db(m: int, t: int, snr_db: float) -> float:
@@ -122,32 +141,84 @@ class TrainerConfig:
 
 @dataclass
 class TrainingState:
-    """Result of one full training run."""
+    """Result of one full training run (the restart with the lowest final J).
+
+    objective_history: J at the end of each round
+    stop_reason: "tol" when the relative decrease of J fell below cfg.tol,
+        "max_rounds" when the round cap ended the run
+    halvings: backtracking halvings per round, summed over the entries; each
+        is one rejected candidate step
+    """
 
     codebook: PrecoderCodebook
     assignments: np.ndarray
     objective_history: list[float]
+    stop_reason: str
+    halvings: list[int]
 
 
-def _entry_forms(dirs: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The quadratic-form kernel for one entry: x = dirs @ P^* and
-    q[s] = |x_s|^2 = h_s^H P P^H h_s for the rows h_s of dirs."""
-    x = dirs @ p.conj()
-    return x, np.einsum("sa,sa->s", x, x.conj()).real
-
-
-def _quadratic_forms(dirs: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """q[s, j] = h_s^H P_j P_j^H h_s for unit rows h_s, shape (S, k)."""
-    out = np.empty((len(dirs), len(matrices)))
-    for j, p in enumerate(matrices):
-        out[:, j] = _entry_forms(dirs, p)[1]
+def _features(dirs: np.ndarray) -> np.ndarray:
+    """F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b) for a < b] for each row h
+    of dirs: a real (S, n^2) matrix."""
+    n = dirs.shape[1]
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    out = np.empty((len(dirs), n * n))
+    out[:, :n] = dirs.real**2 + dirs.imag**2
+    # Column by column, so the only temporaries are (S,) vectors.
+    for p, (a, b) in enumerate(pairs):
+        cross = dirs[:, a].conj() * dirs[:, b]
+        out[:, n + p] = cross.real
+        out[:, n + len(pairs) + p] = cross.imag
     return out
 
 
-def _cost_matrix(q: np.ndarray, eta_c: float, n: int, inv: np.ndarray) -> np.ndarray:
-    """cost[s, i] = sum_j p_f(j|i) (1 + eta_c q[s, j])^-n."""
-    w = (1.0 + eta_c * q) ** (-n)
-    return w @ inv
+def _coordinates(matrices: np.ndarray) -> np.ndarray:
+    """g(P) = [G_aa, 2 Re G_ab, -2 Im G_ab for a < b] of G = P P^H for each
+    matrix of a (K, n, n) stack: a real (n^2, K) matrix, one column per
+    matrix, with F(h) . g(P) = h^H P P^H h."""
+    n = matrices.shape[-1]
+    a, b = np.triu_indices(n, 1)
+    gram = matrices @ matrices.conj().swapaxes(-1, -2)
+    cross = gram[:, a, b]
+    diag = gram[:, np.arange(n), np.arange(n)].real
+    return np.concatenate([diag, 2.0 * cross.real, -2.0 * cross.imag], axis=1).T
+
+
+def _from_features(r: np.ndarray, n: int) -> np.ndarray:
+    """The (L, n, n) Hermitian R_l = sum_s u_sl h_s h_s^H from r = F^T u, whose
+    columns are laid out like F: R_aa = r_aa and R_ab = r_re - i r_im."""
+    a, b = np.triu_indices(n, 1)
+    out = np.zeros((r.shape[1], n, n), dtype=complex)
+    out[:, np.arange(n), np.arange(n)] = r[:n].T
+    out[:, a, b] = (r[n : n + len(a)] - 1j * r[n + len(a) :]).T
+    out[:, b, a] = out[:, a, b].conj()
+    return out
+
+
+def _quadratic_forms(feats: np.ndarray, coords: np.ndarray):
+    """The quadratic-form kernel: q[s, j] = h_s^H P_j P_j^H h_s = F(h_s) . g(P_j)
+    for feats = F(dirs) and coords = g(matrices), yielded as (rows, q[rows])
+    in blocks of _BLOCK_ROWS rows; each q is a fresh array the caller may
+    overwrite."""
+    for lo in range(0, len(feats), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        yield rows, feats[rows] @ coords
+
+
+def _decay(q: np.ndarray, eta_c: float, power: int) -> np.ndarray:
+    """(1 + eta_c q)^-power, computed in place of q."""
+    q *= eta_c
+    q += 1.0
+    q **= -power
+    return q
+
+
+def _encode_block(q: np.ndarray, eta_c: float, n: int, inv: np.ndarray):
+    """(w, a) for a block of forms, computed in place of q: w = (1 + eta_c q)^-n
+    and the encoder's indices a_s = argmin_i sum_j p_f(j|i) w[s, j], ties to
+    the smallest i."""
+    w = _decay(q, eta_c, n)
+    return w, np.argmin(w @ inv, axis=1)
 
 
 def encode_batch(
@@ -155,14 +226,28 @@ def encode_batch(
 ) -> np.ndarray:
     """Minimum expected-cost index for each direction row; ties take the
     smallest index."""
-    n = matrices.shape[1]
-    costs = _cost_matrix(_quadratic_forms(dirs, matrices), eta_c, n, inv)
-    return np.argmin(costs, axis=1)
+    mats = np.asarray(matrices)
+    asg = np.empty(len(dirs), dtype=np.intp)
+    for rows, q in _quadratic_forms(_features(dirs), _coordinates(mats)):
+        asg[rows] = _encode_block(q, eta_c, mats.shape[1], inv)[1]
+    return asg
 
 
 def encode(h_direction: np.ndarray, cb: PrecoderCodebook, inv: np.ndarray) -> int:
     """Encoder index for one unit direction vector."""
     return int(encode_batch(h_direction[None, :], np.asarray(cb.matrices), cb.eta_c, inv)[0])
+
+
+def _assign(feats: np.ndarray, coords: np.ndarray, eta_c: float, n: int, inv: np.ndarray):
+    """Encoder indices a_s of the rows and each entry's share of J at them,
+    values[j] = (1/S) sum_s p_f(j|a_s) (1 + eta_c q_sj)^-n."""
+    asg = np.empty(len(feats), dtype=np.intp)
+    values = np.zeros(coords.shape[1])
+    for rows, q in _quadratic_forms(feats, coords):
+        w, asg[rows] = _encode_block(q, eta_c, n, inv)
+        w *= inv.T[asg[rows]]
+        values += w.sum(axis=0)
+    return asg, values / len(feats)
 
 
 def objective(cb: PrecoderCodebook, inv: np.ndarray, training_set: np.ndarray) -> float:
@@ -171,9 +256,32 @@ def objective(cb: PrecoderCodebook, inv: np.ndarray, training_set: np.ndarray) -
     Equals the training-set mean of the minimal expected cost, because the
     encoder picks the minimizing index for every vector.
     """
-    mats = np.asarray(cb.matrices)
-    costs = _cost_matrix(_quadratic_forms(training_set, mats), cb.eta_c, cb.n, inv)
-    return float(np.min(costs, axis=1).mean())
+    coords = _coordinates(np.asarray(cb.matrices))
+    return float(np.sum(_assign(_features(training_set), coords, cb.eta_c, cb.n, inv)[1]))
+
+
+def _entry_values(feats, coords, weights, asg, eta_c, n):
+    """values[l] = (1/S) sum_s weights[a_s, l] (1 + eta_c q_sl)^-n for the
+    matrices whose coordinates are the columns of coords; weights[i, l] is
+    p_f(j_l|i) for the entry j_l being evaluated."""
+    total = np.zeros(coords.shape[1])
+    for rows, q in _quadratic_forms(feats, coords):
+        w = _decay(q, eta_c, n)
+        w *= weights[asg[rows]]
+        total += w.sum(axis=0)
+    return total / len(feats)
+
+
+def _entry_gradients(feats, mats, weights, asg, eta_c, n):
+    """dJ/dP_l = -2 n eta_c / S R_l P_l for each matrix of the stack, with
+    R_l = sum_s u_sl h_s h_s^H and u_sl = weights[a_s, l] (1 + eta_c q_sl)^-(n+1);
+    the R_l come from F^T u, one real product per row block."""
+    r = np.zeros((feats.shape[1], len(mats)))
+    for rows, q in _quadratic_forms(feats, _coordinates(mats)):
+        u = _decay(q, eta_c, n + 1)
+        u *= weights[asg[rows]]
+        r += feats[rows].T @ u
+    return -2.0 * n * eta_c / len(feats) * (_from_features(r, mats.shape[-1]) @ mats)
 
 
 def gradient(
@@ -184,114 +292,88 @@ def gradient(
     assignments: np.ndarray,
 ) -> np.ndarray:
     """Gradient of J with respect to P_j at fixed assignments."""
-    x, q = _entry_forms(training_set, np.asarray(cb.matrices)[j])
-    return _entry_gradient(training_set, x, q, inv[j, assignments], cb.eta_c, cb.n)
+    mats = np.asarray(cb.matrices)[j : j + 1]
+    weights = inv[j : j + 1].T
+    return _entry_gradients(
+        _features(training_set), mats, weights, assignments, cb.eta_c, cb.n
+    )[0]
 
 
-def _entry_gradient(dirs, x, q, weights, eta_c, n):
-    """-2 n eta_c / S dirs^T (u * x^*) with u = p_f(j|a_s) (1 + eta_c q)^-(n+1)."""
-    ux = x.conj()
-    ux *= (weights * (1.0 + eta_c * q) ** (-(n + 1)))[:, None]
-    return -2.0 * n * eta_c / len(dirs) * (dirs.T @ ux)
+def _hermitian_noise(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count random Hermitian matrices (g + g^H) / 2, g with standard normal
+    real and imaginary parts, drawn entry by entry."""
+    g = rng.standard_normal((count, 2, n, n))
+    g = g[:, 0] + 1j * g[:, 1]
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _entry_state(dirs, p, weights, eta_c, n):
-    """(x, q, value) of p: value = mean of p_f(j|a_s) (1 + eta_c q)^-n, its share of J."""
-    x, q = _entry_forms(dirs, p)
-    return x, q, float(np.mean(weights * (1.0 + eta_c * q) ** (-n)))
-
-
-def _initial_matrices(cfg: TrainerConfig, rng: np.random.Generator) -> np.ndarray:
-    mats = np.empty((cfg.k, cfg.n, cfg.n), dtype=complex)
-    for j in range(cfg.k):
-        g = rng.standard_normal((cfg.n, cfg.n)) + 1j * rng.standard_normal((cfg.n, cfg.n))
-        mats[j] = project_psd_power(np.eye(cfg.n) + _INIT_SCALE * (g + g.conj().T) / 2.0, cfg.n)
-    return mats
-
-
-def _run_single(cfg: TrainerConfig, dirs: np.ndarray, inv: np.ndarray, rng: np.random.Generator):
-    mats = _initial_matrices(cfg, rng)
+def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.random.Generator):
+    """One alternation run from a fresh init: (final J, TrainingState)."""
+    mats = project_psd_power(np.eye(cfg.n) + _INIT_SCALE * _hermitian_noise(rng, cfg.k, cfg.n), cfg.n)
     history: list[float] = []
+    halvings: list[int] = []
+    stop_reason = "max_rounds"
     # Each entry runs its own diminishing-step descent; counters persist
     # across rounds and reset only when an entry is reinitialized.
     step_counts = np.zeros(cfg.k, dtype=np.int64)
 
     for _ in range(cfg.max_rounds):
-        costs = _cost_matrix(_quadratic_forms(dirs, mats), cfg.eta_c, cfg.n, inv)
-        assignments = np.argmin(costs, axis=1)
-        counts = np.bincount(assignments, minlength=cfg.k)
+        asg, values = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv)
+        counts = np.bincount(asg, minlength=cfg.k)
 
         # An empty region whose precoder also receives no feedback-error
         # signal is dead weight: restart it next to the busiest region.
         # (J does not depend on dead entries, so this keeps monotonicity.)
-        dead = [
-            j
-            for j in range(cfg.k)
-            if counts[j] == 0 and float(inv[j] @ (counts / len(dirs))) <= _DEAD_WEIGHT
-        ]
-        if dead:
+        dead = np.flatnonzero((counts == 0) & (inv @ (counts / len(feats)) <= _DEAD_WEIGHT))
+        if len(dead):
             busiest = int(np.argmax(counts))
-            for j in dead:
-                g = rng.standard_normal((cfg.n, cfg.n)) + 1j * rng.standard_normal((cfg.n, cfg.n))
-                mats[j] = project_psd_power(
-                    mats[busiest] + 0.05 * (g + g.conj().T) / 2.0, cfg.n
-                )
-                step_counts[j] = 0
-            costs = _cost_matrix(_quadratic_forms(dirs, mats), cfg.eta_c, cfg.n, inv)
-            assignments = np.argmin(costs, axis=1)
-        del costs  # the descent does not need it; freeing it keeps peak memory down
+            noise = 0.05 * _hermitian_noise(rng, len(dead), cfg.n)
+            mats[dead] = project_psd_power(mats[busiest] + noise, cfg.n)
+            step_counts[dead] = 0
+            asg, values = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv)
+            counts = np.bincount(asg, minlength=cfg.k)
 
-        # At fixed assignments J is the sum of the entry values. Each entry
-        # carries (x, q, value) of its matrix; an accepted candidate hands over its own.
-        values = []
-        for j in range(cfg.k):
-            weights = inv[j, assignments]
-            x, q, value = _entry_state(dirs, mats[j], weights, cfg.eta_c, cfg.n)
-            if weights.max() > _DEAD_WEIGHT:
-                for _ in range(cfg.inner_iters):
-                    grad = _entry_gradient(dirs, x, q, weights, cfg.eta_c, cfg.n)
-                    alpha = (1.0 + cfg.step_m) / (1.0 + step_counts[j])
-                    step_counts[j] += 1
-                    for _ in range(30):
-                        cand = project_psd_power(mats[j] - alpha * grad, cfg.n)
-                        cand_state = _entry_state(dirs, cand, weights, cfg.eta_c, cfg.n)
-                        if not cfg.backtracking or cand_state[2] <= value:
-                            mats[j], (x, q, value) = cand, cand_state
-                            break
-                        alpha /= 2.0
-            values.append(value)
-        history.append(sum(values))
+        # At fixed assignments J is the sum of the entry values and the
+        # entries are independent, so all of them step at once. An entry that
+        # no occupied region sends any weight to has no gradient and stays.
+        live = np.flatnonzero(inv[:, counts > 0].max(axis=1) > _DEAD_WEIGHT)
+        weights = inv[live].T
+        rejected = 0
+        for _ in range(cfg.inner_iters):
+            grads = _entry_gradients(feats, mats[live], weights, asg, cfg.eta_c, cfg.n)
+            alphas = (1.0 + cfg.step_m) / (1.0 + step_counts[live])
+            step_counts[live] += 1
+            # Positions in live whose step is not yet accepted; with
+            # backtracking a candidate that raises its entry's value is
+            # rejected and that entry alone retries at half the step.
+            todo = np.arange(len(live))
+            for _ in range(_MAX_HALVINGS):
+                cand = project_psd_power(
+                    mats[live[todo]] - alphas[todo, None, None] * grads[todo], cfg.n
+                )
+                cand_values = _entry_values(
+                    feats, _coordinates(cand), weights[:, todo], asg, cfg.eta_c, cfg.n
+                )
+                ok = (cand_values <= values[live[todo]]) | (not cfg.backtracking)
+                mats[live[todo[ok]]] = cand[ok]
+                values[live[todo[ok]]] = cand_values[ok]
+                todo = todo[~ok]
+                rejected += len(todo)
+                if not len(todo):
+                    break
+                alphas[todo] /= 2.0
+        history.append(sum(values.tolist()))
+        halvings.append(rejected)
 
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
             if prev - cur < cfg.tol * max(abs(prev), 1e-30):
+                stop_reason = "tol"
                 break
 
     # Final assignment pass so marginals and assignments match the returned
     # matrices.
-    costs = _cost_matrix(_quadratic_forms(dirs, mats), cfg.eta_c, cfg.n, inv)
-    assignments = np.argmin(costs, axis=1)
-    final_objective = float(np.min(costs, axis=1).mean())
-    return mats, assignments, history, final_objective
-
-
-def fit(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> TrainingState:
-    """Full training run with restarts; returns the best state."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    inv = bsc_inversion_matrix(cfg.k, cfg.rho_d, cfg.mapping)
-    dirs = sample_directions(cfg.n, cfg.n_train, rng)
-
-    best = None
-    best_objective = np.inf
-    for _ in range(cfg.restarts):
-        mats, assignments, history, final_objective = _run_single(cfg, dirs, inv, rng)
-        if final_objective < best_objective:
-            best_objective = final_objective
-            best = (mats, assignments, history)
-
-    mats, assignments, history = best
-    marginals = np.bincount(assignments, minlength=cfg.k) / len(dirs)
+    asg, values = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv)
     cb = PrecoderCodebook(
         m=cfg.m,
         n=cfg.n,
@@ -299,11 +381,28 @@ def fit(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> TrainingS
         matrices=mats,
         eta_c=cfg.eta_c,
         rho_d=cfg.rho_d,
-        marginals=marginals,
+        marginals=np.bincount(asg, minlength=cfg.k) / len(feats),
         rho_range=cfg.rho_range,
     )
-    cb.validate()
-    return TrainingState(codebook=cb, assignments=assignments, objective_history=history)
+    state = TrainingState(cb, asg, history, stop_reason, halvings)
+    return float(np.sum(values)), state
+
+
+def fit(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> TrainingState:
+    """Full training run with restarts; returns the best state."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    inv = bsc_inversion_matrix(cfg.k, cfg.rho_d, cfg.mapping)
+    feats = _features(sample_directions(cfg.n, cfg.n_train, rng))
+
+    best = None
+    best_objective = np.inf
+    for _ in range(cfg.restarts):
+        final_objective, state = _run_single(cfg, feats, inv, rng)
+        if final_objective < best_objective:
+            best_objective, best = final_objective, state
+    best.codebook.validate()
+    return best
 
 
 def train(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> PrecoderCodebook:
@@ -311,21 +410,22 @@ def train(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> Precode
     return fit(cfg, rng).codebook
 
 
-def train_worst_case(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> PrecoderCodebook:
-    """Design for a crossover range by training at its upper end f_b."""
+def _range_design(cfg: TrainerConfig, rule: str) -> TrainerConfig:
+    """cfg set to train for its crossover range under a design rule:
+    "worst-case" trains at f_b, "average" at the midpoint."""
     if cfg.rho_range is None:
-        raise ValueError("worst-case design needs cfg.rho_range = (f_a, f_b)")
+        raise ValueError(f"{rule} design needs cfg.rho_range = (f_a, f_b)")
     f_a, f_b = cfg.rho_range
     if not 0.0 <= f_a <= f_b <= 0.5:
         raise ValueError(f"need 0 <= f_a <= f_b <= 0.5, got {cfg.rho_range}")
-    return train(replace(cfg, rho_d=f_b), rng)
+    return replace(cfg, rho_d=f_b if rule == "worst-case" else (f_a + f_b) / 2.0)
+
+
+def train_worst_case(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> PrecoderCodebook:
+    """Design for a crossover range by training at its upper end f_b."""
+    return train(_range_design(cfg, "worst-case"), rng)
 
 
 def train_average(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> PrecoderCodebook:
     """Average-criterion alternative: train at the midpoint of the range."""
-    if cfg.rho_range is None:
-        raise ValueError("average design needs cfg.rho_range = (f_a, f_b)")
-    f_a, f_b = cfg.rho_range
-    if not 0.0 <= f_a <= f_b <= 0.5:
-        raise ValueError(f"need 0 <= f_a <= f_b <= 0.5, got {cfg.rho_range}")
-    return train(replace(cfg, rho_d=(f_a + f_b) / 2.0), rng)
+    return train(_range_design(cfg, "average"), rng)

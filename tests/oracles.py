@@ -29,6 +29,18 @@ def naive_encode(h, matrices, eta_c, n, inv):
     return best_i
 
 
+def naive_quadratic_forms(dirs, matrices):
+    """q[s, j] = |h_s^H P_j|^2 = h_s^H P_j P_j^H h_s, one row and entry at a time."""
+    out = np.empty((len(dirs), len(matrices)))
+    for s, h in enumerate(dirs):
+        for j, p in enumerate(matrices):
+            q = 0.0
+            for v in h.conj() @ p:
+                q += abs(v) ** 2
+            out[s, j] = q
+    return out
+
+
 def naive_objective(dirs, matrices, eta_c, n, inv):
     """J via explicit region means: sum_ij p(j|i) p(i) E_{V_i}[w_j]."""
     k = len(matrices)

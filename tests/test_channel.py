@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from podsim.channel import ChannelDims, sample_channel, sample_direction
+from podsim.channel import ChannelDims, sample_channel, sample_direction, sample_directions
 
 
 def test_dims_validation():
@@ -100,3 +100,10 @@ def test_deterministic_given_seed():
     assert np.array_equal(a.h, b.h)
     assert a.gamma == b.gamma
     assert np.array_equal(a.direction, b.direction)
+
+
+def test_directions_reject_negative_count():
+    rng = np.random.default_rng(0)
+    assert sample_directions(3, 0, rng).shape == (0, 3)
+    with pytest.raises(ValueError, match="direction count must be nonnegative, got -1"):
+        sample_directions(3, -1, rng)

@@ -1,7 +1,7 @@
 """Command line interface tests: flag validation, exit codes, file
 artifacts, and recipe determinism."""
 
-import math
+import logging
 
 import numpy as np
 import pytest
@@ -75,6 +75,19 @@ def test_rho_flags_must_be_exclusive(tmp_path):
     assert rc == 3
 
 
+def test_train_logs_stop_reason_and_halvings(tmp_path, caplog):
+    base = ["train", "--antennas", "2", "--feedback-bits", "1", "--rho-d", "0.1",
+            "--eta-c", "2.0", "--train-size", "500", "--max-rounds", "4",
+            "--log-level", "info", "--out", str(tmp_path / "cb.cb")]
+    for tol, reason in (("-inf", "max_rounds"), ("0.5", "tol")):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="podsim"):
+            assert main(base + [f"--tol={tol}"]) == 0
+        stops = [r.getMessage() for r in caplog.records if "stopped on" in r.getMessage()]
+        assert len(stops) == 1 and stops[0].startswith(f"stopped on {reason} after ")
+        assert "backtracking halvings" in stops[0]
+
+
 def test_missing_codebook_file_is_io_error(tmp_path, capsys):
     rc = main(["eigen", "--codebook", str(tmp_path / "absent.cb"),
                "--out", str(tmp_path / "x.csv")])
@@ -142,6 +155,7 @@ def test_eval_pep_eta_c_override_matches_numpy(tiny_codebook_path, tmp_path):
     assert rc == 0
     lines = out.read_text().split()
     assert lines[0] == "rho_f,eta_c,bound" and len(lines) == len(rho_f) + 1
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.05", "0.2"]
 
     cb = load_codebook(tiny_codebook_path)
     dirs = sample_directions(cb.n, samples, np.random.default_rng(seed))
@@ -154,21 +168,20 @@ def test_eval_pep_eta_c_override_matches_numpy(tiny_codebook_path, tmp_path):
         row = [float(v) for v in line.split(",")]
         ref = head * float(np.mean(np.take_along_axis(
             w @ bsc_inversion_matrix(cb.k, rho), assigned[:, None], axis=1)))
-        # The CSV keeps 12 significant digits: allow half a unit of the last
-        # one on top of 1e-12 relative.
-        last_digit = 10.0 ** (math.floor(math.log10(ref)) - 11)
         assert row[:2] == [rho, eta_c]
-        assert abs(row[2] - ref) <= 0.5 * last_digit + 1e-12 * ref
+        assert abs(row[2] - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("flags", [["--eta-c", "-1"], ["--eta-c", "nan"],
                                    ["--samples", "0"], ["--samples", "-1"]])
-def test_eval_pep_rejects_bad_eta_c_and_sample_count(tiny_codebook_path, tmp_path, flags):
+def test_eval_pep_rejects_bad_eta_c_and_sample_count(tiny_codebook_path, tmp_path, flags, capsys):
     out = tmp_path / "pep.csv"
     rc = main(["eval-pep", "--codebook", str(tiny_codebook_path), "--rho-f", "0,0.1",
                *flags, "--out", str(out)])
     assert rc == 3
     assert not out.exists()
+    if flags == ["--samples", "-1"]:
+        assert "direction count must be nonnegative, got -1" in capsys.readouterr().err
 
 
 def test_eval_pep_snr_db_does_not_change_the_bound(tiny_codebook_path, tmp_path):

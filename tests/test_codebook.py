@@ -80,6 +80,18 @@ def test_project_rejects_degenerate():
         project_psd_power(np.array([[0.0, 1.0], [-1.0, 0.0]]), 2.0)
 
 
+def test_project_stack_matches_per_matrix():
+    rng = np.random.default_rng(3)
+    a = np.eye(3) + 0.8 * (rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
+    stacked = project_psd_power(a, 3.0)
+    assert stacked.shape == (5, 3, 3)
+    for j in range(5):
+        assert np.abs(stacked[j] - project_psd_power(a[j], 3.0)).max() <= 1e-14
+    a[2] = 0.0
+    with pytest.raises(CodebookError):
+        project_psd_power(a, 3.0)
+
+
 def test_psd_cone_projection_nonexpansive():
     # ||proj(a) - x|| <= ||a - x|| for any Hermitian PSD x.
     rng = np.random.default_rng(2)

@@ -1,12 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
-from oracles import finite_difference_gradient, naive_encode, naive_gradient, naive_objective
+from oracles import (
+    finite_difference_gradient,
+    naive_encode,
+    naive_gradient,
+    naive_objective,
+    naive_quadratic_forms,
+)
 from podsim.channel import sample_directions
 from podsim.codebook import PrecoderCodebook, eigen_profile, project_psd_power
 from podsim.feedback import bsc_inversion_matrix
 from podsim.trainer import (
+    _BLOCK_ROWS,
     TrainerConfig,
+    _coordinates,
+    _features,
+    _quadratic_forms,
     encode,
     encode_batch,
     eta_c_from_snr_db,
@@ -75,6 +87,39 @@ def test_encode_matches_naive():
     got = encode_batch(dirs, cb.matrices, cb.eta_c, inv)
     for s in range(len(dirs)):
         assert got[s] == naive_encode(dirs[s], cb.matrices, cb.eta_c, cb.n, inv)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_quadratic_forms_match_naive(n):
+    # Non-Hermitian P: the kernel sees P only through G = P P^H. n = 1 has no
+    # off-diagonal features; the row counts straddle the block size.
+    rng = np.random.default_rng(30 + n)
+    mats = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    for count in (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1):
+        dirs = sample_directions(n, count, rng)
+        blocks = list(_quadratic_forms(_features(dirs), _coordinates(mats)))
+        rows = np.concatenate([np.arange(count)[r] for r, _ in blocks])
+        assert np.array_equal(rows, np.arange(count))
+        got = np.concatenate([q for _, q in blocks])
+        want = naive_quadratic_forms(dirs, mats)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_blocked_passes_match_naive():
+    # Two full row blocks and a partial one: the encoder, the objective and
+    # the gradient accumulate across blocks.
+    rng = np.random.default_rng(12)
+    cb = make_codebook(3, 2, 4, rng, eta_c=1.6)
+    inv = bsc_inversion_matrix(4, 0.08)
+    dirs = sample_directions(2, 2 * _BLOCK_ROWS + 1, rng)
+    a = encode_batch(dirs, cb.matrices, cb.eta_c, inv)
+    assert all(a[s] == naive_encode(dirs[s], cb.matrices, cb.eta_c, cb.n, inv)
+               for s in range(len(dirs)))
+    want = naive_objective(dirs, cb.matrices, cb.eta_c, cb.n, inv)
+    assert abs(objective(cb, inv, dirs) - want) <= 1e-12
+    for j in range(4):
+        got = gradient(cb, j, inv, dirs, a)
+        assert np.abs(got - naive_gradient(dirs, cb.matrices, j, cb.eta_c, cb.n, inv, a)).max() <= 1e-12
 
 
 def test_objective_is_one_at_zero_eta():
@@ -350,18 +395,31 @@ def backtracking_config(**kw):
                         step_m=32767.0, **kw)
 
 
+# The halving counts are those of a trainer that stepped one entry at a
+# time, so they pin the per-entry backtracking mask to that search.
 @pytest.mark.parametrize(
-    "cfg, history, matrices",
+    "cfg, history, matrices, halvings",
     [
-        (small_config(rho_d=0.05), SMALL_HISTORY, SMALL_MATRICES),
-        (backtracking_config(), K4_HISTORY, K4_MATRICES),
+        (small_config(rho_d=0.05), SMALL_HISTORY, SMALL_MATRICES, 0),
+        (backtracking_config(), K4_HISTORY, K4_MATRICES, 15),
     ],
     ids=["small-rho0.05", "k4-backtracking"],
 )
-def test_fit_regression(cfg, history, matrices):
+def test_fit_regression(cfg, history, matrices, halvings):
     state = fit(cfg)
     assert state.objective_history == pytest.approx(history, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(state.codebook.matrices, np.array(matrices), rtol=0.0, atol=1e-9)
+    assert len(state.halvings) == len(history)
+    assert sum(state.halvings) == halvings
+
+
+def test_stop_reason():
+    capped = fit(small_config(tol=-math.inf, max_rounds=5))
+    assert capped.stop_reason == "max_rounds"
+    assert len(capped.objective_history) == 5
+    converged = fit(small_config(tol=1e-3))
+    assert converged.stop_reason == "tol"
+    assert len(converged.objective_history) < 40
 
 
 def test_backtracking_config_rejects_steps():
