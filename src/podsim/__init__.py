@@ -1,14 +1,7 @@
 """Precoder codebook design and link simulation for partly orthogonal
 space-time codes driven by noisy quantized feedback."""
 
-from podsim.channel import (
-    ChannelDims,
-    ChannelRealization,
-    complex_gaussian,
-    sample_channel,
-    sample_direction,
-    sample_directions,
-)
+from podsim.channel import complex_gaussian, sample_directions
 from podsim.codebook import (
     CodebookError,
     PrecoderCodebook,
@@ -22,7 +15,6 @@ from podsim.feedback import (
     AnnealSchedule,
     FeedbackChannel,
     bsc_inversion_matrix,
-    chordal_distance_sq,
     dominant_directions,
     load_mapping,
     mapping_cost,
@@ -34,20 +26,14 @@ from podsim.link import (
     BerResult,
     SimulationConfig,
     candidate_codewords,
-    effective_channel,
-    ml_decode,
     noise_variance,
     run_ber_sweep,
-    transmit_block,
     write_ber_csv,
 )
 from podsim.pep import (
     EvaluationSet,
-    IntegralCheckReport,
     average_pep_bound,
     build_evaluation_set,
-    closed_form_integrals_check,
-    conditional_pep_bound,
     region_pep_bound,
 )
 from podsim.stbc import (
@@ -55,38 +41,30 @@ from podsim.stbc import (
     InnerDesign,
     PodStructure,
     assemble,
-    design_kinds,
     get_design,
     gray_code,
     slot_alphabets,
-    worst_case_distance,
 )
 from podsim.trainer import (
     TrainerConfig,
     TrainingState,
-    encode,
     encode_batch,
     eta_c_from_snr_db,
     fit,
     gradient,
     objective,
-    train,
-    train_average,
-    train_worst_case,
+    range_design,
 )
 
 __all__ = [
     "AnnealSchedule",
     "BER_CSV_HEADER",
     "BerResult",
-    "ChannelDims",
-    "ChannelRealization",
     "CodebookError",
     "Constellation",
     "EvaluationSet",
     "FeedbackChannel",
     "InnerDesign",
-    "IntegralCheckReport",
     "PodStructure",
     "PrecoderCodebook",
     "SimulationConfig",
@@ -97,15 +75,9 @@ __all__ = [
     "bsc_inversion_matrix",
     "build_evaluation_set",
     "candidate_codewords",
-    "chordal_distance_sq",
-    "closed_form_integrals_check",
     "complex_gaussian",
-    "conditional_pep_bound",
-    "design_kinds",
     "dominant_directions",
-    "effective_channel",
     "eigen_profile",
-    "encode",
     "encode_batch",
     "eta_c_from_snr_db",
     "fit",
@@ -116,24 +88,17 @@ __all__ = [
     "load_codebook",
     "load_mapping",
     "mapping_cost",
-    "ml_decode",
     "noise_variance",
     "objective",
     "optimize_mapping",
     "project_psd_power",
+    "range_design",
     "region_pep_bound",
     "run_ber_sweep",
-    "sample_channel",
-    "sample_direction",
     "sample_directions",
     "save_codebook",
     "save_mapping",
     "slot_alphabets",
-    "train",
-    "train_average",
-    "train_worst_case",
-    "transmit_block",
-    "worst_case_distance",
     "write_ber_csv",
 ]
 

@@ -31,16 +31,18 @@ from .feedback import (
 from .link import SimulationConfig, run_ber_sweep, write_ber_csv
 from .pep import average_pep_bound, build_evaluation_set
 from .stbc import Constellation, PodStructure, get_design
-from .trainer import TrainerConfig, _range_design, eta_c_from_snr_db, fit
+from .trainer import TrainerConfig, eta_c_from_snr_db, fit, range_design
 
 __all__ = ["main"]
 
 log = logging.getLogger("podsim")
 
 CODE_NAMES = {
+    "alamouti": "alamouti",
     "od2": "real-od-2",
     "od4": "real-od-4",
     "od6x8": "real-od-6x8",
+    "od8": "real-od-8",
     "qostbc4": "qostbc-4",
 }
 
@@ -87,6 +89,8 @@ def cmd_train(args) -> int:
     if (args.eta_c is None) == (args.design_snr_db is None):
         raise ValueError("give exactly one of --eta-c and --design-snr-db")
     if args.eta_c is not None:
+        if args.block_length is not None:
+            raise ValueError("--block-length applies only to --design-snr-db")
         eta_c = args.eta_c
     else:
         t = args.block_length if args.block_length is not None else m
@@ -127,7 +131,7 @@ def cmd_train(args) -> int:
     log.info(
         "training M=%d N=%d K=%d eta_c=%.4g (%s rule)", m, n, k, eta_c, mode
     )
-    state = fit(cfg if mode == "fixed" else _range_design(cfg, mode))
+    state = fit(cfg if mode == "fixed" else range_design(cfg, mode))
     log.info(
         "stopped on %s after %d rounds, J=%.6g; backtracking halvings per round: %s",
         state.stop_reason, len(state.objective_history), state.objective_history[-1],
@@ -159,15 +163,23 @@ def cmd_simulate(args) -> int:
     constellation = _make_constellation(args.constellation)
     baseline = "closed-loop" if args.baseline == "none" else args.baseline
 
+    if args.mapping != "identity" and baseline != "closed-loop":
+        raise ValueError(
+            f"--mapping applies only to the closed loop, not --baseline {args.baseline}"
+        )
+
     codebook = None
     feedback = None
     if baseline == "open-loop":
+        if args.codebook is not None:
+            raise ValueError("--baseline open-loop uses no codebook; drop --codebook")
         pod = PodStructure(inner=design, n=design.m)
     else:
         if args.codebook is None:
             raise ValueError(f"--baseline {args.baseline} needs --codebook")
         codebook = load_codebook(args.codebook)
         pod = PodStructure(inner=design, n=codebook.n)
+    if baseline == "closed-loop":
         mapping = None
         if args.mapping == "anneal":
             rng = np.random.default_rng(args.seed)
@@ -182,8 +194,7 @@ def cmd_simulate(args) -> int:
             mapping = load_mapping(args.mapping[5:], codebook.k)
         elif args.mapping != "identity":
             raise ValueError(f"unknown mapping rule {args.mapping!r}")
-        if baseline == "closed-loop":
-            feedback = FeedbackChannel(k=codebook.k, rho_f=args.rho_f, mapping=mapping)
+        feedback = FeedbackChannel(k=codebook.k, rho_f=args.rho_f, mapping=mapping)
 
     spf = args.symbols_per_frame
     if spf is None:
@@ -429,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--block-length", type=int, default=None,
-        help="block length T for --design-snr-db (default M)",
+        help="block length T for --design-snr-db (default M); not with --eta-c",
     )
     p.add_argument("--train-size", type=int, default=100_000, help="training vectors")
     p.add_argument("--restarts", type=int, default=1, help="independent initializations")
@@ -461,7 +472,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_pep)
 
     p = sub.add_parser("simulate", help="Monte Carlo bit error rate sweep")
-    p.add_argument("--codebook", default=None, help="trained codebook file")
+    p.add_argument(
+        "--codebook", default=None, help="trained codebook file (not with --baseline open-loop)"
+    )
     p.add_argument("--code", choices=sorted(CODE_NAMES), required=True, help="inner design")
     p.add_argument(
         "--constellation", choices=("bpsk", "qpsk-rot45"), required=True, help="symbol alphabet"
@@ -480,7 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="data symbols per frame (default 130 rounded down to whole code blocks)"
     )
     p.add_argument(
-        "--mapping", default="identity", help="index mapping: identity, file:<path>, or anneal"
+        "--mapping", default="identity",
+        help="index mapping: identity, file:<path>, or anneal (closed loop only)",
     )
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="CSV output path")

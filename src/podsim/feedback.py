@@ -27,7 +27,6 @@ __all__ = [
     "FeedbackChannel",
     "bsc_inversion_matrix",
     "dominant_directions",
-    "chordal_distance_sq",
     "mapping_cost",
     "optimize_mapping",
     "load_mapping",
@@ -97,20 +96,9 @@ class FeedbackChannel:
     def bits(self) -> int:
         return _num_bits(self.k)
 
-    def inversion_matrix(self) -> np.ndarray:
-        """p[j, i] = P(transmitter decodes j | receiver sent i)."""
-        return bsc_inversion_matrix(self.k, self.rho_f, self.mapping)
-
-    def inversion_probability(self, i: int, j: int) -> float:
-        d = int(self.mapping[i] ^ self.mapping[j]).bit_count()
-        return float(self.rho_f**d * (1.0 - self.rho_f) ** (self.bits - d))
-
-    def transmit(self, i: int, rng: np.random.Generator) -> int:
-        """Send index i through the b parallel BSCs, return the decoded index."""
-        return int(self.transmit_batch(np.array([i]), rng)[0])
-
     def transmit_batch(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized transmit; one independent bit-flip pattern per entry."""
+        """Send each index through the b parallel BSCs and return the decoded
+        indices; one independent bit-flip pattern per entry."""
         indices = np.asarray(indices, dtype=np.int64)
         flips = (rng.random((indices.size, self.bits)) < self.rho_f).astype(np.int64)
         masks = (flips << np.arange(self.bits)).sum(axis=1)
@@ -142,11 +130,6 @@ def _chordal_distance_matrix(matrices: np.ndarray) -> np.ndarray:
     directions of all entry pairs, clipped to [0, 1], shape (K, K)."""
     dirs = dominant_directions(matrices)
     return np.clip(1.0 - np.abs(dirs @ dirs.conj().T) ** 2, 0.0, 1.0)
-
-
-def chordal_distance_sq(u: np.ndarray, v: np.ndarray) -> float:
-    """Squared chordal distance 1 - |u^H v|^2 between unit vectors."""
-    return float(1.0 - np.abs(np.vdot(u, v)) ** 2)
 
 
 def mapping_cost(

@@ -40,21 +40,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, complex_gaussian
+from .channel import complex_gaussian
 from .codebook import PrecoderCodebook
 from .feedback import FeedbackChannel, bsc_inversion_matrix
 from .stbc import Constellation, InnerDesign, PodStructure, gray_code, slot_alphabets
 from .trainer import encode_batch
 
 __all__ = [
+    "BER_CSV_HEADER",
     "BerResult",
     "SimulationConfig",
     "candidate_codewords",
-    "effective_channel",
-    "ml_decode",
     "noise_variance",
     "run_ber_sweep",
-    "transmit_block",
     "write_ber_csv",
 ]
 
@@ -94,44 +92,6 @@ def candidate_codewords(
     if not design.is_real:
         words = words + np.einsum("ck,kmt->cmt", syms.conj(), b)
     return syms, words
-
-
-def effective_channel(pod: PodStructure, precoder: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """h with its precoded tail replaced by P^H tail."""
-    h = np.asarray(h)
-    if h.shape != (pod.m,):
-        raise ValueError(f"channel must have shape ({pod.m},), got {h.shape}")
-    out = h.astype(complex).copy()
-    out[pod.m - pod.n :] = np.asarray(precoder).conj().T @ h[pod.m - pod.n :]
-    return out
-
-
-def transmit_block(
-    pod: PodStructure,
-    precoder: np.ndarray,
-    symbols,
-    ch: ChannelRealization,
-    sigma_n2: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One received block y = Z^H h + n of length t.
-
-    Noise entries are circularly symmetric complex Gaussian with total
-    variance sigma_n2 per complex sample; sigma_n2 = 0 is noiseless.
-    """
-    if sigma_n2 < 0:
-        raise ValueError(f"noise variance must be nonnegative, got {sigma_n2}")
-    from .stbc import assemble
-
-    z = assemble(pod, precoder, symbols)
-    if ch.h.shape != (pod.m,):
-        raise ValueError(f"channel has {ch.h.shape[0]} entries, design needs {pod.m}")
-    y = z.conj().T @ ch.h
-    if sigma_n2 > 0:
-        y = y + math.sqrt(sigma_n2 / 2.0) * (
-            rng.standard_normal(pod.t) + 1j * rng.standard_normal(pod.t)
-        )
-    return y
 
 
 @dataclass(frozen=True)
@@ -214,26 +174,6 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
     for arr in vars(tables).values():
         arr.flags.writeable = False  # shared by every caller through the cache
     return tables
-
-
-def ml_decode(
-    pod: PodStructure,
-    precoder: np.ndarray,
-    y: np.ndarray,
-    ch: ChannelRealization,
-    constellation: Constellation,
-) -> np.ndarray:
-    """Maximum-likelihood symbol decision for one block.
-
-    Minimizes ||y - Z(candidate)^H h||^2 over every candidate symbol
-    vector; ties resolve to the lexicographically first candidate.
-    """
-    decoder = _group_decoder(pod.inner, constellation)
-    u, quad = decoder.frame_terms(effective_channel(pod, precoder, ch.h)[None, :])
-    rx = decoder.decide(u, quad, np.concatenate([np.real(y), np.imag(y)])[None, None, :])[0, 0]
-    out = np.empty(pod.inner.n_sym, dtype=complex)
-    out[decoder.slot_groups] = decoder.symbols[np.arange(len(rx)), rx]
-    return out
 
 
 @dataclass(frozen=True)

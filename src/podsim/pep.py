@@ -33,13 +33,13 @@ The bound chain has three levels:
 
 Expectations over regions are empirical means over the evaluation set,
 matching the trainer's convention, and every beta comes from the trainer's
-quadratic-form kernel. The closed forms rest on two Gamma integrals;
-`closed_form_integrals_check` verifies both by Monte Carlo.
+quadratic-form kernel. The closed forms rest on two Gamma integrals,
+E[exp(-eta_c theta)] = (1 + eta_c)^-(m-n) over theta ~ Gamma(m - n, 1) and
+E[exp(-eta_c gamma beta)] = (1 + eta_c beta)^-n over gamma ~ Gamma(n, 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +49,8 @@ from .trainer import _coordinates, _encode_block, _features, _quadratic_forms
 
 __all__ = [
     "EvaluationSet",
-    "IntegralCheckReport",
     "average_pep_bound",
     "build_evaluation_set",
-    "closed_form_integrals_check",
-    "conditional_pep_bound",
     "region_pep_bound",
 ]
 
@@ -112,19 +109,6 @@ def build_evaluation_set(
     )
 
 
-def conditional_pep_bound(sigma_n2: float, d: float) -> float:
-    """Chernoff bound on the pairwise error probability at distance d under
-    receiver noise variance sigma_n2 per complex sample.
-
-    d is the squared received-constellation distance h^H (Z - Z')(Z - Z')^H h.
-    """
-    if not (np.isfinite(sigma_n2) and sigma_n2 > 0.0):
-        raise ValueError(f"sigma_n2 must be finite and positive, got {sigma_n2}")
-    if not (np.isfinite(d) and d >= 0.0):
-        raise ValueError(f"squared distance must be finite and nonnegative, got {d}")
-    return min(0.5, 0.5 * math.exp(-d / (4.0 * sigma_n2)))
-
-
 def region_pep_bound(evset: EvaluationSet, i: int, j: int) -> float:
     """Bound on the worst-case pairwise error probability given that the
     receiver quantized into region i and the transmitter used precoder j."""
@@ -141,61 +125,3 @@ def average_pep_bound(evset: EvaluationSet, inv: np.ndarray) -> float:
     the sum over (i, j) of p_f(j|i) p(i) region_pep_bound(i, j), which is
     head sum_ij inv[j, i] tail[i, j]; empty regions add nothing."""
     return evset.head * float(np.trace(inv @ evset.tail))
-
-
-@dataclass(frozen=True)
-class IntegralCheckReport:
-    """Monte Carlo vs closed-form comparison for the two Gamma integrals.
-
-    head: E[exp(-eta_c * theta)] over theta ~ Gamma(m - n, 1), closed form
-        (1 + eta_c)^{-(m - n)}.
-    tail: E[exp(-eta_c * gamma * beta)] over gamma ~ Gamma(n, 1), closed
-        form (1 + eta_c * beta)^{-n}.
-    """
-
-    head_estimate: float
-    head_closed_form: float
-    head_stderr: float
-    tail_estimate: float
-    tail_closed_form: float
-    tail_stderr: float
-
-    @property
-    def ok(self) -> bool:
-        """Both estimates within three standard errors of the closed forms."""
-        for est, ref, se in (
-            (self.head_estimate, self.head_closed_form, self.head_stderr),
-            (self.tail_estimate, self.tail_closed_form, self.tail_stderr),
-        ):
-            if abs(est - ref) > 3.0 * se + 1e-15:
-                return False
-        return True
-
-
-def closed_form_integrals_check(
-    eta_c: float,
-    m: int,
-    n: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    beta: float = 1.0,
-) -> IntegralCheckReport:
-    """Monte Carlo check of the two closed-form integrals behind the bounds."""
-    if m <= n:
-        raise ValueError(f"need m > n for the head integral, got m={m}, n={n}")
-    if n_samples < 2:
-        raise ValueError(f"need at least two samples, got {n_samples}")
-
-    theta = rng.gamma(shape=m - n, scale=1.0, size=n_samples)
-    head = np.exp(-eta_c * theta)
-    gamma = rng.gamma(shape=n, scale=1.0, size=n_samples)
-    tail = np.exp(-eta_c * gamma * beta)
-    root = math.sqrt(n_samples)
-    return IntegralCheckReport(
-        head_estimate=float(head.mean()),
-        head_closed_form=(1.0 + eta_c) ** (-(m - n)),
-        head_stderr=float(head.std(ddof=1)) / root,
-        tail_estimate=float(tail.mean()),
-        tail_closed_form=(1.0 + eta_c * beta) ** (-n),
-        tail_stderr=float(tail.std(ddof=1)) / root,
-    )

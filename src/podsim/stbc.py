@@ -45,11 +45,9 @@ __all__ = [
     "InnerDesign",
     "PodStructure",
     "assemble",
-    "design_kinds",
     "get_design",
     "gray_code",
     "slot_alphabets",
-    "worst_case_distance",
 ]
 
 
@@ -176,7 +174,7 @@ _REGISTRY = {
 }
 
 
-def design_kinds() -> list[str]:
+def _design_kinds() -> list[str]:
     return sorted(_REGISTRY)
 
 
@@ -184,7 +182,7 @@ def get_design(kind: str) -> InnerDesign:
     try:
         return _REGISTRY[kind]
     except KeyError:
-        raise ValueError(f"unknown design kind {kind!r}; choose from {design_kinds()}") from None
+        raise ValueError(f"unknown design kind {kind!r}; choose from {_design_kinds()}") from None
 
 
 @dataclass(frozen=True)
@@ -205,10 +203,6 @@ class PodStructure:
     @property
     def t(self) -> int:
         return self.inner.t
-
-    @property
-    def precoded_rows(self) -> range:
-        return range(self.inner.m - self.n, self.inner.m)
 
 
 def assemble(pod: PodStructure, precoder: np.ndarray, symbols) -> np.ndarray:
@@ -269,17 +263,3 @@ def slot_alphabets(design: InnerDesign, constellation: Constellation) -> list[np
         else:
             out.append(base)
     return out
-
-
-def worst_case_distance(pod: PodStructure, constellation: Constellation) -> float:
-    """Minimum of sum_k |z_k - z'_k|^2 over distinct symbol vectors.
-
-    Per-slot distances add, so the minimum is a single-slot nearest
-    neighbour distance.
-    """
-    best = np.inf
-    for alphabet in slot_alphabets(pod.inner, constellation):
-        diff = np.abs(alphabet[:, None] - alphabet[None, :]) ** 2
-        np.fill_diagonal(diff, np.inf)
-        best = min(best, float(diff.min()))
-    return best

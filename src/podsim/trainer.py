@@ -39,7 +39,7 @@ Every pass walks the training set in row blocks of `_BLOCK_ROWS`, so the
 (rows, K) intermediates stay small and no (S, K) array outlives a block.
 
 A worst-case design for a crossover range [f_a, f_b] trains at rho_d = f_b;
-the average-criterion alternative trains at the midpoint.
+the average-criterion alternative trains at the midpoint (`range_design`).
 """
 
 from __future__ import annotations
@@ -55,15 +55,12 @@ from podsim.feedback import bsc_inversion_matrix
 __all__ = [
     "TrainerConfig",
     "TrainingState",
-    "encode",
     "encode_batch",
     "eta_c_from_snr_db",
     "fit",
     "gradient",
     "objective",
-    "train",
-    "train_average",
-    "train_worst_case",
+    "range_design",
 ]
 
 # Influence below this is treated as zero when deciding whether an empty
@@ -84,6 +81,8 @@ _BLOCK_ROWS = 2048
 
 def eta_c_from_snr_db(m: int, t: int, snr_db: float) -> float:
     """Design distance parameter for a target SNR: eta_c = m * eta0 / (4 t)."""
+    if t < 1:
+        raise ValueError(f"block length must be positive, got {t}")
     return m * 10.0 ** (snr_db / 10.0) / (4.0 * t)
 
 
@@ -100,7 +99,6 @@ class TrainerConfig:
     n_train: number of training direction vectors
     inner_iters: gradient steps per precoder per round
     step_m: step size numerator, alpha(t) = (1 + step_m) / (1 + t)
-    backtracking: halve steps that would increase the per-precoder objective
     tol: stop when the relative objective decrease falls below this
     max_rounds: alternation round cap
     restarts: independent initializations; the best final objective wins
@@ -117,7 +115,6 @@ class TrainerConfig:
     n_train: int = 100_000
     inner_iters: int = 5
     step_m: float = 1.0
-    backtracking: bool = True
     tol: float = 1e-5
     max_rounds: int = 200
     restarts: int = 1
@@ -233,11 +230,6 @@ def encode_batch(
     return asg
 
 
-def encode(h_direction: np.ndarray, cb: PrecoderCodebook, inv: np.ndarray) -> int:
-    """Encoder index for one unit direction vector."""
-    return int(encode_batch(h_direction[None, :], np.asarray(cb.matrices), cb.eta_c, inv)[0])
-
-
 def _assign(feats: np.ndarray, coords: np.ndarray, eta_c: float, n: int, inv: np.ndarray):
     """Encoder indices a_s of the rows and each entry's share of J at them,
     values[j] = (1/S) sum_s p_f(j|a_s) (1 + eta_c q_sj)^-n."""
@@ -343,9 +335,9 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
             grads = _entry_gradients(feats, mats[live], weights, asg, cfg.eta_c, cfg.n)
             alphas = (1.0 + cfg.step_m) / (1.0 + step_counts[live])
             step_counts[live] += 1
-            # Positions in live whose step is not yet accepted; with
-            # backtracking a candidate that raises its entry's value is
-            # rejected and that entry alone retries at half the step.
+            # Positions in live whose step is not yet accepted; a candidate
+            # that raises its entry's value is rejected and that entry alone
+            # retries at half the step.
             todo = np.arange(len(live))
             for _ in range(_MAX_HALVINGS):
                 cand = project_psd_power(
@@ -354,7 +346,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
                 cand_values = _entry_values(
                     feats, _coordinates(cand), weights[:, todo], asg, cfg.eta_c, cfg.n
                 )
-                ok = (cand_values <= values[live[todo]]) | (not cfg.backtracking)
+                ok = cand_values <= values[live[todo]]
                 mats[live[todo[ok]]] = cand[ok]
                 values[live[todo[ok]]] = cand_values[ok]
                 todo = todo[~ok]
@@ -405,27 +397,14 @@ def fit(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> TrainingS
     return best
 
 
-def train(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> PrecoderCodebook:
-    """Train a codebook at the configured design crossover rho_d."""
-    return fit(cfg, rng).codebook
-
-
-def _range_design(cfg: TrainerConfig, rule: str) -> TrainerConfig:
+def range_design(cfg: TrainerConfig, rule: str) -> TrainerConfig:
     """cfg set to train for its crossover range under a design rule:
     "worst-case" trains at f_b, "average" at the midpoint."""
+    if rule not in ("worst-case", "average"):
+        raise ValueError(f"design rule must be 'worst-case' or 'average', got {rule!r}")
     if cfg.rho_range is None:
         raise ValueError(f"{rule} design needs cfg.rho_range = (f_a, f_b)")
     f_a, f_b = cfg.rho_range
     if not 0.0 <= f_a <= f_b <= 0.5:
         raise ValueError(f"need 0 <= f_a <= f_b <= 0.5, got {cfg.rho_range}")
     return replace(cfg, rho_d=f_b if rule == "worst-case" else (f_a + f_b) / 2.0)
-
-
-def train_worst_case(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> PrecoderCodebook:
-    """Design for a crossover range by training at its upper end f_b."""
-    return train(_range_design(cfg, "worst-case"), rng)
-
-
-def train_average(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> PrecoderCodebook:
-    """Average-criterion alternative: train at the midpoint of the range."""
-    return train(_range_design(cfg, "average"), rng)

@@ -1,10 +1,16 @@
 """Naive reference implementations used to cross-check the library.
 
 Everything here is written with plain Python loops and the defining
-formulas, deliberately avoiding the vectorized code paths under test.
+formulas, deliberately avoiding the vectorized code paths under test. The
+analytic self-checks of the bound chain (the conditional Chernoff bound and
+a Monte Carlo check of its two Gamma integrals) live here too, and
+`decode_frames` drives the sweep's batched decoder the way the sweep does,
+so tests can compare it with these references.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +95,15 @@ def finite_difference_gradient(value_fn, p, step=1e-6):
     return out
 
 
+def received_block(pod, precoder, sym, h, sigma_n2, rng):
+    """One received block y = Z_pod(sym)^H h + n of length t, with circular
+    complex Gaussian noise of total variance sigma_n2 per sample."""
+    from podsim.stbc import assemble
+
+    noise = rng.standard_normal(pod.t) + 1j * rng.standard_normal(pod.t)
+    return assemble(pod, precoder, sym).conj().T @ h + math.sqrt(sigma_n2 / 2.0) * noise
+
+
 def naive_ml_decode(pod, precoder, y, h, alphabets):
     """Exhaustive search over the candidate product space, lexicographic ties."""
     from podsim.stbc import assemble
@@ -111,3 +126,83 @@ def matched_filter_real_od(design, h, y):
     for k in range(design.n_sym):
         stats[k] = np.real(h.conj() @ a[k] @ y)
     return stats / np.sum(np.abs(h) ** 2)
+
+
+def decode_frames(pod, precoders, h, y, constellation):
+    """Decisions of the sweep's group decoder on one block per frame: frame f
+    has channel h[f], precoder precoders[f] and received block y[f]. Like the
+    sweep, it forms h_eff = [head; P^H tail] per frame and decides all F
+    frames in one frame_terms / decide call. Returns symbols, shape (F, n_sym)."""
+    from podsim.link import _group_decoder
+
+    decoder = _group_decoder(pod.inner, constellation)
+    head = pod.m - pod.n
+    h_eff = np.array(h, dtype=complex)
+    h_eff[:, head:] = (h_eff[:, None, head:] @ np.conj(precoders))[:, 0, :]
+    u, quad = decoder.frame_terms(h_eff)
+    rx = decoder.decide(u, quad, np.concatenate([y.real, y.imag], axis=1)[:, None, :])[:, 0]
+    out = np.empty((len(h_eff), pod.inner.n_sym), dtype=complex)
+    out[:, decoder.slot_groups] = decoder.symbols[np.arange(len(decoder.slot_groups)), rx]
+    return out
+
+
+def conditional_pep_bound(sigma_n2, d):
+    """Chernoff bound (1/2) exp(-d / (4 sigma_n2)), capped at 1/2, on the
+    pairwise error probability at squared received distance d under noise
+    variance sigma_n2 per complex sample."""
+    if not (np.isfinite(sigma_n2) and sigma_n2 > 0.0):
+        raise ValueError(f"sigma_n2 must be finite and positive, got {sigma_n2}")
+    if not (np.isfinite(d) and d >= 0.0):
+        raise ValueError(f"squared distance must be finite and nonnegative, got {d}")
+    return min(0.5, 0.5 * math.exp(-d / (4.0 * sigma_n2)))
+
+
+@dataclass(frozen=True)
+class IntegralCheckReport:
+    """Monte Carlo vs closed-form comparison for the two Gamma integrals.
+
+    head: E[exp(-eta_c * theta)] over theta ~ Gamma(m - n, 1), closed form
+        (1 + eta_c)^{-(m - n)}.
+    tail: E[exp(-eta_c * gamma * beta)] over gamma ~ Gamma(n, 1), closed
+        form (1 + eta_c * beta)^{-n}.
+    """
+
+    head_estimate: float
+    head_closed_form: float
+    head_stderr: float
+    tail_estimate: float
+    tail_closed_form: float
+    tail_stderr: float
+
+    @property
+    def ok(self):
+        """Both estimates within three standard errors of the closed forms."""
+        for est, ref, se in (
+            (self.head_estimate, self.head_closed_form, self.head_stderr),
+            (self.tail_estimate, self.tail_closed_form, self.tail_stderr),
+        ):
+            if abs(est - ref) > 3.0 * se + 1e-15:
+                return False
+        return True
+
+
+def closed_form_integrals_check(eta_c, m, n, n_samples, rng, beta=1.0):
+    """Monte Carlo check of the two closed-form integrals behind the bounds."""
+    if m <= n:
+        raise ValueError(f"need m > n for the head integral, got m={m}, n={n}")
+    if n_samples < 2:
+        raise ValueError(f"need at least two samples, got {n_samples}")
+
+    theta = rng.gamma(shape=m - n, scale=1.0, size=n_samples)
+    head = np.exp(-eta_c * theta)
+    gamma = rng.gamma(shape=n, scale=1.0, size=n_samples)
+    tail = np.exp(-eta_c * gamma * beta)
+    root = math.sqrt(n_samples)
+    return IntegralCheckReport(
+        head_estimate=float(head.mean()),
+        head_closed_form=(1.0 + eta_c) ** (-(m - n)),
+        head_stderr=float(head.std(ddof=1)) / root,
+        tail_estimate=float(tail.mean()),
+        tail_closed_form=(1.0 + eta_c * beta) ** (-n),
+        tail_stderr=float(tail.std(ddof=1)) / root,
+    )

@@ -18,13 +18,17 @@ import pytest
 
 import conftest
 from oracles import (
+    closed_form_integrals_check,
+    conditional_pep_bound,
+    decode_frames,
     finite_difference_gradient,
     naive_encode,
     naive_gradient,
     naive_ml_decode,
     naive_objective,
+    received_block,
 )
-from podsim.channel import ChannelDims, sample_channel, sample_directions
+from podsim.channel import complex_gaussian, sample_directions
 from podsim.codebook import PrecoderCodebook, eigen_profile, project_psd_power
 from podsim.feedback import (
     AnnealSchedule,
@@ -34,13 +38,8 @@ from podsim.feedback import (
     mapping_cost,
     optimize_mapping,
 )
-from podsim.link import SimulationConfig, ml_decode, run_ber_sweep, transmit_block
-from podsim.pep import (
-    average_pep_bound,
-    build_evaluation_set,
-    closed_form_integrals_check,
-    conditional_pep_bound,
-)
+from podsim.link import SimulationConfig, run_ber_sweep
+from podsim.pep import average_pep_bound, build_evaluation_set
 from podsim.stbc import Constellation, PodStructure, get_design, slot_alphabets
 from podsim.trainer import (
     TrainerConfig,
@@ -49,9 +48,7 @@ from podsim.trainer import (
     fit,
     gradient,
     objective,
-    train,
-    train_average,
-    train_worst_case,
+    range_design,
 )
 
 WORKERS = max(1, min(4, os.cpu_count() or 1))
@@ -104,6 +101,25 @@ def _random_codebook(n, k, rng, eta_c, m=None, rho_d=0.0):
     )
 
 
+def _random_frames(pod, constellation, frames, sigma_n2, rng):
+    """Per frame: a random precoder, a channel, symbols and the received block."""
+    alphabets = slot_alphabets(pod.inner, constellation)
+    precoders = np.stack([
+        project_psd_power(
+            np.eye(pod.n) + 0.4 * (rng.standard_normal((pod.n, pod.n))
+                                   + 1j * rng.standard_normal((pod.n, pod.n))),
+            pod.n,
+        )
+        for _ in range(frames)
+    ])
+    h = complex_gaussian((frames, pod.m), rng)
+    syms = np.array([[a[rng.integers(len(a))] for a in alphabets] for _ in range(frames)])
+    y = np.stack([
+        received_block(pod, p, s, hf, sigma_n2, rng) for p, s, hf in zip(precoders, syms, h)
+    ])
+    return precoders, h, syms, y
+
+
 @pytest.fixture(scope="session")
 def design10():
     """M=4, K=16 codebooks at the 10 dB design point, with training times."""
@@ -111,12 +127,12 @@ def design10():
     cbs, secs = {}, {}
     for rho in (0.0, 0.04, 0.1, 0.2, 0.3, 0.5):
         t0 = time.monotonic()
-        cbs[rho] = train(
+        cbs[rho] = fit(
             TrainerConfig(
                 m=4, n=4, k=16, eta_c=eta, rho_d=rho,
                 n_train=N_TRAIN, step_m=STEP_K16, seed=1,
             )
-        )
+        ).codebook
         secs[rho] = time.monotonic() - t0
     return cbs, secs
 
@@ -129,9 +145,9 @@ def design6():
         rho_range=(0.0, 0.04), n_train=N_TRAIN, step_m=STEP_K16, seed=1,
     )
     return {
-        "clean": train(replace(base, rho_range=None)),
-        "worst": train_worst_case(base),
-        "avg": train_average(base),
+        "clean": fit(replace(base, rho_range=None)).codebook,
+        "worst": fit(range_design(base, "worst-case")).codebook,
+        "avg": fit(range_design(base, "average")).codebook,
     }
 
 
@@ -143,8 +159,8 @@ def six_antenna():
         n_train=N_TRAIN, step_m=STEP_K4, seed=1,
     )
     return {
-        0.0: train(TrainerConfig(rho_d=0.0, **kw)),
-        0.04: train(TrainerConfig(rho_d=0.04, **kw)),
+        0.0: fit(TrainerConfig(rho_d=0.0, **kw)).codebook,
+        0.04: fit(TrainerConfig(rho_d=0.04, **kw)).codebook,
     }
 
 
@@ -356,24 +372,15 @@ def test_fast_analytic_consistency_suite():
         if any(hist[i + 1] > hist[i] + 1e-12 for i in range(len(hist) - 1)):
             failures.append(f"history increased at seed {seed}")
 
-    # (g) noiseless decoding is exact
+    # (g) noiseless decoding is exact, one batch of frames per design
     bad_blocks = 0
     for kind, const, n_blocks in (("real-od-4", "bpsk", 600), ("qostbc-4", "qpsk-rot", 400)):
         design = get_design(kind)
         pod = PodStructure(inner=design, n=design.m)
         constellation = Constellation(const)
-        alphabets = slot_alphabets(design, constellation)
-        for _ in range(n_blocks):
-            p = project_psd_power(
-                np.eye(pod.n) + 0.4 * (rng.standard_normal((pod.n, pod.n))
-                                       + 1j * rng.standard_normal((pod.n, pod.n))),
-                pod.n,
-            )
-            ch = sample_channel(ChannelDims(m=pod.m, n=pod.n, t=pod.t), rng)
-            sym = np.array([a[rng.integers(len(a))] for a in alphabets])
-            y = transmit_block(pod, p, sym, ch, 0.0, rng)
-            if not np.allclose(ml_decode(pod, p, y, ch, constellation), sym, atol=1e-9):
-                bad_blocks += 1
+        precoders, h, syms, y = _random_frames(pod, constellation, n_blocks, 0.0, rng)
+        decoded = decode_frames(pod, precoders, h, y, constellation)
+        bad_blocks += int(np.sum(~np.all(np.isclose(decoded, syms, atol=1e-9), axis=1)))
     if bad_blocks:
         failures.append(f"{bad_blocks} noiseless decode mismatches")
 
@@ -428,18 +435,11 @@ def test_micro_scale_oracle_equivalence():
         pod = PodStructure(inner=design, n=design.m)
         constellation = Constellation(const)
         alphabets = slot_alphabets(design, constellation)
-        for _ in range(10):
-            p = project_psd_power(
-                np.eye(pod.n) + 0.4 * (rng.standard_normal((pod.n, pod.n))
-                                       + 1j * rng.standard_normal((pod.n, pod.n))),
-                pod.n,
-            )
-            ch = sample_channel(ChannelDims(m=pod.m, n=pod.n, t=pod.t), rng)
-            sym = np.array([a[rng.integers(len(a))] for a in alphabets])
-            y = transmit_block(pod, p, sym, ch, 0.15, rng)
-            got = ml_decode(pod, p, y, ch, constellation)
-            want = naive_ml_decode(pod, p, y, ch.h, alphabets)
-            decode_ok &= bool(np.allclose(got, want, atol=1e-12))
+        precoders, h, _, y = _random_frames(pod, constellation, 10, 0.15, rng)
+        got = decode_frames(pod, precoders, h, y, constellation)
+        for f in range(10):
+            want = naive_ml_decode(pod, precoders[f], y[f], h[f], alphabets)
+            decode_ok &= bool(np.allclose(got[f], want, atol=1e-12))
 
     ok = encode_ok and objective_ok and gradient_ok and decode_ok
     _report(

@@ -1,105 +1,81 @@
+"""Channel-law tests, vectorized over S draws of complex_gaussian((S, m))
+and sample_directions; the tail h_q is the last n entries of a draw and the
+head h_unq the first m - n."""
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from podsim.channel import ChannelDims, sample_channel, sample_direction, sample_directions
-
-
-def test_dims_validation():
-    ChannelDims(m=4, n=4, t=4)
-    ChannelDims(m=6, n=4, t=8)
-    with pytest.raises(ValueError):
-        ChannelDims(m=4, n=5, t=4)
-    with pytest.raises(ValueError):
-        ChannelDims(m=4, n=0, t=4)
-    with pytest.raises(ValueError):
-        ChannelDims(m=0, n=0, t=1)
-    with pytest.raises(ValueError):
-        ChannelDims(m=2, n=2, t=0)
-
-
-def test_split_lengths_and_concatenation():
-    rng = np.random.default_rng(7)
-    ch = sample_channel(ChannelDims(m=6, n=4, t=8), rng)
-    assert ch.h.shape == (6,)
-    assert ch.h_unq.shape == (2,)
-    assert ch.h_q.shape == (4,)
-    assert np.array_equal(np.concatenate([ch.h_unq, ch.h_q]), ch.h)
+from podsim.channel import complex_gaussian, sample_directions
 
 
 def test_full_quantization_edge_case():
-    # n == m: empty head, theta identically zero
-    rng = np.random.default_rng(3)
-    ch = sample_channel(ChannelDims(m=4, n=4, t=4), rng)
-    assert ch.h_unq.shape == (0,)
-    assert ch.theta == 0.0
-    assert ch.gamma > 0.0
+    # n == m: the whole channel is the quantized tail, so the direction is
+    # h / ||h|| of the same draw.
+    h = complex_gaussian((1000, 4), np.random.default_rng(3))
+    dirs = sample_directions(4, 1000, np.random.default_rng(3))
+    np.testing.assert_allclose(dirs, h / np.linalg.norm(h, axis=1, keepdims=True), atol=1e-15)
 
 
 def test_gamma_theta_decompose_norm():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        ch = sample_channel(ChannelDims(m=5, n=2, t=4), rng)
-        total = float(np.sum(np.abs(ch.h) ** 2))
-        assert abs(ch.gamma + ch.theta - total) <= 1e-10
-        assert abs(np.linalg.norm(ch.direction) - 1.0) <= 1e-12
-        assert np.allclose(ch.direction * np.sqrt(ch.gamma), ch.h_q, atol=1e-12)
+    # m = 5, n = 2: gamma = ||h_q||^2 and theta = ||h_unq||^2 split ||h||^2,
+    # and [h_unq; sqrt(gamma) direction] rebuilds h.
+    h = complex_gaussian((100, 5), np.random.default_rng(11))
+    head, tail = h[:, :3], h[:, 3:]
+    gamma = np.sum(np.abs(tail) ** 2, axis=1)
+    theta = np.sum(np.abs(head) ** 2, axis=1)
+    assert np.abs(gamma + theta - np.sum(np.abs(h) ** 2, axis=1)).max() <= 1e-10
+    direction = tail / np.sqrt(gamma)[:, None]
+    assert np.abs(np.linalg.norm(direction, axis=1) - 1.0).max() <= 1e-12
+    np.testing.assert_allclose(np.concatenate([head, direction * np.sqrt(gamma)[:, None]], 1), h,
+                               atol=1e-12)
 
 
 def test_gamma_mean_matches_quantized_dim():
     # E[gamma] = n for CN(0, I_n) tails; n = 4 here.
-    rng = np.random.default_rng(2024)
-    dims = ChannelDims(m=4, n=4, t=4)
-    gammas = np.array([sample_channel(dims, rng).gamma for _ in range(100_000)])
+    h = complex_gaussian((100_000, 4), np.random.default_rng(2024))
+    gammas = np.sum(np.abs(h) ** 2, axis=1)
     assert abs(gammas.mean() - 4.0) < 0.05
 
 
 def test_gamma_distribution_ks():
     # ||h_q||^2 is a sum of n unit-mean exponentials, i.e. Gamma(n, 1).
-    rng = np.random.default_rng(5)
-    dims = ChannelDims(m=6, n=4, t=8)
-    gammas = np.array([sample_channel(dims, rng).gamma for _ in range(10_000)])
+    h = complex_gaussian((10_000, 6), np.random.default_rng(5))
+    gammas = np.sum(np.abs(h[:, 2:]) ** 2, axis=1)
     result = stats.kstest(gammas, stats.gamma(a=4).cdf)
     assert result.pvalue >= 0.01
 
 
 def test_per_entry_variance():
     # unit variance per complex entry, split evenly between re/im parts
-    rng = np.random.default_rng(17)
-    dims = ChannelDims(m=4, n=2, t=2)
-    draws = np.array([sample_channel(dims, rng).h for _ in range(50_000)])
+    draws = complex_gaussian((50_000, 4), np.random.default_rng(17))
     assert np.abs(np.mean(np.abs(draws) ** 2, axis=0) - 1.0).max() < 0.02
     assert np.abs(np.var(draws.real, axis=0) - 0.5).max() < 0.02
     assert np.abs(np.var(draws.imag, axis=0) - 0.5).max() < 0.02
 
 
 def test_direction_scalar_case():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        v = sample_direction(1, rng)
-        assert v.shape == (1,)
-        assert abs(abs(v[0]) - 1.0) <= 1e-12
+    v = sample_directions(1, 20, np.random.default_rng(1))
+    assert v.shape == (20, 1)
+    assert np.abs(np.abs(v[:, 0]) - 1.0).max() <= 1e-12
 
 
 def test_direction_uniformity_moments():
     # E[v v^H] = I/n on the complex unit sphere.
-    rng = np.random.default_rng(23)
-    vs = np.stack([sample_direction(4, rng) for _ in range(50_000)])
+    vs = sample_directions(4, 50_000, np.random.default_rng(23))
     assert abs(np.mean(np.abs(vs[:, 0]) ** 2) - 0.25) < 0.01
 
-    rng = np.random.default_rng(29)
-    vs2 = np.stack([sample_direction(2, rng) for _ in range(50_000)])
+    vs2 = sample_directions(2, 50_000, np.random.default_rng(29))
     second_moment = np.einsum("ka,kb->ab", vs2, vs2.conj()) / len(vs2)
     assert np.abs(second_moment - 0.5 * np.eye(2)).max() < 0.01
 
 
 def test_deterministic_given_seed():
-    dims = ChannelDims(m=6, n=4, t=8)
-    a = sample_channel(dims, np.random.default_rng(99))
-    b = sample_channel(dims, np.random.default_rng(99))
-    assert np.array_equal(a.h, b.h)
-    assert a.gamma == b.gamma
-    assert np.array_equal(a.direction, b.direction)
+    a = complex_gaussian((3, 6), np.random.default_rng(99))
+    b = complex_gaussian((3, 6), np.random.default_rng(99))
+    assert np.array_equal(a, b)
+    assert np.array_equal(sample_directions(4, 3, np.random.default_rng(99)),
+                          sample_directions(4, 3, np.random.default_rng(99)))
 
 
 def test_directions_reject_negative_count():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from podsim.channel import sample_directions
-from podsim.cli import _parse_snr_grid, main
+from podsim.cli import CODE_NAMES, _parse_snr_grid, main
 from podsim.codebook import load_codebook
 from podsim.feedback import bsc_inversion_matrix, load_mapping
-from podsim.link import BER_CSV_HEADER
+from podsim.link import BER_CSV_HEADER, SimulationConfig, run_ber_sweep
+from podsim.stbc import Constellation, PodStructure, _design_kinds, get_design
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,18 @@ def test_eta_flags_must_be_exclusive(tmp_path):
             "--rho-d", "0", "--out", str(tmp_path / "cb.cb")]
     assert main(base) == 3  # neither eta flag
     assert main(base + ["--eta-c", "1.0", "--design-snr-db", "10"]) == 3
+
+
+def test_block_length_only_with_design_snr(tmp_path, capsys):
+    # --block-length only sets eta_c from --design-snr-db, so it is an error
+    # next to --eta-c, and a block length below 1 is invalid.
+    base = ["train", "--antennas", "2", "--feedback-bits", "1", "--rho-d", "0",
+            "--out", str(tmp_path / "cb.cb")]
+    assert main(base + ["--eta-c", "1", "--block-length", "-3"]) == 3
+    assert "--block-length" in capsys.readouterr().err
+    assert main(base + ["--design-snr-db", "10", "--block-length", "0"]) == 3
+    assert "block length must be positive, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "cb.cb").exists()
 
 
 def test_rho_flags_must_be_exclusive(tmp_path):
@@ -238,6 +251,46 @@ def test_simulate_mapping_flags(tiny_codebook_path, tmp_path):
             "--frames", "100", "--symbols-per-frame", "128", "--seed", "2"]
     assert main(args + ["--mapping", "anneal", "--out", str(tmp_path / "a.csv")]) == 0
     assert main(args + ["--mapping", "bogus", "--out", str(tmp_path / "b.csv")]) == 3
+
+
+def test_simulate_rejects_flags_its_baseline_ignores(tiny_codebook_path, tmp_path, capsys):
+    # A mapping only acts on the closed loop's feedback link, and the open
+    # loop uses no codebook, so these runs are errors rather than no-ops.
+    out = tmp_path / "x.csv"
+    base = ["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6",
+            "--frames", "10", "--out", str(out)]
+    open_loop = base + ["--baseline", "open-loop"]
+    assert main(open_loop + ["--mapping", "bogus", "--codebook", "missing.cb"]) == 3
+    assert main(open_loop + ["--codebook", str(tiny_codebook_path)]) == 3
+    assert main(base + ["--baseline", "genie", "--codebook", str(tiny_codebook_path),
+                        "--mapping", "anneal"]) == 3
+    err = capsys.readouterr().err
+    assert "--mapping applies only to the closed loop" in err and "drop --codebook" in err
+    assert not out.exists()
+
+
+def test_code_names_cover_design_registry():
+    assert sorted(CODE_NAMES.values()) == _design_kinds()
+
+
+@pytest.mark.parametrize("code, const, constellation", [
+    ("alamouti", "qpsk-rot45", Constellation("qpsk-rot", rotation=np.pi / 4)),
+    ("od8", "bpsk", Constellation("bpsk")),
+])
+def test_simulate_open_loop_new_codes_match_sweep(tmp_path, code, const, constellation):
+    out = tmp_path / "ber.csv"
+    rc = main(["simulate", "--code", code, "--constellation", const, "--baseline", "open-loop",
+               "--snr-db", "2:8:6", "--frames", "300", "--seed", "4", "--out", str(out)])
+    assert rc == 0
+    design = get_design(CODE_NAMES[code])
+    config = SimulationConfig(
+        snr_grid_db=[2.0, 8.0], frames=300, pod=PodStructure(inner=design, n=design.m),
+        constellation=constellation, baseline_mode="open-loop",
+        symbols_per_frame=130 // design.n_sym * design.n_sym, seed=4,
+    )
+    counts = [int(line.split(",")[4]) for line in out.read_text().split()[1:]]
+    assert counts == [r.bit_errors for r in run_ber_sweep(config)]
+    assert min(counts) > 0
 
 
 def test_map_anneal_writes_permutation(tiny_codebook_path, tmp_path):

@@ -4,8 +4,8 @@ import pytest
 from podsim.feedback import (
     AnnealSchedule,
     FeedbackChannel,
+    _chordal_distance_matrix,
     bsc_inversion_matrix,
-    chordal_distance_sq,
     dominant_directions,
     load_mapping,
     mapping_cost,
@@ -86,8 +86,8 @@ def test_validation():
 def test_transmit_noiseless_is_identity():
     chan = FeedbackChannel(k=8, rho_f=0.0)
     rng = np.random.default_rng(1)
-    for i in range(8):
-        assert chan.transmit(i, rng) == i
+    sent = np.tile(np.arange(8), 100)
+    assert np.array_equal(chan.transmit_batch(sent, rng), sent)
 
 
 def test_transmit_empirical_distribution():
@@ -113,16 +113,19 @@ def test_transmit_respects_mapping():
     rng = np.random.default_rng(21)
     out = chan.transmit_batch(np.full(200_000, 2, dtype=np.int64), rng)
     freq = np.bincount(out, minlength=4) / 200_000
-    expected = chan.inversion_matrix()[:, 2]
+    expected = bsc_inversion_matrix(4, 0.2, perm)[:, 2]
     assert np.abs(freq - expected).max() < 0.01
 
 
 def test_inversion_probability_matches_matrix():
-    chan = FeedbackChannel(k=8, rho_f=0.07, mapping=np.array([4, 2, 7, 0, 3, 6, 1, 5]))
-    p = chan.inversion_matrix()
+    # p_f(j|i) = rho^d (1 - rho)^(b - d), d the Hamming distance of the
+    # mapped bit patterns, one pair at a time.
+    mapping = np.array([4, 2, 7, 0, 3, 6, 1, 5])
+    p = bsc_inversion_matrix(8, 0.07, mapping)
     for i in range(8):
         for j in range(8):
-            assert abs(chan.inversion_probability(i, j) - p[j, i]) <= 1e-15
+            d = int(mapping[i] ^ mapping[j]).bit_count()
+            assert abs(0.07**d * 0.93 ** (3 - d) - p[j, i]) <= 1e-15
 
 
 def test_dominant_directions_rank_one():
@@ -143,10 +146,12 @@ def test_dominant_directions_rejects_zero_matrix():
 def test_chordal_distance_endpoints():
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
-    assert chordal_distance_sq(e0, e0) == 0.0
-    assert chordal_distance_sq(e0, e1) == 1.0
-    # invariant to a phase on either argument
-    assert abs(chordal_distance_sq(e0 * np.exp(0.7j), e0)) <= 1e-15
+    # entries with dominant directions e0, e1 and a phase-rotated e0
+    dist = _chordal_distance_matrix(rank_one_codebook([e0, e1, e0 * np.exp(0.7j)], power=1.0))
+    assert dist[0, 0] == 0.0
+    assert dist[0, 1] == 1.0
+    # invariant to a phase on either direction
+    assert abs(dist[2, 0]) <= 1e-15
 
 
 def test_mapping_cost_small_case():
@@ -155,7 +160,8 @@ def test_mapping_cost_small_case():
     u0 = np.array([1.0, 0.0], dtype=complex)
     u1 = np.array([np.sqrt(0.75), 0.5], dtype=complex)
     dist = np.array([[0.0, 0.25], [0.25, 0.0]])
-    assert abs(dist[0, 1] - chordal_distance_sq(u0, u1)) <= 1e-12
+    measured = _chordal_distance_matrix(rank_one_codebook([u0, u1], power=1.0))
+    assert abs(dist[0, 1] - measured[0, 1]) <= 1e-12
     bit_matrix = bsc_inversion_matrix(2, 0.1)
     marg = np.array([0.5, 0.5])
     assert abs(mapping_cost(np.array([0, 1]), bit_matrix, marg, dist) - 0.025) <= 1e-12

@@ -2,15 +2,18 @@
 
 Oracles:
 
-* noiseless transmission must reproduce Z^H h exactly, and decoding it must
-  return the transmitted symbols whenever codewords are distinct.
-* the group-separable ML decoder is checked against a second, blind
-  brute-force implementation, against the standard linear matched-filter
-  detector for real orthogonal designs with identity precoding, and, in
-  sweeps, against error counts recorded from the exhaustive search.
+* the sweep's noiseless transmit rows must reproduce Z_pod(s)^H h for every
+  candidate s, and decoding a noiseless block must return the transmitted
+  symbols whenever codewords are distinct.
+* the group-separable ML decoder, driven on a batch of frames as the sweep
+  drives it, is checked against a second, blind brute-force implementation,
+  against the standard linear matched-filter detector for real orthogonal
+  designs with identity precoding, and, in sweeps, against error counts
+  recorded from the exhaustive search.
 * the Alamouti block with h = (1, 0) only sees the first antenna row:
   y = (conj(s1), -s2).
-* empirical noise variance must match sigma_n2 = 1/(m * eta0) within 2%.
+* empirical noise variance of the reference blocks must match sigma_n2 =
+  m / eta0 within 2%.
 """
 
 import math
@@ -19,7 +22,7 @@ import os
 import numpy as np
 import pytest
 
-from podsim.channel import ChannelDims, sample_channel
+from podsim.channel import complex_gaussian
 from podsim.codebook import project_psd_power
 from podsim.feedback import FeedbackChannel
 from podsim.link import (
@@ -27,18 +30,23 @@ from podsim.link import (
     BerResult,
     SimulationConfig,
     candidate_codewords,
-    effective_channel,
-    ml_decode,
     noise_variance,
     run_ber_sweep,
-    transmit_block,
     write_ber_csv,
 )
 from podsim.link import _group_decoder, _worker_count
 from podsim.stbc import Constellation, PodStructure, assemble, get_design, slot_alphabets
-from podsim.trainer import TrainerConfig, train
+from podsim.trainer import TrainerConfig, fit
 
-from oracles import matched_filter_real_od, naive_ml_decode
+from oracles import decode_frames, matched_filter_real_od, naive_ml_decode, received_block
+
+# (design, constellation, precoded tail n) of the batched decoder checks.
+DECODER_CASES = [
+    ("real-od-2", "bpsk", 2),
+    ("real-od-4", "bpsk", 2),
+    ("alamouti", "qpsk-rot", 2),
+    ("qostbc-4", "qpsk-rot", 4),
+]
 
 
 def random_precoder(n, rng, spread=0.4):
@@ -56,7 +64,19 @@ def small_trained_codebook(m=2, n=2, k=4, rho_d=0.0, eta_c=2.5, seed=101):
         m=m, n=n, k=k, eta_c=eta_c, rho_d=rho_d, n_train=3000,
         inner_iters=5, max_rounds=40, tol=1e-6, step_m=63.0, seed=seed,
     )
-    return train(cfg)
+    return fit(cfg).codebook
+
+
+def random_frames(pod, const, frames, sigma_n2, rng):
+    """Per frame: a precoder, a channel, transmitted symbols and the received
+    reference block."""
+    precoders = np.stack([random_precoder(pod.n, rng) for _ in range(frames)])
+    h = complex_gaussian((frames, pod.m), rng)
+    syms = np.stack([random_symbols(pod.inner, const, rng) for _ in range(frames)])
+    y = np.stack([
+        received_block(pod, p, s, hf, sigma_n2, rng) for p, s, hf in zip(precoders, syms, h)
+    ])
+    return precoders, h, syms, y
 
 
 def test_noise_variance_formula():
@@ -65,73 +85,71 @@ def test_noise_variance_formula():
 
 
 def test_transmit_block_noiseless_matches_codeword_projection():
+    # The sweep transmits candidate r as the real rows cand_points[r] @ u^T,
+    # u = R^H h_eff; they must equal [Re; Im] of Z_pod(syms[r])^H h.
     rng = np.random.default_rng(0)
-    for kind, const in [("real-od-4", "bpsk"), ("alamouti", "qpsk-rot"), ("qostbc-4", "qpsk-rot")]:
-        design = get_design(kind)
-        pod = PodStructure(inner=design, n=design.m)
-        p = random_precoder(pod.n, rng)
-        ch = sample_channel(ChannelDims(m=pod.m, n=pod.n, t=pod.t), rng)
-        sym = random_symbols(design, Constellation(const), rng)
-        y = transmit_block(pod, p, sym, ch, 0.0, rng)
-        expect = assemble(pod, p, sym).conj().T @ ch.h
-        np.testing.assert_allclose(y, expect, atol=1e-13)
+    for kind, const_kind, n in DECODER_CASES:
+        pod = PodStructure(inner=get_design(kind), n=n)
+        const = Constellation(const_kind)
+        decoder = _group_decoder(pod.inner, const)
+        syms, _ = candidate_codewords(pod.inner, const)
+        precoders = np.stack([random_precoder(n, rng) for _ in range(3)])
+        h = complex_gaussian((3, pod.m), rng)
+        h_eff = h.copy()
+        h_eff[:, pod.m - n :] = (h[:, None, pod.m - n :] @ precoders.conj())[:, 0, :]
+        u, _ = decoder.frame_terms(h_eff)
+        rows = decoder.cand_points @ u.swapaxes(1, 2)  # (frames, candidates, 2t)
+        for f in range(3):
+            for r, sym in enumerate(syms):
+                y = received_block(pod, precoders[f], sym, h[f], 0.0, rng)
+                np.testing.assert_allclose(
+                    rows[f, r], np.concatenate([y.real, y.imag]), atol=1e-12
+                )
 
 
 def test_transmit_block_alamouti_single_path():
-    rng = np.random.default_rng(1)
+    # h = (1, 0) sees the first antenna row, y = (conj(s1), -s2); h = (0, 1)
+    # the second, y = (conj(s2), s1).
     design = get_design("alamouti")
-    pod = PodStructure(inner=design, n=2)
-    dims = ChannelDims(m=2, n=2, t=2)
-    ch_raw = sample_channel(dims, rng)
-    h = np.array([1.0 + 0j, 0.0 + 0j])
-    ch = type(ch_raw)(h=h, h_unq=h[:0], h_q=h, gamma=1.0, direction=h, theta=0.0)
-    s = np.array([np.exp(1j * 0.3), np.exp(1j * 1.1)])
-    y = transmit_block(pod, np.eye(2, dtype=complex), s, ch, 0.0, rng)
-    np.testing.assert_allclose(y, [np.conj(s[0]), -s[1]], atol=1e-14)
+    const = Constellation("qpsk-rot")
+    decoder = _group_decoder(design, const)
+    syms, _ = candidate_codewords(design, const)
+    u, _ = decoder.frame_terms(np.eye(2, dtype=complex))
+    rows = decoder.cand_points @ u.swapaxes(1, 2)
+    y = rows[..., :2] + 1j * rows[..., 2:]
+    np.testing.assert_allclose(y[0], np.stack([syms[:, 0].conj(), -syms[:, 1]], 1), atol=1e-14)
+    np.testing.assert_allclose(y[1], np.stack([syms[:, 1].conj(), syms[:, 0]], 1), atol=1e-14)
 
 
 def test_transmit_block_noise_variance_empirical():
     rng = np.random.default_rng(2)
-    design = get_design("real-od-2")
-    pod = PodStructure(inner=design, n=2)
-    dims = ChannelDims(m=2, n=2, t=2)
-    ch = sample_channel(dims, rng)
+    pod = PodStructure(inner=get_design("real-od-2"), n=2)
+    h = complex_gaussian(2, rng)
     sym = np.array([1.0, -1.0])
     p = np.eye(2, dtype=complex)
-    clean = assemble(pod, p, sym).conj().T @ ch.h
+    clean = assemble(pod, p, sym).conj().T @ h
     sigma_n2 = noise_variance(2, 7.0)
-    n_blocks = 30000
-    resid = np.empty((n_blocks, 2), dtype=complex)
-    for b in range(n_blocks):
-        resid[b] = transmit_block(pod, p, sym, ch, sigma_n2, rng) - clean
-    measured = float(np.mean(np.abs(resid) ** 2))
+    resid = np.stack([received_block(pod, p, sym, h, sigma_n2, rng) for _ in range(30000)])
+    measured = float(np.mean(np.abs(resid - clean) ** 2))
     assert measured == pytest.approx(sigma_n2, rel=0.02)
 
 
-def test_transmit_block_rejects_bad_inputs():
-    rng = np.random.default_rng(3)
-    design = get_design("real-od-2")
-    pod = PodStructure(inner=design, n=2)
-    ch = sample_channel(ChannelDims(m=4, n=2, t=2), rng)  # wrong antenna count
-    with pytest.raises(ValueError):
-        transmit_block(pod, np.eye(2, dtype=complex), np.array([1.0, 1.0]), ch, 0.1, rng)
-    ch2 = sample_channel(ChannelDims(m=2, n=2, t=2), rng)
-    with pytest.raises(ValueError):
-        transmit_block(pod, np.eye(2, dtype=complex), np.array([1.0, 1.0]), ch2, -0.1, rng)
-
-
 def test_effective_channel_projection_identity():
+    # Z_pod(s)^H h = Z_in(s)^H h_eff with h_eff = [head; P^H tail], formed
+    # for a batch of frames as the sweep forms it.
     rng = np.random.default_rng(4)
     design = get_design("real-od-4")
     pod = PodStructure(inner=design, n=2)
-    p = random_precoder(2, rng)
-    ch = sample_channel(ChannelDims(m=4, n=2, t=4), rng)
+    precoders = np.stack([random_precoder(2, rng) for _ in range(5)])
+    h = complex_gaussian((5, 4), rng)
+    h_eff = h.copy()
+    h_eff[:, 2:] = (h[:, None, 2:] @ precoders.conj())[:, 0, :]
     sym = np.array([1.0, -1.0, 1.0, 1.0])
-    # Z(s)^H h must equal Z_in(s)^H h_eff
-    z = assemble(pod, p, sym)
-    h_eff = effective_channel(pod, p, ch.h)
     z_in = design.build(sym)
-    np.testing.assert_allclose(z.conj().T @ ch.h, z_in.conj().T @ h_eff, atol=1e-13)
+    for p, hf, hf_eff in zip(precoders, h, h_eff):
+        np.testing.assert_allclose(
+            assemble(pod, p, sym).conj().T @ hf, z_in.conj().T @ hf_eff, atol=1e-13
+        )
 
 
 def test_candidate_codewords_enumeration_order():
@@ -148,36 +166,24 @@ def test_candidate_codewords_enumeration_order():
 
 def test_ml_decode_noiseless_exact():
     rng = np.random.default_rng(5)
-    cases = [("real-od-4", "bpsk", 4), ("alamouti", "qpsk-rot", 2), ("qostbc-4", "qpsk-rot", 4)]
-    for kind, const_kind, n in cases:
-        design = get_design(kind)
-        pod = PodStructure(inner=design, n=n)
+    for kind, const_kind, n in DECODER_CASES:
+        pod = PodStructure(inner=get_design(kind), n=n)
         const = Constellation(const_kind)
-        for _ in range(40):
-            p = random_precoder(n, rng)
-            ch = sample_channel(ChannelDims(m=pod.m, n=n, t=pod.t), rng)
-            sym = random_symbols(design, const, rng)
-            y = transmit_block(pod, p, sym, ch, 0.0, rng)
-            decoded = ml_decode(pod, p, y, ch, const)
-            np.testing.assert_allclose(decoded, sym, atol=1e-9)
+        precoders, h, syms, y = random_frames(pod, const, 40, 0.0, rng)
+        np.testing.assert_allclose(decode_frames(pod, precoders, h, y, const), syms, atol=1e-9)
 
 
 def test_ml_decode_matches_naive_oracle():
     rng = np.random.default_rng(6)
-    cases = [("real-od-2", "bpsk", 2), ("alamouti", "qpsk-rot", 2), ("qostbc-4", "qpsk-rot", 4)]
-    for kind, const_kind, n in cases:
-        design = get_design(kind)
-        pod = PodStructure(inner=design, n=n)
+    for kind, const_kind, n in DECODER_CASES:
+        pod = PodStructure(inner=get_design(kind), n=n)
         const = Constellation(const_kind)
-        alphabets = slot_alphabets(design, const)
-        for _ in range(34):
-            p = random_precoder(n, rng)
-            ch = sample_channel(ChannelDims(m=pod.m, n=n, t=pod.t), rng)
-            sym = random_symbols(design, const, rng)
-            y = transmit_block(pod, p, sym, ch, 0.3, rng)
-            fast = ml_decode(pod, p, y, ch, const)
-            slow = naive_ml_decode(pod, p, y, ch.h, alphabets)
-            np.testing.assert_allclose(fast, slow, atol=1e-12)
+        alphabets = slot_alphabets(pod.inner, const)
+        precoders, h, _, y = random_frames(pod, const, 34, 0.3, rng)
+        fast = decode_frames(pod, precoders, h, y, const)
+        for f in range(34):
+            slow = naive_ml_decode(pod, precoders[f], y[f], h[f], alphabets)
+            np.testing.assert_allclose(fast[f], slow, atol=1e-12)
 
 
 def test_ml_decode_matches_matched_filter_on_orthogonal_design():
@@ -185,18 +191,15 @@ def test_ml_decode_matches_matched_filter_on_orthogonal_design():
     design = get_design("real-od-4")
     pod = PodStructure(inner=design, n=4)
     const = Constellation("bpsk")
-    p = np.eye(4, dtype=complex)
-    agree = 0
     total = 10000
-    for _ in range(total):
-        ch = sample_channel(ChannelDims(m=4, n=4, t=4), rng)
-        sym = random_symbols(design, const, rng)
-        y = transmit_block(pod, p, sym, ch, 0.5, rng)
-        ml = ml_decode(pod, p, y, ch, const).real
-        stats = matched_filter_real_od(design, ch.h, y)
-        mf = np.where(stats >= 0, 1.0, -1.0)
-        agree += int(np.array_equal(ml, mf))
-    assert agree == total
+    h = complex_gaussian((total, 4), rng)
+    precoders = np.broadcast_to(np.eye(4, dtype=complex), (total, 4, 4))
+    syms = np.stack([random_symbols(design, const, rng) for _ in range(total)])
+    y = np.stack([received_block(pod, np.eye(4), s, hf, 0.5, rng) for s, hf in zip(syms, h)])
+    ml = decode_frames(pod, precoders, h, y, const).real
+    stats = np.stack([matched_filter_real_od(design, hf, yf) for hf, yf in zip(h, y)])
+    mf = np.where(stats >= 0, 1.0, -1.0)
+    assert np.array_equal(ml, mf)
 
 
 def make_sim(baseline, frames=400, snr=None, rho_f=0.0, seed=5, cb=None, symbols=130):

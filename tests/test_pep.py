@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import naive_objective
+from oracles import closed_form_integrals_check, conditional_pep_bound, naive_objective
 from podsim.channel import sample_directions
 from podsim.codebook import PrecoderCodebook, project_psd_power
 from podsim.feedback import bsc_inversion_matrix
@@ -24,12 +24,10 @@ from podsim.pep import (
     EvaluationSet,
     average_pep_bound,
     build_evaluation_set,
-    closed_form_integrals_check,
-    conditional_pep_bound,
     region_pep_bound,
 )
 from podsim.stbc import Constellation, PodStructure, assemble, get_design
-from podsim.trainer import TrainerConfig, encode_batch, objective, train
+from podsim.trainer import TrainerConfig, encode_batch, fit, objective
 
 
 def make_codebook(m, n, k, eta_c, rho_d, matrices, marginals=None):
@@ -241,7 +239,7 @@ def trained_small_codebook():
         m=2, n=2, k=2, eta_c=2.5, rho_d=0.0, n_train=3000,
         inner_iters=5, max_rounds=40, tol=1e-6, step_m=63.0, seed=29,
     )
-    return train(cfg)
+    return fit(cfg).codebook
 
 
 def test_average_bound_nondecreasing_in_rho_for_trained_codebook():

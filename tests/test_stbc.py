@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from podsim.link import candidate_codewords
 from podsim.stbc import (
     Constellation,
     PodStructure,
+    _design_kinds,
     assemble,
-    design_kinds,
     get_design,
     gray_code,
     slot_alphabets,
-    worst_case_distance,
 )
 
 REAL_KINDS = ["real-od-2", "real-od-4", "real-od-8", "real-od-6x8"]
@@ -30,7 +30,7 @@ def test_registry_shapes():
         "alamouti": (2, 2, 2),
         "qostbc-4": (4, 4, 4),
     }
-    assert set(design_kinds()) == set(expected)
+    assert set(_design_kinds()) == set(expected)
     for kind, (m, t, n_sym) in expected.items():
         d = get_design(kind)
         assert (d.m, d.t, d.n_sym) == (m, t, n_sym)
@@ -133,7 +133,7 @@ def test_build_validation():
 
 def test_coefficient_tensors_reproduce_builder():
     rng = np.random.default_rng(12)
-    for kind in design_kinds():
+    for kind in _design_kinds():
         d = get_design(kind)
         a, b = d.coefficient_tensors()
         for _ in range(20):
@@ -252,7 +252,10 @@ def test_real_design_rejects_qpsk():
 
 
 def test_worst_case_distances():
-    pod4 = PodStructure(inner=get_design("real-od-4"), n=4)
-    assert abs(worst_case_distance(pod4, Constellation("bpsk")) - 4.0) <= 1e-12
-    podq = PodStructure(inner=get_design("qostbc-4"), n=4)
-    assert abs(worst_case_distance(podq, Constellation("qpsk-rot")) - 2.0) <= 1e-12
+    # min of sum_k |z_k - z'_k|^2 over distinct candidate symbol vectors: one
+    # flipped BPSK symbol gives 4, one QPSK neighbour step 2.
+    for kind, const, expect in (("real-od-4", "bpsk", 4.0), ("qostbc-4", "qpsk-rot", 2.0)):
+        syms, _ = candidate_codewords(get_design(kind), Constellation(const))
+        dist = np.sum(np.abs(syms[:, None, :] - syms[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(dist, np.inf)
+        assert abs(dist.min() - expect) <= 1e-12

@@ -19,15 +19,12 @@ from podsim.trainer import (
     _coordinates,
     _features,
     _quadratic_forms,
-    encode,
     encode_batch,
     eta_c_from_snr_db,
     fit,
     gradient,
     objective,
-    train,
-    train_average,
-    train_worst_case,
+    range_design,
 )
 
 
@@ -59,6 +56,8 @@ def test_eta_c_design_mapping():
     # eta_c = m * eta0 / (4 t); 10 dB with m = t = 4 gives 2.5
     assert abs(eta_c_from_snr_db(4, 4, 10.0) - 2.5) <= 1e-12
     assert abs(eta_c_from_snr_db(6, 8, 10.0) - 60.0 / 32.0) <= 1e-12
+    with pytest.raises(ValueError, match="block length must be positive, got 0"):
+        eta_c_from_snr_db(4, 0, 10.0)
 
 
 def test_encode_noiseless_picks_aligned_beam():
@@ -67,7 +66,7 @@ def test_encode_noiseless_picks_aligned_beam():
     for idx in range(4):
         h = np.zeros(4, dtype=complex)
         h[idx] = 1.0
-        assert encode(h, cb, inv) == idx
+        assert encode_batch(h[None, :], cb.matrices, cb.eta_c, inv).tolist() == [idx]
 
 
 def test_encode_all_ties_at_half_crossover():
@@ -253,7 +252,7 @@ def test_training_beamforming_limit_at_zero_rho():
         m=2, n=2, k=4, eta_c=2.5, rho_d=0.0, n_train=4000,
         inner_iters=5, max_rounds=60, tol=1e-6, step_m=63.0, seed=7,
     )
-    cb = train(cfg)
+    cb = fit(cfg).codebook
     prof = eigen_profile(cb)
     # near rank one: dominant delta^2 close to n = 2 for every entry
     assert np.all(prof[:, 0] ** 2 >= 1.8)
@@ -265,7 +264,7 @@ def test_training_open_loop_limit_at_half_rho():
         m=2, n=2, k=4, eta_c=2.5, rho_d=0.5, n_train=3000,
         inner_iters=5, max_rounds=60, tol=1e-6, step_m=63.0, seed=11,
     )
-    cb = train(cfg)
+    cb = fit(cfg).codebook
     prof = eigen_profile(cb)
     assert np.abs(prof**2 - 1.0).max() <= 0.1
     gram0 = cb.matrices[0] @ cb.matrices[0].conj().T
@@ -276,8 +275,8 @@ def test_training_open_loop_limit_at_half_rho():
 
 def test_worst_case_design_trains_at_upper_end():
     cfg = small_config(rho_range=(0.01, 0.04))
-    cb_range = train_worst_case(cfg)
-    cb_direct = train(small_config(rho_d=0.04, rho_range=(0.01, 0.04)))
+    cb_range = fit(range_design(cfg, "worst-case")).codebook
+    cb_direct = fit(small_config(rho_d=0.04, rho_range=(0.01, 0.04))).codebook
     assert np.array_equal(cb_range.matrices, cb_direct.matrices)
     assert cb_range.rho_d == 0.04
     assert cb_range.rho_range == (0.01, 0.04)
@@ -285,23 +284,23 @@ def test_worst_case_design_trains_at_upper_end():
 
 def test_average_design_trains_at_midpoint():
     cfg = small_config(rho_range=(0.0, 0.04))
-    cb_avg = train_average(cfg)
-    cb_direct = train(small_config(rho_d=0.02, rho_range=(0.0, 0.04)))
+    cb_avg = fit(range_design(cfg, "average")).codebook
+    cb_direct = fit(small_config(rho_d=0.02, rho_range=(0.0, 0.04))).codebook
     assert np.array_equal(cb_avg.matrices, cb_direct.matrices)
     assert cb_avg.rho_d == 0.02
 
 
 def test_degenerate_range_equals_point_design():
-    cb_point = train_worst_case(small_config(rho_range=(0.02, 0.02)))
-    cb_same = train(small_config(rho_d=0.02, rho_range=(0.02, 0.02)))
+    cb_point = fit(range_design(small_config(rho_range=(0.02, 0.02)), "worst-case")).codebook
+    cb_same = fit(small_config(rho_d=0.02, rho_range=(0.02, 0.02))).codebook
     assert np.array_equal(cb_point.matrices, cb_same.matrices)
 
 
 def test_single_entry_training_ignores_rho():
     cfg_a = small_config(k=1, rho_d=0.0, n_train=800, max_rounds=15)
     cfg_b = small_config(k=1, rho_d=0.3, n_train=800, max_rounds=15)
-    cb_a = train(cfg_a)
-    cb_b = train(cfg_b)
+    cb_a = fit(cfg_a).codebook
+    cb_b = fit(cfg_b).codebook
     assert np.array_equal(cb_a.matrices, cb_b.matrices)
 
 
@@ -311,8 +310,8 @@ def test_restarts_never_hurt():
     inv = bsc_inversion_matrix(2, 0.0)
     rng = np.random.default_rng(42)
     dirs = sample_directions(2, 1000, rng)
-    j1 = objective(train(cfg1), inv, dirs)
-    j3 = objective(train(cfg3), inv, dirs)
+    j1 = objective(fit(cfg1).codebook, inv, dirs)
+    j3 = objective(fit(cfg3).codebook, inv, dirs)
     assert j3 <= j1 + 1e-12
 
 
@@ -390,9 +389,9 @@ K4_MATRICES = [
 ]
 
 
-def backtracking_config(**kw):
+def backtracking_config():
     return small_config(m=4, n=4, k=4, rho_d=0.1, n_train=1000, max_rounds=6,
-                        step_m=32767.0, **kw)
+                        step_m=32767.0)
 
 
 # The halving counts are those of a trainer that stepped one entry at a
@@ -422,13 +421,6 @@ def test_stop_reason():
     assert len(converged.objective_history) < 40
 
 
-def test_backtracking_config_rejects_steps():
-    # Without backtracking the same config accepts every step and ends
-    # elsewhere, so the pinned K = 4 run above exercises rejections.
-    free = fit(backtracking_config(backtracking=False))
-    assert np.abs(free.codebook.matrices - np.array(K4_MATRICES)).max() > 1e-3
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig(m=2, n=3, k=2, eta_c=1.0)
@@ -439,6 +431,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig(m=2, n=2, k=2, eta_c=1.0, rho_d=0.7)
     with pytest.raises(ValueError):
-        train_worst_case(small_config())  # missing range
+        range_design(small_config(), "worst-case")  # missing range
     with pytest.raises(ValueError):
-        train_worst_case(small_config(rho_range=(0.3, 0.1)))
+        range_design(small_config(rho_range=(0.3, 0.1)), "worst-case")
+    with pytest.raises(ValueError, match="design rule"):
+        range_design(small_config(rho_range=(0.0, 0.1)), "best-case")
