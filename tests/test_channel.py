@@ -9,6 +9,18 @@ from scipy import stats
 from podsim.channel import complex_gaussian, sample_directions
 
 
+def test_split_lengths_and_concatenation():
+    # m = 6, n = 4: the head h_unq is the first m - n = 2 entries of a draw,
+    # the tail h_q the last n = 4, and [h_unq; h_q] is the draw itself.
+    m, n = 6, 4
+    h = complex_gaussian((8, m), np.random.default_rng(7))
+    assert h.shape == (8, m)
+    head, tail = h[:, : m - n], h[:, m - n :]
+    assert head.shape == (8, 2)
+    assert tail.shape == (8, 4)
+    assert np.array_equal(np.concatenate([head, tail], axis=1), h)
+
+
 def test_full_quantization_edge_case():
     # n == m: the whole channel is the quantized tail, so the direction is
     # h / ||h|| of the same draw.
