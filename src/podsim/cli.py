@@ -167,6 +167,10 @@ def cmd_simulate(args) -> int:
         raise ValueError(
             f"--mapping applies only to the closed loop, not --baseline {args.baseline}"
         )
+    if args.rho_f != 0.0 and baseline != "closed-loop":
+        raise ValueError(
+            f"--rho-f applies only to the closed loop, not --baseline {args.baseline}"
+        )
 
     codebook = None
     feedback = None

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import PrecoderCodebook
-from .trainer import _coordinates, _encode_block, _features, _quadratic_forms
+from .trainer import _coordinates, _decay, _encode, _features, _quadratic_forms
 
 __all__ = [
     "EvaluationSet",
@@ -88,8 +88,9 @@ def build_evaluation_set(
         raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
     if len(dirs) < 1:
         raise ValueError(f"need at least one direction, got {len(dirs)}")
-    # One pass of quadratic forms serves both the table (at eta_c) and the
-    # encoder (at the codebook's eta_c, which overwrites q). Each block adds
+    # One pass of quadratic forms serves both the table (at eta_c, decayed
+    # from a copy of q) and the encoder (at the codebook's eta_c, decayed in
+    # place of q, whose block then takes the encoder's costs). Each block adds
     # its rows to their region's row of the table with one bincount over
     # (region, entry) pairs, so no (S, K) array is allocated.
     k = cb.k
@@ -97,8 +98,9 @@ def build_evaluation_set(
     tail = np.zeros(k * k)
     entries = np.arange(k)
     for _, q in _quadratic_forms(_features(dirs), _coordinates(np.asarray(cb.matrices))):
-        w = (1.0 + eta_c * q) ** (-cb.n)
-        asg = _encode_block(q, cb.eta_c, cb.n, inv)[1]
+        w = _decay(q.copy(), eta_c, cb.n)[0]
+        w_enc, t = _decay(q, cb.eta_c, cb.n)
+        asg = _encode(w_enc, inv, out=t)
         counts += np.bincount(asg, minlength=k)
         tail += np.bincount((asg[:, None] * k + entries).ravel(), weights=w.ravel(), minlength=k * k)
     tail = tail.reshape(k, k) / len(dirs)

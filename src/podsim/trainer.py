@@ -32,11 +32,18 @@ R_j = sum_s u_sj h_s h_s^H unpacks from F^T @ u. The encoder, `objective`,
 `gradient`, `fit` and the bounds in `podsim.pep` all use the kernel.
 
 At fixed assignments J is a sum of independent per-entry values, so `fit`
-steps all entries at once: one gradient pass, one stacked projection and one
-candidate evaluation per try, with a per-entry mask that halves the step
-only for the entries whose candidate raised their value (at most 30 times).
-Every pass walks the training set in row blocks of `_BLOCK_ROWS`, so the
-(rows, K) intermediates stay small and no (S, K) array outlives a block.
+steps all entries at once: one stacked projection and one candidate pass per
+try, with a per-entry mask that halves the step only for the entries whose
+candidate raised their value (at most 30 times). A round makes one assign
+pass and then one pass per inner step, not counting halvings. Each pass
+yields the gradient sums F^T u along with the values, since u is the value
+weight times one more factor 1/(1 + eta_c q): the assign pass gives them
+for every entry at the new assignments, a candidate pass hands them to the
+entries it accepts, and a rejected entry keeps its own, so the next step's
+gradient needs no pass of its own. The decay (1 + eta_c q)^-n is a
+reciprocal followed by repeated squaring, not a pow. Every pass walks the
+training set in row blocks of `_BLOCK_ROWS`, so the (rows, K)
+intermediates stay small and no (S, K) array outlives a block.
 
 A worst-case design for a crossover range [f_a, f_b] trains at rho_d = f_b;
 the average-criterion alternative trains at the midpoint (`range_design`).
@@ -140,6 +147,8 @@ class TrainerConfig:
 class TrainingState:
     """Result of one full training run (the restart with the lowest final J).
 
+    codebook: the trained codebook; its marginals are the encoder's region
+        occupancy over the training set at the returned matrices
     objective_history: J at the end of each round
     stop_reason: "tol" when the relative decrease of J fell below cfg.tol,
         "max_rounds" when the round cap ended the run
@@ -148,7 +157,6 @@ class TrainingState:
     """
 
     codebook: PrecoderCodebook
-    assignments: np.ndarray
     objective_history: list[float]
     stop_reason: str
     halvings: list[int]
@@ -202,20 +210,27 @@ def _quadratic_forms(feats: np.ndarray, coords: np.ndarray):
         yield rows, feats[rows] @ coords
 
 
-def _decay(q: np.ndarray, eta_c: float, power: int) -> np.ndarray:
-    """(1 + eta_c q)^-power, computed in place of q."""
+def _decay(q: np.ndarray, eta_c: float, power: int):
+    """(t^power, t) for t = 1/(1 + eta_c q): t is computed in place of q, and
+    t^power, one fresh array, by squaring and multiplying along the bits of
+    power from the top (a few ulps from the pow)."""
     q *= eta_c
     q += 1.0
-    q **= -power
-    return q
+    t = np.reciprocal(q, out=q)
+    w = t
+    for bit in bin(power)[3:]:
+        w = w * w if w is t else np.multiply(w, w, out=w)
+        if bit == "1":
+            w *= t
+    return (t.copy() if w is t else w), t
 
 
-def _encode_block(q: np.ndarray, eta_c: float, n: int, inv: np.ndarray):
-    """(w, a) for a block of forms, computed in place of q: w = (1 + eta_c q)^-n
-    and the encoder's indices a_s = argmin_i sum_j p_f(j|i) w[s, j], ties to
-    the smallest i."""
-    w = _decay(q, eta_c, n)
-    return w, np.argmin(w @ inv, axis=1)
+def _encode(w: np.ndarray, inv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The encoder's indices for a block of decays w = (1 + eta_c q)^-n:
+    a_s = argmin_i sum_j p_f(j|i) w[s, j], ties to the smallest i. The costs
+    go to out when given, a block the caller no longer needs: a fresh (rows,
+    K) array per block costs page faults that slow the per-frame encoder."""
+    return np.argmin(np.matmul(w, inv, out=out), axis=1)
 
 
 def encode_batch(
@@ -226,20 +241,50 @@ def encode_batch(
     mats = np.asarray(matrices)
     asg = np.empty(len(dirs), dtype=np.intp)
     for rows, q in _quadratic_forms(_features(dirs), _coordinates(mats)):
-        asg[rows] = _encode_block(q, eta_c, mats.shape[1], inv)[1]
+        w, t = _decay(q, eta_c, mats.shape[1])
+        asg[rows] = _encode(w, inv, out=t)
     return asg
 
 
-def _assign(feats: np.ndarray, coords: np.ndarray, eta_c: float, n: int, inv: np.ndarray):
-    """Encoder indices a_s of the rows and each entry's share of J at them,
-    values[j] = (1/S) sum_s p_f(j|a_s) (1 + eta_c q_sj)^-n."""
-    asg = np.empty(len(feats), dtype=np.intp)
+def _entry_pass(feats, coords, weights, asg, eta_c, n, grad, inv=None):
+    """One pass over the rows for the matrices whose coordinates are the
+    columns of coords: (values, r) with
+
+        values[l] = (1/S) sum_s weights[a_s, l] (1 + eta_c q_sl)^-n,
+        r = F^T u,  u_sl = weights[a_s, l] (1 + eta_c q_sl)^-(n+1),
+
+    where weights[i, l] is p_f(j_l|i) for the entry j_l being evaluated; r is
+    None unless grad. Given inv, the pass encodes as it goes: it first writes
+    each row's index a_s into asg, and weights must then be inv.T."""
     values = np.zeros(coords.shape[1])
+    r = np.zeros((feats.shape[1], coords.shape[1])) if grad else None
+    ones = np.ones(_BLOCK_ROWS)
     for rows, q in _quadratic_forms(feats, coords):
-        w, asg[rows] = _encode_block(q, eta_c, n, inv)
-        w *= inv.T[asg[rows]]
-        values += w.sum(axis=0)
-    return asg, values / len(feats)
+        w, t = _decay(q, eta_c, n)
+        if inv is not None:
+            asg[rows] = _encode(w, inv)
+        w *= np.take(weights, asg[rows], axis=0)
+        values += ones[: len(w)] @ w
+        if grad:
+            t *= w
+            r += feats[rows].T @ t
+    return values / len(feats), r
+
+
+def _assign(feats, coords, eta_c, n, inv, grad):
+    """Encoder indices a_s of the rows, each entry's share of J at them,
+    values[j] = (1/S) sum_s p_f(j|a_s) (1 + eta_c q_sj)^-n, and with grad the
+    r of every entry at those indices (see _entry_pass)."""
+    asg = np.empty(len(feats), dtype=np.intp)
+    values, r = _entry_pass(feats, coords, inv.T, asg, eta_c, n, grad, inv)
+    return asg, values, r
+
+
+def _gradients(r: np.ndarray, mats: np.ndarray, eta_c: float, rows: int) -> np.ndarray:
+    """dJ/dP_l = -2 n eta_c / S R_l P_l for each matrix of the stack, with
+    R_l = sum_s u_sl h_s h_s^H unpacked from the r of a pass over S rows."""
+    n = mats.shape[-1]
+    return -2.0 * n * eta_c / rows * (_from_features(r, n) @ mats)
 
 
 def objective(cb: PrecoderCodebook, inv: np.ndarray, training_set: np.ndarray) -> float:
@@ -249,31 +294,7 @@ def objective(cb: PrecoderCodebook, inv: np.ndarray, training_set: np.ndarray) -
     encoder picks the minimizing index for every vector.
     """
     coords = _coordinates(np.asarray(cb.matrices))
-    return float(np.sum(_assign(_features(training_set), coords, cb.eta_c, cb.n, inv)[1]))
-
-
-def _entry_values(feats, coords, weights, asg, eta_c, n):
-    """values[l] = (1/S) sum_s weights[a_s, l] (1 + eta_c q_sl)^-n for the
-    matrices whose coordinates are the columns of coords; weights[i, l] is
-    p_f(j_l|i) for the entry j_l being evaluated."""
-    total = np.zeros(coords.shape[1])
-    for rows, q in _quadratic_forms(feats, coords):
-        w = _decay(q, eta_c, n)
-        w *= weights[asg[rows]]
-        total += w.sum(axis=0)
-    return total / len(feats)
-
-
-def _entry_gradients(feats, mats, weights, asg, eta_c, n):
-    """dJ/dP_l = -2 n eta_c / S R_l P_l for each matrix of the stack, with
-    R_l = sum_s u_sl h_s h_s^H and u_sl = weights[a_s, l] (1 + eta_c q_sl)^-(n+1);
-    the R_l come from F^T u, one real product per row block."""
-    r = np.zeros((feats.shape[1], len(mats)))
-    for rows, q in _quadratic_forms(feats, _coordinates(mats)):
-        u = _decay(q, eta_c, n + 1)
-        u *= weights[asg[rows]]
-        r += feats[rows].T @ u
-    return -2.0 * n * eta_c / len(feats) * (_from_features(r, mats.shape[-1]) @ mats)
+    return float(np.sum(_assign(_features(training_set), coords, cb.eta_c, cb.n, inv, False)[1]))
 
 
 def gradient(
@@ -285,10 +306,11 @@ def gradient(
 ) -> np.ndarray:
     """Gradient of J with respect to P_j at fixed assignments."""
     mats = np.asarray(cb.matrices)[j : j + 1]
-    weights = inv[j : j + 1].T
-    return _entry_gradients(
-        _features(training_set), mats, weights, assignments, cb.eta_c, cb.n
-    )[0]
+    r = _entry_pass(
+        _features(training_set), _coordinates(mats), inv[j : j + 1].T, assignments,
+        cb.eta_c, cb.n, True,
+    )[1]
+    return _gradients(r, mats, cb.eta_c, len(training_set))[0]
 
 
 def _hermitian_noise(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -310,7 +332,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
     step_counts = np.zeros(cfg.k, dtype=np.int64)
 
     for _ in range(cfg.max_rounds):
-        asg, values = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv)
+        asg, values, r = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv, True)
         counts = np.bincount(asg, minlength=cfg.k)
 
         # An empty region whose precoder also receives no feedback-error
@@ -322,7 +344,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
             noise = 0.05 * _hermitian_noise(rng, len(dead), cfg.n)
             mats[dead] = project_psd_power(mats[busiest] + noise, cfg.n)
             step_counts[dead] = 0
-            asg, values = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv)
+            asg, values, r = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv, True)
             counts = np.bincount(asg, minlength=cfg.k)
 
         # At fixed assignments J is the sum of the entry values and the
@@ -330,9 +352,16 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
         # no occupied region sends any weight to has no gradient and stays.
         live = np.flatnonzero(inv[:, counts > 0].max(axis=1) > _DEAD_WEIGHT)
         weights = inv[live].T
+        # r[:, i] always belongs to the current mats[live[i]]: the assign pass
+        # gives the first step's, each candidate pass hands its r to the
+        # entries it accepts, and an entry none accepts keeps its own, since
+        # its matrix and the assignments are unchanged. The last step's
+        # candidates need no r.
+        r = r[:, live]
         rejected = 0
-        for _ in range(cfg.inner_iters):
-            grads = _entry_gradients(feats, mats[live], weights, asg, cfg.eta_c, cfg.n)
+        for step in range(cfg.inner_iters):
+            grad = step + 1 < cfg.inner_iters
+            grads = _gradients(r, mats[live], cfg.eta_c, len(feats))
             alphas = (1.0 + cfg.step_m) / (1.0 + step_counts[live])
             step_counts[live] += 1
             # Positions in live whose step is not yet accepted; a candidate
@@ -343,12 +372,14 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
                 cand = project_psd_power(
                     mats[live[todo]] - alphas[todo, None, None] * grads[todo], cfg.n
                 )
-                cand_values = _entry_values(
-                    feats, _coordinates(cand), weights[:, todo], asg, cfg.eta_c, cfg.n
+                cand_values, cand_r = _entry_pass(
+                    feats, _coordinates(cand), weights[:, todo], asg, cfg.eta_c, cfg.n, grad
                 )
                 ok = cand_values <= values[live[todo]]
                 mats[live[todo[ok]]] = cand[ok]
                 values[live[todo[ok]]] = cand_values[ok]
+                if grad:
+                    r[:, todo[ok]] = cand_r[:, ok]
                 todo = todo[~ok]
                 rejected += len(todo)
                 if not len(todo):
@@ -363,9 +394,8 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
                 stop_reason = "tol"
                 break
 
-    # Final assignment pass so marginals and assignments match the returned
-    # matrices.
-    asg, values = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv)
+    # Final assignment pass so the marginals match the returned matrices.
+    asg, values, _ = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv, False)
     cb = PrecoderCodebook(
         m=cfg.m,
         n=cfg.n,
@@ -376,7 +406,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
         marginals=np.bincount(asg, minlength=cfg.k) / len(feats),
         rho_range=cfg.rho_range,
     )
-    state = TrainingState(cb, asg, history, stop_reason, halvings)
+    state = TrainingState(cb, history, stop_reason, halvings)
     return float(np.sum(values)), state
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from podsim.channel import sample_directions
-from podsim.cli import CODE_NAMES, _parse_snr_grid, main
+from podsim.cli import CODE_NAMES, RECIPES, _build_parser, _parse_snr_grid, main
 from podsim.codebook import load_codebook
 from podsim.feedback import bsc_inversion_matrix, load_mapping
 from podsim.link import BER_CSV_HEADER, SimulationConfig, run_ber_sweep
@@ -267,6 +267,27 @@ def test_simulate_rejects_flags_its_baseline_ignores(tiny_codebook_path, tmp_pat
     err = capsys.readouterr().err
     assert "--mapping applies only to the closed loop" in err and "drop --codebook" in err
     assert not out.exists()
+
+
+def test_simulate_rejects_rho_f_outside_the_closed_loop(tiny_codebook_path, tmp_path, capsys):
+    # Only the closed loop has a feedback link, so a crossover probability for
+    # the open loop or the genie is an error rather than a CSV row saying 0.
+    out = tmp_path / "x.csv"
+    base = ["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6",
+            "--frames", "10", "--rho-f", "0.3", "--out", str(out)]
+    assert main(base + ["--baseline", "open-loop"]) == 3
+    assert main(base + ["--baseline", "genie", "--codebook", str(tiny_codebook_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("--rho-f applies only to the closed loop") == 2
+    assert not out.exists()
+
+
+def test_recipes_pass_rho_f_only_to_the_closed_loop(tmp_path):
+    for recipe in RECIPES.values():
+        for step in recipe(tmp_path, 1):
+            args = _build_parser().parse_args(step)
+            if step[0] == "simulate" and args.baseline != "none":
+                assert args.rho_f == 0.0, step
 
 
 def test_code_names_cover_design_registry():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import podsim.trainer
 from oracles import (
     finite_difference_gradient,
     naive_encode,
@@ -17,6 +18,7 @@ from podsim.trainer import (
     _BLOCK_ROWS,
     TrainerConfig,
     _coordinates,
+    _decay,
     _features,
     _quadratic_forms,
     encode_batch,
@@ -102,6 +104,19 @@ def test_quadratic_forms_match_naive(n):
         got = np.concatenate([q for _, q in blocks])
         want = naive_quadratic_forms(dirs, mats)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("power", range(1, 10))
+def test_decay_matches_pow(power):
+    # Repeated squaring of the reciprocal rounds once per multiply, so it
+    # stays within a few ulps of the pow; q = 0 gives exactly 1.
+    q = np.concatenate([[0.0], np.random.default_rng(40 + power).exponential(2.0, 999)])
+    want = (1.0 + 1.3 * q) ** -power
+    w, t = _decay(q.copy(), 1.3, power)
+    assert w[0] == 1.0 and t[0] == 1.0
+    assert np.abs(w - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.all(np.abs(w - want) <= 1e-14 * want)
+    assert np.abs(t - 1.0 / (1.0 + 1.3 * q)).max() <= 1e-15
 
 
 def test_blocked_passes_match_naive():
@@ -234,14 +249,14 @@ def test_training_objective_monotone():
 
 
 def test_training_assignments_are_reencoded_optimum():
+    # fit draws its training set first from default_rng(seed); the marginals
+    # are the occupancy of the encoder at the returned matrices, exactly.
     state = fit(small_config(rho_d=0.05))
     inv = bsc_inversion_matrix(2, 0.05)
     rng = np.random.default_rng(123)
     dirs = sample_directions(2, 1500, rng)
     again = encode_batch(dirs, state.codebook.matrices, state.codebook.eta_c, inv)
-    assert np.array_equal(again, state.assignments)
-    counts = np.bincount(state.assignments, minlength=2)
-    assert np.allclose(counts / 1500, state.codebook.marginals)
+    assert np.array_equal(state.codebook.marginals, np.bincount(again, minlength=2) / 1500)
 
 
 def test_training_beamforming_limit_at_zero_rho():
@@ -410,6 +425,58 @@ def test_fit_regression(cfg, history, matrices, halvings):
     np.testing.assert_allclose(state.codebook.matrices, np.array(matrices), rtol=0.0, atol=1e-9)
     assert len(state.halvings) == len(history)
     assert sum(state.halvings) == halvings
+
+
+def test_fit_gradients_handed_over_by_passes_match_naive(monkeypatch):
+    # Every step after a round's first takes its gradient from the r of the
+    # candidate pass that accepted each entry (or the entry's own r if none
+    # did): each gradient fit uses must equal the naive one at the matrices it
+    # is taken at, under the round's assignments. Two full row blocks and a
+    # partial one. Steps this large are mostly rejected: some entries are
+    # accepted after a few halvings, others use up all of them and stay.
+    cfg = small_config(m=4, n=4, k=4, rho_d=0.1, n_train=2 * _BLOCK_ROWS + 1,
+                       max_rounds=1, inner_iters=4, step_m=1e15)
+    assigned, used = [], []
+    assign, gradients = podsim.trainer._assign, podsim.trainer._gradients
+
+    def recording_assign(*args):
+        out = assign(*args)
+        assigned.append(out[0])
+        return out
+
+    def recording_gradients(r, mats, eta_c, rows):
+        used.append((mats.copy(), assigned[-1], gradients(r, mats, eta_c, rows)))
+        return used[-1][2]
+
+    monkeypatch.setattr(podsim.trainer, "_assign", recording_assign)
+    monkeypatch.setattr(podsim.trainer, "_gradients", recording_gradients)
+    state = fit(cfg)
+    assert sum(state.halvings) > 0
+    assert len(used) == cfg.inner_iters
+    inv = bsc_inversion_matrix(cfg.k, cfg.rho_d)
+    dirs = sample_directions(cfg.n, cfg.n_train, np.random.default_rng(cfg.seed))
+    for mats, asg, got in used:
+        assert len(mats) == cfg.k
+        for j in range(cfg.k):
+            want = naive_gradient(dirs, mats, j, cfg.eta_c, cfg.n, inv, asg)
+            assert np.abs(got[j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fit_makes_one_pass_per_inner_step(monkeypatch):
+    # One round of 5 steps with no halvings: the round's assign pass, one
+    # candidate pass per step (each also yields the next step's gradient) and
+    # the final assign pass.
+    passes = []
+    kernel = podsim.trainer._quadratic_forms
+
+    def counting_kernel(feats, coords):
+        passes.append(coords.shape[1])
+        return kernel(feats, coords)
+
+    monkeypatch.setattr(podsim.trainer, "_quadratic_forms", counting_kernel)
+    state = fit(small_config(rho_d=0.05, max_rounds=1, inner_iters=5))
+    assert state.halvings == [0]
+    assert len(passes) == 1 + 5 + 1
 
 
 def test_stop_reason():
