@@ -12,7 +12,6 @@ from podsim.codebook import (
     save_codebook,
 )
 from podsim.feedback import (
-    AnnealSchedule,
     FeedbackChannel,
     bsc_inversion_matrix,
     dominant_directions,
@@ -57,7 +56,6 @@ from podsim.trainer import (
 )
 
 __all__ = [
-    "AnnealSchedule",
     "BER_CSV_HEADER",
     "BerResult",
     "CodebookError",

@@ -19,7 +19,6 @@ import numpy as np
 from .channel import sample_directions
 from .codebook import eigen_profile, load_codebook, save_codebook
 from .feedback import (
-    AnnealSchedule,
     FeedbackChannel,
     _chordal_distance_matrix,
     bsc_inversion_matrix,
@@ -73,10 +72,17 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p]
 
 
-def _make_constellation(name: str) -> Constellation:
-    if name == "bpsk":
-        return Constellation("bpsk")
-    return Constellation("qpsk-rot", rotation=np.pi / 4)
+def _load_mapping_rule(rule: str, k: int) -> np.ndarray | None:
+    """The index mapping a --mapping rule names: None for identity, or the
+    permutation stored in file:<path>."""
+    if rule == "identity":
+        return None
+    if not rule.startswith("file:"):
+        raise ValueError(
+            f"--mapping accepts identity or file:<path>, got {rule!r}; "
+            "write an annealed mapping with podsim map-anneal and pass it as file:<path>"
+        )
+    return load_mapping(rule[5:], k)
 
 
 def cmd_train(args) -> int:
@@ -96,11 +102,7 @@ def cmd_train(args) -> int:
         t = args.block_length if args.block_length is not None else m
         eta_c = eta_c_from_snr_db(m, t, args.design_snr_db)
 
-    mapping = None
-    if args.mapping != "identity":
-        if not args.mapping.startswith("file:"):
-            raise ValueError("train accepts --mapping identity or file:<path>")
-        mapping = load_mapping(args.mapping[5:], k)
+    mapping = _load_mapping_rule(args.mapping, k)
 
     modes = [
         ("fixed", args.rho_d),
@@ -160,7 +162,7 @@ def cmd_eval_pep(args) -> int:
 
 def cmd_simulate(args) -> int:
     design = get_design(CODE_NAMES[args.code])
-    constellation = _make_constellation(args.constellation)
+    constellation = Constellation("bpsk" if args.constellation == "bpsk" else "qpsk-rot")
     baseline = "closed-loop" if args.baseline == "none" else args.baseline
 
     if args.mapping != "identity" and baseline != "closed-loop":
@@ -184,20 +186,7 @@ def cmd_simulate(args) -> int:
         codebook = load_codebook(args.codebook)
         pod = PodStructure(inner=design, n=codebook.n)
     if baseline == "closed-loop":
-        mapping = None
-        if args.mapping == "anneal":
-            rng = np.random.default_rng(args.seed)
-            mapping = optimize_mapping(
-                np.asarray(codebook.matrices),
-                codebook.marginals,
-                args.rho_f,
-                AnnealSchedule(),
-                rng,
-            )
-        elif args.mapping.startswith("file:"):
-            mapping = load_mapping(args.mapping[5:], codebook.k)
-        elif args.mapping != "identity":
-            raise ValueError(f"unknown mapping rule {args.mapping!r}")
+        mapping = _load_mapping_rule(args.mapping, codebook.k)
         feedback = FeedbackChannel(k=codebook.k, rho_f=args.rho_f, mapping=mapping)
 
     spf = args.symbols_per_frame
@@ -244,9 +233,8 @@ def cmd_eigen(args) -> int:
 
 def cmd_map_anneal(args) -> int:
     cb = load_codebook(args.codebook)
-    schedule = AnnealSchedule(t_init=args.sa_t_init, cooling=args.sa_cooling, n_iter=args.sa_iters)
     rng = np.random.default_rng(args.seed)
-    perm = optimize_mapping(np.asarray(cb.matrices), cb.marginals, args.rho_f, schedule, rng)
+    perm = optimize_mapping(np.asarray(cb.matrices), cb.marginals, args.rho_f, args.sa_iters, rng)
     save_mapping(args.out, perm)
     dist_sq = _chordal_distance_matrix(np.asarray(cb.matrices))
     bit_matrix = bsc_inversion_matrix(cb.k, args.rho_f)
@@ -397,14 +385,15 @@ def cmd_recipe(args) -> int:
     steps = RECIPES[args.name](out, args.workers)
     for step in steps:
         log.info("recipe step: %s", " ".join(step))
-        rc = main(step)
+        rc = main(step + ["--log-level", args.log_level])
         if rc != 0:
             return rc
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+def _add_common(parser: argparse.ArgumentParser, seed: bool) -> None:
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument(
         "--log-level", choices=LOG_LEVELS, default="warning", help="stderr log level"
     )
@@ -456,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mapping", default="identity", help="index mapping: identity or file:<path>"
     )
     p.add_argument("--out", required=True, help="codebook output path")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval-pep", help="average pairwise-error bound of a codebook")
@@ -472,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=20_000, help="direction samples")
     p.add_argument("--out", required=True, help="CSV output path")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_eval_pep)
 
     p = sub.add_parser("simulate", help="Monte Carlo bit error rate sweep")
@@ -498,34 +487,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mapping", default="identity",
-        help="index mapping: identity, file:<path>, or anneal (closed loop only)",
+        help="index mapping: identity or file:<path> (closed loop only)",
     )
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="CSV output path")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eigen", help="per-entry squared eigenvalue profile")
     p.add_argument("--codebook", required=True, help="trained codebook file")
     p.add_argument("--out", required=True, help="CSV output path")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("map-anneal", help="anneal an error-protecting index mapping")
     p.add_argument("--codebook", required=True, help="trained codebook file")
     p.add_argument("--rho-f", type=float, required=True, help="feedback crossover probability")
     p.add_argument("--sa-iters", type=int, default=10_000, help="annealing iterations")
-    p.add_argument("--sa-t-init", type=float, default=0.05, help="initial temperature")
-    p.add_argument("--sa-cooling", type=float, default=0.9995, help="geometric cooling factor")
     p.add_argument("--out", required=True, help="mapping output path")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_map_anneal)
 
     p = sub.add_parser("recipe", help="run a bundled desk-scale experiment")
     p.add_argument("name", choices=sorted(RECIPES), help="recipe name")
     p.add_argument("--out-dir", required=True, help="directory for recipe outputs")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_recipe)
 
     return parser
@@ -533,11 +520,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    level = getattr(args, "log_level", "warning")
-    logging.basicConfig(
-        level=getattr(logging, level.upper()), format="%(levelname)s %(name)s: %(message)s"
-    )
-    log.setLevel(getattr(logging, level.upper()))
+    level = getattr(logging, args.log_level.upper())
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(level)
     try:
         return args.func(args)
     except ValueError as exc:

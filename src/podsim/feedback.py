@@ -13,7 +13,11 @@ use 1-based values.
 
 The mapping itself can be optimized by simulated annealing so that likely
 bit errors land on precoders whose dominant transmit directions are close
-in chordal distance.
+in chordal distance. The schedule is fixed (start temperature 0.05,
+geometric cooling by 0.9995 per move); only the number of moves is a
+parameter. The trainer already folds the channel into the codebook, so a
+mapping is an optional extra: `podsim map-anneal` writes one to a file, and
+`train` and `simulate` take it as `--mapping file:<path>`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "AnnealSchedule",
     "FeedbackChannel",
     "bsc_inversion_matrix",
     "dominant_directions",
@@ -34,6 +37,8 @@ __all__ = [
 ]
 
 _MAPPING_MAGIC = "PODMAP 1"
+_ANNEAL_T_INIT = 0.05
+_ANNEAL_COOLING = 0.9995
 
 
 def _num_bits(k: int) -> int:
@@ -148,33 +153,22 @@ def mapping_cost(
     return float(np.sum(marginals[:, None] * p_mapped * dist_sq))
 
 
-@dataclass(frozen=True)
-class AnnealSchedule:
-    """Simulated annealing schedule: geometric cooling with swap moves."""
-
-    t_init: float = 0.05
-    cooling: float = 0.9995
-    n_iter: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.t_init <= 0 or not 0 < self.cooling < 1 or self.n_iter < 1:
-            raise ValueError("invalid annealing schedule")
-
-
 def optimize_mapping(
     matrices: np.ndarray,
     marginals: np.ndarray,
     rho_f: float,
-    schedule: AnnealSchedule,
+    n_iter: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Anneal an index mapping that protects nearby precoders.
 
     Cost: D(pi) = sum_i p(i) sum_j p_f^(pi)(j|i) d_c^2(u_i, u_j) with u_j the
-    dominant direction of P_j P_j^H. Moves are random transpositions, cooling
-    is geometric, and the identity mapping is always evaluated: the returned
-    permutation never costs more than the identity.
+    dominant direction of P_j P_j^H. Each of the n_iter moves is a random
+    transposition, cooling is geometric, and the identity mapping is always
+    evaluated: the returned permutation never costs more than the identity.
     """
+    if n_iter < 1:
+        raise ValueError(f"need at least one annealing iteration, got {n_iter}")
     k = len(matrices)
     bits = _num_bits(k)
     if bits < 1:
@@ -193,8 +187,8 @@ def optimize_mapping(
     current_cost = identity_cost
     best = identity.copy()
     best_cost = identity_cost
-    temp = schedule.t_init
-    for _ in range(schedule.n_iter):
+    temp = _ANNEAL_T_INIT
+    for _ in range(n_iter):
         a, b = rng.integers(0, k, size=2)
         while b == a:
             b = rng.integers(0, k)
@@ -206,7 +200,7 @@ def optimize_mapping(
             current, current_cost = cand, cand_cost
             if current_cost < best_cost:
                 best, best_cost = current.copy(), current_cost
-        temp *= schedule.cooling
+        temp *= _ANNEAL_COOLING
 
     if best_cost < identity_cost - 1e-15:
         return best

@@ -88,18 +88,20 @@ def build_evaluation_set(
         raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
     if len(dirs) < 1:
         raise ValueError(f"need at least one direction, got {len(dirs)}")
-    # One pass of quadratic forms serves both the table (at eta_c, decayed
-    # from a copy of q) and the encoder (at the codebook's eta_c, decayed in
-    # place of q, whose block then takes the encoder's costs). Each block adds
-    # its rows to their region's row of the table with one bincount over
+    # One pass of quadratic forms serves both the encoder (at the codebook's
+    # eta_c, decayed in place of q, whose block then takes the encoder's
+    # costs) and the table, which takes the encoder's decay unless its eta_c
+    # differs: only then is a copy of q decayed a second time. Each block
+    # adds its rows to their region's row of the table with one bincount over
     # (region, entry) pairs, so no (S, K) array is allocated.
     k = cb.k
     counts = np.zeros(k)
     tail = np.zeros(k * k)
     entries = np.arange(k)
     for _, q in _quadratic_forms(_features(dirs), _coordinates(np.asarray(cb.matrices))):
-        w = _decay(q.copy(), eta_c, cb.n)[0]
+        w = None if eta_c == cb.eta_c else _decay(q.copy(), eta_c, cb.n)[0]
         w_enc, t = _decay(q, cb.eta_c, cb.n)
+        w = w_enc if w is None else w
         asg = _encode(w_enc, inv, out=t)
         counts += np.bincount(asg, minlength=k)
         tail += np.bincount((asg[:, None] * k + entries).ravel(), weights=w.ravel(), minlength=k * k)

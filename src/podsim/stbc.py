@@ -230,10 +230,9 @@ def gray_code(k: int) -> int:
 class Constellation:
     """Symbol alphabet: 'bpsk' is {+1, -1}; 'qpsk-rot' is unit-magnitude
     QPSK with Gray labels, where a design's rotated slots take the alphabet
-    multiplied by exp(i * rotation)."""
+    multiplied by exp(i pi/4)."""
 
     kind: str
-    rotation: float = np.pi / 4
 
     def __post_init__(self) -> None:
         if self.kind not in ("bpsk", "qpsk-rot"):
@@ -255,7 +254,7 @@ def slot_alphabets(design: InnerDesign, constellation: Constellation) -> list[np
     if design.is_real and constellation.kind != "bpsk":
         raise ValueError(f"{design.kind} carries real symbols; use the bpsk constellation")
     base = constellation.base_alphabet()
-    rotated = base * np.exp(1j * constellation.rotation)
+    rotated = base * np.exp(1j * np.pi / 4)
     out = []
     for slot in range(design.n_sym):
         if constellation.kind == "qpsk-rot" and slot in design.rotated_slots:

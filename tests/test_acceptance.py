@@ -31,7 +31,6 @@ from oracles import (
 from podsim.channel import complex_gaussian, sample_directions
 from podsim.codebook import PrecoderCodebook, eigen_profile, project_psd_power
 from podsim.feedback import (
-    AnnealSchedule,
     FeedbackChannel,
     bsc_inversion_matrix,
     dominant_directions,
@@ -475,7 +474,7 @@ def test_annealed_mapping_near_exhaustive_optimum():
             for p in itertools.permutations(range(8))
         )
         perm = optimize_mapping(
-            mats, marginals, 0.04, AnnealSchedule(), np.random.default_rng(100 + trial)
+            mats, marginals, 0.04, n_iter=10_000, rng=np.random.default_rng(100 + trial)
         )
         got = mapping_cost(perm, bit_matrix, marginals, dist_sq)
         worst_excess = max(worst_excess, got / best - 1.0)

@@ -245,12 +245,19 @@ def test_simulate_closed_loop_without_codebook_rejected(tmp_path):
     assert rc == 3
 
 
-def test_simulate_mapping_flags(tiny_codebook_path, tmp_path):
+def test_simulate_mapping_flags(tiny_codebook_path, tmp_path, capsys):
+    # An annealed mapping comes only from map-anneal, as a file.
+    mapping = tmp_path / "map.txt"
+    assert main(["map-anneal", "--codebook", str(tiny_codebook_path), "--rho-f", "0.1",
+                 "--seed", "2", "--out", str(mapping)]) == 0
     args = ["simulate", "--codebook", str(tiny_codebook_path), "--code", "od2",
             "--constellation", "bpsk", "--rho-f", "0.1", "--snr-db", "6",
             "--frames", "100", "--symbols-per-frame", "128", "--seed", "2"]
-    assert main(args + ["--mapping", "anneal", "--out", str(tmp_path / "a.csv")]) == 0
-    assert main(args + ["--mapping", "bogus", "--out", str(tmp_path / "b.csv")]) == 3
+    assert main(args + ["--mapping", f"file:{mapping}", "--out", str(tmp_path / "a.csv")]) == 0
+    for rule in ("anneal", "bogus"):
+        assert main(args + ["--mapping", rule, "--out", str(tmp_path / "b.csv")]) == 3
+    assert capsys.readouterr().err.count("podsim map-anneal") == 2
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_simulate_rejects_flags_its_baseline_ignores(tiny_codebook_path, tmp_path, capsys):
@@ -263,7 +270,7 @@ def test_simulate_rejects_flags_its_baseline_ignores(tiny_codebook_path, tmp_pat
     assert main(open_loop + ["--mapping", "bogus", "--codebook", "missing.cb"]) == 3
     assert main(open_loop + ["--codebook", str(tiny_codebook_path)]) == 3
     assert main(base + ["--baseline", "genie", "--codebook", str(tiny_codebook_path),
-                        "--mapping", "anneal"]) == 3
+                        "--mapping", f"file:{tmp_path / 'map.txt'}"]) == 3
     err = capsys.readouterr().err
     assert "--mapping applies only to the closed loop" in err and "drop --codebook" in err
     assert not out.exists()
@@ -295,7 +302,7 @@ def test_code_names_cover_design_registry():
 
 
 @pytest.mark.parametrize("code, const, constellation", [
-    ("alamouti", "qpsk-rot45", Constellation("qpsk-rot", rotation=np.pi / 4)),
+    ("alamouti", "qpsk-rot45", Constellation("qpsk-rot")),
     ("od8", "bpsk", Constellation("bpsk")),
 ])
 def test_simulate_open_loop_new_codes_match_sweep(tmp_path, code, const, constellation):
@@ -321,6 +328,34 @@ def test_map_anneal_writes_permutation(tiny_codebook_path, tmp_path):
     assert rc == 0
     perm = load_mapping(out, k=2)
     assert sorted(perm.tolist()) == [0, 1]
+
+
+def test_map_anneal_rejects_zero_iterations(tiny_codebook_path, tmp_path, capsys):
+    out = tmp_path / "map.txt"
+    rc = main(["map-anneal", "--codebook", str(tiny_codebook_path), "--rho-f", "0.1",
+               "--sa-iters", "0", "--out", str(out)])
+    assert rc == 3
+    assert "annealing iteration, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--codebook", "cb.cb", "--out", "x.csv", "--seed", "1"],
+    ["recipe", "smoke", "--out-dir", "out", "--seed", "1"],
+])
+def test_seed_is_usage_error_where_nothing_draws(argv):
+    # eigen draws no random numbers, and every recipe step carries its own seed.
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+
+
+def test_recipe_runs_every_step_at_its_log_level(tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="podsim"):
+        assert main(["recipe", "smoke", "--out-dir", str(tmp_path), "--log-level", "info"]) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum(m.startswith("recipe step: ") for m in messages) == 5
+    assert sum(m.startswith("stopped on ") for m in messages) == 1
 
 
 def test_smoke_recipe_reruns_byte_identical(tmp_path):
