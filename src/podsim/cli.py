@@ -10,6 +10,7 @@ error, 4 file I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -17,13 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .channel import sample_directions
-from .codebook import eigen_profile, load_codebook, save_codebook
+from .codebook import PrecoderCodebook, eigen_profile, load_codebook, save_codebook
 from .feedback import (
     FeedbackChannel,
-    _chordal_distance_matrix,
     bsc_inversion_matrix,
     load_mapping,
-    mapping_cost,
     optimize_mapping,
     save_mapping,
 )
@@ -72,17 +71,22 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p]
 
 
-def _load_mapping_rule(rule: str, k: int) -> np.ndarray | None:
-    """The index mapping a --mapping rule names: None for identity, or the
-    permutation stored in file:<path>."""
+def _relabeled(cb: PrecoderCodebook, rule: str) -> PrecoderCodebook:
+    """The codebook under a --mapping rule: unchanged for identity, or with
+    entry i moved to label pi(i) for the permutation pi stored in
+    file:<path>. The entry order is the index assignment, so this is all a
+    mapping does to the link."""
     if rule == "identity":
-        return None
+        return cb
     if not rule.startswith("file:"):
         raise ValueError(
             f"--mapping accepts identity or file:<path>, got {rule!r}; "
             "write an annealed mapping with podsim map-anneal and pass it as file:<path>"
         )
-    return load_mapping(rule[5:], k)
+    perm = load_mapping(rule[5:], cb.k)
+    matrices, marginals = np.empty_like(cb.matrices), np.empty_like(cb.marginals)
+    matrices[perm], marginals[perm] = cb.matrices, cb.marginals
+    return dataclasses.replace(cb, matrices=matrices, marginals=marginals)
 
 
 def cmd_train(args) -> int:
@@ -101,8 +105,6 @@ def cmd_train(args) -> int:
     else:
         t = args.block_length if args.block_length is not None else m
         eta_c = eta_c_from_snr_db(m, t, args.design_snr_db)
-
-    mapping = _load_mapping_rule(args.mapping, k)
 
     modes = [
         ("fixed", args.rho_d),
@@ -127,7 +129,6 @@ def cmd_train(args) -> int:
         tol=args.tol,
         max_rounds=args.max_rounds,
         restarts=args.restarts,
-        mapping=mapping,
         seed=args.seed,
     )
     log.info(
@@ -183,11 +184,10 @@ def cmd_simulate(args) -> int:
     else:
         if args.codebook is None:
             raise ValueError(f"--baseline {args.baseline} needs --codebook")
-        codebook = load_codebook(args.codebook)
+        codebook = _relabeled(load_codebook(args.codebook), args.mapping)
         pod = PodStructure(inner=design, n=codebook.n)
     if baseline == "closed-loop":
-        mapping = _load_mapping_rule(args.mapping, codebook.k)
-        feedback = FeedbackChannel(k=codebook.k, rho_f=args.rho_f, mapping=mapping)
+        feedback = FeedbackChannel(k=codebook.k, rho_f=args.rho_f)
 
     spf = args.symbols_per_frame
     if spf is None:
@@ -200,7 +200,6 @@ def cmd_simulate(args) -> int:
         constellation=constellation,
         codebook=codebook,
         feedback=feedback,
-        baseline_mode=baseline,
         symbols_per_frame=spf,
         seed=args.seed,
     )
@@ -236,14 +235,7 @@ def cmd_map_anneal(args) -> int:
     rng = np.random.default_rng(args.seed)
     perm = optimize_mapping(np.asarray(cb.matrices), cb.marginals, args.rho_f, args.sa_iters, rng)
     save_mapping(args.out, perm)
-    dist_sq = _chordal_distance_matrix(np.asarray(cb.matrices))
-    bit_matrix = bsc_inversion_matrix(cb.k, args.rho_f)
-    log.info(
-        "identity cost %.6g, annealed cost %.6g, wrote %s",
-        mapping_cost(np.arange(cb.k), bit_matrix, cb.marginals, dist_sq),
-        mapping_cost(perm, bit_matrix, cb.marginals, dist_sq),
-        args.out,
-    )
+    log.info("wrote %s", args.out)
     return 0
 
 
@@ -441,9 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-m", type=float, default=1.0, help="step size numerator")
     p.add_argument("--tol", type=float, default=1e-5, help="relative stop tolerance")
     p.add_argument("--max-rounds", type=int, default=200, help="alternation round cap")
-    p.add_argument(
-        "--mapping", default="identity", help="index mapping: identity or file:<path>"
-    )
     p.add_argument("--out", required=True, help="codebook output path")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_train)
@@ -474,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--baseline", choices=("none", "open-loop", "genie"), default="none",
-        help="none = full closed loop",
+        help="none = full closed loop; open-loop = no codebook; genie = no feedback errors",
     )
     p.add_argument("--rho-f", type=float, default=0.0, help="feedback crossover probability")
     p.add_argument(
@@ -487,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mapping", default="identity",
-        help="index mapping: identity or file:<path> (closed loop only)",
+        help="identity, or file:<path> to relabel the codebook entries (closed loop only)",
     )
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="CSV output path")

@@ -1,28 +1,34 @@
 """Noisy feedback link for codebook indices.
 
 The receiver picks one of K = 2^b precoder indices and sends it back as b
-bits over parallel binary symmetric channels with crossover rho_f. With an
-index mapping pi (a permutation applied before the bits are formed), the
+bits over parallel binary symmetric channels with crossover rho_f. The
 probability that transmitted index i arrives as j is
 
     p_f(j | i) = rho_f^d * (1 - rho_f)^(b - d),
 
-where d is the Hamming distance between the bit patterns of pi(i) and
-pi(j). Indices are 0-based throughout the code; persisted mapping files
-use 1-based values.
+where d is the Hamming distance between the bit patterns of i and j.
+Indices are 0-based throughout the code; persisted mapping files use
+1-based values.
 
-The mapping itself can be optimized by simulated annealing so that likely
-bit errors land on precoders whose dominant transmit directions are close
-in chordal distance. The schedule is fixed (start temperature 0.05,
-geometric cooling by 0.9995 per move); only the number of moves is a
-parameter. The trainer already folds the channel into the codebook, so a
-mapping is an optional extra: `podsim map-anneal` writes one to a file, and
-`train` and `simulate` take it as `--mapping file:<path>`.
+A codebook's entry order is its index assignment: the index of entry i is
+sent as the bits of i. An index mapping pi only relabels the entries, moving
+entry i to label pi(i), so it never reaches the channel itself; the one
+place a permutation meets the BSC is `mapping_cost`, which scores pi by the
+permuted matrix p_f(pi(j) | pi(i)). The mapping can be optimized by
+simulated annealing so that likely bit errors land on precoders whose
+dominant transmit directions are close in chordal distance. The schedule is
+fixed (start temperature 0.05, geometric cooling by 0.9995 per move); only
+the number of moves is a parameter. `podsim map-anneal` writes a mapping to
+a file, and `simulate --mapping file:<path>` relabels the codebook with it.
+A codebook trained against the noisy channel has its labels fixed by the
+training already; on such a codebook the annealer may find nothing cheaper
+than the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +41,8 @@ __all__ = [
     "load_mapping",
     "save_mapping",
 ]
+
+log = logging.getLogger(__name__)
 
 _MAPPING_MAGIC = "PODMAP 1"
 _ANNEAL_T_INIT = 0.05
@@ -55,7 +63,7 @@ def _check_mapping(mapping: np.ndarray, k: int) -> np.ndarray:
     return mapping
 
 
-def bsc_inversion_matrix(k: int, rho_f: float, mapping: np.ndarray | None = None) -> np.ndarray:
+def bsc_inversion_matrix(k: int, rho_f: float) -> np.ndarray:
     """Index inversion probabilities p[j, i] = P(receive j | sent i).
 
     Works for K = 1 (zero feedback bits) where the matrix is [[1.0]].
@@ -64,8 +72,8 @@ def bsc_inversion_matrix(k: int, rho_f: float, mapping: np.ndarray | None = None
     bits = _num_bits(k)
     if not 0.0 <= rho_f <= 0.5:
         raise ValueError(f"crossover must lie in [0, 0.5], got {rho_f}")
-    idx = np.arange(k) if mapping is None else _check_mapping(mapping, k)
-    # Hamming distances between mapped bit patterns of all index pairs.
+    idx = np.arange(k)
+    # Hamming distances between the bit patterns of all index pairs.
     xor = idx[:, None] ^ idx[None, :]
     dist = np.zeros((k, k), dtype=np.int64)
     for b in range(bits):
@@ -79,12 +87,10 @@ class FeedbackChannel:
 
     k: number of indices, a power of two with k >= 2
     rho_f: bit crossover probability in [0, 0.5]
-    mapping: 0-based index permutation applied before bit conversion
     """
 
     k: int
     rho_f: float
-    mapping: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         bits = _num_bits(self.k)
@@ -92,10 +98,6 @@ class FeedbackChannel:
             raise ValueError(f"need at least one feedback bit, got K={self.k}")
         if not 0.0 <= self.rho_f <= 0.5:
             raise ValueError(f"crossover must lie in [0, 0.5], got {self.rho_f}")
-        if self.mapping is None:
-            self.mapping = np.arange(self.k)
-        else:
-            self.mapping = _check_mapping(self.mapping, self.k)
 
     @property
     def bits(self) -> int:
@@ -106,11 +108,7 @@ class FeedbackChannel:
         indices; one independent bit-flip pattern per entry."""
         indices = np.asarray(indices, dtype=np.int64)
         flips = (rng.random((indices.size, self.bits)) < self.rho_f).astype(np.int64)
-        masks = (flips << np.arange(self.bits)).sum(axis=1)
-        received = self.mapping[indices] ^ masks
-        demap = np.empty(self.k, dtype=np.int64)
-        demap[self.mapping] = np.arange(self.k)
-        return demap[received]
+        return indices ^ (flips << np.arange(self.bits)).sum(axis=1)
 
 
 def dominant_directions(matrices: np.ndarray) -> np.ndarray:
@@ -166,6 +164,7 @@ def optimize_mapping(
     dominant direction of P_j P_j^H. Each of the n_iter moves is a random
     transposition, cooling is geometric, and the identity mapping is always
     evaluated: the returned permutation never costs more than the identity.
+    Both costs are logged at info level.
     """
     if n_iter < 1:
         raise ValueError(f"need at least one annealing iteration, got {n_iter}")
@@ -202,9 +201,10 @@ def optimize_mapping(
                 best, best_cost = current.copy(), current_cost
         temp *= _ANNEAL_COOLING
 
-    if best_cost < identity_cost - 1e-15:
-        return best
-    return identity
+    if best_cost >= identity_cost - 1e-15:
+        best, best_cost = identity, identity_cost
+    log.info("identity cost %.6g, annealed cost %.6g", identity_cost, best_cost)
+    return best
 
 
 def save_mapping(path, perm: np.ndarray) -> None:

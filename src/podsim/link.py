@@ -20,9 +20,11 @@ whatever the channel, so each slot group is searched on its own (exact ML,
 ties to the lexicographically first candidate): single slots for the
 orthogonal designs, (z1, z3) and (z2, z4) for the quasi-orthogonal code.
 
-Baselines: "closed-loop" runs the full loop; "open-loop" forces the
-identity precoder and uses no feedback; "genie" runs the encoder with an
-error-free feedback link.
+The inputs decide what runs: without a codebook the tail is not precoded
+(the open loop); a codebook without a feedback link applies the encoder's
+index exactly (the genie); a codebook with a feedback link runs the full
+closed loop. The codebook's entry order is its index assignment, so a
+remapped index assignment is a relabeled codebook, not a link option.
 
 Monte Carlo frames are processed in fixed-size chunks, each seeded from
 (seed, snr_point, chunk) independently, so results are identical for any
@@ -55,8 +57,6 @@ __all__ = [
     "run_ber_sweep",
     "write_ber_csv",
 ]
-
-BASELINE_MODES = ("closed-loop", "open-loop", "genie")
 
 _CHUNK_FRAMES = 2048
 _SLAB_METRICS = 1 << 16  # group-candidate metrics per slab of blocks (512 KB)
@@ -214,9 +214,10 @@ class SimulationConfig:
         per frame
     pod: code structure (inner design + precoded tail size)
     constellation: symbol alphabet
-    codebook: trained precoder codebook (unused for open-loop)
-    feedback: noisy feedback link (closed-loop only)
-    baseline_mode: "closed-loop", "open-loop", or "genie"
+    codebook: trained precoder codebook; None leaves the tail unprecoded
+        (the open loop)
+    feedback: noisy feedback link for the codebook index; None delivers the
+        index without error (the genie); needs a codebook
     symbols_per_frame: data symbols per frame; must fill whole blocks
     seed: master seed for the deterministic per-chunk seed tree
     """
@@ -227,13 +228,14 @@ class SimulationConfig:
     constellation: Constellation
     codebook: PrecoderCodebook | None = None
     feedback: FeedbackChannel | None = None
-    baseline_mode: str = "closed-loop"
     symbols_per_frame: int = 130
     seed: int = 0
 
     def validate(self) -> None:
         if len(self.snr_grid_db) == 0:
             raise ValueError("need at least one SNR point")
+        if not np.all(np.isfinite(self.snr_grid_db)):
+            raise ValueError(f"SNR points must be finite, got {list(self.snr_grid_db)}")
         if self.frames < 1:
             raise ValueError(f"need at least one frame, got {self.frames}")
         n_sym = self.pod.inner.n_sym
@@ -242,26 +244,19 @@ class SimulationConfig:
                 f"symbols_per_frame must be a positive multiple of {n_sym} "
                 f"for {self.pod.inner.kind}, got {self.symbols_per_frame}"
             )
-        if self.baseline_mode not in BASELINE_MODES:
+        if self.codebook is None:
+            if self.feedback is not None:
+                raise ValueError("a feedback channel needs a codebook to carry indices of")
+            return
+        if self.codebook.m != self.pod.m or self.codebook.n != self.pod.n:
             raise ValueError(
-                f"baseline_mode must be one of {BASELINE_MODES}, got {self.baseline_mode!r}"
+                f"codebook ({self.codebook.m}, {self.codebook.n}) does not match "
+                f"design ({self.pod.m}, {self.pod.n})"
             )
-        if self.baseline_mode != "open-loop":
-            if self.codebook is None:
-                raise ValueError(f"{self.baseline_mode} needs a codebook")
-            if self.codebook.m != self.pod.m or self.codebook.n != self.pod.n:
-                raise ValueError(
-                    f"codebook ({self.codebook.m}, {self.codebook.n}) does not match "
-                    f"design ({self.pod.m}, {self.pod.n})"
-                )
-        if self.baseline_mode == "closed-loop":
-            if self.feedback is None:
-                raise ValueError("closed-loop needs a feedback channel")
-            if self.feedback.k != self.codebook.k:
-                raise ValueError(
-                    f"feedback carries K={self.feedback.k} indices, "
-                    f"codebook has K={self.codebook.k}"
-                )
+        if self.feedback is not None and self.feedback.k != self.codebook.k:
+            raise ValueError(
+                f"feedback carries K={self.feedback.k} indices, codebook has K={self.codebook.k}"
+            )
 
     @property
     def blocks_per_frame(self) -> int:
@@ -269,9 +264,7 @@ class SimulationConfig:
 
     @property
     def rho_f(self) -> float:
-        if self.baseline_mode == "closed-loop":
-            return self.feedback.rho_f
-        return 0.0
+        return self.feedback.rho_f if self.feedback is not None else 0.0
 
 
 def _simulate_chunk(
@@ -291,14 +284,14 @@ def _simulate_chunk(
 
     h = complex_gaussian((n_frames, m), rng)
     h_eff = h.copy()
-    if config.baseline_mode != "open-loop":
+    if config.codebook is not None:
         tail = h[:, m - n :]
         norms = np.linalg.norm(tail, axis=1, keepdims=True)
         dirs = np.where(norms > 0, tail / np.where(norms == 0, 1.0, norms), 0.0)
         dirs[norms[:, 0] == 0, 0] = 1.0
         matrices = np.asarray(config.codebook.matrices)
         applied = encode_batch(dirs, matrices, config.codebook.eta_c, design_inv)
-        if config.baseline_mode == "closed-loop":
+        if config.feedback is not None:
             applied = config.feedback.transmit_batch(applied, rng)
         h_eff[:, m - n :] = (tail[:, None, :] @ matrices.conj()[applied])[:, 0, :]
 
@@ -344,9 +337,8 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     design_inv = None
-    if config.baseline_mode != "open-loop":
-        mapping = config.feedback.mapping if config.feedback is not None else None
-        design_inv = bsc_inversion_matrix(config.codebook.k, config.codebook.rho_d, mapping)
+    if config.codebook is not None:
+        design_inv = bsc_inversion_matrix(config.codebook.k, config.codebook.rho_d)
     bits_per_frame = (
         config.blocks_per_frame * config.pod.inner.n_sym * config.constellation.bits_per_symbol
     )

@@ -47,11 +47,16 @@ intermediates stay small and no (S, K) array outlives a block.
 
 A worst-case design for a crossover range [f_a, f_b] trains at rho_d = f_b;
 the average-criterion alternative trains at the midpoint (`range_design`).
+
+The trainer takes no index mapping: entry j is sent as the bits of j. J does
+not change when the entries and their bit labels are permuted together, so
+training under a mapping would only hand each entry another label, and the
+trained entry order already is the index assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,7 +114,6 @@ class TrainerConfig:
     tol: stop when the relative objective decrease falls below this
     max_rounds: alternation round cap
     restarts: independent initializations; the best final objective wins
-    mapping: optional index mapping applied during design
     seed: master seed (training set, inits, empty-region restarts)
     """
 
@@ -125,7 +129,6 @@ class TrainerConfig:
     tol: float = 1e-5
     max_rounds: int = 200
     restarts: int = 1
-    mapping: np.ndarray | None = field(default=None)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -133,8 +136,12 @@ class TrainerConfig:
             raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
         if self.k < 1 or (self.k & (self.k - 1)) != 0:
             raise ValueError(f"k must be a power of two, got {self.k}")
-        if self.eta_c < 0:
-            raise ValueError(f"eta_c must be nonnegative, got {self.eta_c}")
+        if not 0.0 <= self.eta_c < np.inf:
+            raise ValueError(f"eta_c must be finite and nonnegative, got {self.eta_c}")
+        if not -1.0 < self.step_m < np.inf:
+            raise ValueError(f"step_m must be finite with 1 + step_m > 0, got {self.step_m}")
+        if np.isnan(self.tol):
+            raise ValueError("tol must be a number, got nan")
         if not 0.0 <= self.rho_d <= 0.5:
             raise ValueError(f"rho_d must lie in [0, 0.5], got {self.rho_d}")
         if self.n_train < self.k:
@@ -414,7 +421,7 @@ def fit(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> TrainingS
     """Full training run with restarts; returns the best state."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    inv = bsc_inversion_matrix(cfg.k, cfg.rho_d, cfg.mapping)
+    inv = bsc_inversion_matrix(cfg.k, cfg.rho_d)
     feats = _features(sample_directions(cfg.n, cfg.n_train, rng))
 
     best = None

@@ -66,10 +66,9 @@ def _report(name: str, ok: bool, detail: str) -> None:
     conftest.CRITERION_LINES.append(line)
 
 
-def _sweep(pod, cb, rho_f, snr_db, frames, seed, baseline="closed-loop"):
-    feedback = None
-    if baseline == "closed-loop":
-        feedback = FeedbackChannel(k=cb.k, rho_f=rho_f)
+def _sweep(pod, cb, rho_f, snr_db, frames, seed):
+    """Closed-loop sweep of cb at crossover rho_f; the open loop when cb is None."""
+    feedback = None if cb is None else FeedbackChannel(k=cb.k, rho_f=rho_f)
     config = SimulationConfig(
         snr_grid_db=[float(s) for s in np.atleast_1d(snr_db)],
         frames=frames,
@@ -77,7 +76,6 @@ def _sweep(pod, cb, rho_f, snr_db, frames, seed, baseline="closed-loop"):
         constellation=BPSK,
         codebook=cb,
         feedback=feedback,
-        baseline_mode=baseline,
         symbols_per_frame=128,
         seed=seed,
     )
@@ -199,7 +197,7 @@ def test_matched_crossover_ber_ordering(design10):
     cbs, secs = design10
     t0 = time.monotonic()
     res = {rho: _sweep(POD4, cbs[rho], rho, 10.0, 20_000, seed=77)[0] for rho in (0.0, 0.04, 0.2, 0.5)}
-    open_ = _sweep(POD4, None, 0.0, 10.0, 20_000, seed=77, baseline="open-loop")[0]
+    open_ = _sweep(POD4, None, 0.0, 10.0, 20_000, seed=77)[0]
     elapsed = time.monotonic() - t0 + sum(secs[r] for r in (0.0, 0.04, 0.2, 0.5))
 
     def gap_sigmas(a, b):

@@ -1,10 +1,19 @@
 """The public surface: every name a layer module lists in `__all__` resolves
 (the benchmark tracer looks each one up), and the package exports exactly the
-union of the library layers' lists; `cli` exports only its entry point."""
+union of the library layers' lists; `cli` exports only its entry point.
 
+The knobs are pinned too: the fields of the configuration dataclasses and
+the options of every subcommand, so that adding or removing one is a visible
+edit here."""
+
+import argparse
+import dataclasses
 import importlib
 
+import pytest
+
 import podsim
+from podsim.cli import _build_parser
 
 LIBRARY_LAYERS = ("channel", "codebook", "feedback", "trainer", "stbc", "pep", "link")
 
@@ -21,3 +30,41 @@ def test_all_entries_resolve_and_package_is_their_union():
     assert len(podsim.__all__) == len(union)
     cli = importlib.import_module("podsim.cli")
     assert cli.__all__ == ["main"] and callable(cli.main)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (podsim.SimulationConfig, ["snr_grid_db", "frames", "pod", "constellation", "codebook",
+                               "feedback", "symbols_per_frame", "seed"]),
+    (podsim.FeedbackChannel, ["k", "rho_f"]),
+    (podsim.TrainerConfig, ["m", "n", "k", "eta_c", "rho_d", "rho_range", "n_train",
+                            "inner_iters", "step_m", "tol", "max_rounds", "restarts", "seed"]),
+])
+def test_config_fields_are_pinned(cls, fields):
+    assert [f.name for f in dataclasses.fields(cls)] == fields
+
+
+SUBCOMMAND_OPTIONS = {
+    "train": ["--antennas", "--feedback-bits", "--precoder-dim", "--rho-d", "--rho-range",
+              "--rho-average", "--eta-c", "--design-snr-db", "--block-length", "--train-size",
+              "--restarts", "--inner-iters", "--step-m", "--tol", "--max-rounds", "--out",
+              "--seed", "--log-level"],
+    "eval-pep": ["--codebook", "--rho-f", "--eta-c", "--snr-db", "--samples", "--out", "--seed",
+                 "--log-level"],
+    "simulate": ["--codebook", "--code", "--constellation", "--baseline", "--rho-f", "--snr-db",
+                 "--frames", "--symbols-per-frame", "--mapping", "--workers", "--out", "--seed",
+                 "--log-level"],
+    "eigen": ["--codebook", "--out", "--log-level"],
+    "map-anneal": ["--codebook", "--rho-f", "--sa-iters", "--out", "--seed", "--log-level"],
+    "recipe": ["name", "--out-dir", "--workers", "--log-level"],
+}
+
+
+def test_subcommand_options_are_pinned():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: [opt for action in cmd._actions if not isinstance(action, argparse._HelpAction)
+               for opt in (action.option_strings or [action.dest])]
+        for name, cmd in sub.choices.items()
+    }
+    assert got == SUBCOMMAND_OPTIONS

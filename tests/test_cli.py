@@ -9,7 +9,7 @@ import pytest
 from podsim.channel import sample_directions
 from podsim.cli import CODE_NAMES, RECIPES, _build_parser, _parse_snr_grid, main
 from podsim.codebook import load_codebook
-from podsim.feedback import bsc_inversion_matrix, load_mapping
+from podsim.feedback import bsc_inversion_matrix, load_mapping, save_mapping
 from podsim.link import BER_CSV_HEADER, SimulationConfig, run_ber_sweep
 from podsim.stbc import Constellation, PodStructure, _design_kinds, get_design
 
@@ -260,6 +260,57 @@ def test_simulate_mapping_flags(tiny_codebook_path, tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_simulate_mapping_relabels_the_codebook(tmp_path):
+    # The mapping moves entry i to label pi(i). A K=8 pi tells that apart from
+    # its inverse and the identity; the counts were pinned when the mapping
+    # still acted inside the feedback link, as pi(i) sent and pi^-1 applied.
+    cb = str(tmp_path / "k8.cb")
+    assert main(["train", "--antennas", "2", "--feedback-bits", "3", "--precoder-dim", "2",
+                 "--rho-d", "0.1", "--eta-c", "2.0", "--train-size", "2000", "--step-m", "63",
+                 "--max-rounds", "20", "--seed", "3", "--out", cb]) == 0
+    pi = np.array([3, 6, 0, 5, 1, 7, 2, 4])
+    pinned = {"pi": (pi, [16986, 4611]), "inverse": (np.argsort(pi), [16625, 4348]),
+              "identity": (np.arange(8), [14033, 3162])}
+    for name, (perm, counts) in pinned.items():
+        save_mapping(tmp_path / f"{name}.txt", perm)
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--codebook", cb, "--code", "od2", "--constellation", "bpsk",
+                     "--rho-f", "0.1", "--snr-db", "4:8:4", "--frames", "4000", "--seed", "3",
+                     "--mapping", f"file:{tmp_path / name}.txt", "--out", str(out)]) == 0
+        assert [int(line.split(",")[4]) for line in out.read_text().split()[1:]] == counts, name
+
+
+def test_train_takes_no_mapping(tmp_path):
+    # The trained entry order is the index assignment, so train has no --mapping.
+    with pytest.raises(SystemExit) as ei:
+        main(["train", "--antennas", "2", "--feedback-bits", "1", "--rho-d", "0",
+              "--eta-c", "1", "--mapping", "identity", "--out", str(tmp_path / "cb.cb")])
+    assert ei.value.code == 2
+
+
+TRAIN_SMALL = ["train", "--antennas", "2", "--feedback-bits", "1", "--rho-d", "0.1",
+               "--train-size", "200", "--max-rounds", "3"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (TRAIN_SMALL + ["--eta-c", "nan"], "eta_c"),
+    (TRAIN_SMALL + ["--design-snr-db", "nan"], "eta_c"),
+    (TRAIN_SMALL + ["--eta-c", "inf"], "eta_c"),
+    (TRAIN_SMALL + ["--eta-c", "1", "--step-m", "-3"], "step_m"),
+    (TRAIN_SMALL + ["--eta-c", "1", "--step-m", "nan"], "step_m"),
+    (TRAIN_SMALL + ["--eta-c", "1", "--tol", "nan"], "tol"),
+    (["simulate", "--code", "od2", "--constellation", "bpsk", "--baseline", "open-loop",
+      "--frames", "20", "--snr-db", "nan"], "SNR points"),
+    (["simulate", "--code", "od2", "--constellation", "bpsk", "--baseline", "open-loop",
+      "--frames", "20", "--snr-db=-inf"], "SNR points"),
+])
+def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_flags_its_baseline_ignores(tiny_codebook_path, tmp_path, capsys):
     # A mapping only acts on the closed loop's feedback link, and the open
     # loop uses no codebook, so these runs are errors rather than no-ops.
@@ -313,7 +364,7 @@ def test_simulate_open_loop_new_codes_match_sweep(tmp_path, code, const, constel
     design = get_design(CODE_NAMES[code])
     config = SimulationConfig(
         snr_grid_db=[2.0, 8.0], frames=300, pod=PodStructure(inner=design, n=design.m),
-        constellation=constellation, baseline_mode="open-loop",
+        constellation=constellation,
         symbols_per_frame=130 // design.n_sym * design.n_sym, seed=4,
     )
     counts = [int(line.split(",")[4]) for line in out.read_text().split()[1:]]

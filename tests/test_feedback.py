@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -41,21 +43,26 @@ def test_two_bit_error_probability():
 
 
 def test_matrix_is_column_stochastic_and_symmetric():
+    # Also under a mapping: the permuted matrix mapping_cost builds.
     rng = np.random.default_rng(0)
     for k, rho in [(2, 0.3), (8, 0.04), (16, 0.11), (16, 0.5)]:
         perm = rng.permutation(k)
-        p = bsc_inversion_matrix(k, rho, perm)
-        assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-12
-        assert np.abs(p - p.T).max() <= 1e-15
+        for p in (bsc_inversion_matrix(k, rho), bsc_inversion_matrix(k, rho)[np.ix_(perm, perm)]):
+            assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-12
+            assert np.abs(p - p.T).max() <= 1e-15
 
 
 def test_mapping_permutes_error_pattern():
+    # mapping_cost scores perm by p_f(perm[j] | perm[i]): with all of the
+    # usage on i and unit distortion on (i, j) alone, the cost is that entry.
     perm = np.array([2, 0, 3, 1])
-    p_mapped = bsc_inversion_matrix(4, 0.1, perm)
     p_plain = bsc_inversion_matrix(4, 0.1)
     for i in range(4):
         for j in range(4):
-            assert p_mapped[j, i] == p_plain[perm[j], perm[i]]
+            dist = np.zeros((4, 4))
+            dist[i, j] = 1.0
+            got = mapping_cost(perm, p_plain, np.eye(4)[i], dist)
+            assert got == p_plain[perm[j], perm[i]]
 
 
 def test_mapping_irrelevant_at_extreme_crossover():
@@ -64,22 +71,23 @@ def test_mapping_irrelevant_at_extreme_crossover():
         base = bsc_inversion_matrix(8, rho)
         for _ in range(5):
             perm = rng.permutation(8)
-            assert np.abs(bsc_inversion_matrix(8, rho, perm) - base).max() <= 1e-15
+            assert np.abs(base[np.ix_(perm, perm)] - base).max() <= 1e-15
 
 
 def test_degenerate_single_index():
     assert np.array_equal(bsc_inversion_matrix(1, 0.3), np.array([[1.0]]))
 
 
-def test_validation():
+def test_validation(tmp_path):
     with pytest.raises(ValueError):
         bsc_inversion_matrix(3, 0.1)
     with pytest.raises(ValueError):
         bsc_inversion_matrix(4, 0.6)
     with pytest.raises(ValueError):
         FeedbackChannel(k=1, rho_f=0.1)
-    with pytest.raises(ValueError):
-        FeedbackChannel(k=4, rho_f=0.1, mapping=np.array([0, 0, 1, 2]))
+    with pytest.raises(ValueError, match="permutation"):
+        save_mapping(tmp_path / "map.txt", np.array([0, 0, 1, 2]))
+    assert not (tmp_path / "map.txt").exists()
 
 
 def test_transmit_noiseless_is_identity():
@@ -105,22 +113,12 @@ def test_transmit_uniform_at_half():
     assert np.abs(freq - 1.0 / 16).max() < 0.01
 
 
-def test_transmit_respects_mapping():
-    # With mapping, the empirical column must match the mapped inversion matrix.
-    perm = np.array([3, 1, 0, 2])
-    chan = FeedbackChannel(k=4, rho_f=0.2, mapping=perm)
-    rng = np.random.default_rng(21)
-    out = chan.transmit_batch(np.full(200_000, 2, dtype=np.int64), rng)
-    freq = np.bincount(out, minlength=4) / 200_000
-    expected = bsc_inversion_matrix(4, 0.2, perm)[:, 2]
-    assert np.abs(freq - expected).max() < 0.01
-
-
 def test_inversion_probability_matches_matrix():
     # p_f(j|i) = rho^d (1 - rho)^(b - d), d the Hamming distance of the
-    # mapped bit patterns, one pair at a time.
+    # mapped bit patterns, one pair at a time, in the permuted matrix that
+    # mapping_cost builds.
     mapping = np.array([4, 2, 7, 0, 3, 6, 1, 5])
-    p = bsc_inversion_matrix(8, 0.07, mapping)
+    p = bsc_inversion_matrix(8, 0.07)[np.ix_(mapping, mapping)]
     for i in range(8):
         for j in range(8):
             d = int(mapping[i] ^ mapping[j]).bit_count()
@@ -213,6 +211,22 @@ def test_anneal_matches_exhaustive_minimum_k4():
     assert got <= best + 1e-12
 
 
+def test_anneal_logs_identity_and_annealed_cost(caplog):
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    mats = rank_one_codebook([v / np.linalg.norm(v) for v in z], power=2.0)
+    marg = np.full(8, 1 / 8)
+    with caplog.at_level(logging.INFO, logger="podsim.feedback"):
+        perm = optimize_mapping(mats, marg, 0.05, n_iter=2000, rng=np.random.default_rng(0))
+    bit_matrix = bsc_inversion_matrix(8, 0.05)
+    dist = _chordal_distance_matrix(mats)
+    costs = [mapping_cost(p, bit_matrix, marg, dist) for p in (np.arange(8), perm)]
+    assert costs[1] < costs[0]
+    records = [r for r in caplog.records if r.name == "podsim.feedback"]
+    assert [r.levelno for r in records] == [logging.INFO]
+    assert records[0].getMessage() == "identity cost %.6g, annealed cost %.6g" % tuple(costs)
+
+
 def test_anneal_never_worse_than_identity():
     rng = np.random.default_rng(31)
     for trial in range(3):
@@ -247,5 +261,5 @@ def test_mapping_file_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         load_mapping(path)
     path.write_text("PODMAP 1\nK 4\n1 1 2 3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="permutation"):
         load_mapping(path)

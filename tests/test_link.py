@@ -202,13 +202,15 @@ def test_ml_decode_matches_matched_filter_on_orthogonal_design():
     assert np.array_equal(ml, mf)
 
 
-def make_sim(baseline, frames=400, snr=None, rho_f=0.0, seed=5, cb=None, symbols=130):
+def make_sim(cb=None, rho_f=None, frames=400, snr=None, seed=5, symbols=130):
+    """Alamouti sweep: the open loop without cb, the genie with cb alone, and
+    the closed loop with cb and a feedback crossover rho_f."""
     if snr is None:
         snr = [8.0]
     design = get_design("alamouti")
     pod = PodStructure(inner=design, n=2)
     feedback = None
-    if baseline == "closed-loop":
+    if rho_f is not None:
         feedback = FeedbackChannel(k=cb.k, rho_f=rho_f)
     return SimulationConfig(
         snr_grid_db=snr,
@@ -217,7 +219,6 @@ def make_sim(baseline, frames=400, snr=None, rho_f=0.0, seed=5, cb=None, symbols
         constellation=Constellation("qpsk-rot"),
         codebook=cb,
         feedback=feedback,
-        baseline_mode=baseline,
         symbols_per_frame=symbols,
         seed=seed,
     )
@@ -226,18 +227,17 @@ def make_sim(baseline, frames=400, snr=None, rho_f=0.0, seed=5, cb=None, symbols
 def test_simulation_config_validation():
     cb = small_trained_codebook()
     with pytest.raises(ValueError, match="multiple"):
-        make_sim("open-loop", symbols=131).validate()
+        make_sim(symbols=131).validate()
     with pytest.raises(ValueError, match="frame"):
-        make_sim("open-loop", frames=0).validate()
-    with pytest.raises(ValueError, match="baseline"):
-        make_sim("unknown").validate()
-    with pytest.raises(ValueError, match="codebook"):
-        make_sim("genie", cb=None).validate()
-    cfg = make_sim("closed-loop", cb=cb)
-    cfg.feedback = None
-    with pytest.raises(ValueError, match="feedback"):
+        make_sim(frames=0).validate()
+    for bad_snr in ([float("nan")], [4.0, float("-inf")], [float("inf")]):
+        with pytest.raises(ValueError, match="SNR points must be finite"):
+            make_sim(snr=bad_snr).validate()
+    cfg = make_sim()
+    cfg.feedback = FeedbackChannel(k=2, rho_f=0.1)
+    with pytest.raises(ValueError, match="feedback channel needs a codebook"):
         cfg.validate()
-    bad = make_sim("closed-loop", cb=cb)
+    bad = make_sim(cb=cb, rho_f=0.0)
     bad.feedback = FeedbackChannel(k=2, rho_f=0.0)
     with pytest.raises(ValueError, match="K="):
         bad.validate()
@@ -245,7 +245,7 @@ def test_simulation_config_validation():
     design4 = get_design("real-od-4")
     cfg4 = SimulationConfig(
         snr_grid_db=[8.0], frames=10, pod=PodStructure(inner=design4, n=4),
-        constellation=Constellation("bpsk"), baseline_mode="open-loop",
+        constellation=Constellation("bpsk"),
     )
     with pytest.raises(ValueError, match="multiple"):
         cfg4.validate()
@@ -253,7 +253,7 @@ def test_simulation_config_validation():
 
 def test_sweep_reproducible_and_worker_invariant():
     cb = small_trained_codebook()
-    cfg = make_sim("closed-loop", frames=3000, rho_f=0.1, cb=cb)
+    cfg = make_sim(cb, rho_f=0.1, frames=3000)
     a = run_ber_sweep(cfg)
     b = run_ber_sweep(cfg)
     assert [r.bit_errors for r in a] == [r.bit_errors for r in b]
@@ -263,7 +263,7 @@ def test_sweep_reproducible_and_worker_invariant():
 
 def test_sweep_counts_and_fields():
     cb = small_trained_codebook()
-    cfg = make_sim("genie", frames=500, snr=[4.0, 8.0], cb=cb)
+    cfg = make_sim(cb, frames=500, snr=[4.0, 8.0])
     out = run_ber_sweep(cfg)
     assert len(out) == 2
     for r, snr in zip(out, [4.0, 8.0]):
@@ -280,7 +280,7 @@ def test_sweep_counts_and_fields():
 
 def test_sweep_ber_decreases_with_snr():
     cb = small_trained_codebook()
-    cfg = make_sim("open-loop", frames=2500, snr=[0.0, 6.0, 12.0])
+    cfg = make_sim(frames=2500, snr=[0.0, 6.0, 12.0])
     out = run_ber_sweep(cfg)
     bers = [r.ber for r in out]
     assert bers[0] > bers[1] > bers[2]
@@ -288,7 +288,7 @@ def test_sweep_ber_decreases_with_snr():
 
 def test_sweep_high_snr_error_free():
     cb = small_trained_codebook()
-    cfg = make_sim("genie", frames=200, snr=[40.0], cb=cb)
+    cfg = make_sim(cb, frames=200, snr=[40.0])
     out = run_ber_sweep(cfg)
     assert out[0].bit_errors == 0
     assert out[0].ber_stderr == 0.0
@@ -297,8 +297,8 @@ def test_sweep_high_snr_error_free():
 def test_closed_loop_beats_open_loop_with_clean_feedback():
     cb = small_trained_codebook()
     frames = 4000
-    closed = run_ber_sweep(make_sim("closed-loop", frames=frames, rho_f=0.0, cb=cb, seed=11))[0]
-    open_ = run_ber_sweep(make_sim("open-loop", frames=frames, seed=12))[0]
+    closed = run_ber_sweep(make_sim(cb, rho_f=0.0, frames=frames, seed=11))[0]
+    open_ = run_ber_sweep(make_sim(frames=frames, seed=12))[0]
     gap = open_.ber - closed.ber
     sigma = math.hypot(open_.ber_stderr, closed.ber_stderr)
     assert gap > 5.0 * sigma
@@ -333,7 +333,6 @@ def test_decoupled_sweep_matches_exhaustive():
         constellation=Constellation("bpsk"),
         codebook=cb,
         feedback=FeedbackChannel(k=cb.k, rho_f=0.1),
-        baseline_mode="closed-loop",
         symbols_per_frame=128,
         seed=17,
     )
@@ -344,7 +343,6 @@ def test_decoupled_sweep_matches_exhaustive():
         frames=120,
         pod=PodStructure(inner=get_design("real-od-6x8"), n=4),
         constellation=Constellation("bpsk"),
-        baseline_mode="open-loop",
         symbols_per_frame=64,
         seed=9,
     )
@@ -359,7 +357,6 @@ def test_sweep_matches_exhaustive_on_every_design(kind, const):
         frames=300,
         pod=PodStructure(inner=design, n=design.m),
         constellation=Constellation(const),
-        baseline_mode="open-loop",
         symbols_per_frame=8 * design.n_sym,
         seed=23,
     )
@@ -384,8 +381,8 @@ def test_worker_count_capped_by_tasks_and_cores():
 
 def test_genie_equals_closed_loop_at_zero_rho():
     cb = small_trained_codebook()
-    genie = run_ber_sweep(make_sim("genie", frames=800, cb=cb, seed=21))[0]
-    closed = run_ber_sweep(make_sim("closed-loop", frames=800, rho_f=0.0, cb=cb, seed=21))[0]
+    genie = run_ber_sweep(make_sim(cb, frames=800, seed=21))[0]
+    closed = run_ber_sweep(make_sim(cb, rho_f=0.0, frames=800, seed=21))[0]
     # same seed; the only rng difference is the feedback draw, which flips
     # nothing at rho_f = 0 but advances the stream, so compare statistically
     sigma = math.hypot(genie.ber_stderr, closed.ber_stderr)

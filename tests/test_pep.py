@@ -209,14 +209,37 @@ def test_average_bound_rejects_mismatched_inversion_matrix():
 
 
 def test_average_bound_mapping_invariant_at_half_rho():
+    # A mapping pi relabels the codebook, entry i to label pi(i); at rho = 1/2
+    # every index is equally likely to arrive, so the labels cannot matter.
     rng = np.random.default_rng(17)
     cb = random_codebook(4, 2, 4, 2.5, 0.5, rng)
     dirs = sample_directions(2, 500, rng)
-    inv_identity = bsc_inversion_matrix(4, 0.5)
-    inv_permuted = bsc_inversion_matrix(4, 0.5, mapping=[2, 0, 3, 1])
-    a = average_pep_bound(build_evaluation_set(cb, inv_identity, dirs), inv_identity)
-    b = average_pep_bound(build_evaluation_set(cb, inv_permuted, dirs), inv_permuted)
+    perm = np.array([2, 0, 3, 1])
+    matrices, marginals = np.empty_like(cb.matrices), np.empty_like(cb.marginals)
+    matrices[perm], marginals[perm] = cb.matrices, cb.marginals
+    relabeled = make_codebook(4, 2, 4, 2.5, 0.5, matrices, marginals)
+    inv = bsc_inversion_matrix(4, 0.5)
+    a = average_pep_bound(build_evaluation_set(cb, inv, dirs), inv)
+    b = average_pep_bound(build_evaluation_set(relabeled, inv, dirs), inv)
     assert a == pytest.approx(b, rel=1e-14)
+
+
+def test_relabeled_codebook_matches_permuted_inversion_matrix():
+    # Moving entry i to label pi(i) is the same design as keeping the entry
+    # order and sending index i as the bits of pi(i): p_f(pi(j) | pi(i)).
+    rng = np.random.default_rng(23)
+    cb = random_codebook(4, 2, 8, 2.5, 0.1, rng)
+    dirs = sample_directions(2, 500, rng)
+    perm = np.array([3, 6, 0, 5, 1, 7, 2, 4])
+    matrices, marginals = np.empty_like(cb.matrices), np.empty_like(cb.marginals)
+    matrices[perm], marginals[perm] = cb.matrices, cb.marginals
+    relabeled = make_codebook(4, 2, 8, 2.5, 0.1, matrices, marginals)
+    for rho in (0.02, 0.1, 0.3):
+        inv = bsc_inversion_matrix(8, rho)
+        inv_mapped = inv[np.ix_(perm, perm)]
+        a = average_pep_bound(build_evaluation_set(cb, inv_mapped, dirs), inv_mapped)
+        b = average_pep_bound(build_evaluation_set(relabeled, inv, dirs), inv)
+        assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_average_bound_in_unit_interval_half():
