@@ -10,6 +10,7 @@ Files are line oriented UTF-8 text:
 
     PODCB 1
     M <int> N <int> K <int> ETA_C <float> RHO_D <float>
+    RANGE <f_a> <f_b>
     MARGINALS <K floats>
     P 1
     <N rows of N "re im" pairs>
@@ -17,7 +18,9 @@ Files are line oriented UTF-8 text:
     P K
     ...
 
-Floats carry 17 significant digits so a save/load round trip is exact.
+The RANGE line is written only for a codebook with a design range
+(`rho_range`); a file without it loads with no range. Floats carry 17
+significant digits so a save/load round trip is exact.
 """
 
 from __future__ import annotations
@@ -89,8 +92,8 @@ class PrecoderCodebook:
     eta_c: design distance-to-noise parameter
     rho_d: design crossover probability
     marginals: entry usage probabilities p(i) estimated during training
-    rho_range: optional design range (f_a, f_b) for worst-case designs;
-        not persisted by the file format
+    rho_range: optional design range (f_a, f_b), 0 <= f_a <= f_b <= 0.5,
+        of the worst-case and average design rules
     """
 
     m: int
@@ -111,6 +114,17 @@ class PrecoderCodebook:
             raise CodebookError(f"eta_c must be finite and nonnegative, got {self.eta_c}")
         if not 0.0 <= self.rho_d <= 0.5:
             raise CodebookError(f"rho_d must lie in [0, 0.5], got {self.rho_d}")
+        if self.rho_range is not None:
+            try:
+                f_a, f_b = (float(f) for f in self.rho_range)
+            except (TypeError, ValueError):
+                raise CodebookError(
+                    f"rho_range must be a pair (f_a, f_b), got {self.rho_range!r}"
+                ) from None
+            if not 0.0 <= f_a <= f_b <= 0.5:
+                raise CodebookError(
+                    f"need 0 <= f_a <= f_b <= 0.5, got rho_range {self.rho_range}"
+                )
         mats = np.asarray(self.matrices)
         if mats.shape != (self.k, self.n, self.n):
             raise CodebookError(f"matrices must have shape {(self.k, self.n, self.n)}, got {mats.shape}")
@@ -156,6 +170,8 @@ def save_codebook(cb: PrecoderCodebook, path) -> None:
     lines.append(
         f"M {cb.m} N {cb.n} K {cb.k} ETA_C {_fmt(cb.eta_c)} RHO_D {_fmt(cb.rho_d)}"
     )
+    if cb.rho_range is not None:
+        lines.append("RANGE " + " ".join(_fmt(f) for f in cb.rho_range))
     lines.append("MARGINALS " + " ".join(_fmt(v) for v in np.asarray(cb.marginals, dtype=float)))
     mats = np.asarray(cb.matrices)
     for j in range(cb.k):
@@ -204,6 +220,13 @@ def load_codebook(path) -> PrecoderCodebook:
     eta_c = float(_parse_floats([head[7]], 1, f"{path}: ETA_C")[0])
     rho_d = float(_parse_floats([head[9]], 1, f"{path}: RHO_D")[0])
 
+    rho_range = None
+    if lines[2].split()[0] == "RANGE":
+        f_a, f_b = _parse_floats(lines[2].split()[1:], 2, f"{path}: RANGE")
+        rho_range = (float(f_a), float(f_b))
+        lines = lines[:2] + lines[3:]
+    if len(lines) < 3:
+        raise CodebookError(f"{path}: truncated header")
     marg_tokens = lines[2].split()
     if not marg_tokens or marg_tokens[0] != "MARGINALS":
         raise CodebookError(f"{path}: expected MARGINALS line, got {lines[2]!r}")
@@ -227,7 +250,8 @@ def load_codebook(path) -> PrecoderCodebook:
             pos += 1
 
     cb = PrecoderCodebook(
-        m=m, n=n, k=k, matrices=matrices, eta_c=eta_c, rho_d=rho_d, marginals=marginals
+        m=m, n=n, k=k, matrices=matrices, eta_c=eta_c, rho_d=rho_d, marginals=marginals,
+        rho_range=rho_range,
     )
     cb.validate()
     return cb

@@ -28,25 +28,30 @@ remapped index assignment is a relabeled codebook, not a link option.
 
 Monte Carlo frames are processed in fixed-size chunks, each seeded from
 (seed, snr_point, chunk) independently, so results are identical for any
-worker count.
+worker count. A sweep runs its chunks through one scratch of preallocated
+arrays, sized by its largest chunk, that every chunk and SNR point writes
+into; with several workers, each worker runs one contiguous batch of chunks
+through its own scratch. Fresh (frames, .) blocks per chunk would go back
+to the OS between chunks and fault their pages in again, which costs a
+sweep a measurable share of its time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import complex_gaussian
+from .channel import _complex_gaussian
 from .codebook import PrecoderCodebook
 from .feedback import FeedbackChannel, bsc_inversion_matrix
 from .stbc import Constellation, InnerDesign, PodStructure, gray_code, slot_alphabets
-from .trainer import encode_batch
+from .trainer import _coordinates, _encode_directions
 
 __all__ = [
     "BER_CSV_HEADER",
@@ -94,6 +99,48 @@ def candidate_codewords(
     return syms, words
 
 
+class _Scratch:
+    """A stack of arrays that every chunk of one run of chunks reuses.
+
+    take(shape, dtype) hands out the next region of one flat buffer, and
+    leaving a scope() hands back every region taken inside it, so steps of a
+    chunk whose arrays are never alive together share memory. reset() starts
+    a chunk at the bottom of the stack. A region that does not fit is a fresh
+    array instead, and the next reset() grows the buffer to the deepest
+    stack seen: a run allocates in its first full chunk, and every later
+    chunk and SNR point writes into pages that are already mapped.
+    """
+
+    _ALIGN = 64  # bytes; every region starts on a cache line
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0, np.uint8)
+        self._top = 0
+        self._depth = 0
+
+    def reset(self) -> None:
+        if self._depth > len(self._buf):
+            self._buf = np.empty(self._depth, np.uint8)
+        self._top = 0
+
+    def take(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        start, size = self._top, math.prod(shape) * dtype.itemsize
+        self._top += -(-size // self._ALIGN) * self._ALIGN
+        self._depth = max(self._depth, self._top)
+        if self._top > len(self._buf):
+            return np.empty(shape, dtype)
+        return self._buf[start : start + size].view(dtype).reshape(shape)
+
+    @contextlib.contextmanager
+    def scope(self):
+        top = self._top
+        try:
+            yield
+        finally:
+            self._top = top
+
+
 @dataclass(frozen=True)
 class _GroupDecoder:
     """Exact ML block decoder of one design and alphabet, split into slot
@@ -113,19 +160,42 @@ class _GroupDecoder:
     symbols: np.ndarray  # (G, C, S) slot symbols of each group candidate
     bit_dist: np.ndarray  # (C, C) differing Gray-label bits between group candidates
 
-    def frame_terms(self, h_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def frame_terms(
+        self, h_eff: np.ndarray, scratch: _Scratch | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per frame: u = R^H h_eff, shape (F, 2t, D), and x^T Gamma_g x of
-        every group candidate x, shape (F, 1, G * C), Gamma_g = u_g^T u_g."""
+        every group candidate x, shape (F, 1, G * C), Gamma_g = u_g^T u_g;
+        both are taken from the scratch when one is given."""
+        scratch = scratch or _Scratch()
+        f, n_groups = len(h_eff), len(self.slot_groups)
         # Stacked (3-D) products keep every BLAS call small and single-threaded.
-        u = (h_eff.view(float)[:, None, :] @ self.basis).reshape(len(h_eff), -1, len(self.lin_map))
-        ug = u.reshape(*u.shape[:2], len(self.slot_groups), -1)
-        gram = np.einsum("fkgi,fkgj->fgij", ug, ug).reshape(len(u), 1, -1)
-        return u, gram @ self.quad_map
+        u = np.matmul(
+            h_eff.view(float)[:, None, :], self.basis,
+            out=scratch.take((f, 1, self.basis.shape[1])),
+        ).reshape(f, -1, len(self.lin_map))
+        ug = u.reshape(*u.shape[:2], n_groups, -1)
+        size = ug.shape[3]
+        quad = scratch.take((f, 1, self.quad_map.shape[1]))
+        with scratch.scope():
+            gram = scratch.take((f, n_groups, size, size))
+            np.einsum("fkgi,fkgj->fgij", ug, ug, out=gram)
+            np.matmul(gram.reshape(f, 1, -1), self.quad_map, out=quad)
+        return u, quad
 
-    def decide(self, u: np.ndarray, quad: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def decide(
+        self, u: np.ndarray, quad: np.ndarray, y: np.ndarray, scratch: _Scratch | None = None
+    ) -> np.ndarray:
         """Group candidates (F, S, G) minimizing ||y - Z_in^H h_eff||^2 over
-        S blocks y, shape (F, S, 2t), per frame; ties go to the first candidate."""
-        metric = ((y @ u) @ self.lin_map + quad).reshape(*y.shape[:2], len(self.symbols), -1)
+        S blocks y, shape (F, S, 2t), per frame; ties go to the first
+        candidate. The metrics are computed in the scratch when one is given."""
+        scratch = scratch or _Scratch()
+        f, s = y.shape[:2]
+        metric = scratch.take((f, s, self.lin_map.shape[1]))
+        with scratch.scope():
+            yu = np.matmul(y, u, out=scratch.take((f, s, u.shape[2])))
+            np.matmul(yu, self.lin_map, out=metric)
+        metric += quad
+        metric = metric.reshape(f, s, len(self.symbols), -1)
         if metric.shape[3] == 2:
             # One comparison per group is much cheaper than a row-wise argmin.
             return (metric[..., 1] < metric[..., 0]).astype(np.intp)
@@ -267,52 +337,127 @@ class SimulationConfig:
         return self.feedback.rho_f if self.feedback is not None else 0.0
 
 
-def _simulate_chunk(
-    config: SimulationConfig,
-    design_inv: np.ndarray | None,
-    point_idx: int,
-    chunk_idx: int,
-    n_frames: int,
+def _tail_directions(tail: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """Unit direction of each tail row, e_1 for a zero row, in the scratch.
+    The norms are np.linalg.norm's sum of conj(x) x and the division is
+    complex, as in tail / norms, so the directions match those bit for bit."""
+    frames, n = tail.shape
+    dirs = scratch.take((frames, n), complex)
+    with scratch.scope():
+        sq = np.conjugate(tail, out=scratch.take((frames, n), complex))
+        sq *= tail
+        norms = np.add.reduce(sq.real, axis=1, keepdims=True, out=scratch.take((frames, 1)))
+        np.sqrt(norms, out=norms)
+        zero = norms[:, 0] == 0
+        norms[zero] = 1.0
+        np.divide(tail, norms, out=dirs)
+    dirs[zero] = 0.0
+    dirs[zero, 0] = 1.0
+    return dirs
+
+
+def _block_errors(
+    decoder: _GroupDecoder,
+    h_eff: np.ndarray,
+    t: int,
+    blocks: int,
     sigma_n2: float,
+    rng: np.random.Generator,
+    scratch: _Scratch,
 ) -> int:
-    """Bit errors over one chunk of frames at one SNR point."""
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, point_idx, chunk_idx)))
-    pod = config.pod
-    m, n, t = pod.m, pod.n, pod.t
-    blocks = config.blocks_per_frame
-    decoder = _group_decoder(pod.inner, config.constellation)
-
-    h = complex_gaussian((n_frames, m), rng)
-    h_eff = h.copy()
-    if config.codebook is not None:
-        tail = h[:, m - n :]
-        norms = np.linalg.norm(tail, axis=1, keepdims=True)
-        dirs = np.where(norms > 0, tail / np.where(norms == 0, 1.0, norms), 0.0)
-        dirs[norms[:, 0] == 0, 0] = 1.0
-        matrices = np.asarray(config.codebook.matrices)
-        applied = encode_batch(dirs, matrices, config.codebook.eta_c, design_inv)
-        if config.feedback is not None:
-            applied = config.feedback.transmit_batch(applied, rng)
-        h_eff[:, m - n :] = (tail[:, None, :] @ matrices.conj()[applied])[:, 0, :]
-
-    tx = rng.integers(0, len(decoder.cand_groups), size=(n_frames, blocks))
-    u, quad = decoder.frame_terms(h_eff)
+    """Bit errors of `blocks` uniformly random t-slot blocks per frame, sent
+    over the effective channels h_eff, one row per frame, and ML decoded."""
+    frames = len(h_eff)
+    tx = rng.integers(0, len(decoder.cand_groups), size=(frames, blocks))
+    u, quad = decoder.frame_terms(h_eff, scratch)
     scale = math.sqrt(sigma_n2 / 2.0)
     # Slabs of blocks bound the metric size; one noise draw per slab keeps the per-block order.
-    step = max(1, _SLAB_METRICS // (n_frames * quad.shape[2]))
+    step = max(1, _SLAB_METRICS // (frames * quad.shape[2]))
     errors = 0
     for b in range(0, blocks, step):
         tx_slab = tx[:, b : b + step]
-        noise = scale * rng.standard_normal((tx_slab.shape[1], 2, n_frames, t))
-        # y = Z_in(s)^H h_eff + n = sum_c x_c u_c + n, as real rows [Re; Im]
-        y = decoder.cand_points[tx_slab] @ u.swapaxes(1, 2)
-        y_parts = y.reshape(n_frames, -1, 2, t)
-        y_parts += noise.transpose(2, 0, 1, 3)
-        rx = decoder.decide(u, quad, y)
+        slab = tx_slab.shape[1]
+        with scratch.scope():
+            noise = rng.standard_normal(out=scratch.take((slab, 2, frames, t)))
+            noise *= scale
+            # y = Z_in(s)^H h_eff + n = sum_c x_c u_c + n, as real rows [Re; Im]
+            points = np.take(decoder.cand_points, tx_slab, axis=0, mode="clip",
+                             out=scratch.take((frames, slab, u.shape[2])))
+            y = np.matmul(points, u.swapaxes(1, 2), out=scratch.take((frames, slab, 2 * t)))
+            y_parts = y.reshape(frames, -1, 2, t)
+            y_parts += noise.transpose(2, 0, 1, 3)
+            rx = decoder.decide(u, quad, y, scratch)
         tx_groups = decoder.cand_groups[tx_slab]
         wrong = rx != tx_groups
         errors += int(decoder.bit_dist[tx_groups[wrong], rx[wrong]].sum())
     return errors
+
+
+def _effective_channels(
+    config: SimulationConfig,
+    design_inv: np.ndarray | None,
+    precoders: tuple[np.ndarray, np.ndarray] | None,
+    frames: int,
+    rng: np.random.Generator,
+    scratch: _Scratch,
+) -> np.ndarray:
+    """One channel draw per frame, returned as h_eff = [head; P^H tail] with P
+    the codebook entry the transmitter applies (h itself without a codebook).
+    precoders is the codebook's (coordinates, conjugate matrices)."""
+    m, n = config.pod.m, config.pod.n
+    h = scratch.take((frames, m), complex)
+    with scratch.scope():
+        _complex_gaussian(h, scratch.take((2, frames, m)), rng)
+    if precoders is None:
+        return h
+    coords, conj = precoders
+    cb = config.codebook
+    tail = h[:, m - n :]
+    # Each array dies right after its last use (passed on unnamed, or
+    # deleted), so a chunk run before the scratch has grown holds no more
+    # fresh arrays at once than the scratch will.
+    with scratch.scope():
+        applied = scratch.take((frames,), np.intp)
+        with scratch.scope():
+            _encode_directions(
+                _tail_directions(tail, scratch), coords, cb.eta_c, design_inv,
+                (scratch.take((frames, n * n)), scratch.take((frames, cb.k)),
+                 scratch.take((frames, cb.k)), applied),
+            )
+        if config.feedback is not None:
+            applied = config.feedback.transmit_batch(applied, rng)
+        # take() buffers its output unless the mode is "clip"; every index is in range.
+        chosen = scratch.take((frames, n, n), complex)
+        np.take(conj, applied, axis=0, mode="clip", out=chosen)
+        precoded = np.matmul(tail[:, None, :], chosen, out=scratch.take((frames, 1, n), complex))
+        del chosen
+        tail[:] = precoded[:, 0, :]
+    return h
+
+
+def _simulate_chunks(
+    config: SimulationConfig, design_inv: np.ndarray | None, tasks: list[tuple]
+) -> list[int]:
+    """Bit errors of each (point_idx, chunk_idx, frames, sigma_n2) task, in
+    task order. The codebook's coordinates and conjugates and the decoder
+    tables are looked up once, and every chunk takes its arrays from one
+    scratch. No array of a chunk outlives it, so the scratch grows after the
+    first full chunk without holding that chunk's arrays as well."""
+    decoder = _group_decoder(config.pod.inner, config.constellation)
+    precoders = None
+    if config.codebook is not None:
+        matrices = np.asarray(config.codebook.matrices)
+        precoders = _coordinates(matrices), matrices.conj()
+    t, blocks = config.pod.t, config.blocks_per_frame
+    scratch = _Scratch()
+    counts = []
+    for point_idx, chunk_idx, frames, sigma_n2 in tasks:
+        scratch.reset()
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, point_idx, chunk_idx)))
+        h_eff = _effective_channels(config, design_inv, precoders, frames, rng, scratch)
+        counts.append(_block_errors(decoder, h_eff, t, blocks, sigma_n2, rng, scratch))
+        del h_eff  # before the next reset(), which may replace the buffer it lives in
+    return counts
 
 
 def _chunk_plan(frames: int) -> list[int]:
@@ -348,14 +493,22 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
     for p_idx, snr_db in enumerate(config.snr_grid_db):
         sigma_n2 = noise_variance(config.pod.m, snr_db)
         for c_idx, size in enumerate(plan):
-            tasks.append((config, design_inv, p_idx, c_idx, size, sigma_n2))
+            tasks.append((p_idx, c_idx, size, sigma_n2))
 
+    run = functools.partial(_simulate_chunks, config, design_inv)
     workers = _worker_count(workers, len(tasks))
     if workers == 1:
-        counts = [_simulate_chunk(*t) for t in tasks]
+        counts = run(tasks)
     else:
+        # Imported here, not with the module: the process machinery adds about
+        # 40 % to podsim's import time, and serial sweeps never use it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # One contiguous batch of tasks per worker, so a worker too reuses one scratch.
+        bounds = [len(tasks) * w // workers for w in range(workers + 1)]
+        batches = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_simulate_chunk, *zip(*tasks), chunksize=1))
+            counts = [c for batch in pool.map(run, batches) for c in batch]
 
     results = []
     per_point = len(plan)

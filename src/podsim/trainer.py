@@ -169,13 +169,14 @@ class TrainingState:
     halvings: list[int]
 
 
-def _features(dirs: np.ndarray) -> np.ndarray:
+def _features(dirs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b) for a < b] for each row h
-    of dirs: a real (S, n^2) matrix."""
+    of dirs: a real (S, n^2) matrix, written into out when given."""
     n = dirs.shape[1]
     pairs = list(zip(*np.triu_indices(n, 1)))
-    out = np.empty((len(dirs), n * n))
-    out[:, :n] = dirs.real**2 + dirs.imag**2
+    if out is None:
+        out = np.empty((len(dirs), n * n))
+    np.add(dirs.real**2, dirs.imag**2, out=out[:, :n])
     # Column by column, so the only temporaries are (S,) vectors.
     for p, (a, b) in enumerate(pairs):
         cross = dirs[:, a].conj() * dirs[:, b]
@@ -207,37 +208,63 @@ def _from_features(r: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _quadratic_forms(feats: np.ndarray, coords: np.ndarray):
+def _quadratic_forms(feats: np.ndarray, coords: np.ndarray, out: np.ndarray | None = None):
     """The quadratic-form kernel: q[s, j] = h_s^H P_j P_j^H h_s = F(h_s) . g(P_j)
     for feats = F(dirs) and coords = g(matrices), yielded as (rows, q[rows])
-    in blocks of _BLOCK_ROWS rows; each q is a fresh array the caller may
-    overwrite."""
+    in blocks of _BLOCK_ROWS rows. Each q is the caller's to overwrite: a
+    fresh array, or the leading rows of out, a (B, K) array with B >=
+    min(S, _BLOCK_ROWS) that every block reuses."""
     for lo in range(0, len(feats), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        yield rows, feats[rows] @ coords
+        block = feats[rows]
+        yield rows, np.matmul(block, coords, out=None if out is None else out[: len(block)])
 
 
-def _decay(q: np.ndarray, eta_c: float, power: int):
+def _decay(q: np.ndarray, eta_c: float, power: int, out: np.ndarray | None = None):
     """(t^power, t) for t = 1/(1 + eta_c q): t is computed in place of q, and
-    t^power, one fresh array, by squaring and multiplying along the bits of
-    power from the top (a few ulps from the pow)."""
+    t^power by squaring and multiplying along the bits of power from the top
+    (a few ulps from the pow), into a fresh array or the leading rows of out."""
     q *= eta_c
     q += 1.0
     t = np.reciprocal(q, out=q)
+    out = None if out is None else out[: len(t)]
     w = t
     for bit in bin(power)[3:]:
-        w = w * w if w is t else np.multiply(w, w, out=w)
+        w = np.multiply(w, w, out=out if w is t else w)
         if bit == "1":
             w *= t
-    return (t.copy() if w is t else w), t
+    if w is t:  # power 1: t^power is a copy of t
+        w = np.positive(t, out=out)
+    return w, t
 
 
-def _encode(w: np.ndarray, inv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _encode(
+    w: np.ndarray, inv: np.ndarray, out: np.ndarray | None = None, idx: np.ndarray | None = None
+) -> np.ndarray:
     """The encoder's indices for a block of decays w = (1 + eta_c q)^-n:
-    a_s = argmin_i sum_j p_f(j|i) w[s, j], ties to the smallest i. The costs
-    go to out when given, a block the caller no longer needs: a fresh (rows,
-    K) array per block costs page faults that slow the per-frame encoder."""
-    return np.argmin(np.matmul(w, inv, out=out), axis=1)
+    a_s = argmin_i sum_j p_f(j|i) w[s, j], ties to the smallest i, into idx
+    when given. The costs go to out when given, a block the caller no longer
+    needs: a fresh (rows, K) array per block costs page faults that slow the
+    per-frame encoder."""
+    return np.argmin(np.matmul(w, inv, out=out), axis=1, out=idx)
+
+
+def _encode_directions(dirs, coords, eta_c, inv, bufs=None) -> np.ndarray:
+    """encode_batch for the matrices whose coordinates g(P) are coords.
+
+    bufs, when given, is (feats, q, w, asg) and receives every array the
+    encoder writes: feats (S, n^2) and asg (S,) for the S = len(dirs) rows,
+    q and w two (B, K) blocks, B >= min(S, _BLOCK_ROWS), for each block's
+    quadratic forms (then its costs) and decays. A caller that encodes
+    batch after batch passes the same bufs, so no batch faults in fresh
+    pages; the indices are returned in asg."""
+    feats, q_buf, w_buf, asg = bufs or (None, None, None, None)
+    if asg is None:
+        asg = np.empty(len(dirs), dtype=np.intp)
+    for rows, q in _quadratic_forms(_features(dirs, out=feats), coords, out=q_buf):
+        w, t = _decay(q, eta_c, dirs.shape[1], out=w_buf)
+        _encode(w, inv, out=t, idx=asg[rows])
+    return asg
 
 
 def encode_batch(
@@ -245,12 +272,7 @@ def encode_batch(
 ) -> np.ndarray:
     """Minimum expected-cost index for each direction row; ties take the
     smallest index."""
-    mats = np.asarray(matrices)
-    asg = np.empty(len(dirs), dtype=np.intp)
-    for rows, q in _quadratic_forms(_features(dirs), _coordinates(mats)):
-        w, t = _decay(q, eta_c, mats.shape[1])
-        asg[rows] = _encode(w, inv, out=t)
-    return asg
+    return _encode_directions(dirs, _coordinates(np.asarray(matrices)), eta_c, inv)
 
 
 def _entry_pass(feats, coords, weights, asg, eta_c, n, grad, inv=None):

@@ -90,6 +90,18 @@ def test_deterministic_given_seed():
                           sample_directions(4, 3, np.random.default_rng(99)))
 
 
+def test_complex_gaussian_bit_identical_to_pair_draw():
+    # All real parts first, then all imaginary parts, and a complex division
+    # by sqrt(2): the same bytes as the two-array formula, not just close.
+    rng = np.random.default_rng(41)
+    re = rng.standard_normal((37, 5))
+    im = rng.standard_normal((37, 5))
+    expected = (re + 1j * im) / np.sqrt(2.0)
+    got = complex_gaussian((37, 5), np.random.default_rng(41))
+    assert got.dtype == np.complex128 and got.shape == (37, 5)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_directions_reject_negative_count():
     rng = np.random.default_rng(0)
     assert sample_directions(3, 0, rng).shape == (0, 3)

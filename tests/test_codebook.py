@@ -1,6 +1,10 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from podsim.cli import main
 from podsim.codebook import (
     CodebookError,
     PrecoderCodebook,
@@ -242,6 +246,60 @@ def test_load_rejects_nan(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CodebookError):
         load_codebook(path)
+
+
+def test_worst_case_range_round_trip(tmp_path):
+    rng = np.random.default_rng(12)
+    cb = dataclasses.replace(random_codebook(m=4, n=2, k=2, rng=rng), rho_range=(0.01, 0.04))
+    path = tmp_path / "wc.cb"
+    save_codebook(cb, path)
+    lines = path.read_text().splitlines()
+    assert lines[2] == "RANGE 0.01 0.040000000000000001"
+    assert lines[3].startswith("MARGINALS ")
+    loaded = load_codebook(path)
+    assert loaded.rho_range == (0.01, 0.04)
+    assert loaded.rho_d == cb.rho_d
+    assert np.array_equal(loaded.matrices, cb.matrices)
+    path2 = tmp_path / "wc2.cb"
+    save_codebook(loaded, path2)
+    assert path.read_bytes() == path2.read_bytes()
+
+
+def test_file_without_range_loads_as_before(tmp_path):
+    # The benchmark codebook predates the RANGE line: it loads with no range
+    # and saves back to the same bytes.
+    stored = Path(__file__).resolve().parents[1] / "bench" / "data" / "k16_m4_rho0.04.pcb"
+    cb = load_codebook(stored)
+    assert cb.rho_range is None
+    assert (cb.m, cb.n, cb.k, cb.rho_d) == (4, 4, 16, 0.04)
+    save_codebook(cb, tmp_path / "again.pcb")
+    assert (tmp_path / "again.pcb").read_bytes() == stored.read_bytes()
+
+
+@pytest.mark.parametrize("line", [
+    "RANGE 0.1", "RANGE 0.01 0.02 0.03", "RANGE a 0.1", "RANGE nan 0.1",
+    "RANGE 0.3 0.1", "RANGE -0.1 0.2", "RANGE 0.1 0.6",
+])
+def test_load_rejects_bad_range(tmp_path, line):
+    rng = np.random.default_rng(13)
+    path = tmp_path / "cb.txt"
+    save_codebook(random_codebook(m=4, n=2, k=2, rng=rng), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
+    with pytest.raises(CodebookError):
+        load_codebook(path)
+    assert main(["eigen", "--codebook", str(path), "--out", str(tmp_path / "e.csv")]) == 3
+
+
+@pytest.mark.parametrize("rho_range", [(0.3, 0.1), (-0.1, 0.2), (0.1, 0.6), (0.1,), "ab"])
+def test_validate_rejects_bad_range(tmp_path, rho_range):
+    rng = np.random.default_rng(14)
+    cb = dataclasses.replace(random_codebook(m=4, n=2, k=2, rng=rng), rho_range=rho_range)
+    with pytest.raises(CodebookError):
+        cb.validate()
+    with pytest.raises(CodebookError):
+        save_codebook(cb, tmp_path / "bad.cb")
+    assert not (tmp_path / "bad.cb").exists()
 
 
 def test_load_missing_file():

@@ -252,13 +252,14 @@ def test_simulation_config_validation():
 
 
 def test_sweep_reproducible_and_worker_invariant():
+    # Three chunks (two full, one partial) at two SNR points: six tasks, which
+    # two or three workers split into contiguous batches at different places.
     cb = small_trained_codebook()
-    cfg = make_sim(cb, rho_f=0.1, frames=3000)
-    a = run_ber_sweep(cfg)
-    b = run_ber_sweep(cfg)
-    assert [r.bit_errors for r in a] == [r.bit_errors for r in b]
-    c = run_ber_sweep(cfg, workers=2)
-    assert [r.bit_errors for r in a] == [r.bit_errors for r in c]
+    cfg = make_sim(cb, rho_f=0.1, frames=2 * 2048 + 300, snr=[4.0, 8.0])
+    a = [r.bit_errors for r in run_ber_sweep(cfg)]
+    assert [r.bit_errors for r in run_ber_sweep(cfg)] == a
+    for workers in (2, 3):
+        assert [r.bit_errors for r in run_ber_sweep(cfg, workers=workers)] == a
 
 
 def test_sweep_counts_and_fields():
@@ -362,6 +363,38 @@ def test_sweep_matches_exhaustive_on_every_design(kind, const):
     )
     counts = [r.bit_errors for r in run_ber_sweep(cfg)]
     assert counts == EXHAUSTIVE_PAIR_COUNTS[kind, const]
+
+
+# Error counts of closed-loop (rho_f = 0.1) and genie sweeps over 2 * 2048 +
+# 300 frames (two full chunks and a partial one) at two SNR points, recorded
+# at the commit before the chunks of a sweep shared one scratch. Full and
+# partial chunks slice their slabs of blocks differently, so a row left over
+# from a larger chunk, an earlier chunk or an earlier SNR point would change
+# them; the genie decodes with the encoder's own index array, so it also
+# catches that array's memory being handed on while still in use.
+SCRATCH_REUSE_COUNTS = {
+    ("real-od-4", "bpsk", 12): {"closed": [2225, 139], "genie": [2028, 112]},
+    ("qostbc-4", "qpsk-rot", 16): {"closed": [16043, 2321], "genie": [15138, 2026]},
+}
+
+
+@pytest.mark.parametrize("kind,const,symbols", sorted(SCRATCH_REUSE_COUNTS))
+def test_multi_chunk_sweep_counts_are_pinned(kind, const, symbols):
+    cb = small_trained_codebook(m=4, n=2, k=4, rho_d=0.1)
+    cfg = SimulationConfig(
+        snr_grid_db=[2.0, 8.0],
+        frames=2 * 2048 + 300,
+        pod=PodStructure(inner=get_design(kind), n=cb.n),
+        constellation=Constellation(const),
+        codebook=cb,
+        feedback=FeedbackChannel(k=cb.k, rho_f=0.1),
+        symbols_per_frame=symbols,
+        seed=29,
+    )
+    pinned = SCRATCH_REUSE_COUNTS[kind, const, symbols]
+    assert [r.bit_errors for r in run_ber_sweep(cfg)] == pinned["closed"]
+    cfg.feedback = None
+    assert [r.bit_errors for r in run_ber_sweep(cfg)] == pinned["genie"]
 
 
 @pytest.mark.parametrize("kind,const", sorted(EXHAUSTIVE_PAIR_COUNTS))
