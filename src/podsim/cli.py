@@ -189,10 +189,6 @@ def cmd_simulate(args) -> int:
     if baseline == "closed-loop":
         feedback = FeedbackChannel(k=codebook.k, rho_f=args.rho_f)
 
-    spf = args.symbols_per_frame
-    if spf is None:
-        spf = 130 // design.n_sym * design.n_sym
-
     config = SimulationConfig(
         snr_grid_db=args.snr_db,
         frames=args.frames,
@@ -200,7 +196,7 @@ def cmd_simulate(args) -> int:
         constellation=constellation,
         codebook=codebook,
         feedback=feedback,
-        symbols_per_frame=spf,
+        symbols_per_frame=args.symbols_per_frame,
         seed=args.seed,
     )
     log.info(

@@ -33,7 +33,6 @@ __all__ = [
     "CodebookError",
     "PrecoderCodebook",
     "eigen_profile",
-    "hermitian_psd_part",
     "load_codebook",
     "project_psd_power",
     "save_codebook",
@@ -54,27 +53,19 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def hermitian_psd_part(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian PSD cone: symmetrize, clamp eigenvalues.
-
-    Works on one (n, n) matrix or a (..., n, n) stack of them.
-    """
-    h = (a + _adjoint(a)) / 2.0
-    w, v = np.linalg.eigh(h)
-    w = np.maximum(w, 0.0)
-    out = (v * w[..., None, :]) @ _adjoint(v)
-    return (out + _adjoint(out)) / 2.0
-
-
 def project_psd_power(a: np.ndarray, power: float) -> np.ndarray:
     """Nearest-PSD representative rescaled to Frobenius power `power`.
 
     Symmetrize, clamp negative eigenvalues, then scale the Frobenius norm,
-    for one (n, n) matrix or each matrix of a (..., n, n) stack. Inputs
+    for one (n, n) matrix or each matrix of a (..., n, n) stack. Before the
+    scaling this is the Frobenius-nearest Hermitian PSD matrix. Inputs
     whose PSD part is numerically zero have no valid rescaling and are
     rejected.
     """
-    psd = hermitian_psd_part(np.asarray(a, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    w, v = np.linalg.eigh((a + _adjoint(a)) / 2.0)
+    psd = (v * np.maximum(w, 0.0)[..., None, :]) @ _adjoint(v)
+    psd = (psd + _adjoint(psd)) / 2.0
     norm_sq = np.sum(np.abs(psd) ** 2, axis=(-2, -1), keepdims=True)
     if np.any(norm_sq < 1e-24):
         raise CodebookError("matrix has numerically zero PSD part; cannot normalize power")

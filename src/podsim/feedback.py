@@ -35,7 +35,6 @@ import numpy as np
 __all__ = [
     "FeedbackChannel",
     "bsc_inversion_matrix",
-    "dominant_directions",
     "mapping_cost",
     "optimize_mapping",
     "load_mapping",
@@ -111,27 +110,18 @@ class FeedbackChannel:
         return indices ^ (flips << np.arange(self.bits)).sum(axis=1)
 
 
-def dominant_directions(matrices: np.ndarray) -> np.ndarray:
-    """Unit dominant eigenvector of each P_j P_j^H, shape (K, N).
-
-    Rejects numerically zero factors since their direction is undefined.
-    """
+def _chordal_distance_matrix(matrices: np.ndarray) -> np.ndarray:
+    """Squared chordal distances 1 - |u_i^H u_j|^2 between the unit dominant
+    eigenvectors u_j of P_j P_j^H of all entry pairs, clipped to [0, 1],
+    shape (K, K). Rejects numerically zero factors, whose direction is
+    undefined."""
     mats = np.asarray(matrices)
-    k = mats.shape[0]
-    out = np.empty((k, mats.shape[1]), dtype=complex)
-    for j in range(k):
-        gram = mats[j] @ mats[j].conj().T
+    dirs = np.empty(mats.shape[:2], dtype=complex)
+    for j, p in enumerate(mats):
+        gram = p @ p.conj().T
         if np.linalg.norm(gram, "fro") < 1e-12:
             raise ValueError(f"codebook entry {j} is numerically zero")
-        w, v = np.linalg.eigh(gram)
-        out[j] = v[:, -1]
-    return out
-
-
-def _chordal_distance_matrix(matrices: np.ndarray) -> np.ndarray:
-    """Squared chordal distances 1 - |u_i^H u_j|^2 between the dominant
-    directions of all entry pairs, clipped to [0, 1], shape (K, K)."""
-    dirs = dominant_directions(matrices)
+        dirs[j] = np.linalg.eigh(gram)[1][:, -1]
     return np.clip(1.0 - np.abs(dirs @ dirs.conj().T) ** 2, 0.0, 1.0)
 
 

@@ -19,6 +19,8 @@ R_c^H h_eff. Slots with R_j R_k^H + R_k R_j^H = 0 never couple in Gamma,
 whatever the channel, so each slot group is searched on its own (exact ML,
 ties to the lexicographically first candidate): single slots for the
 orthogonal designs, (z1, z3) and (z2, z4) for the quasi-orthogonal code.
+The groups are decoded as one batch, so a design whose groups differ in
+size is rejected.
 
 The inputs decide what runs: without a codebook the tail is not precoded
 (the open loop); a codebook without a feedback link applies the encoder's
@@ -50,15 +52,13 @@ import numpy as np
 from .channel import _complex_gaussian
 from .codebook import PrecoderCodebook
 from .feedback import FeedbackChannel, bsc_inversion_matrix
-from .stbc import Constellation, InnerDesign, PodStructure, gray_code, slot_alphabets
+from .stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets
 from .trainer import _coordinates, _encode_directions
 
 __all__ = [
-    "BER_CSV_HEADER",
     "BerResult",
     "SimulationConfig",
     "candidate_codewords",
-    "noise_variance",
     "run_ber_sweep",
     "write_ber_csv",
 ]
@@ -66,17 +66,7 @@ __all__ = [
 _CHUNK_FRAMES = 2048
 _SLAB_METRICS = 1 << 16  # group-candidate metrics per slab of blocks (512 KB)
 
-BER_CSV_HEADER = "snr_db,rho_f,frames,bits_sent,bit_errors,ber,ber_stderr"
-
-
-def noise_variance(m: int, snr_db: float) -> float:
-    """Per-complex-sample noise variance for regulated received SNR eta0.
-
-    Unit-magnitude symbols put average power m into each received sample
-    (m antennas, unit-variance coefficients), so sigma_n2 = m / eta0 makes
-    the received SNR exactly eta0.
-    """
-    return m / 10.0 ** (snr_db / 10.0)
+_BER_CSV_HEADER = "snr_db,rho_f,frames,bits_sent,bit_errors,ber,ber_stderr"
 
 
 def candidate_codewords(
@@ -89,7 +79,7 @@ def candidate_codewords(
     indices are the digits of r in base len(alphabet), most significant
     slot first; ties in decoding resolve to the smallest r.
     """
-    alphabets = slot_alphabets(design, constellation)
+    alphabets = _slot_alphabets(design, constellation)
     mesh = np.meshgrid(*alphabets, indexing="ij")
     syms = np.stack(mesh, axis=-1).reshape(-1, design.n_sym)
     a, b = design.coefficient_tensors()
@@ -160,13 +150,10 @@ class _GroupDecoder:
     symbols: np.ndarray  # (G, C, S) slot symbols of each group candidate
     bit_dist: np.ndarray  # (C, C) differing Gray-label bits between group candidates
 
-    def frame_terms(
-        self, h_eff: np.ndarray, scratch: _Scratch | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def frame_terms(self, h_eff: np.ndarray, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
         """Per frame: u = R^H h_eff, shape (F, 2t, D), and x^T Gamma_g x of
         every group candidate x, shape (F, 1, G * C), Gamma_g = u_g^T u_g;
-        both are taken from the scratch when one is given."""
-        scratch = scratch or _Scratch()
+        both are taken from the scratch."""
         f, n_groups = len(h_eff), len(self.slot_groups)
         # Stacked (3-D) products keep every BLAS call small and single-threaded.
         u = np.matmul(
@@ -183,12 +170,11 @@ class _GroupDecoder:
         return u, quad
 
     def decide(
-        self, u: np.ndarray, quad: np.ndarray, y: np.ndarray, scratch: _Scratch | None = None
+        self, u: np.ndarray, quad: np.ndarray, y: np.ndarray, scratch: _Scratch
     ) -> np.ndarray:
         """Group candidates (F, S, G) minimizing ||y - Z_in^H h_eff||^2 over
         S blocks y, shape (F, S, 2t), per frame; ties go to the first
-        candidate. The metrics are computed in the scratch when one is given."""
-        scratch = scratch or _Scratch()
+        candidate. The metrics are computed in the scratch."""
         f, s = y.shape[:2]
         metric = scratch.take((f, s, self.lin_map.shape[1]))
         with scratch.scope():
@@ -205,17 +191,19 @@ class _GroupDecoder:
 @functools.lru_cache(maxsize=32)
 def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupDecoder:
     """Derive the slot groups and per-group candidate tables of a design."""
-    alphabets = np.array(slot_alphabets(design, constellation))
+    alphabets = np.array(_slot_alphabets(design, constellation))
     a, b = design.coefficient_tensors()
     # Z_in(z) = sum_k Re(z_k) (A_k + B_k) + Im(z_k) i (A_k - B_k)
     parts = np.stack([a + b, 1j * (a - b)], axis=1)[:, : 2 if np.any(alphabets.imag) else 1]
     cross = np.einsum("jpmt,kqnt->jkpqmn", parts, parts.conj())
     linked = np.abs(cross + cross.conj().swapaxes(-1, -2)).max(axis=(2, 3, 4, 5)) > 1e-9
     linked = np.linalg.matrix_power(linked.astype(float), design.n_sym) > 0  # joined by a chain
-    groups = sorted({tuple(np.flatnonzero(row)) for row in linked})
+    groups = sorted({tuple(np.flatnonzero(row).tolist()) for row in linked})
     if len({len(g) for g in groups}) > 1:
-        # Batched decoding needs equal-size groups; one group is still exact.
-        groups = [tuple(range(design.n_sym))]
+        raise ValueError(
+            f"{design.kind}: slot groups {groups} differ in size; "
+            "the batched decoder needs equal-size groups"
+        )
     groups = np.array(groups)
     n_groups, size = groups.shape
     n_alpha = alphabets.shape[1]
@@ -229,7 +217,7 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
     # u = R^H h is h^T conj(R): with h_j = 1, then h_j = i, row j gives u as [Re; Im]
     conj = parts[groups].reshape(-1, design.m, 1, design.t).conj().transpose(1, 2, 3, 0)
     basis = np.concatenate([conj, 1j * conj], axis=1)
-    gray = [gray_code(i) for i in range(n_alpha)]
+    gray = [i ^ (i >> 1) for i in range(n_alpha)]  # the alphabets' Gray labels
     flips = np.array([[bin(i ^ j).count("1") for j in gray] for i in gray])
     tables = _GroupDecoder(
         slot_groups=groups,
@@ -288,7 +276,8 @@ class SimulationConfig:
         (the open loop)
     feedback: noisy feedback link for the codebook index; None delivers the
         index without error (the genie); needs a codebook
-    symbols_per_frame: data symbols per frame; must fill whole blocks
+    symbols_per_frame: data symbols per frame; must fill whole blocks. The
+        default None becomes 130 rounded down to whole blocks
     seed: master seed for the deterministic per-chunk seed tree
     """
 
@@ -298,8 +287,13 @@ class SimulationConfig:
     constellation: Constellation
     codebook: PrecoderCodebook | None = None
     feedback: FeedbackChannel | None = None
-    symbols_per_frame: int = 130
+    symbols_per_frame: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.symbols_per_frame is None:
+            n_sym = self.pod.inner.n_sym
+            self.symbols_per_frame = 130 // n_sym * n_sym
 
     def validate(self) -> None:
         if len(self.snr_grid_db) == 0:
@@ -491,7 +485,10 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
 
     tasks = []
     for p_idx, snr_db in enumerate(config.snr_grid_db):
-        sigma_n2 = noise_variance(config.pod.m, snr_db)
+        # Unit-magnitude symbols put power m into each received sample (m
+        # antennas, unit-variance coefficients), so sigma_n2 = m / eta0 makes
+        # the received SNR exactly eta0.
+        sigma_n2 = config.pod.m / 10.0 ** (snr_db / 10.0)
         for c_idx, size in enumerate(plan):
             tasks.append((p_idx, c_idx, size, sigma_n2))
 
@@ -528,7 +525,7 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
 
 def write_ber_csv(path, results: list[BerResult]) -> None:
     """CSV with the exact column set the plotting recipes expect."""
-    lines = [BER_CSV_HEADER]
+    lines = [_BER_CSV_HEADER]
     for r in results:
         lines.append(
             f"{r.snr_db:.12g},{r.rho_f:.12g},{r.frames},{r.bits_sent},"

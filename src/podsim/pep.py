@@ -51,7 +51,6 @@ __all__ = [
     "EvaluationSet",
     "average_pep_bound",
     "build_evaluation_set",
-    "region_pep_bound",
 ]
 
 
@@ -113,19 +112,8 @@ def build_evaluation_set(
     )
 
 
-def region_pep_bound(evset: EvaluationSet, i: int, j: int) -> float:
-    """Bound on the worst-case pairwise error probability given that the
-    receiver quantized into region i and the transmitter used precoder j."""
-    k = len(evset.occupancy)
-    if not (0 <= i < k and 0 <= j < k):
-        raise ValueError(f"need region and entry indices in [0, {k}), got ({i}, {j})")
-    if evset.occupancy[i] == 0.0:
-        raise ValueError(f"region {i} is empty in the evaluation set")
-    return float(evset.head * evset.tail[i, j] / evset.occupancy[i])
-
-
 def average_pep_bound(evset: EvaluationSet, inv: np.ndarray) -> float:
     """Average of the region bounds over feedback noise and region occupancy:
-    the sum over (i, j) of p_f(j|i) p(i) region_pep_bound(i, j), which is
+    the sum over (i, j) of p_f(j|i) p(i) head tail[i, j] / p(i), which is
     head sum_ij inv[j, i] tail[i, j]; empty regions add nothing."""
     return evset.head * float(np.trace(inv @ evset.tail))

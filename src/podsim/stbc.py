@@ -1,4 +1,4 @@
-"""Inner space-time block designs and their precoded assembly.
+"""Inner space-time block designs and the precoded structure built on them.
 
 All code matrices Z are m x t (antenna rows, time columns) and the receive
 model is y = Z^H h + n. Real orthogonal designs satisfy
@@ -26,7 +26,8 @@ the per-column sub-vectors of the last n rows,
 
 For n = 2 on the 4x4 design this precodes the column sub-vectors
 (z3, z4), (-z4, z3), (z1, -z2), (z2, z1); for n = 4 it precodes whole
-columns.
+columns. The link never forms Z_pod: it folds P into the effective channel
+(see `podsim.link`).
 
 The quasi-orthogonal 4x4 code stacks two Alamouti blocks so that the ML
 metric separates over the symbol pairs (z1, z3) and (z2, z4); full
@@ -44,10 +45,7 @@ __all__ = [
     "Constellation",
     "InnerDesign",
     "PodStructure",
-    "assemble",
     "get_design",
-    "gray_code",
-    "slot_alphabets",
 ]
 
 
@@ -205,27 +203,6 @@ class PodStructure:
         return self.inner.t
 
 
-def assemble(pod: PodStructure, precoder: np.ndarray, symbols) -> np.ndarray:
-    """Precoded codeword: identity on the head rows, P on the tail rows.
-
-    The precoder must be n x n with Frobenius power n (tolerance 1e-6).
-    """
-    p = np.asarray(precoder, dtype=complex)
-    if p.shape != (pod.n, pod.n):
-        raise ValueError(f"precoder must be {pod.n} x {pod.n}, got {p.shape}")
-    power = float(np.sum(np.abs(p) ** 2))
-    if abs(power - pod.n) > 1e-6:
-        raise ValueError(f"precoder power {power:.8f} differs from required {pod.n}")
-    z = pod.inner.build(symbols)
-    out = z.copy()
-    out[pod.inner.m - pod.n :, :] = p @ z[pod.inner.m - pod.n :, :]
-    return out
-
-
-def gray_code(k: int) -> int:
-    return k ^ (k >> 1)
-
-
 @dataclass(frozen=True)
 class Constellation:
     """Symbol alphabet: 'bpsk' is {+1, -1}; 'qpsk-rot' is unit-magnitude
@@ -245,11 +222,11 @@ class Constellation:
     def base_alphabet(self) -> np.ndarray:
         if self.kind == "bpsk":
             return np.array([1.0, -1.0], dtype=complex)
-        # Index k carries Gray label gray_code(k); neighbours differ in one bit.
+        # Index k carries Gray label k ^ (k >> 1); neighbours differ in one bit.
         return np.exp(1j * np.pi / 2 * np.arange(4))
 
 
-def slot_alphabets(design: InnerDesign, constellation: Constellation) -> list[np.ndarray]:
+def _slot_alphabets(design: InnerDesign, constellation: Constellation) -> list[np.ndarray]:
     """Per-slot alphabets for one block of the design."""
     if design.is_real and constellation.kind != "bpsk":
         raise ValueError(f"{design.kind} carries real symbols; use the bpsk constellation")

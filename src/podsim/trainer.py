@@ -28,8 +28,8 @@ becomes the feature row F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b)]
 (a < b) and a matrix the coordinate column g(P) = [G_aa, 2 Re G_ab,
 -2 Im G_ab] of G = P P^H, so q = F(dirs) @ g(P_1 .. P_K) is one real
 product for all K entries. The same layout runs backwards for the gradient:
-R_j = sum_s u_sj h_s h_s^H unpacks from F^T @ u. The encoder, `objective`,
-`gradient`, `fit` and the bounds in `podsim.pep` all use the kernel.
+R_j = sum_s u_sj h_s h_s^H unpacks from F^T @ u. The encoder, `fit` and the
+bounds in `podsim.pep` all use the kernel.
 
 At fixed assignments J is a sum of independent per-entry values, so `fit`
 steps all entries at once: one stacked projection and one candidate pass per
@@ -67,11 +67,8 @@ from podsim.feedback import bsc_inversion_matrix
 __all__ = [
     "TrainerConfig",
     "TrainingState",
-    "encode_batch",
     "eta_c_from_snr_db",
     "fit",
-    "gradient",
-    "objective",
     "range_design",
 ]
 
@@ -250,7 +247,8 @@ def _encode(
 
 
 def _encode_directions(dirs, coords, eta_c, inv, bufs=None) -> np.ndarray:
-    """encode_batch for the matrices whose coordinates g(P) are coords.
+    """Minimum expected-cost index for each direction row, ties to the
+    smallest index, for the matrices whose coordinates g(P) are coords.
 
     bufs, when given, is (feats, q, w, asg) and receives every array the
     encoder writes: feats (S, n^2) and asg (S,) for the S = len(dirs) rows,
@@ -265,14 +263,6 @@ def _encode_directions(dirs, coords, eta_c, inv, bufs=None) -> np.ndarray:
         w, t = _decay(q, eta_c, dirs.shape[1], out=w_buf)
         _encode(w, inv, out=t, idx=asg[rows])
     return asg
-
-
-def encode_batch(
-    dirs: np.ndarray, matrices: np.ndarray, eta_c: float, inv: np.ndarray
-) -> np.ndarray:
-    """Minimum expected-cost index for each direction row; ties take the
-    smallest index."""
-    return _encode_directions(dirs, _coordinates(np.asarray(matrices)), eta_c, inv)
 
 
 def _entry_pass(feats, coords, weights, asg, eta_c, n, grad, inv=None):
@@ -314,32 +304,6 @@ def _gradients(r: np.ndarray, mats: np.ndarray, eta_c: float, rows: int) -> np.n
     R_l = sum_s u_sl h_s h_s^H unpacked from the r of a pass over S rows."""
     n = mats.shape[-1]
     return -2.0 * n * eta_c / rows * (_from_features(r, n) @ mats)
-
-
-def objective(cb: PrecoderCodebook, inv: np.ndarray, training_set: np.ndarray) -> float:
-    """Training objective J for the encoder implied by the codebook.
-
-    Equals the training-set mean of the minimal expected cost, because the
-    encoder picks the minimizing index for every vector.
-    """
-    coords = _coordinates(np.asarray(cb.matrices))
-    return float(np.sum(_assign(_features(training_set), coords, cb.eta_c, cb.n, inv, False)[1]))
-
-
-def gradient(
-    cb: PrecoderCodebook,
-    j: int,
-    inv: np.ndarray,
-    training_set: np.ndarray,
-    assignments: np.ndarray,
-) -> np.ndarray:
-    """Gradient of J with respect to P_j at fixed assignments."""
-    mats = np.asarray(cb.matrices)[j : j + 1]
-    r = _entry_pass(
-        _features(training_set), _coordinates(mats), inv[j : j + 1].T, assignments,
-        cb.eta_c, cb.n, True,
-    )[1]
-    return _gradients(r, mats, cb.eta_c, len(training_set))[0]
 
 
 def _hermitian_noise(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Everything here is written with plain Python loops and the defining
 formulas, deliberately avoiding the vectorized code paths under test. The
-analytic self-checks of the bound chain (the conditional Chernoff bound and
-a Monte Carlo check of its two Gamma integrals) live here too, and
-`decode_frames` drives the sweep's batched decoder the way the sweep does,
-so tests can compare it with these references.
+analytic self-checks of the bound chain (the conditional Chernoff bound, the
+per-region bound and a Monte Carlo check of its two Gamma integrals) and the
+precoded codeword `assemble` live here too. `decode_frames` drives the
+sweep's batched decoder the way the sweep does, and `kernel_encode`,
+`kernel_objective` and `kernel_gradient` drive the trainer's private passes
+on one codebook, so tests can compare them with these references.
 """
 
 import itertools
@@ -13,6 +15,55 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from podsim.link import _group_decoder, _Scratch
+from podsim.trainer import (
+    _assign,
+    _coordinates,
+    _encode_directions,
+    _entry_pass,
+    _features,
+    _gradients,
+)
+
+
+def assemble(pod, precoder, symbols):
+    """Precoded codeword Z_pod = blockdiag(I_{m-n}, P) Z(symbols): identity on
+    the head rows, P on the tail rows. The precoder must be n x n with
+    Frobenius power n (tolerance 1e-6)."""
+    p = np.asarray(precoder, dtype=complex)
+    if p.shape != (pod.n, pod.n):
+        raise ValueError(f"precoder must be {pod.n} x {pod.n}, got {p.shape}")
+    power = float(np.sum(np.abs(p) ** 2))
+    if abs(power - pod.n) > 1e-6:
+        raise ValueError(f"precoder power {power:.8f} differs from required {pod.n}")
+    z = pod.inner.build(symbols)
+    out = z.copy()
+    out[pod.inner.m - pod.n :, :] = p @ z[pod.inner.m - pod.n :, :]
+    return out
+
+
+def kernel_encode(dirs, matrices, eta_c, inv):
+    """The trainer's encoder index for each direction row, ties to the
+    smallest index."""
+    return _encode_directions(dirs, _coordinates(np.asarray(matrices)), eta_c, inv)
+
+
+def kernel_objective(cb, inv, dirs):
+    """The trainer's J for the encoder implied by the codebook: the sum of
+    the entry values of one assign pass."""
+    coords = _coordinates(np.asarray(cb.matrices))
+    return float(np.sum(_assign(_features(dirs), coords, cb.eta_c, cb.n, inv, False)[1]))
+
+
+def kernel_gradient(cb, j, inv, dirs, assignments):
+    """The trainer's gradient of J with respect to P_j at fixed assignments:
+    one entry pass for entry j, unpacked by _gradients."""
+    mats = np.asarray(cb.matrices)[j : j + 1]
+    r = _entry_pass(
+        _features(dirs), _coordinates(mats), inv[j : j + 1].T, assignments, cb.eta_c, cb.n, True
+    )[1]
+    return _gradients(r, mats, cb.eta_c, len(dirs))[0]
 
 
 def naive_encode(h, matrices, eta_c, n, inv):
@@ -98,16 +149,12 @@ def finite_difference_gradient(value_fn, p, step=1e-6):
 def received_block(pod, precoder, sym, h, sigma_n2, rng):
     """One received block y = Z_pod(sym)^H h + n of length t, with circular
     complex Gaussian noise of total variance sigma_n2 per sample."""
-    from podsim.stbc import assemble
-
     noise = rng.standard_normal(pod.t) + 1j * rng.standard_normal(pod.t)
     return assemble(pod, precoder, sym).conj().T @ h + math.sqrt(sigma_n2 / 2.0) * noise
 
 
 def naive_ml_decode(pod, precoder, y, h, alphabets):
     """Exhaustive search over the candidate product space, lexicographic ties."""
-    from podsim.stbc import assemble
-
     best_sym, best_metric = None, np.inf
     for combo in itertools.product(*[range(len(a)) for a in alphabets]):
         sym = np.array([alphabets[slot][c] for slot, c in enumerate(combo)])
@@ -133,14 +180,14 @@ def decode_frames(pod, precoders, h, y, constellation):
     has channel h[f], precoder precoders[f] and received block y[f]. Like the
     sweep, it forms h_eff = [head; P^H tail] per frame and decides all F
     frames in one frame_terms / decide call. Returns symbols, shape (F, n_sym)."""
-    from podsim.link import _group_decoder
-
     decoder = _group_decoder(pod.inner, constellation)
     head = pod.m - pod.n
     h_eff = np.array(h, dtype=complex)
     h_eff[:, head:] = (h_eff[:, None, head:] @ np.conj(precoders))[:, 0, :]
-    u, quad = decoder.frame_terms(h_eff)
-    rx = decoder.decide(u, quad, np.concatenate([y.real, y.imag], axis=1)[:, None, :])[:, 0]
+    scratch = _Scratch()
+    u, quad = decoder.frame_terms(h_eff, scratch)
+    y_rows = np.concatenate([y.real, y.imag], axis=1)[:, None, :]
+    rx = decoder.decide(u, quad, y_rows, scratch)[:, 0]
     out = np.empty((len(h_eff), pod.inner.n_sym), dtype=complex)
     out[:, decoder.slot_groups] = decoder.symbols[np.arange(len(decoder.slot_groups)), rx]
     return out
@@ -155,6 +202,18 @@ def conditional_pep_bound(sigma_n2, d):
     if not (np.isfinite(d) and d >= 0.0):
         raise ValueError(f"squared distance must be finite and nonnegative, got {d}")
     return min(0.5, 0.5 * math.exp(-d / (4.0 * sigma_n2)))
+
+
+def region_pep_bound(evset, i, j):
+    """Bound on the worst-case pairwise error probability given that the
+    receiver quantized into region i and the transmitter used precoder j:
+    head tail[i, j] / p(i) of the evaluation set's region-pair table."""
+    k = len(evset.occupancy)
+    if not (0 <= i < k and 0 <= j < k):
+        raise ValueError(f"need region and entry indices in [0, {k}), got ({i}, {j})")
+    if evset.occupancy[i] == 0.0:
+        raise ValueError(f"region {i} is empty in the evaluation set")
+    return float(evset.head * evset.tail[i, j] / evset.occupancy[i])
 
 
 @dataclass(frozen=True)

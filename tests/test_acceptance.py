@@ -22,6 +22,9 @@ from oracles import (
     conditional_pep_bound,
     decode_frames,
     finite_difference_gradient,
+    kernel_encode,
+    kernel_gradient,
+    kernel_objective,
     naive_encode,
     naive_gradient,
     naive_ml_decode,
@@ -32,23 +35,15 @@ from podsim.channel import complex_gaussian, sample_directions
 from podsim.codebook import PrecoderCodebook, eigen_profile, project_psd_power
 from podsim.feedback import (
     FeedbackChannel,
+    _chordal_distance_matrix,
     bsc_inversion_matrix,
-    dominant_directions,
     mapping_cost,
     optimize_mapping,
 )
 from podsim.link import SimulationConfig, run_ber_sweep
 from podsim.pep import average_pep_bound, build_evaluation_set
-from podsim.stbc import Constellation, PodStructure, get_design, slot_alphabets
-from podsim.trainer import (
-    TrainerConfig,
-    encode_batch,
-    eta_c_from_snr_db,
-    fit,
-    gradient,
-    objective,
-    range_design,
-)
+from podsim.stbc import Constellation, PodStructure, _slot_alphabets, get_design
+from podsim.trainer import TrainerConfig, eta_c_from_snr_db, fit, range_design
 
 WORKERS = max(1, min(4, os.cpu_count() or 1))
 N_TRAIN = 50_000
@@ -100,7 +95,7 @@ def _random_codebook(n, k, rng, eta_c, m=None, rho_d=0.0):
 
 def _random_frames(pod, constellation, frames, sigma_n2, rng):
     """Per frame: a random precoder, a channel, symbols and the received block."""
-    alphabets = slot_alphabets(pod.inner, constellation)
+    alphabets = _slot_alphabets(pod.inner, constellation)
     precoders = np.stack([
         project_psd_power(
             np.eye(pod.n) + 0.4 * (rng.standard_normal((pod.n, pod.n))
@@ -306,7 +301,7 @@ def test_fast_analytic_consistency_suite():
         cb = _random_codebook(n, k, rng, eta_c=float(0.3 + 2.5 * rng.random()))
         inv = bsc_inversion_matrix(k, float(0.3 * rng.random()))
         dirs = sample_directions(n, 25, rng)
-        asg = encode_batch(dirs, np.asarray(cb.matrices), cb.eta_c, inv)
+        asg = kernel_encode(dirs, np.asarray(cb.matrices), cb.eta_c, inv)
         j = int(rng.integers(k))
 
         def partial_j(p):
@@ -314,7 +309,7 @@ def test_fast_analytic_consistency_suite():
             q = np.array([float(np.sum(np.abs(p.conj().T @ h) ** 2)) for h in dirs])
             return float(np.mean(w * (1.0 + cb.eta_c * q) ** (-cb.n)))
 
-        got = gradient(cb, j, inv, dirs, asg)
+        got = kernel_gradient(cb, j, inv, dirs, asg)
         fd = finite_difference_gradient(partial_j, np.asarray(cb.matrices)[j])
         rel = float(np.abs(got - fd).max() / max(np.abs(fd).max(), 1e-12))
         worst_rel = max(worst_rel, rel)
@@ -329,7 +324,7 @@ def test_fast_analytic_consistency_suite():
         dirs = sample_directions(n, 400, rng)
         evset = build_evaluation_set(cb, inv, dirs)
         lhs = average_pep_bound(evset, inv)
-        rhs = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * objective(cb, inv, dirs)
+        rhs = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * kernel_objective(cb, inv, dirs)
         worst_id = max(worst_id, abs(lhs - rhs) / rhs)
     if worst_id > 1e-12:
         failures.append(f"bound-objective identity rel {worst_id:.2e}")
@@ -411,17 +406,17 @@ def test_micro_scale_oracle_equivalence():
         mats = np.asarray(cb.matrices)
         inv = bsc_inversion_matrix(k, 0.06)
         dirs = sample_directions(n, 120, rng)
-        asg = encode_batch(dirs, mats, cb.eta_c, inv)
+        asg = kernel_encode(dirs, mats, cb.eta_c, inv)
         encode_ok &= asg.tolist() == [
             naive_encode(h, mats, cb.eta_c, cb.n, inv) for h in dirs
         ]
         objective_ok &= (
-            abs(objective(cb, inv, dirs) - naive_objective(dirs, mats, cb.eta_c, cb.n, inv))
+            abs(kernel_objective(cb, inv, dirs) - naive_objective(dirs, mats, cb.eta_c, cb.n, inv))
             <= 1e-12
         )
         for j in range(k):
             delta = np.abs(
-                gradient(cb, j, inv, dirs, asg)
+                kernel_gradient(cb, j, inv, dirs, asg)
                 - naive_gradient(dirs, mats, j, cb.eta_c, cb.n, inv, asg)
             ).max()
             gradient_ok &= bool(delta <= 1e-12)
@@ -431,7 +426,7 @@ def test_micro_scale_oracle_equivalence():
         design = get_design(kind)
         pod = PodStructure(inner=design, n=design.m)
         constellation = Constellation(const)
-        alphabets = slot_alphabets(design, constellation)
+        alphabets = _slot_alphabets(design, constellation)
         precoders, h, _, y = _random_frames(pod, constellation, 10, 0.15, rng)
         got = decode_frames(pod, precoders, h, y, constellation)
         for f in range(10):
@@ -463,8 +458,7 @@ def test_annealed_mapping_near_exhaustive_optimum():
             ]
         )
         marginals = rng.dirichlet(np.ones(8))
-        dirs = dominant_directions(mats)
-        dist_sq = np.clip(1.0 - np.abs(dirs @ dirs.conj().T) ** 2, 0.0, 1.0)
+        dist_sq = _chordal_distance_matrix(mats)
         np.fill_diagonal(dist_sq, 0.0)
         bit_matrix = bsc_inversion_matrix(8, 0.04)
         best = min(

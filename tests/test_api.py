@@ -2,6 +2,11 @@
 (the benchmark tracer looks each one up), and the package exports exactly the
 union of the library layers' lists; `cli` exports only its entry point.
 
+The exports themselves are pinned. A new export needs a caller in
+`src/podsim` outside its own module, or in `bench/`; a name that only the
+tests use stays private, and the tests import the private name or a
+reference in `tests/oracles.py`.
+
 The knobs are pinned too: the fields of the configuration dataclasses and
 the options of every subcommand, so that adding or removing one is a visible
 edit here."""
@@ -16,6 +21,22 @@ import podsim
 from podsim.cli import _build_parser
 
 LIBRARY_LAYERS = ("channel", "codebook", "feedback", "trainer", "stbc", "pep", "link")
+
+
+PUBLIC_NAMES = [
+    "BerResult", "CodebookError", "Constellation", "EvaluationSet", "FeedbackChannel",
+    "InnerDesign", "PodStructure", "PrecoderCodebook", "SimulationConfig", "TrainerConfig",
+    "TrainingState", "average_pep_bound", "bsc_inversion_matrix", "build_evaluation_set",
+    "candidate_codewords", "complex_gaussian", "eigen_profile", "eta_c_from_snr_db", "fit",
+    "get_design", "load_codebook", "load_mapping", "mapping_cost", "optimize_mapping",
+    "project_psd_power", "range_design", "run_ber_sweep", "sample_directions", "save_codebook",
+    "save_mapping", "write_ber_csv",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 31
+    assert podsim.__all__ == PUBLIC_NAMES
 
 
 def test_all_entries_resolve_and_package_is_their_union():

@@ -10,7 +10,7 @@ from podsim.channel import sample_directions
 from podsim.cli import CODE_NAMES, RECIPES, _build_parser, _parse_snr_grid, main
 from podsim.codebook import load_codebook
 from podsim.feedback import bsc_inversion_matrix, load_mapping, save_mapping
-from podsim.link import BER_CSV_HEADER, SimulationConfig, run_ber_sweep
+from podsim.link import _BER_CSV_HEADER, SimulationConfig, run_ber_sweep
 from podsim.stbc import Constellation, PodStructure, _design_kinds, get_design
 
 
@@ -225,7 +225,7 @@ def test_simulate_csv_header_and_grid(tiny_codebook_path, tmp_path):
                "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == BER_CSV_HEADER
+    assert lines[0] == _BER_CSV_HEADER
     assert len(lines) == 4
     assert [float(ln.split(",")[0]) for ln in lines[1:]] == [4.0, 6.0, 8.0]
 
@@ -236,7 +236,7 @@ def test_simulate_open_loop_needs_no_codebook(tmp_path):
                "--baseline", "open-loop", "--snr-db", "6", "--frames", "150",
                "--symbols-per-frame", "128", "--seed", "2", "--out", str(out)])
     assert rc == 0
-    assert out.read_text().startswith(BER_CSV_HEADER)
+    assert out.read_text().startswith(_BER_CSV_HEADER)
 
 
 def test_simulate_closed_loop_without_codebook_rejected(tmp_path):

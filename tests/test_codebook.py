@@ -9,7 +9,6 @@ from podsim.codebook import (
     CodebookError,
     PrecoderCodebook,
     eigen_profile,
-    hermitian_psd_part,
     load_codebook,
     project_psd_power,
     save_codebook,
@@ -97,13 +96,16 @@ def test_project_stack_matches_per_matrix():
 
 
 def test_psd_cone_projection_nonexpansive():
-    # ||proj(a) - x|| <= ||a - x|| for any Hermitian PSD x.
+    # ||proj(a) - x|| <= ||a - x|| for any Hermitian PSD x. proj(a) is the
+    # unit-power output d scaled back: a cone projection is orthogonal to its
+    # residual, so ||proj(a)|| = Re <a, d>.
     rng = np.random.default_rng(2)
     for _ in range(100):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         x = g @ g.conj().T
-        lhs = np.linalg.norm(hermitian_psd_part(a) - x)
+        d = project_psd_power(a, 1.0)
+        lhs = np.linalg.norm(np.vdot(d, a).real * d - x)
         rhs = np.linalg.norm(a - x)
         assert lhs <= rhs + 1e-10
 

@@ -7,7 +7,6 @@ from podsim.feedback import (
     FeedbackChannel,
     _chordal_distance_matrix,
     bsc_inversion_matrix,
-    dominant_directions,
     load_mapping,
     mapping_cost,
     optimize_mapping,
@@ -126,18 +125,22 @@ def test_inversion_probability_matches_matrix():
 
 
 def test_dominant_directions_rank_one():
-    dirs = np.eye(3, dtype=complex)
-    mats = rank_one_codebook(dirs, power=2.0)
-    got = dominant_directions(mats)
-    for j in range(3):
-        assert abs(abs(np.vdot(got[j], dirs[j])) - 1.0) <= 1e-12
+    # The dominant direction of power * u u^H is u, so the distances are
+    # those of the input directions. Orthonormal inputs alone would also pass
+    # with the wrong eigenvector, so skewed ones follow.
+    z = np.random.default_rng(12).standard_normal((3, 3, 2)) @ [1.0, 1j]
+    for dirs in (np.eye(3, dtype=complex), z / np.linalg.norm(z, axis=1, keepdims=True)):
+        mats = rank_one_codebook(dirs, power=2.0)
+        got = _chordal_distance_matrix(mats)
+        want = 1.0 - np.abs(dirs @ dirs.conj().T) ** 2
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_dominant_directions_rejects_zero_matrix():
     mats = np.zeros((2, 2, 2), dtype=complex)
     mats[0] = np.eye(2)
     with pytest.raises(ValueError):
-        dominant_directions(mats)
+        _chordal_distance_matrix(mats)
 
 
 def test_chordal_distance_endpoints():
@@ -186,8 +189,7 @@ def test_anneal_symmetric_codebook_returns_identity():
 def exhaustive_best_cost(mats, marg, rho):
     from itertools import permutations
 
-    dirs = dominant_directions(mats)
-    dist = np.clip(1.0 - np.abs(dirs @ dirs.conj().T) ** 2, 0.0, 1.0)
+    dist = _chordal_distance_matrix(mats)
     bit_matrix = bsc_inversion_matrix(len(mats), rho)
     best = np.inf
     for perm in permutations(range(len(mats))):
@@ -205,8 +207,7 @@ def test_anneal_matches_exhaustive_minimum_k4():
 
     best = exhaustive_best_cost(mats, marg, 0.08)
     perm = optimize_mapping(mats, marg, 0.08, n_iter=10_000, rng=np.random.default_rng(9))
-    dirs2 = dominant_directions(mats)
-    dist = np.clip(1.0 - np.abs(dirs2 @ dirs2.conj().T) ** 2, 0.0, 1.0)
+    dist = _chordal_distance_matrix(mats)
     got = mapping_cost(perm, bsc_inversion_matrix(4, 0.08), marg, dist)
     assert got <= best + 1e-12
 
@@ -237,8 +238,7 @@ def test_anneal_never_worse_than_identity():
         perm = optimize_mapping(
             mats, marg, 0.05, n_iter=2000, rng=np.random.default_rng(trial)
         )
-        dirs2 = dominant_directions(mats)
-        dist = np.clip(1.0 - np.abs(dirs2 @ dirs2.conj().T) ** 2, 0.0, 1.0)
+        dist = _chordal_distance_matrix(mats)
         bit_matrix = bsc_inversion_matrix(8, 0.05)
         got = mapping_cost(perm, bit_matrix, marg, dist)
         ident = mapping_cost(np.arange(8), bit_matrix, marg, dist)

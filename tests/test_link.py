@@ -22,23 +22,28 @@ import os
 import numpy as np
 import pytest
 
+import podsim.link
 from podsim.channel import complex_gaussian
 from podsim.codebook import project_psd_power
 from podsim.feedback import FeedbackChannel
 from podsim.link import (
-    BER_CSV_HEADER,
     BerResult,
     SimulationConfig,
     candidate_codewords,
-    noise_variance,
     run_ber_sweep,
     write_ber_csv,
 )
-from podsim.link import _group_decoder, _worker_count
-from podsim.stbc import Constellation, PodStructure, assemble, get_design, slot_alphabets
+from podsim.link import _BER_CSV_HEADER, _group_decoder, _Scratch, _worker_count
+from podsim.stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets, get_design
 from podsim.trainer import TrainerConfig, fit
 
-from oracles import decode_frames, matched_filter_real_od, naive_ml_decode, received_block
+from oracles import (
+    assemble,
+    decode_frames,
+    matched_filter_real_od,
+    naive_ml_decode,
+    received_block,
+)
 
 # (design, constellation, precoded tail n) of the batched decoder checks.
 DECODER_CASES = [
@@ -55,7 +60,7 @@ def random_precoder(n, rng, spread=0.4):
 
 
 def random_symbols(design, constellation, rng):
-    alphabets = slot_alphabets(design, constellation)
+    alphabets = _slot_alphabets(design, constellation)
     return np.array([a[rng.integers(len(a))] for a in alphabets])
 
 
@@ -79,9 +84,22 @@ def random_frames(pod, const, frames, sigma_n2, rng):
     return precoders, h, syms, y
 
 
-def test_noise_variance_formula():
-    assert noise_variance(4, 0.0) == pytest.approx(4.0)
-    assert noise_variance(2, 10.0) == pytest.approx(0.2)
+def test_noise_variance_formula(monkeypatch):
+    # Each SNR point's chunks run at sigma_n2 = m / eta0.
+    seen = []
+
+    def record(config, design_inv, tasks):
+        seen.extend(task[3] for task in tasks)
+        return [0] * len(tasks)
+
+    monkeypatch.setattr(podsim.link, "_simulate_chunks", record)
+    for kind, snr_db in (("real-od-4", 0.0), ("real-od-2", 10.0)):
+        design = get_design(kind)
+        run_ber_sweep(SimulationConfig(
+            snr_grid_db=[snr_db], frames=1, pod=PodStructure(inner=design, n=design.m),
+            constellation=Constellation("bpsk"),
+        ))
+    assert seen == [pytest.approx(4.0), pytest.approx(0.2)]
 
 
 def test_transmit_block_noiseless_matches_codeword_projection():
@@ -97,7 +115,7 @@ def test_transmit_block_noiseless_matches_codeword_projection():
         h = complex_gaussian((3, pod.m), rng)
         h_eff = h.copy()
         h_eff[:, pod.m - n :] = (h[:, None, pod.m - n :] @ precoders.conj())[:, 0, :]
-        u, _ = decoder.frame_terms(h_eff)
+        u, _ = decoder.frame_terms(h_eff, _Scratch())
         rows = decoder.cand_points @ u.swapaxes(1, 2)  # (frames, candidates, 2t)
         for f in range(3):
             for r, sym in enumerate(syms):
@@ -114,7 +132,7 @@ def test_transmit_block_alamouti_single_path():
     const = Constellation("qpsk-rot")
     decoder = _group_decoder(design, const)
     syms, _ = candidate_codewords(design, const)
-    u, _ = decoder.frame_terms(np.eye(2, dtype=complex))
+    u, _ = decoder.frame_terms(np.eye(2, dtype=complex), _Scratch())
     rows = decoder.cand_points @ u.swapaxes(1, 2)
     y = rows[..., :2] + 1j * rows[..., 2:]
     np.testing.assert_allclose(y[0], np.stack([syms[:, 0].conj(), -syms[:, 1]], 1), atol=1e-14)
@@ -128,7 +146,7 @@ def test_transmit_block_noise_variance_empirical():
     sym = np.array([1.0, -1.0])
     p = np.eye(2, dtype=complex)
     clean = assemble(pod, p, sym).conj().T @ h
-    sigma_n2 = noise_variance(2, 7.0)
+    sigma_n2 = 2.0 / 10.0 ** (7.0 / 10.0)  # m / eta0
     resid = np.stack([received_block(pod, p, sym, h, sigma_n2, rng) for _ in range(30000)])
     measured = float(np.mean(np.abs(resid - clean) ** 2))
     assert measured == pytest.approx(sigma_n2, rel=0.02)
@@ -178,7 +196,7 @@ def test_ml_decode_matches_naive_oracle():
     for kind, const_kind, n in DECODER_CASES:
         pod = PodStructure(inner=get_design(kind), n=n)
         const = Constellation(const_kind)
-        alphabets = slot_alphabets(pod.inner, const)
+        alphabets = _slot_alphabets(pod.inner, const)
         precoders, h, _, y = random_frames(pod, const, 34, 0.3, rng)
         fast = decode_frames(pod, precoders, h, y, const)
         for f in range(34):
@@ -245,10 +263,25 @@ def test_simulation_config_validation():
     design4 = get_design("real-od-4")
     cfg4 = SimulationConfig(
         snr_grid_db=[8.0], frames=10, pod=PodStructure(inner=design4, n=4),
-        constellation=Constellation("bpsk"),
+        constellation=Constellation("bpsk"), symbols_per_frame=130,
     )
     with pytest.raises(ValueError, match="multiple"):
         cfg4.validate()
+
+
+@pytest.mark.parametrize("kind, symbols", [
+    ("real-od-2", 130), ("alamouti", 130), ("real-od-4", 128), ("qostbc-4", 128),
+    ("real-od-8", 128), ("real-od-6x8", 128),
+])
+def test_default_symbols_per_frame_fills_whole_blocks(kind, symbols):
+    # 130 symbols rounded down to whole blocks of the design.
+    design = get_design(kind)
+    cfg = SimulationConfig(
+        snr_grid_db=[8.0], frames=10, pod=PodStructure(inner=design, n=design.m),
+        constellation=Constellation("bpsk"),
+    )
+    cfg.validate()
+    assert cfg.symbols_per_frame == symbols
 
 
 def test_sweep_reproducible_and_worker_invariant():
@@ -406,6 +439,17 @@ def test_derived_slot_groups(kind, const):
         assert groups == [[k] for k in range(get_design(kind).n_sym)]
 
 
+def test_unequal_slot_groups_are_rejected():
+    # Z = [[z1, 0], [z2, z3]]: z1 and z2 share time slot 1, so they couple;
+    # z3 alone fills time slot 2 and couples with neither.
+    design = InnerDesign(
+        "uneven-3", m=2, t=2, n_sym=3, is_real=True,
+        builder=lambda z: np.array([[z[0], 0.0], [z[1], z[2]]], dtype=complex),
+    )
+    with pytest.raises(ValueError, match=r"slot groups \[\(0, 1\), \(2,\)\] differ in size"):
+        _group_decoder(design, Constellation("bpsk"))
+
+
 def test_worker_count_capped_by_tasks_and_cores():
     assert _worker_count(10**6, 3) == min(3, os.cpu_count() or 1)
     assert _worker_count(10**6, 10**6) == (os.cpu_count() or 1)
@@ -430,6 +474,6 @@ def test_write_ber_csv_layout(tmp_path):
     path = tmp_path / "ber.csv"
     write_ber_csv(path, rows)
     text = path.read_text().splitlines()
-    assert text[0] == BER_CSV_HEADER
+    assert text[0] == _BER_CSV_HEADER
     assert text[1].startswith("10,0.1,100,26000,130,0.005,")
     assert len(text) == 3

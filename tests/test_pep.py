@@ -16,18 +16,21 @@ import math
 import numpy as np
 import pytest
 
-from oracles import closed_form_integrals_check, conditional_pep_bound, naive_objective
+from oracles import (
+    assemble,
+    closed_form_integrals_check,
+    conditional_pep_bound,
+    kernel_encode,
+    kernel_objective,
+    naive_objective,
+    region_pep_bound,
+)
 from podsim.channel import sample_directions
 from podsim.codebook import PrecoderCodebook, project_psd_power
 from podsim.feedback import bsc_inversion_matrix
-from podsim.pep import (
-    EvaluationSet,
-    average_pep_bound,
-    build_evaluation_set,
-    region_pep_bound,
-)
-from podsim.stbc import Constellation, PodStructure, assemble, get_design
-from podsim.trainer import TrainerConfig, encode_batch, fit, objective
+from podsim.pep import EvaluationSet, average_pep_bound, build_evaluation_set
+from podsim.stbc import Constellation, PodStructure, get_design
+from podsim.trainer import TrainerConfig, fit
 
 
 def make_codebook(m, n, k, eta_c, rho_d, matrices, marginals=None):
@@ -116,7 +119,7 @@ def test_region_bound_head_factor_unity_when_m_equals_n():
     inv = bsc_inversion_matrix(2, 0.0)
     dirs = sample_directions(2, 500, rng)
     evset = build_evaluation_set(cb, inv, dirs)
-    assignments = encode_batch(dirs, cb.matrices, cb.eta_c, inv)
+    assignments = kernel_encode(dirs, cb.matrices, cb.eta_c, inv)
     i = int(assignments[0])
     x = dirs[assignments == i] @ cb.matrices[0].conj()
     beta = np.einsum("sa,sa->s", x, x.conj()).real
@@ -163,7 +166,7 @@ def test_average_bound_matches_trainer_objective():
         dirs = sample_directions(n, 2000, rng)
         evset = build_evaluation_set(cb, inv, dirs)
         avg = average_pep_bound(evset, inv)
-        expect = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * objective(cb, inv, dirs)
+        expect = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * kernel_objective(cb, inv, dirs)
         assert abs(avg - expect) <= 1e-12
 
 
@@ -183,7 +186,7 @@ def test_average_bound_matches_region_sum_and_naive_objective():
         inv = bsc_inversion_matrix(cb.k, cb.rho_d)
         dirs = sample_directions(cb.n, 300, rng)
         evset = build_evaluation_set(cb, inv, dirs)
-        counts = np.bincount(encode_batch(dirs, cb.matrices, cb.eta_c, inv), minlength=cb.k)
+        counts = np.bincount(kernel_encode(dirs, cb.matrices, cb.eta_c, inv), minlength=cb.k)
         region_sum = sum(
             inv[j, i] * counts[i] / len(dirs) * region_pep_bound(evset, i, j)
             for i in range(cb.k)
@@ -293,7 +296,7 @@ def test_region_bound_dominates_monte_carlo_error_rate():
     sigma_n2 = 4.0 / (4.0 * eta_c)
 
     i = 0
-    member = dirs[encode_batch(dirs, cb.matrices, cb.eta_c, inv) == i]
+    member = dirs[kernel_encode(dirs, cb.matrices, cb.eta_c, inv) == i]
     bound = region_pep_bound(evset, i, i)
 
     z_good = assemble(pod, cb.matrices[i], np.array([1.0, 1.0]))

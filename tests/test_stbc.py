@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from podsim.link import candidate_codewords
-from podsim.stbc import (
-    Constellation,
-    PodStructure,
-    _design_kinds,
-    assemble,
-    get_design,
-    gray_code,
-    slot_alphabets,
-)
+from oracles import assemble
+from podsim.link import _group_decoder, candidate_codewords
+from podsim.stbc import Constellation, PodStructure, _design_kinds, _slot_alphabets, get_design
 
 REAL_KINDS = ["real-od-2", "real-od-4", "real-od-8", "real-od-6x8"]
 
@@ -220,15 +213,18 @@ def test_difference_spectrum_factorizes():
 
 
 def test_gray_code_adjacency():
-    labels = [gray_code(k) for k in range(4)]
-    assert labels == [0b00, 0b01, 0b11, 0b10]
+    # QPSK index k carries Gray label k ^ (k >> 1); the decoder counts a bit
+    # error per differing label bit, so neighbouring points differ in one bit.
+    labels = [0b00, 0b01, 0b11, 0b10]
+    bit_dist = _group_decoder(get_design("alamouti"), Constellation("qpsk-rot")).bit_dist
+    assert bit_dist.tolist() == [[bin(a ^ b).count("1") for b in labels] for a in labels]
     for k in range(4):
-        assert bin(labels[k] ^ labels[(k + 1) % 4]).count("1") == 1
+        assert bit_dist[k, (k + 1) % 4] == 1
 
 
 def test_slot_alphabets_bpsk():
     d = get_design("real-od-4")
-    alphabets = slot_alphabets(d, Constellation("bpsk"))
+    alphabets = _slot_alphabets(d, Constellation("bpsk"))
     assert len(alphabets) == 4
     for a in alphabets:
         assert np.array_equal(a, np.array([1.0, -1.0], dtype=complex))
@@ -237,7 +233,7 @@ def test_slot_alphabets_bpsk():
 def test_slot_alphabets_qpsk_rotation():
     d = get_design("qostbc-4")
     con = Constellation("qpsk-rot")
-    alphabets = slot_alphabets(d, con)
+    alphabets = _slot_alphabets(d, con)
     base = np.array([1, 1j, -1, -1j], dtype=complex)
     assert np.allclose(alphabets[0], base)
     assert np.allclose(alphabets[1], base)
@@ -248,7 +244,7 @@ def test_slot_alphabets_qpsk_rotation():
 
 def test_real_design_rejects_qpsk():
     with pytest.raises(ValueError):
-        slot_alphabets(get_design("real-od-4"), Constellation("qpsk-rot"))
+        _slot_alphabets(get_design("real-od-4"), Constellation("qpsk-rot"))
 
 
 def test_worst_case_distances():

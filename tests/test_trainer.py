@@ -6,6 +6,9 @@ import pytest
 import podsim.trainer
 from oracles import (
     finite_difference_gradient,
+    kernel_encode,
+    kernel_gradient,
+    kernel_objective,
     naive_encode,
     naive_gradient,
     naive_objective,
@@ -21,11 +24,8 @@ from podsim.trainer import (
     _decay,
     _features,
     _quadratic_forms,
-    encode_batch,
     eta_c_from_snr_db,
     fit,
-    gradient,
-    objective,
     range_design,
 )
 
@@ -68,7 +68,7 @@ def test_encode_noiseless_picks_aligned_beam():
     for idx in range(4):
         h = np.zeros(4, dtype=complex)
         h[idx] = 1.0
-        assert encode_batch(h[None, :], cb.matrices, cb.eta_c, inv).tolist() == [idx]
+        assert kernel_encode(h[None, :], cb.matrices, cb.eta_c, inv).tolist() == [idx]
 
 
 def test_encode_all_ties_at_half_crossover():
@@ -77,7 +77,7 @@ def test_encode_all_ties_at_half_crossover():
     cb = make_codebook(2, 2, 4, rng)
     inv = bsc_inversion_matrix(4, 0.5)
     dirs = sample_directions(2, 50, rng)
-    assert np.all(encode_batch(dirs, cb.matrices, cb.eta_c, inv) == 0)
+    assert np.all(kernel_encode(dirs, cb.matrices, cb.eta_c, inv) == 0)
 
 
 def test_encode_matches_naive():
@@ -85,7 +85,7 @@ def test_encode_matches_naive():
     cb = make_codebook(3, 2, 4, rng, eta_c=1.3)
     inv = bsc_inversion_matrix(4, 0.07)
     dirs = sample_directions(2, 50, rng)
-    got = encode_batch(dirs, cb.matrices, cb.eta_c, inv)
+    got = kernel_encode(dirs, cb.matrices, cb.eta_c, inv)
     for s in range(len(dirs)):
         assert got[s] == naive_encode(dirs[s], cb.matrices, cb.eta_c, cb.n, inv)
 
@@ -126,13 +126,13 @@ def test_blocked_passes_match_naive():
     cb = make_codebook(3, 2, 4, rng, eta_c=1.6)
     inv = bsc_inversion_matrix(4, 0.08)
     dirs = sample_directions(2, 2 * _BLOCK_ROWS + 1, rng)
-    a = encode_batch(dirs, cb.matrices, cb.eta_c, inv)
+    a = kernel_encode(dirs, cb.matrices, cb.eta_c, inv)
     assert all(a[s] == naive_encode(dirs[s], cb.matrices, cb.eta_c, cb.n, inv)
                for s in range(len(dirs)))
     want = naive_objective(dirs, cb.matrices, cb.eta_c, cb.n, inv)
-    assert abs(objective(cb, inv, dirs) - want) <= 1e-12
+    assert abs(kernel_objective(cb, inv, dirs) - want) <= 1e-12
     for j in range(4):
-        got = gradient(cb, j, inv, dirs, a)
+        got = kernel_gradient(cb, j, inv, dirs, a)
         assert np.abs(got - naive_gradient(dirs, cb.matrices, j, cb.eta_c, cb.n, inv, a)).max() <= 1e-12
 
 
@@ -141,7 +141,7 @@ def test_objective_is_one_at_zero_eta():
     cb = make_codebook(2, 2, 2, rng, eta_c=0.0)
     inv = bsc_inversion_matrix(2, 0.1)
     dirs = sample_directions(2, 200, rng)
-    assert objective(cb, inv, dirs) == pytest.approx(1.0, abs=1e-14)
+    assert kernel_objective(cb, inv, dirs) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_objective_single_entry_codebook():
@@ -154,7 +154,7 @@ def test_objective_single_entry_codebook():
     dirs = sample_directions(2, 300, rng)
     q = np.array([float(np.sum(np.abs(mats[0].conj().T @ h) ** 2)) for h in dirs])
     expected = np.mean((1.0 + 1.7 * q) ** (-2.0))
-    assert objective(cb, inv, dirs) == pytest.approx(expected, abs=1e-12)
+    assert kernel_objective(cb, inv, dirs) == pytest.approx(expected, abs=1e-12)
 
 
 def test_objective_matches_region_mean_route():
@@ -165,7 +165,7 @@ def test_objective_matches_region_mean_route():
     cb = make_codebook(3, 2, 4, rng, eta_c=2.1)
     inv = bsc_inversion_matrix(4, 0.06)
     dirs = sample_directions(2, 120, rng)
-    got = objective(cb, inv, dirs)
+    got = kernel_objective(cb, inv, dirs)
     want = naive_objective(dirs, cb.matrices, cb.eta_c, cb.n, inv)
     assert abs(got - want) <= 1e-12
 
@@ -175,8 +175,8 @@ def test_gradient_zero_at_zero_eta():
     cb = make_codebook(2, 2, 2, rng, eta_c=0.0)
     inv = bsc_inversion_matrix(2, 0.1)
     dirs = sample_directions(2, 50, rng)
-    a = encode_batch(dirs, cb.matrices, cb.eta_c, inv)
-    assert np.abs(gradient(cb, 0, inv, dirs, a)).max() == 0.0
+    a = kernel_encode(dirs, cb.matrices, cb.eta_c, inv)
+    assert np.abs(kernel_gradient(cb, 0, inv, dirs, a)).max() == 0.0
 
 
 def test_gradient_matches_naive():
@@ -184,9 +184,9 @@ def test_gradient_matches_naive():
     cb = make_codebook(3, 3, 4, rng, eta_c=1.1)
     inv = bsc_inversion_matrix(4, 0.09)
     dirs = sample_directions(3, 60, rng)
-    a = encode_batch(dirs, cb.matrices, cb.eta_c, inv)
+    a = kernel_encode(dirs, cb.matrices, cb.eta_c, inv)
     for j in range(4):
-        got = gradient(cb, j, inv, dirs, a)
+        got = kernel_gradient(cb, j, inv, dirs, a)
         want = naive_gradient(dirs, cb.matrices, j, cb.eta_c, cb.n, inv, a)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -203,10 +203,10 @@ def test_gradient_scalar_closed_form():
     rng = np.random.default_rng(7)
     dirs = sample_directions(1, 40, rng)
     a = np.zeros(40, dtype=np.int64)
-    got = gradient(cb, 0, inv, dirs, a)
+    got = kernel_gradient(cb, 0, inv, dirs, a)
     assert got.shape == (1, 1)
     assert abs(got[0, 0] - (-2.0 * eta / (1.0 + eta) ** 2)) <= 1e-12
-    assert abs(objective(cb, inv, dirs) - 1.0 / (1.0 + eta)) <= 1e-12
+    assert abs(kernel_objective(cb, inv, dirs) - 1.0 / (1.0 + eta)) <= 1e-12
 
 
 def test_gradient_matches_finite_differences():
@@ -216,7 +216,7 @@ def test_gradient_matches_finite_differences():
         cb = make_codebook(n, n, 2, rng, eta_c=0.5 + trial)
         inv = bsc_inversion_matrix(2, 0.05 * trial)
         dirs = sample_directions(n, 30, rng)
-        a = encode_batch(dirs, cb.matrices, cb.eta_c, inv)
+        a = kernel_encode(dirs, cb.matrices, cb.eta_c, inv)
         j = trial % 2
 
         def partial_j(p):
@@ -224,7 +224,7 @@ def test_gradient_matches_finite_differences():
             q = np.array([float(np.sum(np.abs(p.conj().T @ h) ** 2)) for h in dirs])
             return float(np.mean(w * (1.0 + cb.eta_c * q) ** (-cb.n)))
 
-        got = gradient(cb, j, inv, dirs, a)
+        got = kernel_gradient(cb, j, inv, dirs, a)
         fd = finite_difference_gradient(partial_j, cb.matrices[j])
         denom = max(np.abs(fd).max(), 1e-12)
         assert np.abs(got - fd).max() / denom <= 1e-3
@@ -255,7 +255,7 @@ def test_training_assignments_are_reencoded_optimum():
     inv = bsc_inversion_matrix(2, 0.05)
     rng = np.random.default_rng(123)
     dirs = sample_directions(2, 1500, rng)
-    again = encode_batch(dirs, state.codebook.matrices, state.codebook.eta_c, inv)
+    again = kernel_encode(dirs, state.codebook.matrices, state.codebook.eta_c, inv)
     assert np.array_equal(state.codebook.marginals, np.bincount(again, minlength=2) / 1500)
 
 
@@ -325,8 +325,8 @@ def test_restarts_never_hurt():
     inv = bsc_inversion_matrix(2, 0.0)
     rng = np.random.default_rng(42)
     dirs = sample_directions(2, 1000, rng)
-    j1 = objective(fit(cfg1).codebook, inv, dirs)
-    j3 = objective(fit(cfg3).codebook, inv, dirs)
+    j1 = kernel_objective(fit(cfg1).codebook, inv, dirs)
+    j3 = kernel_objective(fit(cfg3).codebook, inv, dirs)
     assert j3 <= j1 + 1e-12
 
 
