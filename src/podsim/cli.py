@@ -124,11 +124,9 @@ def cmd_train(args) -> int:
         rho_d=value if mode == "fixed" else 0.0,
         rho_range=None if mode == "fixed" else value,
         n_train=args.train_size,
-        inner_iters=args.inner_iters,
         step_m=args.step_m,
         tol=args.tol,
         max_rounds=args.max_rounds,
-        restarts=args.restarts,
         seed=args.seed,
     )
     log.info(
@@ -150,7 +148,7 @@ def cmd_eval_pep(args) -> int:
     eta_c = args.eta_c if args.eta_c is not None else cb.eta_c
     rng = np.random.default_rng(args.seed)
     dirs = sample_directions(cb.n, args.samples, rng)
-    evset = build_evaluation_set(cb, bsc_inversion_matrix(cb.k, cb.rho_d), dirs, eta_c)
+    evset = build_evaluation_set(cb, dirs, eta_c)
     lines = ["rho_f,eta_c,bound"]
     for rho_f in args.rho_f:
         bound = average_pep_bound(evset, bsc_inversion_matrix(cb.k, rho_f))
@@ -164,30 +162,18 @@ def cmd_eval_pep(args) -> int:
 def cmd_simulate(args) -> int:
     design = get_design(CODE_NAMES[args.code])
     constellation = Constellation("bpsk" if args.constellation == "bpsk" else "qpsk-rot")
-    baseline = "closed-loop" if args.baseline == "none" else args.baseline
 
-    if args.mapping != "identity" and baseline != "closed-loop":
-        raise ValueError(
-            f"--mapping applies only to the closed loop, not --baseline {args.baseline}"
-        )
-    if args.rho_f != 0.0 and baseline != "closed-loop":
-        raise ValueError(
-            f"--rho-f applies only to the closed loop, not --baseline {args.baseline}"
-        )
-
-    codebook = None
-    feedback = None
-    if baseline == "open-loop":
-        if args.codebook is not None:
-            raise ValueError("--baseline open-loop uses no codebook; drop --codebook")
+    # The inputs decide the run: no codebook is the open loop, a codebook is
+    # the closed loop over a feedback link at --rho-f.
+    codebook = feedback = None
+    if args.codebook is None:
+        if args.rho_f != 0.0 or args.mapping != "identity":
+            raise ValueError("--rho-f and --mapping act on a codebook's feedback; give --codebook")
         pod = PodStructure(inner=design, n=design.m)
     else:
-        if args.codebook is None:
-            raise ValueError(f"--baseline {args.baseline} needs --codebook")
         codebook = _relabeled(load_codebook(args.codebook), args.mapping)
-        pod = PodStructure(inner=design, n=codebook.n)
-    if baseline == "closed-loop":
         feedback = FeedbackChannel(k=codebook.k, rho_f=args.rho_f)
+        pod = PodStructure(inner=design, n=codebook.n)
 
     config = SimulationConfig(
         snr_grid_db=args.snr_db,
@@ -203,7 +189,7 @@ def cmd_simulate(args) -> int:
         "simulating %s/%s %s over %d SNR points, %d frames",
         args.code,
         args.constellation,
-        baseline,
+        "open loop" if codebook is None else "closed loop",
         len(args.snr_db),
         args.frames,
     )
@@ -266,9 +252,9 @@ def _recipe_feedback_noise_ber(out: Path, workers: int) -> list[list[str]]:
              "--out", str(out / f"fn_ber_rho{rho}.csv")]
         )
     steps.append(
-        ["simulate", "--code", "od4", "--constellation", "bpsk", "--baseline", "open-loop",
-         "--snr-db", "0:12:2", "--frames", "5000", "--symbols-per-frame", "128",
-         "--seed", "7", "--workers", str(workers), "--out", str(out / "fn_ber_open.csv")]
+        ["simulate", "--code", "od4", "--constellation", "bpsk", "--snr-db", "0:12:2",
+         "--frames", "5000", "--symbols-per-frame", "128", "--seed", "7",
+         "--workers", str(workers), "--out", str(out / "fn_ber_open.csv")]
     )
     return steps
 
@@ -290,9 +276,9 @@ def _recipe_low_rate_six_antenna(out: Path, workers: int) -> list[list[str]]:
              "--out", str(out / f"six_ber_{tag}.csv")]
         )
     steps.append(
-        ["simulate", "--code", "od6x8", "--constellation", "bpsk", "--baseline", "open-loop",
-         "--snr-db", "6:18:3", "--frames", "20000", "--symbols-per-frame", "128",
-         "--seed", "7", "--workers", str(workers), "--out", str(out / "six_ber_open.csv")]
+        ["simulate", "--code", "od6x8", "--constellation", "bpsk", "--snr-db", "6:18:3",
+         "--frames", "20000", "--symbols-per-frame", "128", "--seed", "7",
+         "--workers", str(workers), "--out", str(out / "six_ber_open.csv")]
     )
     return steps
 
@@ -308,10 +294,9 @@ def _recipe_rotated_qpsk(out: Path, workers: int) -> list[list[str]]:
          "--rho-f", "0.04", "--snr-db", "0:12:3", "--frames", "2000",
          "--symbols-per-frame", "128", "--seed", "7", "--workers", str(workers),
          "--out", str(out / "rq_ber_closed.csv")],
-        ["simulate", "--code", "qostbc4", "--constellation", "qpsk-rot45",
-         "--baseline", "open-loop", "--snr-db", "0:12:3", "--frames", "2000",
-         "--symbols-per-frame", "128", "--seed", "7", "--workers", str(workers),
-         "--out", str(out / "rq_ber_open.csv")],
+        ["simulate", "--code", "qostbc4", "--constellation", "qpsk-rot45", "--snr-db", "0:12:3",
+         "--frames", "2000", "--symbols-per-frame", "128", "--seed", "7",
+         "--workers", str(workers), "--out", str(out / "rq_ber_open.csv")],
     ]
 
 
@@ -424,8 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="block length T for --design-snr-db (default M); not with --eta-c",
     )
     p.add_argument("--train-size", type=int, default=100_000, help="training vectors")
-    p.add_argument("--restarts", type=int, default=1, help="independent initializations")
-    p.add_argument("--inner-iters", type=int, default=5, help="gradient steps per entry")
     p.add_argument("--step-m", type=float, default=1.0, help="step size numerator")
     p.add_argument("--tol", type=float, default=1e-5, help="relative stop tolerance")
     p.add_argument("--max-rounds", type=int, default=200, help="alternation round cap")
@@ -451,17 +434,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo bit error rate sweep")
     p.add_argument(
-        "--codebook", default=None, help="trained codebook file (not with --baseline open-loop)"
+        "--codebook", default=None, help="trained codebook file; without one, the open loop"
     )
     p.add_argument("--code", choices=sorted(CODE_NAMES), required=True, help="inner design")
     p.add_argument(
         "--constellation", choices=("bpsk", "qpsk-rot45"), required=True, help="symbol alphabet"
     )
     p.add_argument(
-        "--baseline", choices=("none", "open-loop", "genie"), default="none",
-        help="none = full closed loop; open-loop = no codebook; genie = no feedback errors",
+        "--rho-f", type=float, default=0.0, help="feedback crossover probability (needs --codebook)"
     )
-    p.add_argument("--rho-f", type=float, default=0.0, help="feedback crossover probability")
     p.add_argument(
         "--snr-db", type=_parse_snr_grid, required=True, help="SNR grid: VALUE or A:B:STEP"
     )
@@ -472,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mapping", default="identity",
-        help="identity, or file:<path> to relabel the codebook entries (closed loop only)",
+        help="identity, or file:<path> to relabel the codebook entries (needs --codebook)",
     )
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="CSV output path")

@@ -25,8 +25,12 @@ size is rejected.
 The inputs decide what runs: without a codebook the tail is not precoded
 (the open loop); a codebook without a feedback link applies the encoder's
 index exactly (the genie); a codebook with a feedback link runs the full
-closed loop. The codebook's entry order is its index assignment, so a
-remapped index assignment is a relabeled codebook, not a link option.
+closed loop. The encoder quantizes at the codebook's eta_c under its
+design index channel, the BSC at rho_d, so a codebook is always run under
+the channel it was trained for. The codebook's entry order is its index
+assignment, so a remapped index assignment is a relabeled codebook, not a
+link option; at rho_d > 0 it changes the encoder's choices even when no
+index error occurs.
 
 Monte Carlo frames are processed in fixed-size chunks, each seeded from
 (seed, snr_point, chunk) independently, so results are identical for any
@@ -272,10 +276,12 @@ class SimulationConfig:
         per frame
     pod: code structure (inner design + precoded tail size)
     constellation: symbol alphabet
-    codebook: trained precoder codebook; None leaves the tail unprecoded
-        (the open loop)
+    codebook: trained precoder codebook, encoded under the index channel it
+        was designed for (the BSC at its rho_d); None leaves the tail
+        unprecoded (the open loop)
     feedback: noisy feedback link for the codebook index; None delivers the
-        index without error (the genie); needs a codebook
+        index without error (the genie, the perfect-feedback reference that
+        tests compare with); needs a codebook
     symbols_per_frame: data symbols per frame; must fill whole blocks. The
         default None becomes 130 rounded down to whole blocks
     seed: master seed for the deterministic per-chunk seed tree
@@ -389,22 +395,22 @@ def _block_errors(
 
 def _effective_channels(
     config: SimulationConfig,
-    design_inv: np.ndarray | None,
-    precoders: tuple[np.ndarray, np.ndarray] | None,
+    precoders: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
     frames: int,
     rng: np.random.Generator,
     scratch: _Scratch,
 ) -> np.ndarray:
     """One channel draw per frame, returned as h_eff = [head; P^H tail] with P
     the codebook entry the transmitter applies (h itself without a codebook).
-    precoders is the codebook's (coordinates, conjugate matrices)."""
+    precoders is the codebook's (coordinates, conjugate matrices, design
+    index channel)."""
     m, n = config.pod.m, config.pod.n
     h = scratch.take((frames, m), complex)
     with scratch.scope():
         _complex_gaussian(h, scratch.take((2, frames, m)), rng)
     if precoders is None:
         return h
-    coords, conj = precoders
+    coords, conj, design_inv = precoders
     cb = config.codebook
     tail = h[:, m - n :]
     # Each array dies right after its last use (passed on unnamed, or
@@ -429,26 +435,26 @@ def _effective_channels(
     return h
 
 
-def _simulate_chunks(
-    config: SimulationConfig, design_inv: np.ndarray | None, tasks: list[tuple]
-) -> list[int]:
+def _simulate_chunks(config: SimulationConfig, tasks: list[tuple]) -> list[int]:
     """Bit errors of each (point_idx, chunk_idx, frames, sigma_n2) task, in
-    task order. The codebook's coordinates and conjugates and the decoder
-    tables are looked up once, and every chunk takes its arrays from one
-    scratch. No array of a chunk outlives it, so the scratch grows after the
-    first full chunk without holding that chunk's arrays as well."""
+    task order. The codebook's coordinates, conjugates and design index
+    channel (the BSC at its rho_d) and the decoder tables are looked up
+    once, and every chunk takes its arrays from one scratch. No array of a
+    chunk outlives it, so the scratch grows after the first full chunk
+    without holding that chunk's arrays as well."""
     decoder = _group_decoder(config.pod.inner, config.constellation)
     precoders = None
     if config.codebook is not None:
         matrices = np.asarray(config.codebook.matrices)
-        precoders = _coordinates(matrices), matrices.conj()
+        k, rho_d = config.codebook.k, config.codebook.rho_d
+        precoders = _coordinates(matrices), matrices.conj(), bsc_inversion_matrix(k, rho_d)
     t, blocks = config.pod.t, config.blocks_per_frame
     scratch = _Scratch()
     counts = []
     for point_idx, chunk_idx, frames, sigma_n2 in tasks:
         scratch.reset()
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, point_idx, chunk_idx)))
-        h_eff = _effective_channels(config, design_inv, precoders, frames, rng, scratch)
+        h_eff = _effective_channels(config, precoders, frames, rng, scratch)
         counts.append(_block_errors(decoder, h_eff, t, blocks, sigma_n2, rng, scratch))
         del h_eff  # before the next reset(), which may replace the buffer it lives in
     return counts
@@ -475,9 +481,6 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
     config.validate()
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    design_inv = None
-    if config.codebook is not None:
-        design_inv = bsc_inversion_matrix(config.codebook.k, config.codebook.rho_d)
     bits_per_frame = (
         config.blocks_per_frame * config.pod.inner.n_sym * config.constellation.bits_per_symbol
     )
@@ -492,7 +495,7 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
         for c_idx, size in enumerate(plan):
             tasks.append((p_idx, c_idx, size, sigma_n2))
 
-    run = functools.partial(_simulate_chunks, config, design_inv)
+    run = functools.partial(_simulate_chunks, config)
     workers = _worker_count(workers, len(tasks))
     if workers == 1:
         counts = run(tasks)

@@ -26,10 +26,13 @@ The bound chain has three levels:
 
        average = head sum_ij inv[j, i] tail[i, j],
 
-   a K x K product. The table depends on the codebook, the directions and
-   eta_c but not on the feedback channel, so one table serves every rho_f.
-   At the eta_c and inv the regions were encoded with, the sum is the
-   objective that codebook training minimizes.
+   a K x K product. The regions are encoded the way the codebook was
+   designed: at its eta_c and under its design index channel, the BSC at
+   rho_d, which a channel-optimized encoder is trained jointly with. So the
+   table depends on the codebook, the directions and eta_c but not on the
+   operating feedback channel, and one table serves every rho_f. At the
+   codebook's eta_c and rho_f = rho_d, the sum is the objective that
+   codebook training minimizes.
 
 Expectations over regions are empirical means over the evaluation set,
 matching the trainer's convention, and every beta comes from the trainer's
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import PrecoderCodebook
+from .feedback import bsc_inversion_matrix
 from .trainer import _coordinates, _decay, _encode, _features, _quadratic_forms
 
 __all__ = [
@@ -77,11 +81,11 @@ class EvaluationSet:
 
 
 def build_evaluation_set(
-    cb: PrecoderCodebook, inv: np.ndarray, dirs: np.ndarray, eta_c: float | None = None
+    cb: PrecoderCodebook, dirs: np.ndarray, eta_c: float | None = None
 ) -> EvaluationSet:
     """Assign each direction to its encoder region (at the codebook's eta_c and
-    the index channel inv) and tabulate the region-pair table at eta_c, which
-    defaults to the codebook's."""
+    its design index channel, the BSC at rho_d) and tabulate the region-pair
+    table at eta_c, which defaults to the codebook's."""
     eta_c = cb.eta_c if eta_c is None else eta_c
     if not (np.isfinite(eta_c) and eta_c >= 0.0):
         raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
@@ -94,6 +98,7 @@ def build_evaluation_set(
     # adds its rows to their region's row of the table with one bincount over
     # (region, entry) pairs, so no (S, K) array is allocated.
     k = cb.k
+    design_inv = bsc_inversion_matrix(k, cb.rho_d)
     counts = np.zeros(k)
     tail = np.zeros(k * k)
     entries = np.arange(k)
@@ -101,7 +106,7 @@ def build_evaluation_set(
         w = None if eta_c == cb.eta_c else _decay(q.copy(), eta_c, cb.n)[0]
         w_enc, t = _decay(q, cb.eta_c, cb.n)
         w = w_enc if w is None else w
-        asg = _encode(w_enc, inv, out=t)
+        asg = _encode(w_enc, design_inv, out=t)
         counts += np.bincount(asg, minlength=k)
         tail += np.bincount((asg[:, None] * k + entries).ravel(), weights=w.ravel(), minlength=k * k)
     tail = tail.reshape(k, k) / len(dirs)

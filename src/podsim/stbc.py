@@ -128,17 +128,6 @@ class InnerDesign:
     rotated_slots: tuple[int, ...] = ()
     builder: callable = field(default=None, repr=False, compare=False)
 
-    def build(self, symbols) -> np.ndarray:
-        """Evaluate the design at a symbol vector, returning an m x t matrix."""
-        z = np.asarray(symbols)
-        if z.shape != (self.n_sym,):
-            raise ValueError(f"{self.kind} needs {self.n_sym} symbols, got shape {z.shape}")
-        if self.is_real:
-            if np.iscomplexobj(z) and np.abs(z.imag).max() > 1e-12:
-                raise ValueError(f"{self.kind} is a real design; symbols must be real")
-            z = z.real.astype(float)
-        return self.builder(z)
-
     def coefficient_tensors(self) -> tuple[np.ndarray, np.ndarray]:
         """Tensors (A, B) with Z(z) = sum_k z_k A_k + conj(z_k) B_k.
 

@@ -3,11 +3,12 @@
 Everything here is written with plain Python loops and the defining
 formulas, deliberately avoiding the vectorized code paths under test. The
 analytic self-checks of the bound chain (the conditional Chernoff bound, the
-per-region bound and a Monte Carlo check of its two Gamma integrals) and the
-precoded codeword `assemble` live here too. `decode_frames` drives the
-sweep's batched decoder the way the sweep does, and `kernel_encode`,
-`kernel_objective` and `kernel_gradient` drive the trainer's private passes
-on one codebook, so tests can compare them with these references.
+per-region bound and a Monte Carlo check of its two Gamma integrals), the
+inner codeword `build` and the precoded codeword `assemble` live here too.
+`decode_frames` drives the sweep's batched decoder the way the sweep does,
+and `kernel_encode`, `kernel_objective` and `kernel_gradient` drive the
+trainer's private passes on one codebook, so tests can compare them with
+these references.
 """
 
 import itertools
@@ -27,6 +28,20 @@ from podsim.trainer import (
 )
 
 
+def build(design, symbols):
+    """Evaluate an inner design at a symbol vector, returning its m x t
+    codeword. A real design takes real symbols only (imaginary parts up to
+    1e-12 are dropped)."""
+    z = np.asarray(symbols)
+    if z.shape != (design.n_sym,):
+        raise ValueError(f"{design.kind} needs {design.n_sym} symbols, got shape {z.shape}")
+    if design.is_real:
+        if np.iscomplexobj(z) and np.abs(z.imag).max() > 1e-12:
+            raise ValueError(f"{design.kind} is a real design; symbols must be real")
+        z = z.real.astype(float)
+    return design.builder(z)
+
+
 def assemble(pod, precoder, symbols):
     """Precoded codeword Z_pod = blockdiag(I_{m-n}, P) Z(symbols): identity on
     the head rows, P on the tail rows. The precoder must be n x n with
@@ -37,7 +52,7 @@ def assemble(pod, precoder, symbols):
     power = float(np.sum(np.abs(p) ** 2))
     if abs(power - pod.n) > 1e-6:
         raise ValueError(f"precoder power {power:.8f} differs from required {pod.n}")
-    z = pod.inner.build(symbols)
+    z = build(pod.inner, symbols)
     out = z.copy()
     out[pod.inner.m - pod.n :, :] = p @ z[pod.inner.m - pod.n :, :]
     return out

@@ -319,10 +319,10 @@ def test_fast_analytic_consistency_suite():
     # (b) bound chain equals the scaled training objective
     worst_id = 0.0
     for m, n, k in ((2, 1, 2), (3, 2, 4), (2, 2, 2)):
-        cb = _random_codebook(n, k, rng, eta_c=1.4, m=m)
+        cb = replace(_random_codebook(n, k, rng, eta_c=1.4, m=m), rho_d=0.07)
         inv = bsc_inversion_matrix(k, 0.07)
         dirs = sample_directions(n, 400, rng)
-        evset = build_evaluation_set(cb, inv, dirs)
+        evset = build_evaluation_set(cb, dirs)
         lhs = average_pep_bound(evset, inv)
         rhs = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * kernel_objective(cb, inv, dirs)
         worst_id = max(worst_id, abs(lhs - rhs) / rhs)

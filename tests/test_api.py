@@ -7,13 +7,14 @@ The exports themselves are pinned. A new export needs a caller in
 tests use stays private, and the tests import the private name or a
 reference in `tests/oracles.py`.
 
-The knobs are pinned too: the fields of the configuration dataclasses and
-the options of every subcommand, so that adding or removing one is a visible
-edit here."""
+The knobs are pinned too: the fields of the configuration dataclasses, the
+parameters of `build_evaluation_set` and the options of every subcommand, so
+that adding or removing one is a visible edit here."""
 
 import argparse
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -64,16 +65,21 @@ def test_config_fields_are_pinned(cls, fields):
     assert [f.name for f in dataclasses.fields(cls)] == fields
 
 
+def test_evaluation_set_takes_no_index_channel():
+    # A codebook fixes the index channel its encoder was designed for.
+    params = inspect.signature(podsim.build_evaluation_set).parameters
+    assert list(params) == ["cb", "dirs", "eta_c"]
+    assert params["eta_c"].default is None
+
+
 SUBCOMMAND_OPTIONS = {
     "train": ["--antennas", "--feedback-bits", "--precoder-dim", "--rho-d", "--rho-range",
               "--rho-average", "--eta-c", "--design-snr-db", "--block-length", "--train-size",
-              "--restarts", "--inner-iters", "--step-m", "--tol", "--max-rounds", "--out",
-              "--seed", "--log-level"],
+              "--step-m", "--tol", "--max-rounds", "--out", "--seed", "--log-level"],
     "eval-pep": ["--codebook", "--rho-f", "--eta-c", "--snr-db", "--samples", "--out", "--seed",
                  "--log-level"],
-    "simulate": ["--codebook", "--code", "--constellation", "--baseline", "--rho-f", "--snr-db",
-                 "--frames", "--symbols-per-frame", "--mapping", "--workers", "--out", "--seed",
-                 "--log-level"],
+    "simulate": ["--codebook", "--code", "--constellation", "--rho-f", "--snr-db", "--frames",
+                 "--symbols-per-frame", "--mapping", "--workers", "--out", "--seed", "--log-level"],
     "eigen": ["--codebook", "--out", "--log-level"],
     "map-anneal": ["--codebook", "--rho-f", "--sa-iters", "--out", "--seed", "--log-level"],
     "recipe": ["name", "--out-dir", "--workers", "--log-level"],

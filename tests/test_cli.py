@@ -1,6 +1,7 @@
 """Command line interface tests: flag validation, exit codes, file
 artifacts, and recipe determinism."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from podsim.channel import sample_directions
 from podsim.cli import CODE_NAMES, RECIPES, _build_parser, _parse_snr_grid, main
-from podsim.codebook import load_codebook
+from podsim.codebook import load_codebook, save_codebook
 from podsim.feedback import bsc_inversion_matrix, load_mapping, save_mapping
 from podsim.link import _BER_CSV_HEADER, SimulationConfig, run_ber_sweep
 from podsim.stbc import Constellation, PodStructure, _design_kinds, get_design
@@ -231,18 +232,22 @@ def test_simulate_csv_header_and_grid(tiny_codebook_path, tmp_path):
 
 
 def test_simulate_open_loop_needs_no_codebook(tmp_path):
+    # No codebook is the open loop: the counts are those of a sweep given no
+    # codebook.
     out = tmp_path / "open.csv"
-    rc = main(["simulate", "--code", "od2", "--constellation", "bpsk",
-               "--baseline", "open-loop", "--snr-db", "6", "--frames", "150",
-               "--symbols-per-frame", "128", "--seed", "2", "--out", str(out)])
+    rc = main(["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6:10:4",
+               "--frames", "150", "--symbols-per-frame", "128", "--seed", "2", "--out", str(out)])
     assert rc == 0
-    assert out.read_text().startswith(_BER_CSV_HEADER)
-
-
-def test_simulate_closed_loop_without_codebook_rejected(tmp_path):
-    rc = main(["simulate", "--code", "od2", "--constellation", "bpsk",
-               "--snr-db", "6", "--frames", "10", "--out", str(tmp_path / "x.csv")])
-    assert rc == 3
+    lines = out.read_text().split()
+    assert lines[0] == _BER_CSV_HEADER
+    design = get_design("real-od-2")
+    config = SimulationConfig(
+        snr_grid_db=[6.0, 10.0], frames=150, pod=PodStructure(inner=design, n=design.m),
+        constellation=Constellation("bpsk"), symbols_per_frame=128, seed=2,
+    )
+    counts = [int(line.split(",")[4]) for line in lines[1:]]
+    assert counts == [r.bit_errors for r in run_ber_sweep(config)]
+    assert min(counts) > 0
 
 
 def test_simulate_mapping_flags(tiny_codebook_path, tmp_path, capsys):
@@ -260,14 +265,20 @@ def test_simulate_mapping_flags(tiny_codebook_path, tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
-def test_simulate_mapping_relabels_the_codebook(tmp_path):
+@pytest.fixture(scope="module")
+def k8_codebook_path(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "k8.cb"
+    assert main(["train", "--antennas", "2", "--feedback-bits", "3", "--precoder-dim", "2",
+                 "--rho-d", "0.1", "--eta-c", "2.0", "--train-size", "2000", "--step-m", "63",
+                 "--max-rounds", "20", "--seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+def test_simulate_mapping_relabels_the_codebook(k8_codebook_path, tmp_path):
     # The mapping moves entry i to label pi(i). A K=8 pi tells that apart from
     # its inverse and the identity; the counts were pinned when the mapping
     # still acted inside the feedback link, as pi(i) sent and pi^-1 applied.
-    cb = str(tmp_path / "k8.cb")
-    assert main(["train", "--antennas", "2", "--feedback-bits", "3", "--precoder-dim", "2",
-                 "--rho-d", "0.1", "--eta-c", "2.0", "--train-size", "2000", "--step-m", "63",
-                 "--max-rounds", "20", "--seed", "3", "--out", cb]) == 0
+    cb = str(k8_codebook_path)
     pi = np.array([3, 6, 0, 5, 1, 7, 2, 4])
     pinned = {"pi": (pi, [16986, 4611]), "inverse": (np.argsort(pi), [16625, 4348]),
               "identity": (np.arange(8), [14033, 3162])}
@@ -278,6 +289,27 @@ def test_simulate_mapping_relabels_the_codebook(tmp_path):
                      "--rho-f", "0.1", "--snr-db", "4:8:4", "--frames", "4000", "--seed", "3",
                      "--mapping", f"file:{tmp_path / name}.txt", "--out", str(out)]) == 0
         assert [int(line.split(",")[4]) for line in out.read_text().split()[1:]] == counts, name
+
+
+def test_simulate_mapping_matters_without_index_errors(k8_codebook_path, tmp_path):
+    # The encoder weighs the labels by its design channel, the BSC at rho_d.
+    # So at rho_d = 0.1 a relabeling changes the applied entries, and the
+    # counts, even at rho_f = 0; at rho_d = 0 the encoder ignores labels.
+    designs = {"0.1": k8_codebook_path, "0": tmp_path / "k8_rho0.cb"}
+    save_codebook(dataclasses.replace(load_codebook(k8_codebook_path), rho_d=0.0), designs["0"])
+    perms = {"identity": np.arange(8), "pi": np.array([3, 6, 0, 5, 1, 7, 2, 4])}
+    counts = {}
+    for rho_d, cb in designs.items():
+        for name, perm in perms.items():
+            save_mapping(tmp_path / f"{name}.txt", perm)
+            out = tmp_path / f"{rho_d}_{name}.csv"
+            assert main(["simulate", "--codebook", str(cb), "--code", "od2",
+                         "--constellation", "bpsk", "--rho-f", "0", "--snr-db", "4:8:4",
+                         "--frames", "4000", "--seed", "3",
+                         "--mapping", f"file:{tmp_path / name}.txt", "--out", str(out)]) == 0
+            counts[rho_d, name] = [int(line.split(",")[4]) for line in out.read_text().split()[1:]]
+    assert counts["0.1", "pi"] != counts["0.1", "identity"]
+    assert counts["0", "pi"] == counts["0", "identity"]
 
 
 def test_train_takes_no_mapping(tmp_path):
@@ -299,10 +331,10 @@ TRAIN_SMALL = ["train", "--antennas", "2", "--feedback-bits", "1", "--rho-d", "0
     (TRAIN_SMALL + ["--eta-c", "1", "--step-m", "-3"], "step_m"),
     (TRAIN_SMALL + ["--eta-c", "1", "--step-m", "nan"], "step_m"),
     (TRAIN_SMALL + ["--eta-c", "1", "--tol", "nan"], "tol"),
-    (["simulate", "--code", "od2", "--constellation", "bpsk", "--baseline", "open-loop",
-      "--frames", "20", "--snr-db", "nan"], "SNR points"),
-    (["simulate", "--code", "od2", "--constellation", "bpsk", "--baseline", "open-loop",
-      "--frames", "20", "--snr-db=-inf"], "SNR points"),
+    (["simulate", "--code", "od2", "--constellation", "bpsk", "--frames", "20",
+      "--snr-db", "nan"], "SNR points"),
+    (["simulate", "--code", "od2", "--constellation", "bpsk", "--frames", "20",
+      "--snr-db=-inf"], "SNR points"),
 ])
 def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys):
     out = tmp_path / "out"
@@ -311,41 +343,37 @@ def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys)
     assert not out.exists()
 
 
-def test_simulate_rejects_flags_its_baseline_ignores(tiny_codebook_path, tmp_path, capsys):
-    # A mapping only acts on the closed loop's feedback link, and the open
-    # loop uses no codebook, so these runs are errors rather than no-ops.
+def test_simulate_baseline_is_usage_error(tiny_codebook_path, tmp_path):
+    # The inputs decide the run, so there is no mode to ask for.
     out = tmp_path / "x.csv"
-    base = ["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6",
-            "--frames", "10", "--out", str(out)]
-    open_loop = base + ["--baseline", "open-loop"]
-    assert main(open_loop + ["--mapping", "bogus", "--codebook", "missing.cb"]) == 3
-    assert main(open_loop + ["--codebook", str(tiny_codebook_path)]) == 3
-    assert main(base + ["--baseline", "genie", "--codebook", str(tiny_codebook_path),
-                        "--mapping", f"file:{tmp_path / 'map.txt'}"]) == 3
-    err = capsys.readouterr().err
-    assert "--mapping applies only to the closed loop" in err and "drop --codebook" in err
+    for mode in ("none", "open-loop", "genie"):
+        with pytest.raises(SystemExit) as ei:
+            main(["simulate", "--codebook", str(tiny_codebook_path), "--code", "od2",
+                  "--constellation", "bpsk", "--baseline", mode, "--snr-db", "6",
+                  "--frames", "10", "--out", str(out)])
+        assert ei.value.code == 2
     assert not out.exists()
 
 
-def test_simulate_rejects_rho_f_outside_the_closed_loop(tiny_codebook_path, tmp_path, capsys):
-    # Only the closed loop has a feedback link, so a crossover probability for
-    # the open loop or the genie is an error rather than a CSV row saying 0.
+def test_simulate_rejects_rho_f_outside_the_closed_loop(tmp_path, capsys):
+    # Without a codebook there is no feedback link to cross and no entry to
+    # relabel, so --rho-f or --mapping there is an error rather than a CSV
+    # row saying 0.
     out = tmp_path / "x.csv"
     base = ["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6",
-            "--frames", "10", "--rho-f", "0.3", "--out", str(out)]
-    assert main(base + ["--baseline", "open-loop"]) == 3
-    assert main(base + ["--baseline", "genie", "--codebook", str(tiny_codebook_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("--rho-f applies only to the closed loop") == 2
+            "--frames", "10", "--out", str(out)]
+    for flags in (["--rho-f", "0.3"], ["--mapping", f"file:{tmp_path / 'map.txt'}"]):
+        assert main(base + flags) == 3
+        assert "give --codebook" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_recipes_pass_rho_f_only_to_the_closed_loop(tmp_path):
     for recipe in RECIPES.values():
         for step in recipe(tmp_path, 1):
-            args = _build_parser().parse_args(step)
-            if step[0] == "simulate" and args.baseline != "none":
-                assert args.rho_f == 0.0, step
+            _build_parser().parse_args(step)
+            if "--rho-f" in step:
+                assert "--codebook" in step, step
 
 
 def test_code_names_cover_design_registry():
@@ -358,8 +386,8 @@ def test_code_names_cover_design_registry():
 ])
 def test_simulate_open_loop_new_codes_match_sweep(tmp_path, code, const, constellation):
     out = tmp_path / "ber.csv"
-    rc = main(["simulate", "--code", code, "--constellation", const, "--baseline", "open-loop",
-               "--snr-db", "2:8:6", "--frames", "300", "--seed", "4", "--out", str(out)])
+    rc = main(["simulate", "--code", code, "--constellation", const, "--snr-db", "2:8:6",
+               "--frames", "300", "--seed", "4", "--out", str(out)])
     assert rc == 0
     design = get_design(CODE_NAMES[code])
     config = SimulationConfig(

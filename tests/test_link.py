@@ -39,6 +39,7 @@ from podsim.trainer import TrainerConfig, fit
 
 from oracles import (
     assemble,
+    build,
     decode_frames,
     matched_filter_real_od,
     naive_ml_decode,
@@ -88,7 +89,7 @@ def test_noise_variance_formula(monkeypatch):
     # Each SNR point's chunks run at sigma_n2 = m / eta0.
     seen = []
 
-    def record(config, design_inv, tasks):
+    def record(config, tasks):
         seen.extend(task[3] for task in tasks)
         return [0] * len(tasks)
 
@@ -163,7 +164,7 @@ def test_effective_channel_projection_identity():
     h_eff = h.copy()
     h_eff[:, 2:] = (h[:, None, 2:] @ precoders.conj())[:, 0, :]
     sym = np.array([1.0, -1.0, 1.0, 1.0])
-    z_in = design.build(sym)
+    z_in = build(design, sym)
     for p, hf, hf_eff in zip(precoders, h, h_eff):
         np.testing.assert_allclose(
             assemble(pod, p, sym).conj().T @ hf, z_in.conj().T @ hf_eff, atol=1e-13
@@ -179,7 +180,7 @@ def test_candidate_codewords_enumeration_order():
         syms, [[1, 1], [1, -1], [-1, 1], [-1, -1]], atol=0
     )
     for s, w in zip(syms, words):
-        np.testing.assert_allclose(w, design.build(s.real), atol=1e-15)
+        np.testing.assert_allclose(w, build(design, s.real), atol=1e-15)
 
 
 def test_ml_decode_noiseless_exact():

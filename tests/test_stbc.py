@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import assemble
+from oracles import assemble, build
 from podsim.link import _group_decoder, candidate_codewords
 from podsim.stbc import Constellation, PodStructure, _design_kinds, _slot_alphabets, get_design
 
@@ -32,7 +32,7 @@ def test_registry_shapes():
 
 
 def test_od4_all_ones_columns():
-    z = get_design("real-od-4").build([1.0, 1.0, 1.0, 1.0])
+    z = build(get_design("real-od-4"), [1.0, 1.0, 1.0, 1.0])
     assert np.array_equal(z[:, 0].real, [1, 1, 1, 1])
     assert np.array_equal(z[:, 1].real, [-1, 1, -1, 1])
     assert np.array_equal(z[:, 2].real, [-1, 1, 1, -1])
@@ -45,22 +45,22 @@ def test_real_designs_orthogonal():
         d = get_design(kind)
         for _ in range(250):
             sym = rng.standard_normal(d.n_sym)
-            z = d.build(sym)
+            z = build(d, sym)
             gram = z @ z.conj().T
             target = np.sum(sym**2) * np.eye(d.m)
             assert np.abs(gram - target).max() <= 1e-10
 
 
 def test_bpsk_gram_scale():
-    z = get_design("real-od-4").build([1.0, -1.0, 1.0, 1.0])
+    z = build(get_design("real-od-4"), [1.0, -1.0, 1.0, 1.0])
     assert np.abs(z @ z.conj().T - 4 * np.eye(4)).max() <= 1e-12
 
 
 def test_6x8_is_truncated_8x8():
     rng = np.random.default_rng(5)
     sym = rng.standard_normal(8)
-    z8 = get_design("real-od-8").build(sym)
-    z6 = get_design("real-od-6x8").build(sym)
+    z8 = build(get_design("real-od-8"), sym)
+    z6 = build(get_design("real-od-6x8"), sym)
     assert np.array_equal(z6, z8[:6, :])
 
 
@@ -69,10 +69,10 @@ def test_alamouti_orthogonal_and_first_row_receive():
     d = get_design("alamouti")
     for _ in range(100):
         sym = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        z = d.build(sym)
+        z = build(d, sym)
         assert np.abs(z @ z.conj().T - np.sum(np.abs(sym) ** 2) * np.eye(2)).max() <= 1e-12
     # channel (1, 0): noiseless receive vector involves only the first antenna row
-    z = d.build([2.0 + 1.0j, -0.5 + 0.25j])
+    z = build(d, [2.0 + 1.0j, -0.5 + 0.25j])
     y = z.conj().T @ np.array([1.0, 0.0])
     assert np.allclose(y, np.array([2.0 - 1.0j, 0.5 - 0.25j]))
 
@@ -84,7 +84,7 @@ def test_qostbc_gram_coupling_pattern():
     d = get_design("qostbc-4")
     for _ in range(100):
         sym = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        g = d.build(sym) @ d.build(sym).conj().T
+        g = build(d, sym) @ build(d, sym).conj().T
         a = np.sum(np.abs(sym) ** 2)
         assert np.abs(np.diag(g) - a).max() <= 1e-12
         for i, j in [(0, 1), (0, 2), (1, 3), (2, 3)]:
@@ -102,7 +102,7 @@ def test_qostbc_metric_separates_stated_pairs():
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
 
     def metric(sym):
-        return np.linalg.norm(y - d.build(sym).conj().T @ h) ** 2
+        return np.linalg.norm(y - build(d, sym).conj().T @ h) ** 2
 
     base = np.array([1 + 0j, 1j, -1, -1j])
     rot = base * np.exp(1j * np.pi / 4)
@@ -119,9 +119,9 @@ def test_qostbc_metric_separates_stated_pairs():
 def test_build_validation():
     d = get_design("real-od-4")
     with pytest.raises(ValueError):
-        d.build([1.0, 1.0])
+        build(d, [1.0, 1.0])
     with pytest.raises(ValueError):
-        d.build(np.array([1.0, 1j, 1.0, 1.0]))
+        build(d, np.array([1.0, 1j, 1.0, 1.0]))
 
 
 def test_coefficient_tensors_reproduce_builder():
@@ -133,7 +133,7 @@ def test_coefficient_tensors_reproduce_builder():
             sym = rng.standard_normal(d.n_sym)
             if not d.is_real:
                 sym = sym + 1j * rng.standard_normal(d.n_sym)
-            direct = d.build(sym)
+            direct = build(d, sym)
             via = np.einsum("k,kmt->mt", sym.astype(complex), a) + np.einsum(
                 "k,kmt->mt", np.conj(sym).astype(complex), b
             )
@@ -148,7 +148,7 @@ def test_assemble_identity_precoder_is_inner():
         d = get_design(kind)
         pod = PodStructure(inner=d, n=n)
         sym = rng.standard_normal(d.n_sym)
-        assert np.allclose(assemble(pod, np.eye(n), sym), d.build(sym))
+        assert np.allclose(assemble(pod, np.eye(n), sym), build(d, sym))
 
 
 def test_assemble_partial_precoding_structure():
@@ -158,7 +158,7 @@ def test_assemble_partial_precoding_structure():
     pod = PodStructure(inner=d, n=2)
     p = random_psd_precoder(2, rng)
     sym = rng.standard_normal(4)
-    z = d.build(sym)
+    z = build(d, sym)
     out = assemble(pod, p, sym)
     assert np.allclose(out[:2, :], z[:2, :])
     for col in range(4):
