@@ -250,6 +250,18 @@ def test_simulate_open_loop_needs_no_codebook(tmp_path):
     assert min(counts) > 0
 
 
+def test_simulate_closed_loop_without_codebook_rejected(tmp_path, capsys):
+    # A feedback crossover asks for the closed loop, which needs the codebook
+    # whose indices cross it; without one the run is refused, not run open.
+    out = tmp_path / "x.csv"
+    for rho_f in ("0.04", "0.5"):
+        rc = main(["simulate", "--code", "od2", "--constellation", "bpsk", "--rho-f", rho_f,
+                   "--snr-db", "6", "--frames", "10", "--out", str(out)])
+        assert rc == 3
+        assert "give --codebook" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_mapping_flags(tiny_codebook_path, tmp_path, capsys):
     # An annealed mapping comes only from map-anneal, as a file.
     mapping = tmp_path / "map.txt"
