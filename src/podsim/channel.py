@@ -38,9 +38,11 @@ def _complex_gaussian(out: np.ndarray, parts: np.ndarray, rng: np.random.Generat
     only), so the samples equal (re + 1j * im) / sqrt(2) bit for bit."""
     rng.standard_normal(out=parts[0])
     rng.standard_normal(out=parts[1])
+    # numpy divides by the complex c + 0j as x * (1 / c) per part, so this
+    # real product gives the same bits as (re + 1j * im) / sqrt(2).
+    parts *= 1.0 / np.sqrt(2.0)
     out.real, out.imag = parts
-    # A complex division, as in (re + 1j * im) / sqrt(2), not re / sqrt(2).
-    return np.divide(out, np.sqrt(2.0), out=out)
+    return out
 
 
 def sample_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

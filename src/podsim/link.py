@@ -22,6 +22,22 @@ orthogonal designs, (z1, z3) and (z2, z4) for the quasi-orthogonal code.
 The groups are decoded as one batch, so a design whose groups differ in
 size is rejected.
 
+Given h_eff, the metric sees y only through the statistic r = U^T y =
+Gamma x + w, w ~ N(0, sigma_n2 / 2 * Gamma), so the sweep draws what the
+design lets it draw most cheaply:
+
+* a design whose Gamma is diagonal for every channel (R_c R_d^H + R_d R_c^H
+  = 0 for all components c != d: every real orthogonal design, and
+  alamouti) draws r itself, component by component, r_c = gamma_c x_c +
+  sqrt(gamma_c sigma_n2 / 2) xi_c: D normals per block. gamma_c =
+  h_eff^H R_c R_c^H h_eff and x^T Gamma x come from the trainer's
+  quadratic-form kernel, F(h_eff) @ g(R_c R_c^H);
+* any other design (qostbc-4) draws the received block y, 2t normals per
+  block, and projects it, r = U^T y.
+
+Both decide from r in one step. The decoder tables say which kind a design
+is; there is no option for it.
+
 The inputs decide what runs: without a codebook the tail is not precoded
 (the open loop); a codebook without a feedback link applies the encoder's
 index exactly (the genie); a codebook with a feedback link runs the full
@@ -57,7 +73,7 @@ from .channel import _complex_gaussian
 from .codebook import PrecoderCodebook
 from .feedback import FeedbackChannel, bsc_inversion_matrix
 from .stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets
-from .trainer import _coordinates, _encode_directions
+from .trainer import _coordinates, _encode_directions, _features, _gram
 
 __all__ = [
     "BerResult",
@@ -69,6 +85,7 @@ __all__ = [
 
 _CHUNK_FRAMES = 2048
 _SLAB_METRICS = 1 << 16  # group-candidate metrics per slab of blocks (512 KB)
+_SERIAL_MACS = 1 << 18  # OpenBLAS runs a product of fewer multiply-adds on one thread
 
 _BER_CSV_HEADER = "snr_db,rho_f,frames,bits_sent,bit_errors,ber,ber_stderr"
 
@@ -91,6 +108,16 @@ def candidate_codewords(
     if not design.is_real:
         words = words + np.einsum("ck,kmt->cmt", syms.conj(), b)
     return syms, words
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into out for a 2-D a, in row blocks small enough that OpenBLAS
+    runs each product on one thread, so pool workers do not starve each
+    other."""
+    rows = max(1, _SERIAL_MACS // b.size)
+    for lo in range(0, len(a), rows):
+        np.matmul(a[lo : lo + rows], b, out=out[lo : lo + rows])
+    return out
 
 
 class _Scratch:
@@ -149,15 +176,18 @@ class _GroupDecoder:
     basis: np.ndarray  # (2m, 2t * D) maps the real view of h to u = R^H h as real rows
     lin_map: np.ndarray  # (D, G * C) r -> -2 x^T r of each group candidate, 0 off its group
     quad_map: np.ndarray  # (G * D_g^2, G * C) Gamma_g -> x^T Gamma_g x
+    # (m^2, D + G * C) F(h_eff) -> [diag Gamma, x^T Gamma_g x] when Gamma is
+    # diagonal for every channel, else None
+    stat_coords: np.ndarray | None
     cand_points: np.ndarray  # (n_cand, D) real components of each full candidate
     cand_groups: np.ndarray  # (n_cand, G) group candidates of each full candidate
     symbols: np.ndarray  # (G, C, S) slot symbols of each group candidate
     bit_dist: np.ndarray  # (C, C) differing Gray-label bits between group candidates
 
     def frame_terms(self, h_eff: np.ndarray, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
-        """Per frame: u = R^H h_eff, shape (F, 2t, D), and x^T Gamma_g x of
-        every group candidate x, shape (F, 1, G * C), Gamma_g = u_g^T u_g;
-        both are taken from the scratch."""
+        """Per frame, for a design that draws y: u = R^H h_eff, shape (F, 2t,
+        D), and x^T Gamma_g x of every group candidate x, shape (F, 1, G *
+        C), Gamma_g = u_g^T u_g; both are taken from the scratch."""
         f, n_groups = len(h_eff), len(self.slot_groups)
         # Stacked (3-D) products keep every BLAS call small and single-threaded.
         u = np.matmul(
@@ -173,17 +203,34 @@ class _GroupDecoder:
             np.matmul(gram.reshape(f, 1, -1), self.quad_map, out=quad)
         return u, quad
 
-    def decide(
-        self, u: np.ndarray, quad: np.ndarray, y: np.ndarray, scratch: _Scratch
-    ) -> np.ndarray:
-        """Group candidates (F, S, G) minimizing ||y - Z_in^H h_eff||^2 over
-        S blocks y, shape (F, S, 2t), per frame; ties go to the first
-        candidate. The metrics are computed in the scratch."""
-        f, s = y.shape[:2]
-        metric = scratch.take((f, s, self.lin_map.shape[1]))
+    def statistic_terms(
+        self, h_eff: np.ndarray, scratch: _Scratch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per frame, for a design whose Gamma is diagonal: gamma = diag
+        Gamma, shape (F, D), and x^T Gamma_g x of every group candidate,
+        shape (F, 1, G * C); both are views of one product F(h_eff) @
+        stat_coords taken from the scratch."""
+        f, d = len(h_eff), len(self.lin_map)
+        terms = scratch.take((f, self.stat_coords.shape[1]))
         with scratch.scope():
-            yu = np.matmul(y, u, out=scratch.take((f, s, u.shape[2])))
-            np.matmul(yu, self.lin_map, out=metric)
+            feats = _features(h_eff, out=scratch.take((f, self.stat_coords.shape[0])))
+            _serial_matmul(feats, self.stat_coords, terms)
+        return terms[:, :d], terms[:, None, d:]
+
+    def decide(self, r: np.ndarray, quad: np.ndarray, scratch: _Scratch) -> np.ndarray:
+        """Group candidates (F, S, G) minimizing x^T Gamma x - 2 x^T r, the
+        metric ||y - Z_in^H h_eff||^2 up to a constant, for the statistics r
+        = U^T y, shape (F, S, D), of S blocks per frame; ties go to the first
+        candidate. The metrics are computed in the scratch."""
+        (f, s, d), n_cols = r.shape, self.lin_map.shape[1]
+        metric = scratch.take((f, s, n_cols))
+        if self.stat_coords is None:
+            # One product per frame, for the designs that draw y: a flat
+            # product rounds differently, and their outputs and pinned counts
+            # rest on this rounding.
+            np.matmul(r, self.lin_map, out=metric)
+        else:
+            _serial_matmul(r.reshape(-1, d), self.lin_map, metric.reshape(-1, n_cols))
         metric += quad
         metric = metric.reshape(f, s, len(self.symbols), -1)
         if metric.shape[3] == 2:
@@ -200,7 +247,12 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
     # Z_in(z) = sum_k Re(z_k) (A_k + B_k) + Im(z_k) i (A_k - B_k)
     parts = np.stack([a + b, 1j * (a - b)], axis=1)[:, : 2 if np.any(alphabets.imag) else 1]
     cross = np.einsum("jpmt,kqnt->jkpqmn", parts, parts.conj())
-    linked = np.abs(cross + cross.conj().swapaxes(-1, -2)).max(axis=(2, 3, 4, 5)) > 1e-9
+    # Components c and d couple in Gamma for some channel iff Herm(R_c R_d^H) != 0.
+    coupled = np.abs(cross + cross.conj().swapaxes(-1, -2)).max(axis=(4, 5)) > 1e-9
+    n_comps = coupled.shape[0] * coupled.shape[2]
+    coupled_comps = coupled.transpose(0, 2, 1, 3).reshape(n_comps, n_comps)
+    diagonal = not np.any(coupled_comps & ~np.eye(n_comps, dtype=bool))
+    linked = coupled.any(axis=(2, 3))
     linked = np.linalg.matrix_power(linked.astype(float), design.n_sym) > 0  # joined by a chain
     groups = sorted({tuple(np.flatnonzero(row).tolist()) for row in linked})
     if len({len(g) for g in groups}) > 1:
@@ -218,9 +270,16 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
     points = np.stack([symbols.real, symbols.imag], axis=-1)[..., : parts.shape[1]]
     points = points.reshape(n_groups, len(digits), -1)
     eye, n_cols = np.eye(n_groups), n_groups * len(digits)
+    comps = parts[groups].reshape(-1, design.m, design.t)  # R_c, group by group
     # u = R^H h is h^T conj(R): with h_j = 1, then h_j = i, row j gives u as [Re; Im]
-    conj = parts[groups].reshape(-1, design.m, 1, design.t).conj().transpose(1, 2, 3, 0)
+    conj = comps.reshape(-1, design.m, 1, design.t).conj().transpose(1, 2, 3, 0)
     basis = np.concatenate([conj, 1j * conj], axis=1)
+    stat_coords = None
+    if diagonal:
+        # gamma_c = h^H R_c R_c^H h, and x^T Gamma_g x = sum_c x_c^2 gamma_c
+        gamma = _coordinates(_gram(comps))
+        squares = np.einsum("gh,gci->gihc", eye, points**2).reshape(-1, n_cols)
+        stat_coords = np.concatenate([gamma, gamma @ squares], axis=1)
     gray = [i ^ (i >> 1) for i in range(n_alpha)]  # the alphabets' Gray labels
     flips = np.array([[bin(i ^ j).count("1") for j in gray] for i in gray])
     tables = _GroupDecoder(
@@ -228,13 +287,15 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
         basis=np.concatenate([basis.real, basis.imag], axis=2).reshape(2 * design.m, -1),
         lin_map=-2.0 * np.einsum("gh,gci->gihc", eye, points).reshape(-1, n_cols),
         quad_map=np.einsum("gh,gci,gcj->gijhc", eye, points, points).reshape(-1, n_cols),
+        stat_coords=stat_coords,
         cand_points=points[np.arange(n_groups), cand_groups].reshape(len(full_digits), -1),
         cand_groups=cand_groups,
         symbols=symbols,
         bit_dist=flips[digits[:, None, :], digits[None, :, :]].sum(axis=2),
     )
     for arr in vars(tables).values():
-        arr.flags.writeable = False  # shared by every caller through the cache
+        if arr is not None:
+            arr.flags.writeable = False  # shared by every caller through the cache
     return tables
 
 
@@ -356,6 +417,60 @@ def _tail_directions(tail: np.ndarray, scratch: _Scratch) -> np.ndarray:
     return dirs
 
 
+def _sampler(
+    decoder: _GroupDecoder, h_eff: np.ndarray, t: int, sigma_n2: float, scratch: _Scratch
+):
+    """(draw, quad) for the frames h_eff, one row per frame: draw(tx, rng)
+    returns the statistic r = U^T y of the t-slot blocks whose candidates are
+    tx, shape (F, S), as an (F, S, D) array in the scratch; the draw's other
+    arrays go back to the scratch before decide() takes its metrics, so
+    those reuse memory that is already in cache. quad holds the
+    x^T Gamma_g x that decide() adds. A design with diagonal Gamma draws r
+    itself, D normals per block; any other draws y, 2t normals per block,
+    and projects it. Either draws the noise of one call block by block, so
+    how the blocks are split into calls does not change it."""
+    frames, d = len(h_eff), len(decoder.lin_map)
+    if decoder.stat_coords is None:
+        u, quad = decoder.frame_terms(h_eff, scratch)
+        scale = math.sqrt(sigma_n2 / 2.0)
+
+        def draw(tx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+            slab = tx.shape[1]
+            r = scratch.take((frames, slab, d))
+            with scratch.scope():
+                noise = rng.standard_normal(out=scratch.take((slab, 2, frames, t)))
+                noise *= scale
+                # y = Z_in(s)^H h_eff + n = sum_c x_c u_c + n, as real rows [Re; Im]
+                points = np.take(decoder.cand_points, tx, axis=0, mode="clip",
+                                 out=scratch.take((frames, slab, d)))
+                y = np.matmul(points, u.swapaxes(1, 2), out=scratch.take((frames, slab, 2 * t)))
+                y_parts = y.reshape(frames, -1, 2, t)
+                y_parts += noise.transpose(2, 0, 1, 3)
+                return np.matmul(y, u, out=r)
+
+        return draw, quad
+
+    gamma, quad = decoder.statistic_terms(h_eff, scratch)
+    # The kernel can round a zero gamma to a tiny negative value.
+    sd = np.maximum(gamma, 0.0, out=scratch.take((frames, d)))
+    sd *= sigma_n2 / 2.0
+    np.sqrt(sd, out=sd)
+
+    def draw(tx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        slab = tx.shape[1]
+        # r_c = gamma_c x_c + sqrt(gamma_c sigma_n2 / 2) xi_c
+        r = np.take(decoder.cand_points, tx, axis=0, mode="clip",
+                    out=scratch.take((frames, slab, d)))
+        r *= gamma[:, None, :]
+        with scratch.scope():
+            noise = rng.standard_normal(out=scratch.take((slab, frames, d)))
+            noise *= sd
+            r += noise.transpose(1, 0, 2)
+        return r
+
+    return draw, quad
+
+
 def _block_errors(
     decoder: _GroupDecoder,
     h_eff: np.ndarray,
@@ -369,24 +484,14 @@ def _block_errors(
     over the effective channels h_eff, one row per frame, and ML decoded."""
     frames = len(h_eff)
     tx = rng.integers(0, len(decoder.cand_groups), size=(frames, blocks))
-    u, quad = decoder.frame_terms(h_eff, scratch)
-    scale = math.sqrt(sigma_n2 / 2.0)
-    # Slabs of blocks bound the metric size; one noise draw per slab keeps the per-block order.
+    draw, quad = _sampler(decoder, h_eff, t, sigma_n2, scratch)
+    # Slabs of blocks bound the metric size.
     step = max(1, _SLAB_METRICS // (frames * quad.shape[2]))
     errors = 0
     for b in range(0, blocks, step):
         tx_slab = tx[:, b : b + step]
-        slab = tx_slab.shape[1]
         with scratch.scope():
-            noise = rng.standard_normal(out=scratch.take((slab, 2, frames, t)))
-            noise *= scale
-            # y = Z_in(s)^H h_eff + n = sum_c x_c u_c + n, as real rows [Re; Im]
-            points = np.take(decoder.cand_points, tx_slab, axis=0, mode="clip",
-                             out=scratch.take((frames, slab, u.shape[2])))
-            y = np.matmul(points, u.swapaxes(1, 2), out=scratch.take((frames, slab, 2 * t)))
-            y_parts = y.reshape(frames, -1, 2, t)
-            y_parts += noise.transpose(2, 0, 1, 3)
-            rx = decoder.decide(u, quad, y, scratch)
+            rx = decoder.decide(draw(tx_slab, rng), quad, scratch)
         tx_groups = decoder.cand_groups[tx_slab]
         wrong = rx != tx_groups
         errors += int(decoder.bit_dist[tx_groups[wrong], rx[wrong]].sum())
@@ -447,7 +552,7 @@ def _simulate_chunks(config: SimulationConfig, tasks: list[tuple]) -> list[int]:
     if config.codebook is not None:
         matrices = np.asarray(config.codebook.matrices)
         k, rho_d = config.codebook.k, config.codebook.rho_d
-        precoders = _coordinates(matrices), matrices.conj(), bsc_inversion_matrix(k, rho_d)
+        precoders = _coordinates(_gram(matrices)), matrices.conj(), bsc_inversion_matrix(k, rho_d)
     t, blocks = config.pod.t, config.blocks_per_frame
     scratch = _Scratch()
     counts = []

@@ -49,7 +49,7 @@ import numpy as np
 
 from .codebook import PrecoderCodebook
 from .feedback import bsc_inversion_matrix
-from .trainer import _coordinates, _decay, _encode, _features, _quadratic_forms
+from .trainer import _coordinates, _decay, _encode, _features, _gram, _quadratic_forms
 
 __all__ = [
     "EvaluationSet",
@@ -102,7 +102,8 @@ def build_evaluation_set(
     counts = np.zeros(k)
     tail = np.zeros(k * k)
     entries = np.arange(k)
-    for _, q in _quadratic_forms(_features(dirs), _coordinates(np.asarray(cb.matrices))):
+    coords = _coordinates(_gram(np.asarray(cb.matrices)))
+    for _, q in _quadratic_forms(_features(dirs), coords):
         w = None if eta_c == cb.eta_c else _decay(q.copy(), eta_c, cb.n)[0]
         w_enc, t = _decay(q, cb.eta_c, cb.n)
         w = w_enc if w is None else w

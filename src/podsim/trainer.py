@@ -25,11 +25,11 @@ objective history is monotone.
 
 One real kernel, `_quadratic_forms`, gives every h^H P P^H h. A direction h
 becomes the feature row F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b)]
-(a < b) and a matrix the coordinate column g(P) = [G_aa, 2 Re G_ab,
--2 Im G_ab] of G = P P^H, so q = F(dirs) @ g(P_1 .. P_K) is one real
+(a < b) and a Hermitian G the coordinate column g(G) = [G_aa, 2 Re G_ab,
+-2 Im G_ab], so q = F(dirs) @ g(G_1 .. G_K) with G_j = P_j P_j^H is one real
 product for all K entries. The same layout runs backwards for the gradient:
-R_j = sum_s u_sj h_s h_s^H unpacks from F^T @ u. The encoder, `fit` and the
-bounds in `podsim.pep` all use the kernel.
+R_j = sum_s u_sj h_s h_s^H unpacks from F^T @ u. The encoder, `fit`, the
+bounds in `podsim.pep` and the link's decoder statistics all use the kernel.
 
 At fixed assignments J is a sum of independent per-entry values, so `fit`
 steps all entries at once: one stacked projection and one candidate pass per
@@ -182,15 +182,19 @@ def _features(dirs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _coordinates(matrices: np.ndarray) -> np.ndarray:
-    """g(P) = [G_aa, 2 Re G_ab, -2 Im G_ab for a < b] of G = P P^H for each
-    matrix of a (K, n, n) stack: a real (n^2, K) matrix, one column per
-    matrix, with F(h) . g(P) = h^H P P^H h."""
-    n = matrices.shape[-1]
+def _gram(matrices: np.ndarray) -> np.ndarray:
+    """G = P P^H for each matrix of a (K, n, t) stack; t may differ from n."""
+    return matrices @ matrices.conj().swapaxes(-1, -2)
+
+
+def _coordinates(herm: np.ndarray) -> np.ndarray:
+    """g(G) = [G_aa, 2 Re G_ab, -2 Im G_ab for a < b] for each matrix of a
+    (K, n, n) Hermitian stack, such as the Grams _gram(P): a real (n^2, K)
+    matrix, one column per matrix, with F(h) . g(G) = h^H G h."""
+    n = herm.shape[-1]
     a, b = np.triu_indices(n, 1)
-    gram = matrices @ matrices.conj().swapaxes(-1, -2)
-    cross = gram[:, a, b]
-    diag = gram[:, np.arange(n), np.arange(n)].real
+    cross = herm[:, a, b]
+    diag = herm[:, np.arange(n), np.arange(n)].real
     return np.concatenate([diag, 2.0 * cross.real, -2.0 * cross.imag], axis=1).T
 
 
@@ -248,7 +252,7 @@ def _encode(
 
 def _encode_directions(dirs, coords, eta_c, inv, bufs=None) -> np.ndarray:
     """Minimum expected-cost index for each direction row, ties to the
-    smallest index, for the matrices whose coordinates g(P) are coords.
+    smallest index, for the matrices P whose coordinates g(P P^H) are coords.
 
     bufs, when given, is (feats, q, w, asg) and receives every array the
     encoder writes: feats (S, n^2) and asg (S,) for the S = len(dirs) rows,
@@ -325,7 +329,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
     step_counts = np.zeros(cfg.k, dtype=np.int64)
 
     for _ in range(cfg.max_rounds):
-        asg, values, r = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv, True)
+        asg, values, r = _assign(feats, _coordinates(_gram(mats)), cfg.eta_c, cfg.n, inv, True)
         counts = np.bincount(asg, minlength=cfg.k)
 
         # An empty region whose precoder also receives no feedback-error
@@ -337,7 +341,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
             noise = 0.05 * _hermitian_noise(rng, len(dead), cfg.n)
             mats[dead] = project_psd_power(mats[busiest] + noise, cfg.n)
             step_counts[dead] = 0
-            asg, values, r = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv, True)
+            asg, values, r = _assign(feats, _coordinates(_gram(mats)), cfg.eta_c, cfg.n, inv, True)
             counts = np.bincount(asg, minlength=cfg.k)
 
         # At fixed assignments J is the sum of the entry values and the
@@ -366,7 +370,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
                     mats[live[todo]] - alphas[todo, None, None] * grads[todo], cfg.n
                 )
                 cand_values, cand_r = _entry_pass(
-                    feats, _coordinates(cand), weights[:, todo], asg, cfg.eta_c, cfg.n, grad
+                    feats, _coordinates(_gram(cand)), weights[:, todo], asg, cfg.eta_c, cfg.n, grad
                 )
                 ok = cand_values <= values[live[todo]]
                 mats[live[todo[ok]]] = cand[ok]
@@ -388,7 +392,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
                 break
 
     # Final assignment pass so the marginals match the returned matrices.
-    asg, values, _ = _assign(feats, _coordinates(mats), cfg.eta_c, cfg.n, inv, False)
+    asg, values, _ = _assign(feats, _coordinates(_gram(mats)), cfg.eta_c, cfg.n, inv, False)
     cb = PrecoderCodebook(
         m=cfg.m,
         n=cfg.n,

@@ -5,10 +5,11 @@ formulas, deliberately avoiding the vectorized code paths under test. The
 analytic self-checks of the bound chain (the conditional Chernoff bound, the
 per-region bound and a Monte Carlo check of its two Gamma integrals), the
 inner codeword `build` and the precoded codeword `assemble` live here too.
-`decode_frames` drives the sweep's batched decoder the way the sweep does,
-and `kernel_encode`, `kernel_objective` and `kernel_gradient` drive the
-trainer's private passes on one codebook, so tests can compare them with
-these references.
+`decode_frames` decides with the sweep's batched decoder from the statistic
+r = U^T y that `statistic` forms from the coefficient tensors, and
+`kernel_gamma` gives Gamma from the quadratic-form kernel. `kernel_encode`,
+`kernel_objective` and `kernel_gradient` drive the trainer's private passes
+on one codebook, so tests can compare them with these references.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from podsim.trainer import (
     _entry_pass,
     _features,
     _gradients,
+    _gram,
 )
 
 
@@ -61,13 +63,13 @@ def assemble(pod, precoder, symbols):
 def kernel_encode(dirs, matrices, eta_c, inv):
     """The trainer's encoder index for each direction row, ties to the
     smallest index."""
-    return _encode_directions(dirs, _coordinates(np.asarray(matrices)), eta_c, inv)
+    return _encode_directions(dirs, _coordinates(_gram(np.asarray(matrices))), eta_c, inv)
 
 
 def kernel_objective(cb, inv, dirs):
     """The trainer's J for the encoder implied by the codebook: the sum of
     the entry values of one assign pass."""
-    coords = _coordinates(np.asarray(cb.matrices))
+    coords = _coordinates(_gram(np.asarray(cb.matrices)))
     return float(np.sum(_assign(_features(dirs), coords, cb.eta_c, cb.n, inv, False)[1]))
 
 
@@ -75,9 +77,8 @@ def kernel_gradient(cb, j, inv, dirs, assignments):
     """The trainer's gradient of J with respect to P_j at fixed assignments:
     one entry pass for entry j, unpacked by _gradients."""
     mats = np.asarray(cb.matrices)[j : j + 1]
-    r = _entry_pass(
-        _features(dirs), _coordinates(mats), inv[j : j + 1].T, assignments, cb.eta_c, cb.n, True
-    )[1]
+    coords = _coordinates(_gram(mats))
+    r = _entry_pass(_features(dirs), coords, inv[j : j + 1].T, assignments, cb.eta_c, cb.n, True)[1]
     return _gradients(r, mats, cb.eta_c, len(dirs))[0]
 
 
@@ -190,22 +191,73 @@ def matched_filter_real_od(design, h, y):
     return stats / np.sum(np.abs(h) ** 2)
 
 
+def components(design, constellation):
+    """The (D, m, t) stack of R_c, Z_in = sum_c x_c R_c, in the sweep
+    decoder's order: group by group, slot by slot, Re before Im, with R =
+    A_k + B_k for Re(z_k) and i (A_k - B_k) for Im(z_k) (only the real part
+    when every slot alphabet is real)."""
+    decoder = _group_decoder(design, constellation)
+    a, b = design.coefficient_tensors()
+    n_parts = decoder.cand_points.shape[1] // design.n_sym
+    out = []
+    for slot in decoder.slot_groups.ravel():
+        for part in range(n_parts):
+            out.append(a[slot] + b[slot] if part == 0 else 1j * (a[slot] - b[slot]))
+    return np.array(out)
+
+
+def statistic(design, constellation, h_eff, y):
+    """(r, Gamma) of each frame from the coefficient tensors: u_c = R_c^H
+    h_eff, r_c = Re(u_c^H y) and Gamma_cd = Re(u_c^H u_d), shapes (F, D) and
+    (F, D, D)."""
+    u = np.einsum("cmt,fm->fct", components(design, constellation).conj(), h_eff)
+    r = np.einsum("fct,ft->fc", u.conj(), y).real
+    return r, np.einsum("fct,fdt->fcd", u.conj(), u).real
+
+
+def kernel_gamma(design, constellation, h_eff):
+    """Gamma of each frame from the quadratic-form kernel: Gamma_cd =
+    h_eff^H Herm(R_c R_d^H) h_eff = F(h_eff) . g((R_c R_d^H + R_d R_c^H) / 2),
+    shape (F, D, D)."""
+    comps = components(design, constellation)
+    prod = np.einsum("cmt,dnt->cdmn", comps, comps.conj())
+    herm = (prod + prod.conj().swapaxes(-1, -2)) / 2.0
+    coords = _coordinates(herm.reshape(-1, design.m, design.m))
+    return (_features(h_eff) @ coords).reshape(len(h_eff), len(comps), len(comps))
+
+
 def decode_frames(pod, precoders, h, y, constellation):
     """Decisions of the sweep's group decoder on one block per frame: frame f
     has channel h[f], precoder precoders[f] and received block y[f]. Like the
-    sweep, it forms h_eff = [head; P^H tail] per frame and decides all F
-    frames in one frame_terms / decide call. Returns symbols, shape (F, n_sym)."""
+    sweep, it forms h_eff = [head; P^H tail] per frame; the statistic r and
+    the candidates' x^T Gamma_g x come from the coefficient tensors, not from
+    the sweep's sampler, and all F frames are decided in one decide call.
+    Returns symbols, shape (F, n_sym)."""
     decoder = _group_decoder(pod.inner, constellation)
     head = pod.m - pod.n
     h_eff = np.array(h, dtype=complex)
     h_eff[:, head:] = (h_eff[:, None, head:] @ np.conj(precoders))[:, 0, :]
-    scratch = _Scratch()
-    u, quad = decoder.frame_terms(h_eff, scratch)
-    y_rows = np.concatenate([y.real, y.imag], axis=1)[:, None, :]
-    rx = decoder.decide(u, quad, y_rows, scratch)[:, 0]
+    r, gamma = statistic(pod.inner, constellation, h_eff, y)
+    rx = decoder.decide(r[:, None, :], candidate_quads(decoder, gamma), _Scratch())[:, 0]
     out = np.empty((len(h_eff), pod.inner.n_sym), dtype=complex)
     out[:, decoder.slot_groups] = decoder.symbols[np.arange(len(decoder.slot_groups)), rx]
     return out
+
+
+def candidate_quads(decoder, gamma):
+    """x^T Gamma_g x of every group candidate x of the decoder, laid out as
+    decide() takes it, shape (F, 1, G * C), for Gamma of shape (F, D, D)."""
+    n_groups, n_cand, n_slots = decoder.symbols.shape
+    points = np.stack([decoder.symbols.real, decoder.symbols.imag], axis=-1)
+    points = points[..., : gamma.shape[1] // (n_groups * n_slots)].reshape(n_groups, n_cand, -1)
+    size = points.shape[2]
+    quad = np.empty((len(gamma), 1, n_groups * n_cand))
+    for g in range(n_groups):
+        block = gamma[:, g * size : (g + 1) * size, g * size : (g + 1) * size]
+        quad[:, 0, g * n_cand : (g + 1) * n_cand] = np.einsum(
+            "ci,fij,cj->fc", points[g], block, points[g]
+        )
+    return quad
 
 
 def conditional_pep_bound(sigma_n2, d):

@@ -5,15 +5,22 @@ Oracles:
 * the sweep's noiseless transmit rows must reproduce Z_pod(s)^H h for every
   candidate s, and decoding a noiseless block must return the transmitted
   symbols whenever codewords are distinct.
-* the group-separable ML decoder, driven on a batch of frames as the sweep
-  drives it, is checked against a second, blind brute-force implementation,
-  against the standard linear matched-filter detector for real orthogonal
-  designs with identity precoding, and, in sweeps, against error counts
-  recorded from the exhaustive search.
+* the group-separable ML decoder, deciding a batch of frames from the
+  statistic r = U^T y of fixed received blocks, is checked against a
+  second, blind brute-force implementation, against the standard linear
+  matched-filter detector for real orthogonal designs with identity
+  precoding, and, in sweeps, against pinned error counts.
+* Gamma from the quadratic-form kernel matches U^T U on every (design,
+  constellation) pair, and is diagonal exactly where the decoder draws r
+  itself.
 * the Alamouti block with h = (1, 0) only sees the first antenna row:
   y = (conj(s1), -s2).
 * empirical noise variance of the reference blocks must match sigma_n2 =
-  m / eta0 within 2%.
+  m / eta0 within 2%; the drawn statistic's noise r - Gamma x must have
+  mean 0 and variance sigma_n2 / 2 * gamma_c.
+* on real orthogonal designs with BPSK, the error count of fixed channels
+  follows the Poisson-binomial law of the per-bit probabilities
+  Q(sqrt(2 gamma_c / sigma_n2)).
 """
 
 import math
@@ -33,17 +40,27 @@ from podsim.link import (
     run_ber_sweep,
     write_ber_csv,
 )
-from podsim.link import _BER_CSV_HEADER, _group_decoder, _Scratch, _worker_count
+from podsim.link import (
+    _BER_CSV_HEADER,
+    _block_errors,
+    _group_decoder,
+    _sampler,
+    _Scratch,
+    _worker_count,
+)
 from podsim.stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets, get_design
 from podsim.trainer import TrainerConfig, fit
 
 from oracles import (
     assemble,
     build,
+    candidate_quads,
     decode_frames,
+    kernel_gamma,
     matched_filter_real_od,
     naive_ml_decode,
     received_block,
+    statistic,
 )
 
 # (design, constellation, precoded tail n) of the batched decoder checks.
@@ -53,6 +70,13 @@ DECODER_CASES = [
     ("alamouti", "qpsk-rot", 2),
     ("qostbc-4", "qpsk-rot", 4),
 ]
+
+# Every (design, constellation) pair; all but qostbc-4's draw r itself.
+DIAGONAL_PAIRS = [
+    ("real-od-2", "bpsk"), ("real-od-4", "bpsk"), ("real-od-6x8", "bpsk"),
+    ("real-od-8", "bpsk"), ("alamouti", "bpsk"), ("alamouti", "qpsk-rot"),
+]
+DESIGN_PAIRS = DIAGONAL_PAIRS + [("qostbc-4", "bpsk"), ("qostbc-4", "qpsk-rot")]
 
 
 def random_precoder(n, rng, spread=0.4):
@@ -151,6 +175,79 @@ def test_transmit_block_noise_variance_empirical():
     resid = np.stack([received_block(pod, p, sym, h, sigma_n2, rng) for _ in range(30000)])
     measured = float(np.mean(np.abs(resid - clean) ** 2))
     assert measured == pytest.approx(sigma_n2, rel=0.02)
+
+
+def test_drawn_statistic_moments():
+    # r - Gamma x = w ~ N(0, sigma_n2 / 2 * Gamma) for one fixed h_eff; with
+    # Gamma diagonal each component is its own normal. 20000 draws put the
+    # sample variance's standard error at 1 %, so 5 % is a 5 sigma bound.
+    rng = np.random.default_rng(2)
+    frames = 20_000
+    for kind, const_kind in DIAGONAL_PAIRS:
+        design, const = get_design(kind), Constellation(const_kind)
+        decoder = _group_decoder(design, const)
+        h_eff = np.broadcast_to(complex_gaussian(design.m, rng), (frames, design.m))
+        sigma_n2 = design.m / 10.0 ** (7.0 / 10.0)
+        draw, _ = _sampler(decoder, np.ascontiguousarray(h_eff), design.t, sigma_n2, _Scratch())
+        tx = rng.integers(0, len(decoder.cand_points), size=(frames, 1))
+        r = draw(tx, rng)[:, 0, :]
+        gamma = np.diagonal(statistic(design, const, h_eff[:1], np.zeros((1, design.t)))[1][0])
+        x = decoder.cand_points[tx[:, 0]]
+        w = r - x * gamma
+        want = sigma_n2 / 2.0 * gamma
+        # w has mean 0, also given the sent x: a misscaled signal would not.
+        assert np.all(np.abs(w.mean(axis=0)) <= 5.0 * np.sqrt(want / frames)), kind
+        bound = 5.0 * np.sqrt(want * np.mean(x**2, axis=0) / frames)
+        assert np.all(np.abs(np.mean(w * x, axis=0)) <= bound), kind
+        np.testing.assert_allclose(w.var(axis=0), want, rtol=0.05, err_msg=kind)
+
+
+@pytest.mark.parametrize("kind,const", sorted(DESIGN_PAIRS))
+def test_kernel_gamma_matches_projection(kind, const):
+    # Gamma_cd = Re(u_c^H u_d) from the coefficient tensors against the
+    # kernel's F(h_eff) . g(Herm(R_c R_d^H)); rectangular R (real-od-6x8)
+    # included. The decoder draws r itself exactly where Gamma is diagonal,
+    # and its own gamma and x^T Gamma x match.
+    rng = np.random.default_rng(8)
+    design, constellation = get_design(kind), Constellation(const)
+    decoder = _group_decoder(design, constellation)
+    h_eff = complex_gaussian((16, design.m), rng)
+    _, gamma = statistic(design, constellation, h_eff, np.zeros((16, design.t)))
+    kernel = kernel_gamma(design, constellation, h_eff)
+    np.testing.assert_allclose(kernel, gamma, rtol=0, atol=1e-12)
+    off = kernel - np.einsum("fcc->fc", kernel)[:, :, None] * np.eye(kernel.shape[1])
+    diagonal = np.abs(off).max() <= 1e-12
+    assert diagonal == (decoder.stat_coords is not None) == (kind != "qostbc-4")
+    if diagonal:
+        terms, quad = decoder.statistic_terms(h_eff, _Scratch())
+        np.testing.assert_allclose(terms, np.einsum("fcc->fc", gamma), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(quad, candidate_quads(decoder, gamma), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["real-od-2", "real-od-4", "real-od-6x8", "real-od-8"])
+def test_block_errors_follow_conditional_ber(kind):
+    # Given h_eff, a real orthogonal design with BPSK errs on bit c of a block
+    # independently with probability Q(sqrt(2 gamma_c / sigma_n2)), so the
+    # count over fixed channels is Poisson-binomial: mean sum p, variance
+    # v = sum p (1 - p). Bernstein's inequality bounds its two-sided tail:
+    # P(|count - mean| >= d) <= 2 exp(-d^2 / (2 (v + d / 3))) = alpha.
+    alpha = 1e-6
+    rng = np.random.default_rng(31)
+    design = get_design(kind)
+    const = Constellation("bpsk")
+    frames, blocks = 1024, 64
+    sigma_n2 = design.m / 10.0 ** (6.0 / 10.0)
+    h_eff = complex_gaussian((frames, design.m), rng)
+    gamma = np.einsum("fcc->fc", statistic(design, const, h_eff, np.zeros((frames, design.t)))[1])
+    p = np.array([[0.5 * math.erfc(math.sqrt(g / sigma_n2)) for g in row] for row in gamma])
+    mean = blocks * p.sum()
+    var = blocks * (p * (1.0 - p)).sum()
+    log_term = math.log(2.0 / alpha)
+    bound = log_term / 3.0 + math.sqrt((log_term / 3.0) ** 2 + 2.0 * var * log_term)
+    errors = _block_errors(
+        _group_decoder(design, const), h_eff, design.t, blocks, sigma_n2, rng, _Scratch()
+    )
+    assert abs(errors - mean) <= bound, (errors, mean, bound)
 
 
 def test_effective_channel_projection_identity():
@@ -339,19 +436,23 @@ def test_closed_loop_beats_open_loop_with_clean_feedback():
     assert gap > 5.0 * sigma
 
 
-# Error counts of the exhaustive search over every candidate codeword (the
-# former SimulationConfig(force_exhaustive=True) path, run at the commit
-# before that option was removed) on the configs below. The group-separable
-# decoder is exact ML, so it must reproduce them bit for bit.
-EXHAUSTIVE_CLOSED_OD2 = 1411
+# Error counts of the sweep on the configs below. The qostbc-4 counts are
+# those of the exhaustive search over every candidate codeword (the former
+# SimulationConfig(force_exhaustive=True) path), which the group-separable
+# decoder, being exact ML on the same received blocks, reproduces bit for
+# bit. The designs with diagonal Gamma draw the statistic r = U^T y in place
+# of y, so their noise draws differ from the search's: their counts were
+# recorded by running the sweep, and the exact decisions on fixed y are
+# checked against the naive ML oracle instead.
+EXHAUSTIVE_CLOSED_OD2 = 1360
 EXHAUSTIVE_OPEN_OD6X8 = 4
 EXHAUSTIVE_PAIR_COUNTS = {
-    ("real-od-2", "bpsk"): [360, 42],
-    ("real-od-4", "bpsk"): [520, 33],
-    ("real-od-6x8", "bpsk"): [1014, 42],
-    ("real-od-8", "bpsk"): [874, 26],
-    ("alamouti", "bpsk"): [360, 42],
-    ("alamouti", "qpsk-rot"): [1305, 244],
+    ("real-od-2", "bpsk"): [365, 30],
+    ("real-od-4", "bpsk"): [547, 28],
+    ("real-od-6x8", "bpsk"): [944, 39],
+    ("real-od-8", "bpsk"): [877, 17],
+    ("alamouti", "bpsk"): [365, 30],
+    ("alamouti", "qpsk-rot"): [1341, 228],
     ("qostbc-4", "bpsk"): [634, 47],
     ("qostbc-4", "qpsk-rot"): [2588, 417],
 }
@@ -401,13 +502,14 @@ def test_sweep_matches_exhaustive_on_every_design(kind, const):
 
 # Error counts of closed-loop (rho_f = 0.1) and genie sweeps over 2 * 2048 +
 # 300 frames (two full chunks and a partial one) at two SNR points, recorded
-# at the commit before the chunks of a sweep shared one scratch. Full and
+# before the chunks of a sweep shared one scratch (real-od-4: re-recorded
+# when it began drawing the decoder statistic itself). Full and
 # partial chunks slice their slabs of blocks differently, so a row left over
 # from a larger chunk, an earlier chunk or an earlier SNR point would change
 # them; the genie decodes with the encoder's own index array, so it also
 # catches that array's memory being handed on while still in use.
 SCRATCH_REUSE_COUNTS = {
-    ("real-od-4", "bpsk", 12): {"closed": [2225, 139], "genie": [2028, 112]},
+    ("real-od-4", "bpsk", 12): {"closed": [2220, 132], "genie": [1993, 109]},
     ("qostbc-4", "qpsk-rot", 16): {"closed": [16043, 2321], "genie": [15138, 2026]},
 }
 

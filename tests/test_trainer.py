@@ -23,6 +23,7 @@ from podsim.trainer import (
     _coordinates,
     _decay,
     _features,
+    _gram,
     _quadratic_forms,
     eta_c_from_snr_db,
     fit,
@@ -98,7 +99,7 @@ def test_quadratic_forms_match_naive(n):
     mats = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
     for count in (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1):
         dirs = sample_directions(n, count, rng)
-        blocks = list(_quadratic_forms(_features(dirs), _coordinates(mats)))
+        blocks = list(_quadratic_forms(_features(dirs), _coordinates(_gram(mats))))
         rows = np.concatenate([np.arange(count)[r] for r, _ in blocks])
         assert np.array_equal(rows, np.arange(count))
         got = np.concatenate([q for _, q in blocks])
