@@ -106,8 +106,8 @@ class FeedbackChannel:
         """Send each index through the b parallel BSCs and return the decoded
         indices; one independent bit-flip pattern per entry."""
         indices = np.asarray(indices, dtype=np.int64)
-        flips = (rng.random((indices.size, self.bits)) < self.rho_f).astype(np.int64)
-        return indices ^ (flips << np.arange(self.bits)).sum(axis=1)
+        flips = rng.random((indices.size, self.bits)) < self.rho_f
+        return indices ^ flips @ (1 << np.arange(self.bits))
 
 
 def _chordal_distance_matrix(matrices: np.ndarray) -> np.ndarray:

@@ -26,14 +26,16 @@ Given h_eff, the metric sees y only through the statistic r = U^T y =
 Gamma x + w, w ~ N(0, sigma_n2 / 2 * Gamma), so the sweep draws what the
 design lets it draw most cheaply:
 
-* a design whose Gamma is diagonal for every channel (R_c R_d^H + R_d R_c^H
-  = 0 for all components c != d: every real orthogonal design, and
-  alamouti) draws r itself, component by component, r_c = gamma_c x_c +
-  sqrt(gamma_c sigma_n2 / 2) xi_c: D normals per block. gamma_c =
-  h_eff^H R_c R_c^H h_eff and x^T Gamma x come from the trainer's
-  quadratic-form kernel, F(h_eff) @ g(R_c R_c^H);
-* any other design (qostbc-4) draws the received block y, 2t normals per
-  block, and projects it, r = U^T y.
+* an orthogonal design (Herm(R_c R_d^H) = 2 delta_cd kappa_c I: every real
+  orthogonal design, and alamouti) has Gamma = gamma diag(kappa) with the
+  frame's one gain gamma = ||h_eff||^2 (Tarokh-Jafarkhani-Calderbank 1999).
+  The sweep carries gamma = ||head||^2 + F(tail) . g(P P^H), from the
+  features F(tail) the encoder has formed, and never forms h_eff; it draws
+  r_c = gamma x_c + sqrt(gamma sigma_n2 / 2) xi_c, D normals per block, in
+  components x_c = sqrt(kappa_c) Re/Im(z) of unit gain (kappa_c = 1 on
+  every design here);
+* any other design (qostbc-4) forms h_eff, draws the received block y, 2t
+  normals per block, and projects it, r = U^T y.
 
 Both decide from r in one step. The decoder tables say which kind a design
 is; there is no option for it.
@@ -41,12 +43,12 @@ is; there is no option for it.
 The inputs decide what runs: without a codebook the tail is not precoded
 (the open loop); a codebook without a feedback link applies the encoder's
 index exactly (the genie); a codebook with a feedback link runs the full
-closed loop. The encoder quantizes at the codebook's eta_c under its
-design index channel, the BSC at rho_d, so a codebook is always run under
-the channel it was trained for. The codebook's entry order is its index
-assignment, so a remapped index assignment is a relabeled codebook, not a
-link option; at rho_d > 0 it changes the encoder's choices even when no
-index error occurs.
+closed loop. The encoder quantizes the tail direction, as F(tail) /
+||tail||^2, at the codebook's eta_c under its design index channel, the
+BSC at rho_d, so a codebook is always run under the channel it was trained
+for. The codebook's entry order is its index assignment, so a remapped
+index assignment is a relabeled codebook, not a link option; at rho_d > 0
+it changes the encoder's choices even when no index error occurs.
 
 Monte Carlo frames are processed in fixed-size chunks, each seeded from
 (seed, snr_point, chunk) independently, so results are identical for any
@@ -73,7 +75,7 @@ from .channel import _complex_gaussian
 from .codebook import PrecoderCodebook
 from .feedback import FeedbackChannel, bsc_inversion_matrix
 from .stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets
-from .trainer import _coordinates, _encode_directions, _features, _gram
+from .trainer import _coordinates, _encode_features, _features, _gram
 
 __all__ = [
     "BerResult",
@@ -176,9 +178,9 @@ class _GroupDecoder:
     basis: np.ndarray  # (2m, 2t * D) maps the real view of h to u = R^H h as real rows
     lin_map: np.ndarray  # (D, G * C) r -> -2 x^T r of each group candidate, 0 off its group
     quad_map: np.ndarray  # (G * D_g^2, G * C) Gamma_g -> x^T Gamma_g x
-    # (m^2, D + G * C) F(h_eff) -> [diag Gamma, x^T Gamma_g x] when Gamma is
-    # diagonal for every channel, else None
-    stat_coords: np.ndarray | None
+    # (G * C,) ||x||^2 of each group candidate, x^T Gamma_g x / gamma, on an
+    # orthogonal design (Gamma = gamma I in unit-gain components), else None
+    cand_norms: np.ndarray | None
     cand_points: np.ndarray  # (n_cand, D) real components of each full candidate
     cand_groups: np.ndarray  # (n_cand, G) group candidates of each full candidate
     symbols: np.ndarray  # (G, C, S) slot symbols of each group candidate
@@ -203,20 +205,6 @@ class _GroupDecoder:
             np.matmul(gram.reshape(f, 1, -1), self.quad_map, out=quad)
         return u, quad
 
-    def statistic_terms(
-        self, h_eff: np.ndarray, scratch: _Scratch
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per frame, for a design whose Gamma is diagonal: gamma = diag
-        Gamma, shape (F, D), and x^T Gamma_g x of every group candidate,
-        shape (F, 1, G * C); both are views of one product F(h_eff) @
-        stat_coords taken from the scratch."""
-        f, d = len(h_eff), len(self.lin_map)
-        terms = scratch.take((f, self.stat_coords.shape[1]))
-        with scratch.scope():
-            feats = _features(h_eff, out=scratch.take((f, self.stat_coords.shape[0])))
-            _serial_matmul(feats, self.stat_coords, terms)
-        return terms[:, :d], terms[:, None, d:]
-
     def decide(self, r: np.ndarray, quad: np.ndarray, scratch: _Scratch) -> np.ndarray:
         """Group candidates (F, S, G) minimizing x^T Gamma x - 2 x^T r, the
         metric ||y - Z_in^H h_eff||^2 up to a constant, for the statistics r
@@ -224,7 +212,7 @@ class _GroupDecoder:
         candidate. The metrics are computed in the scratch."""
         (f, s, d), n_cols = r.shape, self.lin_map.shape[1]
         metric = scratch.take((f, s, n_cols))
-        if self.stat_coords is None:
+        if self.cand_norms is None:
             # One product per frame, for the designs that draw y: a flat
             # product rounds differently, and their outputs and pinned counts
             # rest on this rounding.
@@ -249,9 +237,6 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
     cross = np.einsum("jpmt,kqnt->jkpqmn", parts, parts.conj())
     # Components c and d couple in Gamma for some channel iff Herm(R_c R_d^H) != 0.
     coupled = np.abs(cross + cross.conj().swapaxes(-1, -2)).max(axis=(4, 5)) > 1e-9
-    n_comps = coupled.shape[0] * coupled.shape[2]
-    coupled_comps = coupled.transpose(0, 2, 1, 3).reshape(n_comps, n_comps)
-    diagonal = not np.any(coupled_comps & ~np.eye(n_comps, dtype=bool))
     linked = coupled.any(axis=(2, 3))
     linked = np.linalg.matrix_power(linked.astype(float), design.n_sym) > 0  # joined by a chain
     groups = sorted({tuple(np.flatnonzero(row).tolist()) for row in linked})
@@ -274,12 +259,16 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
     # u = R^H h is h^T conj(R): with h_j = 1, then h_j = i, row j gives u as [Re; Im]
     conj = comps.reshape(-1, design.m, 1, design.t).conj().transpose(1, 2, 3, 0)
     basis = np.concatenate([conj, 1j * conj], axis=1)
-    stat_coords = None
-    if diagonal:
-        # gamma_c = h^H R_c R_c^H h, and x^T Gamma_g x = sum_c x_c^2 gamma_c
-        gamma = _coordinates(_gram(comps))
-        squares = np.einsum("gh,gci->gihc", eye, points**2).reshape(-1, n_cols)
-        stat_coords = np.concatenate([gamma, gamma @ squares], axis=1)
+    # Gamma = ||h||^2 diag(kappa) for every h iff Herm(R_c R_d^H) = 2 delta_cd
+    # kappa_c I; in components sqrt(kappa_c) x_c, x^T Gamma_g x = ||h||^2 ||x||^2.
+    herm = np.einsum("cmt,dnt->cdmn", comps, comps.conj())
+    herm += herm.conj().swapaxes(-1, -2)
+    kappa = np.einsum("ccmm->c", herm).real / (2 * design.m)
+    want = np.einsum("cd,c,mn->cdmn", np.eye(len(comps)), 2 * kappa, np.eye(design.m))
+    cand_norms = None
+    if np.allclose(herm, want, rtol=0, atol=1e-9):
+        points = points * np.sqrt(kappa).reshape(n_groups, 1, -1)
+        cand_norms = (points**2).sum(axis=2).ravel()
     gray = [i ^ (i >> 1) for i in range(n_alpha)]  # the alphabets' Gray labels
     flips = np.array([[bin(i ^ j).count("1") for j in gray] for i in gray])
     tables = _GroupDecoder(
@@ -287,7 +276,7 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
         basis=np.concatenate([basis.real, basis.imag], axis=2).reshape(2 * design.m, -1),
         lin_map=-2.0 * np.einsum("gh,gci->gihc", eye, points).reshape(-1, n_cols),
         quad_map=np.einsum("gh,gci,gcj->gijhc", eye, points, points).reshape(-1, n_cols),
-        stat_coords=stat_coords,
+        cand_norms=cand_norms,
         cand_points=points[np.arange(n_groups), cand_groups].reshape(len(full_digits), -1),
         cand_groups=cand_groups,
         symbols=symbols,
@@ -398,40 +387,35 @@ class SimulationConfig:
         return self.feedback.rho_f if self.feedback is not None else 0.0
 
 
-def _tail_directions(tail: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """Unit direction of each tail row, e_1 for a zero row, in the scratch.
-    The norms are np.linalg.norm's sum of conj(x) x and the division is
-    complex, as in tail / norms, so the directions match those bit for bit."""
-    frames, n = tail.shape
-    dirs = scratch.take((frames, n), complex)
+def _direction_features(feats: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """F(h / ||h||) = F(h) / ||h||^2 for each row of features F(h), whose first
+    n columns sum to ||h||^2, and F(e_1) for a zero row, in the scratch."""
+    frames, n = len(feats), math.isqrt(feats.shape[1])
+    dirs = scratch.take(feats.shape)
     with scratch.scope():
-        sq = np.conjugate(tail, out=scratch.take((frames, n), complex))
-        sq *= tail
-        norms = np.add.reduce(sq.real, axis=1, keepdims=True, out=scratch.take((frames, 1)))
-        np.sqrt(norms, out=norms)
-        zero = norms[:, 0] == 0
+        norms = np.einsum("ij->i", feats[:, :n], out=scratch.take((frames,)))
+        zero = np.equal(norms, 0.0, out=scratch.take((frames,), bool))
         norms[zero] = 1.0
-        np.divide(tail, norms, out=dirs)
-    dirs[zero] = 0.0
-    dirs[zero, 0] = 1.0
+        np.divide(feats, norms[:, None], out=dirs)
+        dirs[zero, 0] = 1.0
     return dirs
 
 
 def _sampler(
-    decoder: _GroupDecoder, h_eff: np.ndarray, t: int, sigma_n2: float, scratch: _Scratch
+    decoder: _GroupDecoder, channel: np.ndarray, t: int, sigma_n2: float, scratch: _Scratch
 ):
-    """(draw, quad) for the frames h_eff, one row per frame: draw(tx, rng)
-    returns the statistic r = U^T y of the t-slot blocks whose candidates are
-    tx, shape (F, S), as an (F, S, D) array in the scratch; the draw's other
-    arrays go back to the scratch before decide() takes its metrics, so
-    those reuse memory that is already in cache. quad holds the
-    x^T Gamma_g x that decide() adds. A design with diagonal Gamma draws r
-    itself, D normals per block; any other draws y, 2t normals per block,
-    and projects it. Either draws the noise of one call block by block, so
-    how the blocks are split into calls does not change it."""
-    frames, d = len(h_eff), len(decoder.lin_map)
-    if decoder.stat_coords is None:
-        u, quad = decoder.frame_terms(h_eff, scratch)
+    """(draw, quad) for the frames' gamma = ||h_eff||^2, shape (F,), on an
+    orthogonal design, else their h_eff, shape (F, m): draw(tx, rng) returns
+    the statistic r = U^T y of the t-slot blocks whose candidates are tx,
+    shape (F, S), as an (F, S, D) array in the scratch; its other arrays go
+    back to the scratch, so decide()'s metrics reuse memory still in cache.
+    quad holds the x^T Gamma_g x that decide() adds. An orthogonal design
+    draws r itself, D normals per block; any other draws y, 2t normals per
+    block, and projects it. Either draws the noise of one call block by
+    block, so how the blocks are split into calls does not change it."""
+    frames, d = len(channel), len(decoder.lin_map)
+    if decoder.cand_norms is None:
+        u, quad = decoder.frame_terms(channel, scratch)
         scale = math.sqrt(sigma_n2 / 2.0)
 
         def draw(tx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -450,18 +434,20 @@ def _sampler(
 
         return draw, quad
 
-    gamma, quad = decoder.statistic_terms(h_eff, scratch)
-    # The kernel can round a zero gamma to a tiny negative value.
-    sd = np.maximum(gamma, 0.0, out=scratch.take((frames, d)))
+    gamma = channel[:, None, None]
+    quad = np.multiply(gamma, decoder.cand_norms,
+                       out=scratch.take((frames, 1, len(decoder.cand_norms))))
+    # The kernel can round a zero gain to a tiny negative value.
+    sd = np.maximum(gamma[:, 0], 0.0, out=scratch.take((frames, 1)))
     sd *= sigma_n2 / 2.0
     np.sqrt(sd, out=sd)
 
     def draw(tx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         slab = tx.shape[1]
-        # r_c = gamma_c x_c + sqrt(gamma_c sigma_n2 / 2) xi_c
+        # r_c = gamma x_c + sqrt(gamma sigma_n2 / 2) xi_c
         r = np.take(decoder.cand_points, tx, axis=0, mode="clip",
                     out=scratch.take((frames, slab, d)))
-        r *= gamma[:, None, :]
+        r *= gamma
         with scratch.scope():
             noise = rng.standard_normal(out=scratch.take((slab, frames, d)))
             noise *= sd
@@ -473,7 +459,7 @@ def _sampler(
 
 def _block_errors(
     decoder: _GroupDecoder,
-    h_eff: np.ndarray,
+    channel: np.ndarray,
     t: int,
     blocks: int,
     sigma_n2: float,
@@ -481,10 +467,10 @@ def _block_errors(
     scratch: _Scratch,
 ) -> int:
     """Bit errors of `blocks` uniformly random t-slot blocks per frame, sent
-    over the effective channels h_eff, one row per frame, and ML decoded."""
-    frames = len(h_eff)
+    over the frames' channels (as _sampler takes them) and ML decoded."""
+    frames = len(channel)
     tx = rng.integers(0, len(decoder.cand_groups), size=(frames, blocks))
-    draw, quad = _sampler(decoder, h_eff, t, sigma_n2, scratch)
+    draw, quad = _sampler(decoder, channel, t, sigma_n2, scratch)
     # Slabs of blocks bound the metric size.
     step = max(1, _SLAB_METRICS // (frames * quad.shape[2]))
     errors = 0
@@ -498,42 +484,60 @@ def _block_errors(
     return errors
 
 
+def _precoders(codebook: PrecoderCodebook, gain: bool) -> tuple:
+    """A codebook's coordinates g(P P^H), design index channel (the BSC at
+    its rho_d) and entries as the transmitter applies them: the rows
+    g(P_j P_j^H) for a gain, else conj(P_j)."""
+    matrices = np.asarray(codebook.matrices)
+    coords = _coordinates(_gram(matrices))
+    entries = np.ascontiguousarray(coords.T) if gain else matrices.conj()
+    return coords, bsc_inversion_matrix(codebook.k, codebook.rho_d), entries
+
+
 def _effective_channels(
     config: SimulationConfig,
-    precoders: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    precoders: tuple | None,
     frames: int,
+    gain: bool,
     rng: np.random.Generator,
     scratch: _Scratch,
 ) -> np.ndarray:
-    """One channel draw per frame, returned as h_eff = [head; P^H tail] with P
-    the codebook entry the transmitter applies (h itself without a codebook).
-    precoders is the codebook's (coordinates, conjugate matrices, design
-    index channel)."""
+    """One channel draw per frame through the entry P the transmitter applies
+    (h itself without a codebook, precoders None): h_eff = [head; P^H tail],
+    shape (F, m), or with gain gamma = ||h_eff||^2, shape (F,)."""
     m, n = config.pod.m, config.pod.n
     h = scratch.take((frames, m), complex)
     with scratch.scope():
         _complex_gaussian(h, scratch.take((2, frames, m)), rng)
     if precoders is None:
-        return h
-    coords, conj, design_inv = precoders
+        parts = h.view(float)
+        return np.einsum("ij,ij->i", parts, parts, out=scratch.take((frames,))) if gain else h
+    coords, design_inv, entries = precoders
     cb = config.codebook
     tail = h[:, m - n :]
+    gamma = scratch.take((frames,)) if gain else None
     # Each array dies right after its last use (passed on unnamed, or
     # deleted), so a chunk run before the scratch has grown holds no more
     # fresh arrays at once than the scratch will.
     with scratch.scope():
         applied = scratch.take((frames,), np.intp)
+        feats = _features(tail, out=scratch.take((frames, n * n)))
         with scratch.scope():
-            _encode_directions(
-                _tail_directions(tail, scratch), coords, cb.eta_c, design_inv,
-                (scratch.take((frames, n * n)), scratch.take((frames, cb.k)),
-                 scratch.take((frames, cb.k)), applied),
+            _encode_features(
+                _direction_features(feats, scratch), coords, cb.eta_c, n, design_inv,
+                (scratch.take((frames, cb.k)), scratch.take((frames, cb.k)), applied),
             )
         if config.feedback is not None:
             applied = config.feedback.transmit_batch(applied, rng)
         # take() buffers its output unless the mode is "clip"; every index is in range.
-        chosen = scratch.take((frames, n, n), complex)
-        np.take(conj, applied, axis=0, mode="clip", out=chosen)
+        chosen = np.take(entries, applied, axis=0, mode="clip",
+                         out=scratch.take((frames, *entries.shape[1:]), entries.dtype))
+        if gain:
+            np.einsum("ij,ij->i", chosen, feats, out=gamma)
+            if m > n:
+                head = h[:, : m - n].view(float)
+                gamma += np.einsum("ij,ij->i", head, head, out=scratch.take((frames,)))
+            return gamma
         precoded = np.matmul(tail[:, None, :], chosen, out=scratch.take((frames, 1, n), complex))
         del chosen
         tail[:] = precoded[:, 0, :]
@@ -542,26 +546,22 @@ def _effective_channels(
 
 def _simulate_chunks(config: SimulationConfig, tasks: list[tuple]) -> list[int]:
     """Bit errors of each (point_idx, chunk_idx, frames, sigma_n2) task, in
-    task order. The codebook's coordinates, conjugates and design index
-    channel (the BSC at its rho_d) and the decoder tables are looked up
-    once, and every chunk takes its arrays from one scratch. No array of a
-    chunk outlives it, so the scratch grows after the first full chunk
+    task order. The codebook's precoders and the decoder tables are looked
+    up once, and every chunk takes its arrays from one scratch. No array of
+    a chunk outlives it, so the scratch grows after the first full chunk
     without holding that chunk's arrays as well."""
     decoder = _group_decoder(config.pod.inner, config.constellation)
-    precoders = None
-    if config.codebook is not None:
-        matrices = np.asarray(config.codebook.matrices)
-        k, rho_d = config.codebook.k, config.codebook.rho_d
-        precoders = _coordinates(_gram(matrices)), matrices.conj(), bsc_inversion_matrix(k, rho_d)
+    gain = decoder.cand_norms is not None
+    precoders = None if config.codebook is None else _precoders(config.codebook, gain)
     t, blocks = config.pod.t, config.blocks_per_frame
     scratch = _Scratch()
     counts = []
     for point_idx, chunk_idx, frames, sigma_n2 in tasks:
         scratch.reset()
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, point_idx, chunk_idx)))
-        h_eff = _effective_channels(config, precoders, frames, rng, scratch)
-        counts.append(_block_errors(decoder, h_eff, t, blocks, sigma_n2, rng, scratch))
-        del h_eff  # before the next reset(), which may replace the buffer it lives in
+        channel = _effective_channels(config, precoders, frames, gain, rng, scratch)
+        counts.append(_block_errors(decoder, channel, t, blocks, sigma_n2, rng, scratch))
+        del channel  # before the next reset(), which may replace the buffer it lives in
     return counts
 
 

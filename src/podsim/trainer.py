@@ -170,7 +170,7 @@ def _features(dirs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b) for a < b] for each row h
     of dirs: a real (S, n^2) matrix, written into out when given."""
     n = dirs.shape[1]
-    pairs = list(zip(*np.triu_indices(n, 1)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]  # np.triu_indices(n, 1)
     if out is None:
         out = np.empty((len(dirs), n * n))
     np.add(dirs.real**2, dirs.imag**2, out=out[:, :n])
@@ -250,21 +250,21 @@ def _encode(
     return np.argmin(np.matmul(w, inv, out=out), axis=1, out=idx)
 
 
-def _encode_directions(dirs, coords, eta_c, inv, bufs=None) -> np.ndarray:
-    """Minimum expected-cost index for each direction row, ties to the
-    smallest index, for the matrices P whose coordinates g(P P^H) are coords.
+def _encode_features(feats, coords, eta_c, n, inv, bufs=None) -> np.ndarray:
+    """Minimum expected-cost index for each feature row F(h) of a unit h in
+    C^n, ties to the smallest index, for the P whose g(P P^H) are coords.
 
-    bufs, when given, is (feats, q, w, asg) and receives every array the
-    encoder writes: feats (S, n^2) and asg (S,) for the S = len(dirs) rows,
-    q and w two (B, K) blocks, B >= min(S, _BLOCK_ROWS), for each block's
-    quadratic forms (then its costs) and decays. A caller that encodes
-    batch after batch passes the same bufs, so no batch faults in fresh
-    pages; the indices are returned in asg."""
-    feats, q_buf, w_buf, asg = bufs or (None, None, None, None)
+    bufs, when given, is (q, w, asg) and receives every array the encoder
+    writes: q and w two (B, K) blocks, B >= min(S, _BLOCK_ROWS), for each
+    block's quadratic forms (then its costs) and decays, and asg (S,) for the
+    S = len(feats) rows. A caller that encodes batch after batch passes the
+    same bufs, so no batch faults in fresh pages; the indices are returned
+    in asg."""
+    q_buf, w_buf, asg = bufs or (None, None, None)
     if asg is None:
-        asg = np.empty(len(dirs), dtype=np.intp)
-    for rows, q in _quadratic_forms(_features(dirs, out=feats), coords, out=q_buf):
-        w, t = _decay(q, eta_c, dirs.shape[1], out=w_buf)
+        asg = np.empty(len(feats), dtype=np.intp)
+    for rows, q in _quadratic_forms(feats, coords, out=q_buf):
+        w, t = _decay(q, eta_c, n, out=w_buf)
         _encode(w, inv, out=t, idx=asg[rows])
     return asg
 

@@ -9,7 +9,9 @@ inner codeword `build` and the precoded codeword `assemble` live here too.
 r = U^T y that `statistic` forms from the coefficient tensors, and
 `kernel_gamma` gives Gamma from the quadratic-form kernel. `kernel_encode`,
 `kernel_objective` and `kernel_gradient` drive the trainer's private passes
-on one codebook, so tests can compare them with these references.
+on one codebook, so tests can compare them with these references;
+`kernel_encode(tail_directions(tail), ...)` is the complex-direction route
+that the sweep's encoder on F(tail) / ||tail||^2 must reproduce.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from podsim.link import _group_decoder, _Scratch
 from podsim.trainer import (
     _assign,
     _coordinates,
-    _encode_directions,
+    _encode_features,
     _entry_pass,
     _features,
     _gradients,
@@ -63,7 +65,21 @@ def assemble(pod, precoder, symbols):
 def kernel_encode(dirs, matrices, eta_c, inv):
     """The trainer's encoder index for each direction row, ties to the
     smallest index."""
-    return _encode_directions(dirs, _coordinates(_gram(np.asarray(matrices))), eta_c, inv)
+    coords = _coordinates(_gram(np.asarray(matrices)))
+    return _encode_features(_features(dirs), coords, eta_c, dirs.shape[1], inv)
+
+
+def tail_directions(tail):
+    """Unit direction of each tail row, e_1 for a zero row, as complex rows:
+    the norm is the square root of the sum of conj(x) x, as np.linalg.norm
+    takes it, and the division is complex."""
+    norms = np.sqrt(np.sum((np.conj(tail) * tail).real, axis=1, keepdims=True))
+    zero = norms[:, 0] == 0
+    norms[zero] = 1.0
+    dirs = tail / norms
+    dirs[zero] = 0.0
+    dirs[zero, 0] = 1.0
+    return dirs
 
 
 def kernel_objective(cb, inv, dirs):
@@ -100,6 +116,15 @@ def naive_encode(h, matrices, eta_c, n, inv):
         if cost < best_cost:
             best_i, best_cost = i, cost
     return best_i
+
+
+def transmit_reference(indices, k, rho_f, rng):
+    """FeedbackChannel.transmit_batch by the defining formula: bit b of each
+    index flips where a uniform draw falls below rho_f, the draws one row of
+    log2 K per index, bit 0 first."""
+    bits = k.bit_length() - 1
+    flips = (rng.random((len(indices), bits)) < rho_f).astype(np.int64)
+    return np.asarray(indices, dtype=np.int64) ^ (flips << np.arange(bits)).sum(axis=1)
 
 
 def naive_quadratic_forms(dirs, matrices):

@@ -13,6 +13,8 @@ from podsim.feedback import (
     save_mapping,
 )
 
+from oracles import transmit_reference
+
 
 def rank_one_codebook(directions, power):
     """Stack of power * u u^H matrices from unit column directions."""
@@ -94,6 +96,16 @@ def test_transmit_noiseless_is_identity():
     rng = np.random.default_rng(1)
     sent = np.tile(np.arange(8), 100)
     assert np.array_equal(chan.transmit_batch(sent, rng), sent)
+
+
+@pytest.mark.parametrize("rho_f", [0.0, 0.04, 0.5])
+@pytest.mark.parametrize("k", [2, 4, 16, 256])
+def test_transmit_matches_reference_formula(k, rho_f):
+    # The same uniform draws, the same flip patterns, the same indices.
+    sent = np.random.default_rng(3).integers(0, k, 5000)
+    out = FeedbackChannel(k=k, rho_f=rho_f).transmit_batch(sent, np.random.default_rng(k))
+    assert out.dtype == np.int64
+    assert np.array_equal(out, transmit_reference(sent, k, rho_f, np.random.default_rng(k)))
 
 
 def test_transmit_empirical_distribution():

@@ -11,8 +11,10 @@ Oracles:
   matched-filter detector for real orthogonal designs with identity
   precoding, and, in sweeps, against pinned error counts.
 * Gamma from the quadratic-form kernel matches U^T U on every (design,
-  constellation) pair, and is diagonal exactly where the decoder draws r
-  itself.
+  constellation) pair, and is ||h_eff||^2 diag(kappa) exactly where the
+  decoder carries that one gain. The sweep's gain matches ||h_eff||^2 of
+  explicitly precoded channels, and its encoder on F(tail) / ||tail||^2
+  picks the indices of the complex-direction route in the oracles.
 * the Alamouti block with h = (1, 0) only sees the first antenna row:
   y = (conj(s1), -s2).
 * empirical noise variance of the reference blocks must match sigma_n2 =
@@ -25,14 +27,15 @@ Oracles:
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import podsim.link
 from podsim.channel import complex_gaussian
-from podsim.codebook import project_psd_power
-from podsim.feedback import FeedbackChannel
+from podsim.codebook import PrecoderCodebook, load_codebook, project_psd_power
+from podsim.feedback import FeedbackChannel, bsc_inversion_matrix
 from podsim.link import (
     BerResult,
     SimulationConfig,
@@ -43,24 +46,30 @@ from podsim.link import (
 from podsim.link import (
     _BER_CSV_HEADER,
     _block_errors,
+    _direction_features,
+    _effective_channels,
     _group_decoder,
+    _precoders,
     _sampler,
     _Scratch,
     _worker_count,
 )
 from podsim.stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets, get_design
-from podsim.trainer import TrainerConfig, fit
+from podsim.trainer import TrainerConfig, _coordinates, _encode_features, _features, _gram, fit
 
 from oracles import (
     assemble,
     build,
     candidate_quads,
+    components,
     decode_frames,
+    kernel_encode,
     kernel_gamma,
     matched_filter_real_od,
     naive_ml_decode,
     received_block,
     statistic,
+    tail_directions,
 )
 
 # (design, constellation, precoded tail n) of the batched decoder checks.
@@ -179,19 +188,22 @@ def test_transmit_block_noise_variance_empirical():
 
 def test_drawn_statistic_moments():
     # r - Gamma x = w ~ N(0, sigma_n2 / 2 * Gamma) for one fixed h_eff; with
-    # Gamma diagonal each component is its own normal. 20000 draws put the
-    # sample variance's standard error at 1 %, so 5 % is a 5 sigma bound.
+    # Gamma diagonal each component is its own normal. The sampler takes the
+    # gain ||h_eff||^2, and the oracle's Gamma gives the moments. 20000 draws
+    # put the sample variance's standard error at 1 %, so 5 % is a 5 sigma
+    # bound.
     rng = np.random.default_rng(2)
     frames = 20_000
     for kind, const_kind in DIAGONAL_PAIRS:
         design, const = get_design(kind), Constellation(const_kind)
         decoder = _group_decoder(design, const)
-        h_eff = np.broadcast_to(complex_gaussian(design.m, rng), (frames, design.m))
+        h_eff = complex_gaussian((1, design.m), rng)
         sigma_n2 = design.m / 10.0 ** (7.0 / 10.0)
-        draw, _ = _sampler(decoder, np.ascontiguousarray(h_eff), design.t, sigma_n2, _Scratch())
+        gain = np.full(frames, np.sum(np.abs(h_eff) ** 2))
+        draw, _ = _sampler(decoder, gain, design.t, sigma_n2, _Scratch())
         tx = rng.integers(0, len(decoder.cand_points), size=(frames, 1))
         r = draw(tx, rng)[:, 0, :]
-        gamma = np.diagonal(statistic(design, const, h_eff[:1], np.zeros((1, design.t)))[1][0])
+        gamma = np.diagonal(statistic(design, const, h_eff, np.zeros((1, design.t)))[1][0])
         x = decoder.cand_points[tx[:, 0]]
         w = r - x * gamma
         want = sigma_n2 / 2.0 * gamma
@@ -206,8 +218,9 @@ def test_drawn_statistic_moments():
 def test_kernel_gamma_matches_projection(kind, const):
     # Gamma_cd = Re(u_c^H u_d) from the coefficient tensors against the
     # kernel's F(h_eff) . g(Herm(R_c R_d^H)); rectangular R (real-od-6x8)
-    # included. The decoder draws r itself exactly where Gamma is diagonal,
-    # and its own gamma and x^T Gamma x match.
+    # included. The decoder carries the gain ||h_eff||^2 exactly where
+    # Herm(R_c R_d^H) = 2 delta_cd kappa_c I, so Gamma = ||h_eff||^2
+    # diag(kappa), and the x^T Gamma x it forms from that gain match.
     rng = np.random.default_rng(8)
     design, constellation = get_design(kind), Constellation(const)
     decoder = _group_decoder(design, constellation)
@@ -215,12 +228,19 @@ def test_kernel_gamma_matches_projection(kind, const):
     _, gamma = statistic(design, constellation, h_eff, np.zeros((16, design.t)))
     kernel = kernel_gamma(design, constellation, h_eff)
     np.testing.assert_allclose(kernel, gamma, rtol=0, atol=1e-12)
-    off = kernel - np.einsum("fcc->fc", kernel)[:, :, None] * np.eye(kernel.shape[1])
-    diagonal = np.abs(off).max() <= 1e-12
-    assert diagonal == (decoder.stat_coords is not None) == (kind != "qostbc-4")
-    if diagonal:
-        terms, quad = decoder.statistic_terms(h_eff, _Scratch())
-        np.testing.assert_allclose(terms, np.einsum("fcc->fc", gamma), rtol=0, atol=1e-12)
+    comps = components(design, constellation)
+    prod = np.einsum("cmt,dnt->cdmn", comps, comps.conj())
+    herm = prod + prod.conj().swapaxes(-1, -2)
+    kappa = herm[np.arange(len(comps)), np.arange(len(comps)), 0, 0].real / 2.0
+    want = np.einsum("cd,c,mn->cdmn", np.eye(len(comps)), 2.0 * kappa, np.eye(design.m))
+    orthogonal = np.abs(herm - want).max() <= 1e-12
+    assert orthogonal == (decoder.cand_norms is not None) == (kind != "qostbc-4")
+    if orthogonal:
+        gain = np.sum(np.abs(h_eff) ** 2, axis=1)
+        np.testing.assert_allclose(
+            gamma, gain[:, None, None] * np.diag(kappa), rtol=0, atol=1e-12
+        )
+        _, quad = _sampler(decoder, gain, design.t, 1.0, _Scratch())
         np.testing.assert_allclose(quad, candidate_quads(decoder, gamma), rtol=0, atol=1e-12)
 
 
@@ -239,15 +259,84 @@ def test_block_errors_follow_conditional_ber(kind):
     sigma_n2 = design.m / 10.0 ** (6.0 / 10.0)
     h_eff = complex_gaussian((frames, design.m), rng)
     gamma = np.einsum("fcc->fc", statistic(design, const, h_eff, np.zeros((frames, design.t)))[1])
+    gain = np.sum(np.abs(h_eff) ** 2, axis=1)
     p = np.array([[0.5 * math.erfc(math.sqrt(g / sigma_n2)) for g in row] for row in gamma])
     mean = blocks * p.sum()
     var = blocks * (p * (1.0 - p)).sum()
     log_term = math.log(2.0 / alpha)
     bound = log_term / 3.0 + math.sqrt((log_term / 3.0) ** 2 + 2.0 * var * log_term)
     errors = _block_errors(
-        _group_decoder(design, const), h_eff, design.t, blocks, sigma_n2, rng, _Scratch()
+        _group_decoder(design, const), gain, design.t, blocks, sigma_n2, rng, _Scratch()
     )
     assert abs(errors - mean) <= bound, (errors, mean, bound)
+
+
+STORED_CODEBOOK = Path(__file__).resolve().parents[1] / "bench" / "data" / "k16_m4_rho0.04.pcb"
+
+
+@pytest.mark.parametrize("loop", ["open", "genie", "closed"])
+@pytest.mark.parametrize("kind,n", [("real-od-4", 4), ("real-od-4", 2), ("real-od-6x8", 4)])
+def test_sweep_gain_matches_explicit_precoding(kind, n, loop, monkeypatch):
+    # On an orthogonal design the sweep carries gamma = ||head||^2 +
+    # F(tail) . g(P P^H) per frame in place of h_eff = [head; P^H tail].
+    # It must equal ||h_eff||^2 with h_eff precoded explicitly by the entry
+    # the transmitter applied: in the open loop (P = I), the genie (the
+    # encoder's index) and the closed loop at rho_f = 0.5 (the index after
+    # the feedback link), with every seventh tail zero.
+    rng = np.random.default_rng(41)
+    design, frames, k = get_design(kind), 300, 8
+    head = design.m - n
+    h = complex_gaussian((frames, design.m), rng)
+    h[::7, head:] = 0.0
+    mats = np.stack([random_precoder(n, rng) for _ in range(k)])
+    cb = PrecoderCodebook(m=design.m, n=n, k=k, matrices=mats, eta_c=2.5, rho_d=0.1,
+                          marginals=np.full(k, 1.0 / k))
+    config = SimulationConfig(
+        snr_grid_db=[0.0], frames=frames, pod=PodStructure(inner=design, n=n),
+        constellation=Constellation("bpsk"), codebook=None if loop == "open" else cb,
+        feedback=FeedbackChannel(k=k, rho_f=0.5) if loop == "closed" else None,
+    )
+    monkeypatch.setattr(podsim.link, "_complex_gaussian", lambda out, parts, rng: np.copyto(out, h))
+    encoded = kernel_encode(tail_directions(h[:, head:]), mats, cb.eta_c,
+                            bsc_inversion_matrix(k, cb.rho_d))
+    applied = [encoded]
+    if loop == "closed":
+        send = config.feedback.transmit_batch
+
+        def record(indices, rng):
+            assert np.array_equal(indices, encoded)
+            applied[0] = send(indices, rng)
+            return applied[0]
+
+        monkeypatch.setattr(config.feedback, "transmit_batch", record)
+    precoders = None if loop == "open" else _precoders(cb, True)
+    gain = _effective_channels(config, precoders, frames, True, rng, _Scratch())
+    h_eff = h.copy()
+    if loop != "open":
+        assert loop == "genie" or np.any(applied[0] != encoded)
+        for f, j in enumerate(applied[0]):
+            h_eff[f, head:] = mats[j].conj().T @ h[f, head:]
+    np.testing.assert_allclose(gain, np.sum(np.abs(h_eff) ** 2, axis=1), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("rho_d", [0.0, 0.1])
+def test_feature_encoder_matches_direction_route(rho_d):
+    # The sweep encodes each tail from F(tail) / ||tail||^2, not from the
+    # complex unit direction tail / ||tail||. The two round differently, and
+    # must still pick the same index on 100k tails of widely spread norms;
+    # a zero tail encodes as F(e_1).
+    rng = np.random.default_rng(43)
+    cb = load_codebook(STORED_CODEBOOK)
+    tails = complex_gaussian((100_000, cb.n), rng) * 10.0 ** rng.uniform(-3, 3, (100_000, 1))
+    tails[:50] = 0.0
+    inv = bsc_inversion_matrix(cb.k, rho_d)
+    feats = _direction_features(_features(tails), _Scratch())
+    e_1 = _features(np.eye(cb.n)[:1])
+    np.testing.assert_array_equal(feats[:50], np.broadcast_to(e_1, (50, cb.n**2)))
+    coords = _coordinates(_gram(np.asarray(cb.matrices)))
+    fast = _encode_features(feats, coords, cb.eta_c, cb.n, inv)
+    ref = kernel_encode(tail_directions(tails), cb.matrices, cb.eta_c, inv)
+    assert np.array_equal(fast, ref), np.flatnonzero(fast != ref)[:10]
 
 
 def test_effective_channel_projection_identity():
