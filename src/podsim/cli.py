@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .channel import sample_directions
 from .codebook import PrecoderCodebook, eigen_profile, load_codebook, save_codebook
 from .feedback import (
     FeedbackChannel,
@@ -29,7 +29,7 @@ from .feedback import (
 from .link import SimulationConfig, run_ber_sweep, write_ber_csv
 from .pep import average_pep_bound, build_evaluation_set
 from .stbc import Constellation, PodStructure, get_design
-from .trainer import TrainerConfig, eta_c_from_snr_db, fit, range_design
+from .trainer import TrainerConfig, _draw_direction_features, eta_c_from_snr_db, fit, range_design
 
 __all__ = ["main"]
 
@@ -146,8 +146,7 @@ def cmd_train(args) -> int:
 def cmd_eval_pep(args) -> int:
     cb = load_codebook(args.codebook)
     eta_c = args.eta_c if args.eta_c is not None else cb.eta_c
-    rng = np.random.default_rng(args.seed)
-    dirs = sample_directions(cb.n, args.samples, rng)
+    dirs = _draw_direction_features(cb.n, args.samples, np.random.default_rng(args.seed))
     evset = build_evaluation_set(cb, dirs, eta_c)
     lines = ["rho_f,eta_c,bound"]
     for rho_f in args.rho_f:
@@ -372,6 +371,7 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool) -> None:
     )
 
 
+@functools.cache  # main() may run many times in one process, once per recipe step
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="podsim",
@@ -419,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-pep", help="average pairwise-error bound of a codebook")
     p.add_argument("--codebook", required=True, help="trained codebook file")
     p.add_argument(
-        "--rho-f", type=_parse_float_list, default=[0.0],
+        "--rho-f", type=_parse_float_list, default=(0.0,),
         help="comma-separated feedback crossover values, one CSV row each",
     )
     p.add_argument("--eta-c", type=float, default=None, help="override the design eta_c")

@@ -75,7 +75,7 @@ from .channel import _complex_gaussian
 from .codebook import PrecoderCodebook
 from .feedback import FeedbackChannel, bsc_inversion_matrix
 from .stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets
-from .trainer import _coordinates, _encode_features, _features, _gram
+from .trainer import _coordinates, _direction_features, _encode_features, _features, _gram
 
 __all__ = [
     "BerResult",
@@ -89,7 +89,7 @@ _CHUNK_FRAMES = 2048
 _SLAB_METRICS = 1 << 16  # group-candidate metrics per slab of blocks (512 KB)
 _SERIAL_MACS = 1 << 18  # OpenBLAS runs a product of fewer multiply-adds on one thread
 
-_BER_CSV_HEADER = "snr_db,rho_f,frames,bits_sent,bit_errors,ber,ber_stderr"
+_BER_CSV_HEADER = "snr_db,rho_f,frames,bits_sent,bit_errors,ber,ber_stderr,ber_wilson_low,ber_wilson_high"
 
 
 def candidate_codewords(
@@ -306,15 +306,7 @@ class BerResult:
     ) -> "BerResult":
         ber = bit_errors / bits_sent
         stderr = math.sqrt(ber * (1.0 - ber) / bits_sent)
-        return cls(
-            snr_db=snr_db,
-            rho_f=rho_f,
-            frames=frames,
-            bits_sent=bits_sent,
-            bit_errors=bit_errors,
-            ber=ber,
-            ber_stderr=stderr,
-        )
+        return cls(snr_db, rho_f, frames, bits_sent, bit_errors, ber, stderr)
 
 
 @dataclass
@@ -385,20 +377,6 @@ class SimulationConfig:
     @property
     def rho_f(self) -> float:
         return self.feedback.rho_f if self.feedback is not None else 0.0
-
-
-def _direction_features(feats: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """F(h / ||h||) = F(h) / ||h||^2 for each row of features F(h), whose first
-    n columns sum to ||h||^2, and F(e_1) for a zero row, in the scratch."""
-    frames, n = len(feats), math.isqrt(feats.shape[1])
-    dirs = scratch.take(feats.shape)
-    with scratch.scope():
-        norms = np.einsum("ij->i", feats[:, :n], out=scratch.take((frames,)))
-        zero = np.equal(norms, 0.0, out=scratch.take((frames,), bool))
-        norms[zero] = 1.0
-        np.divide(feats, norms[:, None], out=dirs)
-        dirs[zero, 0] = 1.0
-    return dirs
 
 
 def _sampler(
@@ -521,11 +499,11 @@ def _effective_channels(
     # fresh arrays at once than the scratch will.
     with scratch.scope():
         applied = scratch.take((frames,), np.intp)
-        feats = _features(tail, out=scratch.take((frames, n * n)))
+        feats = _features(tail.real, tail.imag, out=scratch.take((n * n, frames)).T)
         with scratch.scope():
             _encode_features(
-                _direction_features(feats, scratch), coords, cb.eta_c, n, design_inv,
-                (scratch.take((frames, cb.k)), scratch.take((frames, cb.k)), applied),
+                _direction_features(feats, scratch.take((n * n, frames)).T), coords, cb.eta_c, n,
+                design_inv, (scratch.take((frames, cb.k)), scratch.take((frames, cb.k)), applied),
             )
         if config.feedback is not None:
             applied = config.feedback.transmit_batch(applied, rng)
@@ -632,12 +610,17 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
 
 
 def write_ber_csv(path, results: list[BerResult]) -> None:
-    """CSV with the exact column set the plotting recipes expect."""
+    """CSV with the exact column set the plotting recipes expect; the last two
+    bound the BER by the 95 % Wilson score interval, positive with no errors."""
+    z2 = 1.959963984540054**2
     lines = [_BER_CSV_HEADER]
     for r in results:
+        n, p = r.bits_sent, r.ber
+        half = math.sqrt(z2 * (p * (1.0 - p) / n + z2 / (4.0 * n * n)))
+        low, high = ((p + z2 / (2.0 * n) + d) / (1.0 + z2 / n) for d in (-half, half))
         lines.append(
             f"{r.snr_db:.12g},{r.rho_f:.12g},{r.frames},{r.bits_sent},"
-            f"{r.bit_errors},{r.ber:.12g},{r.ber_stderr:.12g}"
+            f"{r.bit_errors},{r.ber:.12g},{r.ber_stderr:.12g},{max(low, 0.0):.12g},{high:.12g}"
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

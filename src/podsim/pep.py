@@ -34,9 +34,10 @@ The bound chain has three levels:
    codebook's eta_c and rho_f = rho_d, the sum is the objective that
    codebook training minimizes.
 
-Expectations over regions are empirical means over the evaluation set,
-matching the trainer's convention, and every beta comes from the trainer's
-quadratic-form kernel. The closed forms rest on two Gamma integrals,
+The evaluation set is the direction features F(hbar), so every beta comes
+from the trainer's quadratic-form kernel; expectations over regions are
+empirical means over the set, as in the trainer. The closed forms rest on
+two Gamma integrals,
 E[exp(-eta_c theta)] = (1 + eta_c)^-(m-n) over theta ~ Gamma(m - n, 1) and
 E[exp(-eta_c gamma beta)] = (1 + eta_c beta)^-n over gamma ~ Gamma(n, 1).
 """
@@ -49,7 +50,7 @@ import numpy as np
 
 from .codebook import PrecoderCodebook
 from .feedback import bsc_inversion_matrix
-from .trainer import _coordinates, _decay, _encode, _features, _gram, _quadratic_forms
+from .trainer import _coordinates, _decay, _encode, _gram, _quadratic_forms
 
 __all__ = [
     "EvaluationSet",
@@ -83,9 +84,9 @@ class EvaluationSet:
 def build_evaluation_set(
     cb: PrecoderCodebook, dirs: np.ndarray, eta_c: float | None = None
 ) -> EvaluationSet:
-    """Assign each direction to its encoder region (at the codebook's eta_c and
-    its design index channel, the BSC at rho_d) and tabulate the region-pair
-    table at eta_c, which defaults to the codebook's."""
+    """Assign each direction, given as its features F(hbar), to its encoder
+    region (at the codebook's eta_c and its design index channel, the BSC at
+    rho_d) and tabulate the region-pair table at eta_c (default the codebook's)."""
     eta_c = cb.eta_c if eta_c is None else eta_c
     if not (np.isfinite(eta_c) and eta_c >= 0.0):
         raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
@@ -94,26 +95,26 @@ def build_evaluation_set(
     # One pass of quadratic forms serves both the encoder (at the codebook's
     # eta_c, decayed in place of q, whose block then takes the encoder's
     # costs) and the table, which takes the encoder's decay unless its eta_c
-    # differs: only then is a copy of q decayed a second time. Each block
-    # adds its rows to their region's row of the table with one bincount over
-    # (region, entry) pairs, so no (S, K) array is allocated.
+    # differs: only then is a copy of q decayed a second time. The cost block
+    # then takes the one-hot rows of the rows' regions, and the table one
+    # (K, rows) @ (rows, K) product, so no (S, K) array is allocated.
     k = cb.k
     design_inv = bsc_inversion_matrix(k, cb.rho_d)
     counts = np.zeros(k)
-    tail = np.zeros(k * k)
-    entries = np.arange(k)
+    tail = np.zeros((k, k))
+    identity = np.eye(k)
     coords = _coordinates(_gram(np.asarray(cb.matrices)))
-    for _, q in _quadratic_forms(_features(dirs), coords):
+    for _, q in _quadratic_forms(dirs, coords):
         w = None if eta_c == cb.eta_c else _decay(q.copy(), eta_c, cb.n)[0]
         w_enc, t = _decay(q, cb.eta_c, cb.n)
-        w = w_enc if w is None else w
         asg = _encode(w_enc, design_inv, out=t)
         counts += np.bincount(asg, minlength=k)
-        tail += np.bincount((asg[:, None] * k + entries).ravel(), weights=w.ravel(), minlength=k * k)
-    tail = tail.reshape(k, k) / len(dirs)
+        # take() buffers its output unless the mode is "clip"; every index is in range.
+        onehot = np.take(identity, asg, axis=0, out=t, mode="clip")
+        tail += onehot.T @ (w_enc if w is None else w)
     return EvaluationSet(
         occupancy=counts / len(dirs),
-        tail=tail,
+        tail=tail / len(dirs),
         head=0.5 * (1.0 + eta_c) ** (-(cb.m - cb.n)),
     )
 

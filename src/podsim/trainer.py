@@ -29,7 +29,7 @@ becomes the feature row F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b)]
 -2 Im G_ab], so q = F(dirs) @ g(G_1 .. G_K) with G_j = P_j P_j^H is one real
 product for all K entries. The same layout runs backwards for the gradient:
 R_j = sum_s u_sj h_s h_s^H unpacks from F^T @ u. The encoder, `fit`, the
-bounds in `podsim.pep` and the link's decoder statistics all use the kernel.
+bounds in `podsim.pep` and the link's encoder and gains all use the kernel.
 
 At fixed assignments J is a sum of independent per-entry values, so `fit`
 steps all entries at once: one stacked projection and one candidate pass per
@@ -60,7 +60,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from podsim.channel import sample_directions
 from podsim.codebook import PrecoderCodebook, project_psd_power
 from podsim.feedback import bsc_inversion_matrix
 
@@ -166,20 +165,46 @@ class TrainingState:
     halvings: list[int]
 
 
-def _features(dirs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _features(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b) for a < b] for each row h
-    of dirs: a real (S, n^2) matrix, written into out when given."""
-    n = dirs.shape[1]
+    = re + i im of the real (S, n) parts, from real products re_a re_b + im_a
+    im_b and re_a im_b - im_a re_b, column by column through one (S,) buffer:
+    an (S, n^2) view of (n^2, S) columns, or out, best laid out the same way."""
+    n = re.shape[1]
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]  # np.triu_indices(n, 1)
     if out is None:
-        out = np.empty((len(dirs), n * n))
-    np.add(dirs.real**2, dirs.imag**2, out=out[:, :n])
-    # Column by column, so the only temporaries are (S,) vectors.
+        out = np.empty((n * n, len(re))).T
+    np.add(np.square(re), np.square(im), out=out[:, :n])
+    tmp = np.empty(len(re))
     for p, (a, b) in enumerate(pairs):
-        cross = dirs[:, a].conj() * dirs[:, b]
-        out[:, n + p] = cross.real
-        out[:, n + len(pairs) + p] = cross.imag
+        real, imag = out[:, n + p], out[:, n + len(pairs) + p]
+        ra, ia, rb, ib = re[:, a], im[:, a], re[:, b], im[:, b]
+        np.add(np.multiply(ra, rb, out=real), np.multiply(ia, ib, out=tmp), out=real)
+        np.subtract(np.multiply(ra, ib, out=imag), np.multiply(ia, rb, out=tmp), out=imag)
     return out
+
+
+def _direction_features(feats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """F(h / ||h||) = F(h) / ||h||^2 for each row of features F(h) (its first n
+    columns sum to ||h||^2), F(e_1) for a zero row; into out, which may be feats."""
+    norms = np.einsum("ij->i", feats[:, : round(feats.shape[1] ** 0.5)])
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    out = np.divide(feats, norms[:, None], out=out)
+    out[zero, 0] = 1.0
+    return out
+
+
+def _draw_direction_features(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """F(h / ||h||) of the count directions sample_directions(n, count, rng)
+    draws, from the same (count, n) real then imaginary parts, with no complex
+    array formed. Each part is copied to contiguous columns before the column
+    products; the result is a (count, n^2) view of (n^2, count) columns."""
+    if count < 0:
+        raise ValueError(f"direction count must be nonnegative, got {count}")
+    re, im = (np.ascontiguousarray(rng.standard_normal((count, n)).T).T for _ in range(2))
+    feats = _features(re, im)
+    return _direction_features(feats, out=feats)
 
 
 def _gram(matrices: np.ndarray) -> np.ndarray:
@@ -412,7 +437,7 @@ def fit(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> TrainingS
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     inv = bsc_inversion_matrix(cfg.k, cfg.rho_d)
-    feats = _features(sample_directions(cfg.n, cfg.n_train, rng))
+    feats = _draw_direction_features(cfg.n, cfg.n_train, rng)
 
     best = None
     best_objective = np.inf

@@ -12,6 +12,10 @@ r = U^T y that `statistic` forms from the coefficient tensors, and
 on one codebook, so tests can compare them with these references;
 `kernel_encode(tail_directions(tail), ...)` is the complex-direction route
 that the sweep's encoder on F(tail) / ||tail||^2 must reproduce.
+`complex_features` is the feature map F(h) taken with complex products, and
+`bincount_evaluation_set` the region-pair table filled by a weighted bincount
+over (region, entry) pairs: references for the real-product kernel and the
+one-hot product that `podsim.pep` tabulates with.
 """
 
 import itertools
@@ -20,15 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from podsim.feedback import bsc_inversion_matrix
 from podsim.link import _group_decoder, _Scratch
+from podsim.pep import EvaluationSet
 from podsim.trainer import (
     _assign,
     _coordinates,
+    _decay,
+    _encode,
     _encode_features,
     _entry_pass,
     _features,
     _gradients,
     _gram,
+    _quadratic_forms,
 )
 
 
@@ -62,11 +71,53 @@ def assemble(pod, precoder, symbols):
     return out
 
 
+def kernel_features(dirs):
+    """The trainer's feature rows F(h) of complex rows h, from their parts."""
+    return _features(dirs.real, dirs.imag)
+
+
+def complex_features(dirs):
+    """F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b) for a < b] of each complex
+    row h, the cross terms taken as the complex products conj(h_a) h_b."""
+    n = dirs.shape[1]
+    out = np.empty((len(dirs), n * n))
+    out[:, :n] = dirs.real**2 + dirs.imag**2
+    for p, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+        cross = dirs[:, a].conj() * dirs[:, b]
+        out[:, n + p] = cross.real
+        out[:, n + n * (n - 1) // 2 + p] = cross.imag
+    return out
+
+
+def bincount_evaluation_set(cb, feats, eta_c=None):
+    """build_evaluation_set with each block added to the table by one weighted
+    bincount over its (region, entry) pairs, and the counts by a bincount of
+    the regions."""
+    eta_c = cb.eta_c if eta_c is None else eta_c
+    k = cb.k
+    design_inv = bsc_inversion_matrix(k, cb.rho_d)
+    counts = np.zeros(k, dtype=np.int64)
+    tail = np.zeros(k * k)
+    coords = _coordinates(_gram(np.asarray(cb.matrices)))
+    for _, q in _quadratic_forms(feats, coords):
+        w = _decay(q.copy(), eta_c, cb.n)[0]
+        w_enc, t = _decay(q, cb.eta_c, cb.n)
+        asg = _encode(w_enc, design_inv, out=t)
+        counts += np.bincount(asg, minlength=k)
+        tail += np.bincount((asg[:, None] * k + np.arange(k)).ravel(), weights=w.ravel(),
+                            minlength=k * k)
+    return EvaluationSet(
+        occupancy=counts / len(feats),
+        tail=tail.reshape(k, k) / len(feats),
+        head=0.5 * (1.0 + eta_c) ** (-(cb.m - cb.n)),
+    )
+
+
 def kernel_encode(dirs, matrices, eta_c, inv):
     """The trainer's encoder index for each direction row, ties to the
     smallest index."""
     coords = _coordinates(_gram(np.asarray(matrices)))
-    return _encode_features(_features(dirs), coords, eta_c, dirs.shape[1], inv)
+    return _encode_features(kernel_features(dirs), coords, eta_c, dirs.shape[1], inv)
 
 
 def tail_directions(tail):
@@ -86,7 +137,7 @@ def kernel_objective(cb, inv, dirs):
     """The trainer's J for the encoder implied by the codebook: the sum of
     the entry values of one assign pass."""
     coords = _coordinates(_gram(np.asarray(cb.matrices)))
-    return float(np.sum(_assign(_features(dirs), coords, cb.eta_c, cb.n, inv, False)[1]))
+    return float(np.sum(_assign(kernel_features(dirs), coords, cb.eta_c, cb.n, inv, False)[1]))
 
 
 def kernel_gradient(cb, j, inv, dirs, assignments):
@@ -94,7 +145,8 @@ def kernel_gradient(cb, j, inv, dirs, assignments):
     one entry pass for entry j, unpacked by _gradients."""
     mats = np.asarray(cb.matrices)[j : j + 1]
     coords = _coordinates(_gram(mats))
-    r = _entry_pass(_features(dirs), coords, inv[j : j + 1].T, assignments, cb.eta_c, cb.n, True)[1]
+    feats = kernel_features(dirs)
+    r = _entry_pass(feats, coords, inv[j : j + 1].T, assignments, cb.eta_c, cb.n, True)[1]
     return _gradients(r, mats, cb.eta_c, len(dirs))[0]
 
 
@@ -248,7 +300,7 @@ def kernel_gamma(design, constellation, h_eff):
     prod = np.einsum("cmt,dnt->cdmn", comps, comps.conj())
     herm = (prod + prod.conj().swapaxes(-1, -2)) / 2.0
     coords = _coordinates(herm.reshape(-1, design.m, design.m))
-    return (_features(h_eff) @ coords).reshape(len(h_eff), len(comps), len(comps))
+    return (kernel_features(h_eff) @ coords).reshape(len(h_eff), len(comps), len(comps))
 
 
 def decode_frames(pod, precoders, h, y, constellation):

@@ -23,6 +23,7 @@ from oracles import (
     decode_frames,
     finite_difference_gradient,
     kernel_encode,
+    kernel_features,
     kernel_gradient,
     kernel_objective,
     naive_encode,
@@ -322,7 +323,7 @@ def test_fast_analytic_consistency_suite():
         cb = replace(_random_codebook(n, k, rng, eta_c=1.4, m=m), rho_d=0.07)
         inv = bsc_inversion_matrix(k, 0.07)
         dirs = sample_directions(n, 400, rng)
-        evset = build_evaluation_set(cb, dirs)
+        evset = build_evaluation_set(cb, kernel_features(dirs))
         lhs = average_pep_bound(evset, inv)
         rhs = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * kernel_objective(cb, inv, dirs)
         worst_id = max(worst_id, abs(lhs - rhs) / rhs)

@@ -186,6 +186,20 @@ def test_eval_pep_eta_c_override_matches_numpy(tiny_codebook_path, tmp_path):
         assert abs(row[2] - ref) <= 1e-12 * ref
 
 
+def test_parser_defaults_survive_earlier_calls(tiny_codebook_path, tmp_path):
+    # Every main() call in a process parses with one parser: the --rho-f list
+    # of one call must not become the default of the next.
+    assert _build_parser() is _build_parser()
+    out = tmp_path / "pep.csv"
+    argv = ["eval-pep", "--codebook", str(tiny_codebook_path), "--samples", "200",
+            "--out", str(out)]
+    assert main([*argv, "--rho-f", "0,0.1"]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+    assert main(argv) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.0,")
+
+
 @pytest.mark.parametrize("flags", [["--eta-c", "-1"], ["--eta-c", "nan"],
                                    ["--samples", "0"], ["--samples", "-1"]])
 def test_eval_pep_rejects_bad_eta_c_and_sample_count(tiny_codebook_path, tmp_path, flags, capsys):

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import podsim.link
 from podsim.channel import complex_gaussian
@@ -46,7 +47,6 @@ from podsim.link import (
 from podsim.link import (
     _BER_CSV_HEADER,
     _block_errors,
-    _direction_features,
     _effective_channels,
     _group_decoder,
     _precoders,
@@ -55,7 +55,15 @@ from podsim.link import (
     _worker_count,
 )
 from podsim.stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets, get_design
-from podsim.trainer import TrainerConfig, _coordinates, _encode_features, _features, _gram, fit
+from podsim.trainer import (
+    TrainerConfig,
+    _coordinates,
+    _direction_features,
+    _encode_features,
+    _features,
+    _gram,
+    fit,
+)
 
 from oracles import (
     assemble,
@@ -64,6 +72,7 @@ from oracles import (
     components,
     decode_frames,
     kernel_encode,
+    kernel_features,
     kernel_gamma,
     matched_filter_real_od,
     naive_ml_decode,
@@ -330,8 +339,8 @@ def test_feature_encoder_matches_direction_route(rho_d):
     tails = complex_gaussian((100_000, cb.n), rng) * 10.0 ** rng.uniform(-3, 3, (100_000, 1))
     tails[:50] = 0.0
     inv = bsc_inversion_matrix(cb.k, rho_d)
-    feats = _direction_features(_features(tails), _Scratch())
-    e_1 = _features(np.eye(cb.n)[:1])
+    feats = _direction_features(_features(tails.real, tails.imag))
+    e_1 = kernel_features(np.eye(cb.n)[:1])
     np.testing.assert_array_equal(feats[:50], np.broadcast_to(e_1, (50, cb.n**2)))
     coords = _coordinates(_gram(np.asarray(cb.matrices)))
     fast = _encode_features(feats, coords, cb.eta_c, cb.n, inv)
@@ -669,3 +678,21 @@ def test_write_ber_csv_layout(tmp_path):
     assert text[0] == _BER_CSV_HEADER
     assert text[1].startswith("10,0.1,100,26000,130,0.005,")
     assert len(text) == 3
+
+
+def test_write_ber_csv_wilson_interval(tmp_path):
+    # ber_stderr is 0 at a point without errors; the 95 % Wilson score
+    # interval in the trailing columns still bounds its BER from above.
+    rows = [BerResult.from_counts(14.0, 0.0, 100, 26000, 0),
+            BerResult.from_counts(10.0, 0.1, 100, 26000, 130)]
+    path = tmp_path / "ber.csv"
+    write_ber_csv(path, rows)
+    header, *lines = path.read_text().splitlines()
+    assert header.split(",")[-2:] == ["ber_wilson_low", "ber_wilson_high"]
+    for r, line in zip(rows, lines):
+        low, high = (float(v) for v in line.split(",")[-2:])
+        want = stats.binomtest(r.bit_errors, r.bits_sent).proportion_ci(method="wilson")
+        assert low == pytest.approx(want.low, rel=1e-10, abs=1e-15)
+        assert high == pytest.approx(want.high, rel=1e-10)
+        assert low <= r.ber < high
+    assert float(lines[0].split(",")[6]) == 0.0 and float(lines[0].split(",")[8]) > 0.0

@@ -19,9 +19,11 @@ import pytest
 
 from oracles import (
     assemble,
+    bincount_evaluation_set,
     closed_form_integrals_check,
     conditional_pep_bound,
     kernel_encode,
+    kernel_features,
     kernel_objective,
     naive_objective,
     region_pep_bound,
@@ -31,7 +33,7 @@ from podsim.codebook import PrecoderCodebook, project_psd_power
 from podsim.feedback import bsc_inversion_matrix
 from podsim.pep import EvaluationSet, average_pep_bound, build_evaluation_set
 from podsim.stbc import Constellation, PodStructure, get_design
-from podsim.trainer import TrainerConfig, fit
+from podsim.trainer import _BLOCK_ROWS, TrainerConfig, fit
 
 
 def make_codebook(m, n, k, eta_c, rho_d, matrices, marginals=None):
@@ -84,9 +86,9 @@ def test_eta_c_and_noise_validation():
     dirs = sample_directions(2, 10, np.random.default_rng(2))
     for eta_c in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="eta_c"):
-            build_evaluation_set(cb, dirs, eta_c)
+            build_evaluation_set(cb, kernel_features(dirs), eta_c)
     with pytest.raises(ValueError, match="direction"):
-        build_evaluation_set(cb, dirs[:0])
+        build_evaluation_set(cb, kernel_features(dirs[:0]))
     for sigma_n2 in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="sigma_n2"):
             conditional_pep_bound(sigma_n2, 1.0)
@@ -96,7 +98,7 @@ def test_region_bound_scalar_codebook_is_one_eighth():
     # m=2, n=1, single entry P = [[1]]: beta = 1 on the whole unit sphere
     cb = make_codebook(2, 1, 1, 1.0, 0.0, np.ones((1, 1, 1)))
     rng = np.random.default_rng(3)
-    evset = build_evaluation_set(cb, sample_directions(1, 400, rng))
+    evset = build_evaluation_set(cb, kernel_features(sample_directions(1, 400, rng)))
     assert region_pep_bound(evset, 0, 0) == pytest.approx(0.125, abs=1e-12)
 
 
@@ -105,7 +107,7 @@ def test_region_bound_at_zero_eta_is_half():
     # eta_c = 0 degenerates to 1/2 regardless of the region
     rng = np.random.default_rng(5)
     cb = random_codebook(3, 2, 2, 2.0, 0.1, rng)
-    evset = build_evaluation_set(cb, sample_directions(2, 300, rng), eta_c=0.0)
+    evset = build_evaluation_set(cb, kernel_features(sample_directions(2, 300, rng)), eta_c=0.0)
     for i in np.flatnonzero(evset.occupancy):
         for j in range(2):
             assert region_pep_bound(evset, int(i), j) == pytest.approx(0.5, abs=1e-12)
@@ -116,7 +118,7 @@ def test_region_bound_head_factor_unity_when_m_equals_n():
     cb = random_codebook(2, 2, 2, 2.5, 0.0, rng)
     inv = bsc_inversion_matrix(2, 0.0)
     dirs = sample_directions(2, 500, rng)
-    evset = build_evaluation_set(cb, dirs)
+    evset = build_evaluation_set(cb, kernel_features(dirs))
     assignments = kernel_encode(dirs, cb.matrices, cb.eta_c, inv)
     i = int(assignments[0])
     x = dirs[assignments == i] @ cb.matrices[0].conj()
@@ -131,12 +133,28 @@ def test_region_bound_rejects_empty_region_and_bad_indices():
     # stays empty
     p = project_psd_power(np.eye(2), 2)
     cb = make_codebook(3, 2, 2, 1.0, 0.0, np.stack([p, p]))
-    evset = build_evaluation_set(cb, sample_directions(2, 100, rng))
+    evset = build_evaluation_set(cb, kernel_features(sample_directions(2, 100, rng)))
     with pytest.raises(ValueError, match="empty"):
         region_pep_bound(evset, 1, 0)
     for i, j in [(-1, 0), (2, 0), (0, -1), (0, 2)]:
         with pytest.raises(ValueError, match="indices"):
             region_pep_bound(evset, i, j)
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+@pytest.mark.parametrize("eta_c", [None, 0.7])
+def test_one_hot_table_matches_bincount(k, eta_c):
+    # Each block adds its one-hot @ decay product to the table; the reference
+    # adds a weighted bincount over (region, entry) pairs. Two full blocks and
+    # a partial one, at the codebook's eta_c and at an override. The counts
+    # are exact, the table equal up to the order of the sums.
+    rng = np.random.default_rng(70 + k)
+    cb = random_codebook(4, 2, k, 2.0, 0.05, rng)
+    feats = kernel_features(sample_directions(2, 2 * _BLOCK_ROWS + 1, rng))
+    got, want = build_evaluation_set(cb, feats, eta_c), bincount_evaluation_set(cb, feats, eta_c)
+    assert np.array_equal(got.occupancy, want.occupancy)
+    np.testing.assert_allclose(got.tail, want.tail, rtol=1e-14, atol=0.0)
+    assert got.head == want.head
 
 
 def test_evaluation_set_shape_validation():
@@ -150,7 +168,7 @@ def test_average_bound_at_zero_eta_is_half():
     rng = np.random.default_rng(11)
     cb = random_codebook(4, 2, 4, 0.0, 0.2, rng)
     inv = bsc_inversion_matrix(4, 0.2)
-    evset = build_evaluation_set(cb, sample_directions(2, 600, rng))
+    evset = build_evaluation_set(cb, kernel_features(sample_directions(2, 600, rng)))
     assert average_pep_bound(evset, inv) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -161,7 +179,7 @@ def test_average_bound_matches_trainer_objective():
         cb = random_codebook(m, n, k, 2.5, rho, rng)
         inv = bsc_inversion_matrix(k, rho)
         dirs = sample_directions(n, 2000, rng)
-        evset = build_evaluation_set(cb, dirs)
+        evset = build_evaluation_set(cb, kernel_features(dirs))
         avg = average_pep_bound(evset, inv)
         expect = 0.5 * (1.0 + cb.eta_c) ** (-(m - n)) * kernel_objective(cb, inv, dirs)
         assert abs(avg - expect) <= 1e-12
@@ -182,7 +200,7 @@ def test_average_bound_matches_region_sum_and_naive_objective():
     for cb in cases:
         inv = bsc_inversion_matrix(cb.k, cb.rho_d)
         dirs = sample_directions(cb.n, 300, rng)
-        evset = build_evaluation_set(cb, dirs)
+        evset = build_evaluation_set(cb, kernel_features(dirs))
         counts = np.bincount(kernel_encode(dirs, cb.matrices, cb.eta_c, inv), minlength=cb.k)
         region_sum = sum(
             inv[j, i] * counts[i] / len(dirs) * region_pep_bound(evset, i, j)
@@ -202,7 +220,7 @@ def test_average_bound_rejects_mismatched_inversion_matrix():
     rng = np.random.default_rng(29)
     cb = random_codebook(3, 2, 2, 1.0, 0.1, rng)
     inv = bsc_inversion_matrix(2, 0.1)
-    evset = build_evaluation_set(cb, sample_directions(2, 100, rng))
+    evset = build_evaluation_set(cb, kernel_features(sample_directions(2, 100, rng)))
     for k in (1, 4):
         with pytest.raises(ValueError):
             average_pep_bound(evset, bsc_inversion_matrix(k, 0.1))
@@ -219,8 +237,8 @@ def test_average_bound_mapping_invariant_at_half_rho():
     matrices[perm], marginals[perm] = cb.matrices, cb.marginals
     relabeled = make_codebook(4, 2, 4, 2.5, 0.5, matrices, marginals)
     inv = bsc_inversion_matrix(4, 0.5)
-    a = average_pep_bound(build_evaluation_set(cb, dirs), inv)
-    b = average_pep_bound(build_evaluation_set(relabeled, dirs), inv)
+    a = average_pep_bound(build_evaluation_set(cb, kernel_features(dirs)), inv)
+    b = average_pep_bound(build_evaluation_set(relabeled, kernel_features(dirs)), inv)
     assert a == pytest.approx(b, rel=1e-14)
 
 
@@ -255,7 +273,7 @@ def test_average_bound_in_unit_interval_half():
         rho = float(rng.uniform(0.0, 0.5))
         cb = random_codebook(m, n, k, eta, rho, rng)
         inv = bsc_inversion_matrix(k, rho)
-        evset = build_evaluation_set(cb, sample_directions(n, 400, rng))
+        evset = build_evaluation_set(cb, kernel_features(sample_directions(n, 400, rng)))
         val = average_pep_bound(evset, inv)
         assert 0.0 < val <= 0.5 + 1e-12
 
@@ -271,7 +289,7 @@ def trained_small_codebook():
 def test_average_bound_nondecreasing_in_rho_for_trained_codebook():
     cb = trained_small_codebook()
     rng = np.random.default_rng(31)
-    dirs = sample_directions(2, 4000, rng)
+    dirs = kernel_features(sample_directions(2, 4000, rng))
     vals = []
     for rho in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]:
         inv = bsc_inversion_matrix(cb.k, rho)
@@ -287,7 +305,7 @@ def test_region_bound_dominates_monte_carlo_error_rate():
     inv = bsc_inversion_matrix(cb.k, cb.rho_d)
     rng = np.random.default_rng(37)
     dirs = sample_directions(2, 6000, rng)
-    evset = build_evaluation_set(cb, dirs)
+    evset = build_evaluation_set(cb, kernel_features(dirs))
 
     eta_c = cb.eta_c
     pod = PodStructure(inner=get_design("real-od-2"), n=2)

@@ -5,8 +5,10 @@ import pytest
 
 import podsim.trainer
 from oracles import (
+    complex_features,
     finite_difference_gradient,
     kernel_encode,
+    kernel_features,
     kernel_gradient,
     kernel_objective,
     naive_encode,
@@ -14,7 +16,7 @@ from oracles import (
     naive_objective,
     naive_quadratic_forms,
 )
-from podsim.channel import sample_directions
+from podsim.channel import complex_gaussian, sample_directions
 from podsim.codebook import PrecoderCodebook, eigen_profile, project_psd_power
 from podsim.feedback import bsc_inversion_matrix
 from podsim.trainer import (
@@ -22,6 +24,7 @@ from podsim.trainer import (
     TrainerConfig,
     _coordinates,
     _decay,
+    _draw_direction_features,
     _features,
     _gram,
     _quadratic_forms,
@@ -99,12 +102,43 @@ def test_quadratic_forms_match_naive(n):
     mats = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
     for count in (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1):
         dirs = sample_directions(n, count, rng)
-        blocks = list(_quadratic_forms(_features(dirs), _coordinates(_gram(mats))))
+        blocks = list(_quadratic_forms(kernel_features(dirs), _coordinates(_gram(mats))))
         rows = np.concatenate([np.arange(count)[r] for r, _ in blocks])
         assert np.array_equal(rows, np.arange(count))
         got = np.concatenate([q for _, q in blocks])
         want = naive_quadratic_forms(dirs, mats)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_features_match_complex_products(n):
+    # The kernel takes the cross terms as real products of the parts, the
+    # reference as complex products conj(h_a) h_b; they differ by rounding
+    # only, at most 1e-15 of ||h||^2, which bounds every feature of h. Rows
+    # of widely spread norms, zero rows among them, into a transposed out.
+    rng = np.random.default_rng(60 + n)
+    dirs = complex_gaussian((500, n), rng) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+    dirs[:5] = 0.0
+    want = complex_features(dirs)
+    got = _features(dirs.real, dirs.imag, out=np.empty((n * n, 500)).T)
+    assert np.all(np.abs(got - want) <= 1e-15 * want[:, :n].sum(axis=1, keepdims=True))
+    assert np.array_equal(got[:5], np.zeros((5, n * n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_drawn_direction_features_match_sampled_directions(n):
+    # fit and eval-pep draw the features of the very directions
+    # sample_directions draws from the same generator, and leave the
+    # generator where sample_directions leaves it.
+    drawn, sampled = np.random.default_rng(8), np.random.default_rng(8)
+    got = _draw_direction_features(n, 3000, drawn)
+    want = kernel_features(sample_directions(n, 3000, sampled))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14
+    assert drawn.standard_normal() == sampled.standard_normal()
+    assert _draw_direction_features(n, 0, drawn).shape == (0, n * n)
+    with pytest.raises(ValueError, match="direction count must be nonnegative, got -1"):
+        _draw_direction_features(n, -1, drawn)
 
 
 @pytest.mark.parametrize("power", range(1, 10))
