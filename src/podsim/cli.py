@@ -68,7 +68,10 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p]
+    parts = text.split(",")
+    if not all(parts):
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return [float(p) for p in parts]
 
 
 def _relabeled(cb: PrecoderCodebook, rule: str) -> PrecoderCodebook:

@@ -9,36 +9,37 @@ knowing both the channel and the applied precoder index.
 Decoding uses the precoder structure: with Z(s) = B Z_in(s) for the block
 diagonal B = diag(I, P), the received statistics satisfy
 
-    Z(s)^H h = Z_in(s)^H h_eff,    h_eff = [head; P^H tail],
+    Z(s)^H h = Z_in(s)^H h_eff,    h_eff = B^H h = [head; P^H tail],
 
 so the decoder sees the precoder only through h_eff. With Z_in(s) =
 sum_c x_c R_c over the real symbol components x_c (R = A_k + B_k for
 Re(z_k), i (A_k - B_k) for Im(z_k) of complex alphabets), the ML metric is
-x^T Gamma x - 2 x^T r, Gamma_cd = Re(u_c^H u_d), r_c = Re(u_c^H y), u_c =
-R_c^H h_eff. Slots with R_j R_k^H + R_k R_j^H = 0 never couple in Gamma,
-whatever the channel, so each slot group is searched on its own (exact ML,
-ties to the lexicographically first candidate): single slots for the
-orthogonal designs, (z1, z3) and (z2, z4) for the quasi-orthogonal code.
-The groups are decoded as one batch, so a design whose groups differ in
-size is rejected.
+x^T Gamma x - 2 x^T r, r_c = Re(u_c^H y), u_c = R_c^H h_eff, and Gamma_cd =
+Re(u_c^H u_d) = h_eff^H H_cd h_eff with H_cd = Herm(R_c R_d^H) / 2. Slots
+whose components never couple (H_cd = 0, whatever the channel) are searched
+on their own (exact ML, ties to the lexicographically first candidate):
+single slots for the orthogonal designs, (z1, z3) and (z2, z4) for the
+quasi-orthogonal code. The groups are decoded as one batch, so a design
+whose groups differ in size is rejected.
 
-Given h_eff, the metric sees y only through the statistic r = U^T y =
-Gamma x + w, w ~ N(0, sigma_n2 / 2 * Gamma), so the sweep draws what the
-design lets it draw most cheaply:
+Every design here has one fixed real orthogonal basis T, block-diagonal by
+slot group, in which Gamma is diagonal for every channel: the off-diagonal
+blocks of T^T H T vanish. In components x' = T^T x the metric sees y only
+through r' = T^T r = lambda x' + w, with independent w_c ~ N(0, sigma_n2 / 2
+lambda_c) and the gains lambda_c = h_eff^H M_c h_eff, M_c the c-th diagonal
+block of T^T H T. An orthogonal design (Herm(R_c R_d^H) = 2 delta_cd I:
+every real orthogonal design, and alamouti) has T = I and the one gain
+||h_eff||^2 (Tarokh-Jafarkhani-Calderbank 1999); qostbc-4 pairs the
+components of z1 with those of z3 (z2 with z4) and has two, gamma +- beta
+(Jafarkhani 2001). `_group_decoder` derives T and the L distinct M_l from
+the coefficient tensors, and rejects a design that no fixed T makes
+diagonal.
 
-* an orthogonal design (Herm(R_c R_d^H) = 2 delta_cd kappa_c I: every real
-  orthogonal design, and alamouti) has Gamma = gamma diag(kappa) with the
-  frame's one gain gamma = ||h_eff||^2 (Tarokh-Jafarkhani-Calderbank 1999).
-  The sweep carries gamma = ||head||^2 + F(tail) . g(P P^H), from the
-  features F(tail) the encoder has formed, and never forms h_eff; it draws
-  r_c = gamma x_c + sqrt(gamma sigma_n2 / 2) xi_c, D normals per block, in
-  components x_c = sqrt(kappa_c) Re/Im(z) of unit gain (kappa_c = 1 on
-  every design here);
-* any other design (qostbc-4) forms h_eff, draws the received block y, 2t
-  normals per block, and projects it, r = U^T y.
-
-Both decide from r in one step. The decoder tables say which kind a design
-is; there is no option for it.
+So the sweep forms neither h_eff nor y. One table per codebook entry a,
+g(B_a M_l B_a^H), gives the frame's gains lambda = F(h) . table[a] from the
+features F(h) the encoder forms anyway (the open loop applies one identity
+entry); the sweep draws r' = lambda x' + sqrt(lambda sigma_n2 / 2) xi, D
+normals per block, and decides from it in one product.
 
 The inputs decide what runs: without a codebook the tail is not precoded
 (the open loop); a codebook without a feedback link applies the encoder's
@@ -170,55 +171,31 @@ class _GroupDecoder:
     groups that the metric never couples (see the module docstring).
 
     Every group has S slots, C candidates and D_g real components; the D =
-    G * D_g components R_c are listed group by group, and vectors in C^t
-    are real rows [Re; Im] of length 2t.
+    G * D_g components are listed group by group, in the rotated basis x' =
+    T^T x where Gamma is diagonal, and component c carries the gain
+    lambda_l = h_eff^H M_l h_eff of its class l = component_gain[c].
     """
 
     slot_groups: np.ndarray  # (G, S) slots of each group, ascending
-    basis: np.ndarray  # (2m, 2t * D) maps the real view of h to u = R^H h as real rows
-    lin_map: np.ndarray  # (D, G * C) r -> -2 x^T r of each group candidate, 0 off its group
-    quad_map: np.ndarray  # (G * D_g^2, G * C) Gamma_g -> x^T Gamma_g x
-    # (G * C,) ||x||^2 of each group candidate, x^T Gamma_g x / gamma, on an
-    # orthogonal design (Gamma = gamma I in unit-gain components), else None
-    cand_norms: np.ndarray | None
-    cand_points: np.ndarray  # (n_cand, D) real components of each full candidate
+    rotation: np.ndarray  # (D, D) T, block-diagonal by group: x' = T^T x
+    gains: np.ndarray  # (L, m, m) M_l of the L distinct gains
+    component_gain: np.ndarray  # (D,) gain class of each rotated component
+    lin_map: np.ndarray  # (D, G * C) r' -> -2 x'^T r' of each group candidate, 0 off its group
+    cand_gains: np.ndarray  # (L, G * C) sum of x'_c^2 over the class-l components of each
+    cand_points: np.ndarray  # (n_cand, D) rotated components x' of each full candidate
     cand_groups: np.ndarray  # (n_cand, G) group candidates of each full candidate
     symbols: np.ndarray  # (G, C, S) slot symbols of each group candidate
     bit_dist: np.ndarray  # (C, C) differing Gray-label bits between group candidates
 
-    def frame_terms(self, h_eff: np.ndarray, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
-        """Per frame, for a design that draws y: u = R^H h_eff, shape (F, 2t,
-        D), and x^T Gamma_g x of every group candidate x, shape (F, 1, G *
-        C), Gamma_g = u_g^T u_g; both are taken from the scratch."""
-        f, n_groups = len(h_eff), len(self.slot_groups)
-        # Stacked (3-D) products keep every BLAS call small and single-threaded.
-        u = np.matmul(
-            h_eff.view(float)[:, None, :], self.basis,
-            out=scratch.take((f, 1, self.basis.shape[1])),
-        ).reshape(f, -1, len(self.lin_map))
-        ug = u.reshape(*u.shape[:2], n_groups, -1)
-        size = ug.shape[3]
-        quad = scratch.take((f, 1, self.quad_map.shape[1]))
-        with scratch.scope():
-            gram = scratch.take((f, n_groups, size, size))
-            np.einsum("fkgi,fkgj->fgij", ug, ug, out=gram)
-            np.matmul(gram.reshape(f, 1, -1), self.quad_map, out=quad)
-        return u, quad
-
     def decide(self, r: np.ndarray, quad: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        """Group candidates (F, S, G) minimizing x^T Gamma x - 2 x^T r, the
-        metric ||y - Z_in^H h_eff||^2 up to a constant, for the statistics r
-        = U^T y, shape (F, S, D), of S blocks per frame; ties go to the first
-        candidate. The metrics are computed in the scratch."""
+        """Group candidates (F, S, G) minimizing x'^T Lambda x' - 2 x'^T r',
+        the metric ||y - Z_in^H h_eff||^2 up to a constant, for the rotated
+        statistics r', shape (F, S, D), of S blocks per frame and the
+        x'^T Lambda x' of every group candidate, quad (F, 1, G * C); ties go
+        to the first candidate. The metrics are computed in the scratch."""
         (f, s, d), n_cols = r.shape, self.lin_map.shape[1]
         metric = scratch.take((f, s, n_cols))
-        if self.cand_norms is None:
-            # One product per frame, for the designs that draw y: a flat
-            # product rounds differently, and their outputs and pinned counts
-            # rest on this rounding.
-            np.matmul(r, self.lin_map, out=metric)
-        else:
-            _serial_matmul(r.reshape(-1, d), self.lin_map, metric.reshape(-1, n_cols))
+        _serial_matmul(r.reshape(-1, d), self.lin_map, metric.reshape(-1, n_cols))
         metric += quad
         metric = metric.reshape(f, s, len(self.symbols), -1)
         if metric.shape[3] == 2:
@@ -227,18 +204,41 @@ class _GroupDecoder:
         return np.argmin(metric, axis=3)
 
 
+def _diagonal_basis(herm: np.ndarray) -> np.ndarray:
+    """A real orthogonal T for which T^T Gamma(h) T is diagonal for every h
+    if one exists, Gamma_cd(h) = h^H herm[c, d] h: the components joined by a
+    chain of couplings are rotated by the eigenvectors of one fixed generic
+    Gamma, each made positive in its first nonzero entry; an uncoupled
+    component keeps its axis. The caller checks the result."""
+    d, m = herm.shape[0], herm.shape[2]
+    coupled = np.abs(herm).max(axis=(2, 3)) > 1e-9
+    joined = np.linalg.matrix_power(coupled.astype(float), d) > 0
+    # Gamma(h) = tr(herm h h^H), so tr(herm W) for one generic Hermitian W
+    # mixes every Gamma(h); a fixed seed keeps T reproducible.
+    re, im = np.random.default_rng(0).standard_normal((2, m, m))
+    mixed = np.einsum("cdmn,nm->cd", herm, re + re.T + 1j * (im - im.T)).real
+    rotation = np.eye(d)
+    for block in {tuple(np.flatnonzero(row)) for row in joined if row.sum() > 1}:
+        vecs = np.linalg.eigh(mixed[np.ix_(block, block)])[1]
+        vecs *= np.sign(vecs[np.argmax(np.abs(vecs) > 1e-9, axis=0), np.arange(len(block))])
+        rotation[np.ix_(block, block)] = vecs
+    return rotation
+
+
 @functools.lru_cache(maxsize=32)
 def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupDecoder:
-    """Derive the slot groups and per-group candidate tables of a design."""
+    """Derive the slot groups, the rotated basis and its gains, and the
+    per-group candidate tables of a design."""
     alphabets = np.array(_slot_alphabets(design, constellation))
     a, b = design.coefficient_tensors()
     # Z_in(z) = sum_k Re(z_k) (A_k + B_k) + Im(z_k) i (A_k - B_k)
-    parts = np.stack([a + b, 1j * (a - b)], axis=1)[:, : 2 if np.any(alphabets.imag) else 1]
-    cross = np.einsum("jpmt,kqnt->jkpqmn", parts, parts.conj())
-    # Components c and d couple in Gamma for some channel iff Herm(R_c R_d^H) != 0.
-    coupled = np.abs(cross + cross.conj().swapaxes(-1, -2)).max(axis=(4, 5)) > 1e-9
-    linked = coupled.any(axis=(2, 3))
-    linked = np.linalg.matrix_power(linked.astype(float), design.n_sym) > 0  # joined by a chain
+    n_parts = 2 if np.any(alphabets.imag) else 1
+    parts = np.stack([a + b, 1j * (a - b)], axis=1)[:, :n_parts].reshape(-1, design.m, design.t)
+    herm = np.einsum("cmt,dnt->cdmn", parts, parts.conj())
+    herm = (herm + herm.conj().swapaxes(-1, -2)) / 2.0  # Gamma_cd(h) = h^H herm[c, d] h
+    # Slots couple in Gamma for some channel iff one of their herm blocks is nonzero.
+    linked = (np.abs(herm).max(axis=(2, 3)) > 1e-9).reshape(design.n_sym, n_parts, design.n_sym, -1)
+    linked = np.linalg.matrix_power(linked.any(axis=(1, 3)).astype(float), design.n_sym) > 0
     groups = sorted({tuple(np.flatnonzero(row).tolist()) for row in linked})
     if len({len(g) for g in groups}) > 1:
         raise ValueError(
@@ -247,44 +247,43 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
         )
     groups = np.array(groups)
     n_groups, size = groups.shape
+    order = (groups[:, :, None] * n_parts + np.arange(n_parts)).ravel()  # group by group
+    herm = herm[np.ix_(order, order)]
+    rotation = _diagonal_basis(herm)
+    rotated = np.einsum("ci,dj,cdmn->ijmn", rotation, rotation, herm)
+    d = len(order)
+    if np.abs(rotated[~np.eye(d, dtype=bool)]).max(initial=0.0) > 1e-9:
+        raise ValueError(f"{design.kind}: no fixed basis makes Gamma diagonal for every channel")
+    diag = rotated[np.arange(d), np.arange(d)]
+    # Components whose M_c agree share one gain.
+    same = np.abs(diag[:, None] - diag[None]).max(axis=(2, 3)) <= 1e-9
+    first, component_gain = np.unique(same.argmax(axis=1), return_inverse=True)
     n_alpha = alphabets.shape[1]
     digits = np.array(list(itertools.product(range(n_alpha), repeat=size)))
     full_digits = np.array(list(itertools.product(range(n_alpha), repeat=design.n_sym)))
     cand_groups = full_digits[:, groups] @ n_alpha ** np.arange(size - 1, -1, -1)
     symbols = alphabets[groups[:, None, :], digits[None, :, :]]
-    points = np.stack([symbols.real, symbols.imag], axis=-1)[..., : parts.shape[1]]
-    points = points.reshape(n_groups, len(digits), -1)
+    points = np.stack([symbols.real, symbols.imag], axis=-1)[..., :n_parts]
+    blocks = rotation.reshape(n_groups, d // n_groups, n_groups, -1)  # T block-diagonal by group
+    points = np.einsum("gci,gigj->gcj", points.reshape(n_groups, len(digits), -1), blocks)
+    classes = np.eye(len(first))[component_gain].reshape(n_groups, -1, len(first))
     eye, n_cols = np.eye(n_groups), n_groups * len(digits)
-    comps = parts[groups].reshape(-1, design.m, design.t)  # R_c, group by group
-    # u = R^H h is h^T conj(R): with h_j = 1, then h_j = i, row j gives u as [Re; Im]
-    conj = comps.reshape(-1, design.m, 1, design.t).conj().transpose(1, 2, 3, 0)
-    basis = np.concatenate([conj, 1j * conj], axis=1)
-    # Gamma = ||h||^2 diag(kappa) for every h iff Herm(R_c R_d^H) = 2 delta_cd
-    # kappa_c I; in components sqrt(kappa_c) x_c, x^T Gamma_g x = ||h||^2 ||x||^2.
-    herm = np.einsum("cmt,dnt->cdmn", comps, comps.conj())
-    herm += herm.conj().swapaxes(-1, -2)
-    kappa = np.einsum("ccmm->c", herm).real / (2 * design.m)
-    want = np.einsum("cd,c,mn->cdmn", np.eye(len(comps)), 2 * kappa, np.eye(design.m))
-    cand_norms = None
-    if np.allclose(herm, want, rtol=0, atol=1e-9):
-        points = points * np.sqrt(kappa).reshape(n_groups, 1, -1)
-        cand_norms = (points**2).sum(axis=2).ravel()
     gray = [i ^ (i >> 1) for i in range(n_alpha)]  # the alphabets' Gray labels
     flips = np.array([[bin(i ^ j).count("1") for j in gray] for i in gray])
     tables = _GroupDecoder(
         slot_groups=groups,
-        basis=np.concatenate([basis.real, basis.imag], axis=2).reshape(2 * design.m, -1),
+        rotation=rotation,
+        gains=diag[first],
+        component_gain=component_gain,
         lin_map=-2.0 * np.einsum("gh,gci->gihc", eye, points).reshape(-1, n_cols),
-        quad_map=np.einsum("gh,gci,gcj->gijhc", eye, points, points).reshape(-1, n_cols),
-        cand_norms=cand_norms,
+        cand_gains=np.einsum("gci,gil->lgc", points**2, classes).reshape(-1, n_cols),
         cand_points=points[np.arange(n_groups), cand_groups].reshape(len(full_digits), -1),
         cand_groups=cand_groups,
         symbols=symbols,
         bit_dist=flips[digits[:, None, :], digits[None, :, :]].sum(axis=2),
     )
     for arr in vars(tables).values():
-        if arr is not None:
-            arr.flags.writeable = False  # shared by every caller through the cache
+        arr.flags.writeable = False  # shared by every caller through the cache
     return tables
 
 
@@ -379,53 +378,29 @@ class SimulationConfig:
         return self.feedback.rho_f if self.feedback is not None else 0.0
 
 
-def _sampler(
-    decoder: _GroupDecoder, channel: np.ndarray, t: int, sigma_n2: float, scratch: _Scratch
-):
-    """(draw, quad) for the frames' gamma = ||h_eff||^2, shape (F,), on an
-    orthogonal design, else their h_eff, shape (F, m): draw(tx, rng) returns
-    the statistic r = U^T y of the t-slot blocks whose candidates are tx,
-    shape (F, S), as an (F, S, D) array in the scratch; its other arrays go
-    back to the scratch, so decide()'s metrics reuse memory still in cache.
-    quad holds the x^T Gamma_g x that decide() adds. An orthogonal design
-    draws r itself, D normals per block; any other draws y, 2t normals per
-    block, and projects it. Either draws the noise of one call block by
-    block, so how the blocks are split into calls does not change it."""
-    frames, d = len(channel), len(decoder.lin_map)
-    if decoder.cand_norms is None:
-        u, quad = decoder.frame_terms(channel, scratch)
-        scale = math.sqrt(sigma_n2 / 2.0)
-
-        def draw(tx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-            slab = tx.shape[1]
-            r = scratch.take((frames, slab, d))
-            with scratch.scope():
-                noise = rng.standard_normal(out=scratch.take((slab, 2, frames, t)))
-                noise *= scale
-                # y = Z_in(s)^H h_eff + n = sum_c x_c u_c + n, as real rows [Re; Im]
-                points = np.take(decoder.cand_points, tx, axis=0, mode="clip",
-                                 out=scratch.take((frames, slab, d)))
-                y = np.matmul(points, u.swapaxes(1, 2), out=scratch.take((frames, slab, 2 * t)))
-                y_parts = y.reshape(frames, -1, 2, t)
-                y_parts += noise.transpose(2, 0, 1, 3)
-                return np.matmul(y, u, out=r)
-
-        return draw, quad
-
-    gamma = channel[:, None, None]
-    quad = np.multiply(gamma, decoder.cand_norms,
-                       out=scratch.take((frames, 1, len(decoder.cand_norms))))
+def _sampler(decoder: _GroupDecoder, gains: np.ndarray, sigma_n2: float, scratch: _Scratch):
+    """(draw, quad) for frames of gains lambda, shape (F, L): draw(tx, rng)
+    returns the rotated statistic r' = lambda x' + sqrt(lambda sigma_n2 / 2)
+    xi of the blocks whose candidates are tx, shape (F, S), as an (F, S, D)
+    array in the scratch; its noise goes back to the scratch, so decide()'s
+    metrics reuse memory still in cache. quad holds the x'^T Lambda x' that
+    decide() adds. The D normals of each block are drawn block by block, so
+    how the blocks are split into calls does not change them."""
+    frames, d = len(gains), len(decoder.lin_map)
+    quad = scratch.take((frames, 1, decoder.cand_gains.shape[1]))
+    _serial_matmul(gains, decoder.cand_gains, quad[:, 0])
+    lam = np.take(gains, decoder.component_gain, axis=1, mode="clip",
+                  out=scratch.take((frames, d)))
     # The kernel can round a zero gain to a tiny negative value.
-    sd = np.maximum(gamma[:, 0], 0.0, out=scratch.take((frames, 1)))
+    sd = np.maximum(lam, 0.0, out=scratch.take((frames, d)))
     sd *= sigma_n2 / 2.0
     np.sqrt(sd, out=sd)
 
     def draw(tx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         slab = tx.shape[1]
-        # r_c = gamma x_c + sqrt(gamma sigma_n2 / 2) xi_c
         r = np.take(decoder.cand_points, tx, axis=0, mode="clip",
                     out=scratch.take((frames, slab, d)))
-        r *= gamma
+        r *= lam[:, None, :]
         with scratch.scope():
             noise = rng.standard_normal(out=scratch.take((slab, frames, d)))
             noise *= sd
@@ -437,18 +412,17 @@ def _sampler(
 
 def _block_errors(
     decoder: _GroupDecoder,
-    channel: np.ndarray,
-    t: int,
+    gains: np.ndarray,
     blocks: int,
     sigma_n2: float,
     rng: np.random.Generator,
     scratch: _Scratch,
 ) -> int:
-    """Bit errors of `blocks` uniformly random t-slot blocks per frame, sent
-    over the frames' channels (as _sampler takes them) and ML decoded."""
-    frames = len(channel)
+    """Bit errors of `blocks` uniformly random blocks per frame, sent over
+    frames of gains lambda, shape (F, L), and ML decoded."""
+    frames = len(gains)
     tx = rng.integers(0, len(decoder.cand_groups), size=(frames, blocks))
-    draw, quad = _sampler(decoder, channel, t, sigma_n2, scratch)
+    draw, quad = _sampler(decoder, gains, sigma_n2, scratch)
     # Slabs of blocks bound the metric size.
     step = max(1, _SLAB_METRICS // (frames * quad.shape[2]))
     errors = 0
@@ -462,84 +436,91 @@ def _block_errors(
     return errors
 
 
-def _precoders(codebook: PrecoderCodebook, gain: bool) -> tuple:
-    """A codebook's coordinates g(P P^H), design index channel (the BSC at
-    its rho_d) and entries as the transmitter applies them: the rows
-    g(P_j P_j^H) for a gain, else conj(P_j)."""
-    matrices = np.asarray(codebook.matrices)
-    coords = _coordinates(_gram(matrices))
-    entries = np.ascontiguousarray(coords.T) if gain else matrices.conj()
-    return coords, bsc_inversion_matrix(codebook.k, codebook.rho_d), entries
+def _precoders(codebook: PrecoderCodebook | None, decoder: _GroupDecoder, m: int) -> tuple:
+    """(coords, design_inv, tables): the encoder's coordinates g(P P^H) of
+    the codebook's entries and its design index channel (the BSC at its
+    rho_d), both None without a codebook, and the gain tables of the entries
+    the transmitter applies, g(B_a M_l B_a^H) with B_a = diag(I, P_a), shape
+    (K, L, m^2). The open loop applies one identity entry."""
+    coords = design_inv = None
+    matrices = np.eye(m)[None]
+    if codebook is not None:
+        matrices = np.asarray(codebook.matrices)
+        coords = _coordinates(_gram(matrices))
+        design_inv = bsc_inversion_matrix(codebook.k, codebook.rho_d)
+    k, n = matrices.shape[:2]
+    b = np.tile(np.eye(m, dtype=complex), (k, 1, 1, 1))
+    b[:, 0, m - n :, m - n :] = matrices
+    mixed = b @ decoder.gains @ b.conj().swapaxes(-1, -2)
+    tables = _coordinates(mixed.reshape(-1, m, m)).T.reshape(k, -1, m * m)
+    return coords, design_inv, np.ascontiguousarray(tables)
 
 
 def _effective_channels(
     config: SimulationConfig,
-    precoders: tuple | None,
+    precoders: tuple,
     frames: int,
-    gain: bool,
     rng: np.random.Generator,
     scratch: _Scratch,
 ) -> np.ndarray:
-    """One channel draw per frame through the entry P the transmitter applies
-    (h itself without a codebook, precoders None): h_eff = [head; P^H tail],
-    shape (F, m), or with gain gamma = ||h_eff||^2, shape (F,)."""
+    """The gains lambda = F(h) . table[a], shape (F, L), of one channel draw
+    h per frame through the entry a the transmitter applies. The encoder
+    quantizes F(tail) / ||tail||^2, taken from the columns of the same
+    features F(h) that hold the tail's own."""
     m, n = config.pod.m, config.pod.n
-    h = scratch.take((frames, m), complex)
+    coords, design_inv, tables = precoders
+    gains = scratch.take((frames, tables.shape[1]))
+    # Each array dies right after its last use (passed on unnamed, or left
+    # in a closed scope), so a chunk run before the scratch has grown holds
+    # no more fresh arrays at once than the scratch will.
     with scratch.scope():
-        _complex_gaussian(h, scratch.take((2, frames, m)), rng)
-    if precoders is None:
-        parts = h.view(float)
-        return np.einsum("ij,ij->i", parts, parts, out=scratch.take((frames,))) if gain else h
-    coords, design_inv, entries = precoders
-    cb = config.codebook
-    tail = h[:, m - n :]
-    gamma = scratch.take((frames,)) if gain else None
-    # Each array dies right after its last use (passed on unnamed, or
-    # deleted), so a chunk run before the scratch has grown holds no more
-    # fresh arrays at once than the scratch will.
-    with scratch.scope():
-        applied = scratch.take((frames,), np.intp)
-        feats = _features(tail.real, tail.imag, out=scratch.take((n * n, frames)).T)
+        h = scratch.take((frames, m), complex)
         with scratch.scope():
-            _encode_features(
-                _direction_features(feats, scratch.take((n * n, frames)).T), coords, cb.eta_c, n,
-                design_inv, (scratch.take((frames, cb.k)), scratch.take((frames, cb.k)), applied),
-            )
-        if config.feedback is not None:
-            applied = config.feedback.transmit_batch(applied, rng)
+            _complex_gaussian(h, scratch.take((2, frames, m)), rng)
+        feats = _features(h.real, h.imag, out=scratch.take((m * m, frames)).T)
+        applied = scratch.take((frames,), np.intp)
+        if coords is None:
+            applied[:] = 0
+        else:
+            cb = config.codebook
+            with scratch.scope():
+                dirs = scratch.take((n * n, frames)).T
+                if n < m:
+                    # The tail's pairs are the last n (n - 1) / 2 of F's pairs.
+                    pairs, tail_pairs = m * (m - 1) // 2, n * (n - 1) // 2
+                    cols = np.r_[m - n : m, m + pairs - tail_pairs : m + pairs,
+                                 m + 2 * pairs - tail_pairs : m + 2 * pairs]
+                    np.take(feats.T, cols, axis=0, mode="clip", out=dirs.T)
+                bufs = (scratch.take((frames, cb.k)), scratch.take((frames, cb.k)), applied)
+                _encode_features(_direction_features(feats if n == m else dirs, dirs),
+                                 coords, cb.eta_c, n, design_inv, bufs)
+            if config.feedback is not None:
+                applied = config.feedback.transmit_batch(applied, rng)
         # take() buffers its output unless the mode is "clip"; every index is in range.
-        chosen = np.take(entries, applied, axis=0, mode="clip",
-                         out=scratch.take((frames, *entries.shape[1:]), entries.dtype))
-        if gain:
-            np.einsum("ij,ij->i", chosen, feats, out=gamma)
-            if m > n:
-                head = h[:, : m - n].view(float)
-                gamma += np.einsum("ij,ij->i", head, head, out=scratch.take((frames,)))
-            return gamma
-        precoded = np.matmul(tail[:, None, :], chosen, out=scratch.take((frames, 1, n), complex))
-        del chosen
-        tail[:] = precoded[:, 0, :]
-    return h
+        chosen = np.take(tables, applied, axis=0, mode="clip",
+                         out=scratch.take((frames, *tables.shape[1:])))
+        np.einsum("flk,fk->fl", chosen, feats, out=gains)
+    return gains
 
 
 def _simulate_chunks(config: SimulationConfig, tasks: list[tuple]) -> list[int]:
     """Bit errors of each (point_idx, chunk_idx, frames, sigma_n2) task, in
-    task order. The codebook's precoders and the decoder tables are looked
-    up once, and every chunk takes its arrays from one scratch. No array of
-    a chunk outlives it, so the scratch grows after the first full chunk
-    without holding that chunk's arrays as well."""
+    task order. The decoder tables and the gain tables are looked up once,
+    and every chunk takes its arrays from one scratch. No array of a chunk
+    outlives it, so the scratch grows after the first full chunk without
+    holding that chunk's arrays as well."""
     decoder = _group_decoder(config.pod.inner, config.constellation)
-    gain = decoder.cand_norms is not None
-    precoders = None if config.codebook is None else _precoders(config.codebook, gain)
-    t, blocks = config.pod.t, config.blocks_per_frame
+    precoders = _precoders(config.codebook, decoder, config.pod.m)
     scratch = _Scratch()
     counts = []
     for point_idx, chunk_idx, frames, sigma_n2 in tasks:
         scratch.reset()
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, point_idx, chunk_idx)))
-        channel = _effective_channels(config, precoders, frames, gain, rng, scratch)
-        counts.append(_block_errors(decoder, channel, t, blocks, sigma_n2, rng, scratch))
-        del channel  # before the next reset(), which may replace the buffer it lives in
+        gains = _effective_channels(config, precoders, frames, rng, scratch)
+        counts.append(
+            _block_errors(decoder, gains, config.blocks_per_frame, sigma_n2, rng, scratch)
+        )
+        del gains  # before the next reset(), which may replace the buffer it lives in
     return counts
 
 
@@ -551,8 +532,13 @@ def _chunk_plan(frames: int) -> list[int]:
 
 
 def _worker_count(requested: int, n_tasks: int) -> int:
-    """Worker processes worth starting: no more than the tasks or the cores."""
-    return min(requested, n_tasks, os.cpu_count() or 1)
+    """Worker processes worth starting: no more than the tasks or the CPUs
+    this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(requested, n_tasks, cpus)
 
 
 def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]:

@@ -6,7 +6,8 @@ analytic self-checks of the bound chain (the conditional Chernoff bound, the
 per-region bound and a Monte Carlo check of its two Gamma integrals), the
 inner codeword `build` and the precoded codeword `assemble` live here too.
 `decode_frames` decides with the sweep's batched decoder from the statistic
-r = U^T y that `statistic` forms from the coefficient tensors, and
+r = U^T y that `statistic` forms from the coefficient tensors, rotated into
+the decoder's basis, and
 `kernel_gamma` gives Gamma from the quadratic-form kernel. `kernel_encode`,
 `kernel_objective` and `kernel_gradient` drive the trainer's private passes
 on one codebook, so tests can compare them with these references;
@@ -305,17 +306,19 @@ def kernel_gamma(design, constellation, h_eff):
 
 def decode_frames(pod, precoders, h, y, constellation):
     """Decisions of the sweep's group decoder on one block per frame: frame f
-    has channel h[f], precoder precoders[f] and received block y[f]. Like the
-    sweep, it forms h_eff = [head; P^H tail] per frame; the statistic r and
-    the candidates' x^T Gamma_g x come from the coefficient tensors, not from
-    the sweep's sampler, and all F frames are decided in one decide call.
-    Returns symbols, shape (F, n_sym)."""
+    has channel h[f], precoder precoders[f] and received block y[f]. It forms
+    h_eff = [head; P^H tail] per frame, which the sweep never does; the
+    statistic r, rotated into the decoder's basis as T^T r, and the
+    candidates' x^T Gamma_g x come from the coefficient tensors, not from
+    the sweep's gain tables or sampler, and all F frames are decided in one
+    decide call. Returns symbols, shape (F, n_sym)."""
     decoder = _group_decoder(pod.inner, constellation)
     head = pod.m - pod.n
     h_eff = np.array(h, dtype=complex)
     h_eff[:, head:] = (h_eff[:, None, head:] @ np.conj(precoders))[:, 0, :]
     r, gamma = statistic(pod.inner, constellation, h_eff, y)
-    rx = decoder.decide(r[:, None, :], candidate_quads(decoder, gamma), _Scratch())[:, 0]
+    quads = candidate_quads(decoder, gamma)
+    rx = decoder.decide((r @ decoder.rotation)[:, None, :], quads, _Scratch())[:, 0]
     out = np.empty((len(h_eff), pod.inner.n_sym), dtype=complex)
     out[:, decoder.slot_groups] = decoder.symbols[np.arange(len(decoder.slot_groups)), rx]
     return out

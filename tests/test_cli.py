@@ -224,6 +224,17 @@ def test_eval_pep_snr_db_does_not_change_the_bound(tiny_codebook_path, tmp_path)
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("rho_f", [",", ""])
+def test_eval_pep_empty_rho_f_list_is_usage_error(tiny_codebook_path, tmp_path, rho_f):
+    # An empty element would leave a CSV with only its header.
+    out = tmp_path / "pep.csv"
+    with pytest.raises(SystemExit) as ei:
+        main(["eval-pep", "--codebook", str(tiny_codebook_path), "--rho-f", rho_f,
+              "--out", str(out)])
+    assert ei.value.code == 2
+    assert not out.exists()
+
+
 def test_eval_pep_block_length_is_usage_error(tiny_codebook_path, tmp_path):
     # No bound depends on the block length, so eval-pep does not take one.
     with pytest.raises(SystemExit) as ei:

@@ -2,27 +2,30 @@
 
 Oracles:
 
-* the sweep's noiseless transmit rows must reproduce Z_pod(s)^H h for every
-  candidate s, and decoding a noiseless block must return the transmitted
-  symbols whenever codewords are distinct.
+* every design has a fixed rotation T with T^T Gamma T diagonal, and the
+  noiseless statistic of a received block, T^T r with r = U^T y of the
+  oracle's y = Z_pod(s)^H h, is lambda x' for every candidate s: the gains
+  lambda of the sweep's tables times the candidate's rotated components.
 * the group-separable ML decoder, deciding a batch of frames from the
   statistic r = U^T y of fixed received blocks, is checked against a
   second, blind brute-force implementation, against the standard linear
   matched-filter detector for real orthogonal designs with identity
   precoding, and, in sweeps, against pinned error counts.
 * Gamma from the quadratic-form kernel matches U^T U on every (design,
-  constellation) pair, and is ||h_eff||^2 diag(kappa) exactly where the
-  decoder carries that one gain. The sweep's gain matches ||h_eff||^2 of
-  explicitly precoded channels, and its encoder on F(tail) / ||tail||^2
-  picks the indices of the complex-direction route in the oracles.
+  constellation) pair; L = 1 gain on every orthogonal design and 2 on
+  qostbc-4. The sweep's gains match diag(T^T Gamma T) of explicitly
+  precoded channels, head-tail cross terms included, and its encoder on
+  F(tail) / ||tail||^2 picks the indices of the complex-direction route in
+  the oracles.
 * the Alamouti block with h = (1, 0) only sees the first antenna row:
   y = (conj(s1), -s2).
 * empirical noise variance of the reference blocks must match sigma_n2 =
-  m / eta0 within 2%; the drawn statistic's noise r - Gamma x must have
-  mean 0 and variance sigma_n2 / 2 * gamma_c.
+  m / eta0 within 2%; on every pair, the drawn statistic's noise r' -
+  lambda x' must have mean 0 and variance sigma_n2 / 2 * lambda.
 * on real orthogonal designs with BPSK, the error count of fixed channels
   follows the Poisson-binomial law of the per-bit probabilities
-  Q(sqrt(2 gamma_c / sigma_n2)).
+  Q(sqrt(2 gamma_c / sigma_n2)); on qostbc-4, the sweep's error counts on
+  fixed channels follow the law of the received-block route.
 """
 
 import math
@@ -89,12 +92,12 @@ DECODER_CASES = [
     ("qostbc-4", "qpsk-rot", 4),
 ]
 
-# Every (design, constellation) pair; all but qostbc-4's draw r itself.
-DIAGONAL_PAIRS = [
+# Every (design, constellation) pair; all but qostbc-4's are orthogonal designs.
+DESIGN_PAIRS = [
     ("real-od-2", "bpsk"), ("real-od-4", "bpsk"), ("real-od-6x8", "bpsk"),
     ("real-od-8", "bpsk"), ("alamouti", "bpsk"), ("alamouti", "qpsk-rot"),
+    ("qostbc-4", "bpsk"), ("qostbc-4", "qpsk-rot"),
 ]
-DESIGN_PAIRS = DIAGONAL_PAIRS + [("qostbc-4", "bpsk"), ("qostbc-4", "qpsk-rot")]
 
 
 def random_precoder(n, rng, spread=0.4):
@@ -113,6 +116,27 @@ def small_trained_codebook(m=2, n=2, k=4, rho_d=0.0, eta_c=2.5, seed=101):
         inner_iters=5, max_rounds=40, tol=1e-6, step_m=63.0, seed=seed,
     )
     return fit(cfg).codebook
+
+
+def table_gains(decoder, pod, h, precoders=None):
+    """The sweep's gains F(h) . g(B M_l B^H) of each frame, h[f] precoded by
+    precoders[f] (a power-of-two count), or unprecoded without precoders:
+    shape (F, L)."""
+    if precoders is None:
+        tables = _precoders(None, decoder, pod.m)[2][[0] * len(h)]
+    else:
+        k = len(precoders)
+        cb = PrecoderCodebook(m=pod.m, n=pod.n, k=k, matrices=precoders, eta_c=1.0, rho_d=0.0,
+                              marginals=np.full(k, 1.0 / k))
+        tables = _precoders(cb, decoder, pod.m)[2]
+    return np.einsum("flk,fk->fl", tables, kernel_features(h))
+
+
+def precoded(h, precoders, n):
+    """h_eff = [head; P^H tail] of each frame, formed explicitly."""
+    h_eff = np.array(h, dtype=complex)
+    h_eff[:, h_eff.shape[1] - n :] = (h_eff[:, None, -n:] @ np.conj(precoders))[:, 0, :]
+    return h_eff
 
 
 def random_frames(pod, const, frames, sigma_n2, rng):
@@ -146,40 +170,47 @@ def test_noise_variance_formula(monkeypatch):
 
 
 def test_transmit_block_noiseless_matches_codeword_projection():
-    # The sweep transmits candidate r as the real rows cand_points[r] @ u^T,
-    # u = R^H h_eff; they must equal [Re; Im] of Z_pod(syms[r])^H h.
+    # For the oracle's noiseless y = Z_pod(s)^H h and its statistic r = U^T y
+    # (u = R^H h_eff), the rotated T^T r must be lambda x' for every candidate
+    # s, lambda from the sweep's gain tables and x' = cand_points[s].
     rng = np.random.default_rng(0)
     for kind, const_kind, n in DECODER_CASES:
         pod = PodStructure(inner=get_design(kind), n=n)
         const = Constellation(const_kind)
         decoder = _group_decoder(pod.inner, const)
         syms, _ = candidate_codewords(pod.inner, const)
-        precoders = np.stack([random_precoder(n, rng) for _ in range(3)])
-        h = complex_gaussian((3, pod.m), rng)
-        h_eff = h.copy()
-        h_eff[:, pod.m - n :] = (h[:, None, pod.m - n :] @ precoders.conj())[:, 0, :]
-        u, _ = decoder.frame_terms(h_eff, _Scratch())
-        rows = decoder.cand_points @ u.swapaxes(1, 2)  # (frames, candidates, 2t)
-        for f in range(3):
-            for r, sym in enumerate(syms):
-                y = received_block(pod, precoders[f], sym, h[f], 0.0, rng)
-                np.testing.assert_allclose(
-                    rows[f, r], np.concatenate([y.real, y.imag]), atol=1e-12
-                )
+        precoders = np.stack([random_precoder(n, rng) for _ in range(2)])
+        h = complex_gaussian((2, pod.m), rng)
+        h_eff = precoded(h, precoders, n)
+        lam = table_gains(decoder, pod, h, precoders)[:, decoder.component_gain]
+        for f in range(2):
+            y = np.stack([received_block(pod, precoders[f], s, h[f], 0.0, rng) for s in syms])
+            r, _ = statistic(pod.inner, const, np.broadcast_to(h_eff[f], (len(syms), pod.m)), y)
+            np.testing.assert_allclose(
+                r @ decoder.rotation, lam[f] * decoder.cand_points, atol=1e-12, err_msg=kind
+            )
 
 
 def test_transmit_block_alamouti_single_path():
     # h = (1, 0) sees the first antenna row, y = (conj(s1), -s2); h = (0, 1)
-    # the second, y = (conj(s2), s1).
+    # the second, y = (conj(s2), s1). Either way lambda = ||h||^2 = 1, so the
+    # noiseless statistic is the candidate's own components, T = I.
+    rng = np.random.default_rng(1)
     design = get_design("alamouti")
+    pod = PodStructure(inner=design, n=2)
     const = Constellation("qpsk-rot")
     decoder = _group_decoder(design, const)
     syms, _ = candidate_codewords(design, const)
-    u, _ = decoder.frame_terms(np.eye(2, dtype=complex), _Scratch())
-    rows = decoder.cand_points @ u.swapaxes(1, 2)
-    y = rows[..., :2] + 1j * rows[..., 2:]
-    np.testing.assert_allclose(y[0], np.stack([syms[:, 0].conj(), -syms[:, 1]], 1), atol=1e-14)
-    np.testing.assert_allclose(y[1], np.stack([syms[:, 1].conj(), syms[:, 0]], 1), atol=1e-14)
+    eye = np.eye(2, dtype=complex)
+    np.testing.assert_array_equal(decoder.rotation, np.eye(4))
+    np.testing.assert_allclose(table_gains(decoder, pod, eye), 1.0, atol=1e-15)
+    seen = (np.stack([syms[:, 0].conj(), -syms[:, 1]], 1),
+            np.stack([syms[:, 1].conj(), syms[:, 0]], 1))
+    for h, want in zip(eye, seen):
+        y = np.stack([received_block(pod, eye, s, h, 0.0, rng) for s in syms])
+        np.testing.assert_allclose(y, want, atol=1e-14)
+        r, _ = statistic(design, const, np.broadcast_to(h, (len(syms), 2)), y)
+        np.testing.assert_allclose(r, decoder.cand_points, atol=1e-14)
 
 
 def test_transmit_block_noise_variance_empirical():
@@ -196,26 +227,27 @@ def test_transmit_block_noise_variance_empirical():
 
 
 def test_drawn_statistic_moments():
-    # r - Gamma x = w ~ N(0, sigma_n2 / 2 * Gamma) for one fixed h_eff; with
-    # Gamma diagonal each component is its own normal. The sampler takes the
-    # gain ||h_eff||^2, and the oracle's Gamma gives the moments. 20000 draws
-    # put the sample variance's standard error at 1 %, so 5 % is a 5 sigma
-    # bound.
+    # r' - lambda x' = w ~ N(0, sigma_n2 / 2 * Lambda) for one fixed h_eff:
+    # in the rotated basis Gamma is diagonal, so each component is its own
+    # normal. The sampler takes the gains of the sweep's tables, and the
+    # oracle's T^T Gamma T gives the moments. 20000 draws put the sample
+    # variance's standard error at 1 %, so 5 % is a 5 sigma bound.
     rng = np.random.default_rng(2)
     frames = 20_000
-    for kind, const_kind in DIAGONAL_PAIRS:
+    for kind, const_kind in DESIGN_PAIRS:
         design, const = get_design(kind), Constellation(const_kind)
         decoder = _group_decoder(design, const)
         h_eff = complex_gaussian((1, design.m), rng)
         sigma_n2 = design.m / 10.0 ** (7.0 / 10.0)
-        gain = np.full(frames, np.sum(np.abs(h_eff) ** 2))
-        draw, _ = _sampler(decoder, gain, design.t, sigma_n2, _Scratch())
+        gains = table_gains(decoder, PodStructure(inner=design, n=design.m), h_eff)
+        draw, _ = _sampler(decoder, np.repeat(gains, frames, axis=0), sigma_n2, _Scratch())
         tx = rng.integers(0, len(decoder.cand_points), size=(frames, 1))
         r = draw(tx, rng)[:, 0, :]
-        gamma = np.diagonal(statistic(design, const, h_eff, np.zeros((1, design.t)))[1][0])
+        gamma = statistic(design, const, h_eff, np.zeros((1, design.t)))[1][0]
+        lam = np.diagonal(decoder.rotation.T @ gamma @ decoder.rotation)
         x = decoder.cand_points[tx[:, 0]]
-        w = r - x * gamma
-        want = sigma_n2 / 2.0 * gamma
+        w = r - x * lam
+        want = sigma_n2 / 2.0 * lam
         # w has mean 0, also given the sent x: a misscaled signal would not.
         assert np.all(np.abs(w.mean(axis=0)) <= 5.0 * np.sqrt(want / frames)), kind
         bound = 5.0 * np.sqrt(want * np.mean(x**2, axis=0) / frames)
@@ -227,9 +259,11 @@ def test_drawn_statistic_moments():
 def test_kernel_gamma_matches_projection(kind, const):
     # Gamma_cd = Re(u_c^H u_d) from the coefficient tensors against the
     # kernel's F(h_eff) . g(Herm(R_c R_d^H)); rectangular R (real-od-6x8)
-    # included. The decoder carries the gain ||h_eff||^2 exactly where
-    # Herm(R_c R_d^H) = 2 delta_cd kappa_c I, so Gamma = ||h_eff||^2
-    # diag(kappa), and the x^T Gamma x it forms from that gain match.
+    # included. The decoder's fixed rotation T makes T^T Gamma T diagonal for
+    # every channel, and its diagonal is lambda from the gain tables, with one
+    # distinct gain on the orthogonal designs (Herm(R_c R_d^H) = 2 delta_cd
+    # kappa_c I, T = I and Gamma = ||h_eff||^2 diag(kappa)) and two on
+    # qostbc-4. The x^T Gamma x the sampler forms from the gains match.
     rng = np.random.default_rng(8)
     design, constellation = get_design(kind), Constellation(const)
     decoder = _group_decoder(design, constellation)
@@ -237,20 +271,29 @@ def test_kernel_gamma_matches_projection(kind, const):
     _, gamma = statistic(design, constellation, h_eff, np.zeros((16, design.t)))
     kernel = kernel_gamma(design, constellation, h_eff)
     np.testing.assert_allclose(kernel, gamma, rtol=0, atol=1e-12)
+    rot = decoder.rotation
+    np.testing.assert_allclose(rot.T @ rot, np.eye(len(rot)), rtol=0, atol=1e-12)
+    rotated = rot.T @ gamma @ rot
+    lam = np.einsum("fcc->fc", rotated)
+    np.testing.assert_allclose(rotated, lam[:, :, None] * np.eye(len(rot)), rtol=0, atol=1e-12)
+    gains = table_gains(decoder, PodStructure(inner=design, n=design.m), h_eff)
+    np.testing.assert_allclose(gains[:, decoder.component_gain], lam, rtol=0, atol=1e-12)
+    assert len(decoder.gains) == (2 if kind == "qostbc-4" else 1)
     comps = components(design, constellation)
     prod = np.einsum("cmt,dnt->cdmn", comps, comps.conj())
     herm = prod + prod.conj().swapaxes(-1, -2)
     kappa = herm[np.arange(len(comps)), np.arange(len(comps)), 0, 0].real / 2.0
     want = np.einsum("cd,c,mn->cdmn", np.eye(len(comps)), 2.0 * kappa, np.eye(design.m))
     orthogonal = np.abs(herm - want).max() <= 1e-12
-    assert orthogonal == (decoder.cand_norms is not None) == (kind != "qostbc-4")
+    assert orthogonal == (kind != "qostbc-4")
     if orthogonal:
+        np.testing.assert_array_equal(rot, np.eye(len(rot)))
         gain = np.sum(np.abs(h_eff) ** 2, axis=1)
         np.testing.assert_allclose(
             gamma, gain[:, None, None] * np.diag(kappa), rtol=0, atol=1e-12
         )
-        _, quad = _sampler(decoder, gain, design.t, 1.0, _Scratch())
-        np.testing.assert_allclose(quad, candidate_quads(decoder, gamma), rtol=0, atol=1e-12)
+    _, quad = _sampler(decoder, gains, 1.0, _Scratch())
+    np.testing.assert_allclose(quad, candidate_quads(decoder, gamma), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["real-od-2", "real-od-4", "real-od-6x8", "real-od-8"])
@@ -275,25 +318,69 @@ def test_block_errors_follow_conditional_ber(kind):
     log_term = math.log(2.0 / alpha)
     bound = log_term / 3.0 + math.sqrt((log_term / 3.0) ** 2 + 2.0 * var * log_term)
     errors = _block_errors(
-        _group_decoder(design, const), gain, design.t, blocks, sigma_n2, rng, _Scratch()
+        _group_decoder(design, const), gain[:, None], blocks, sigma_n2, rng, _Scratch()
     )
     assert abs(errors - mean) <= bound, (errors, mean, bound)
+
+
+def test_qostbc4_errors_follow_received_block_route():
+    # The sweep draws qostbc-4's rotated statistic r'; the oracle route sends
+    # y = Z(s)^H h + n through received_block and decides with decode_frames.
+    # On the same fixed channels, frame f's error counts X_f (sweep) and Y_f
+    # (oracle) are independent with one law, so the d_f = X_f - Y_f are
+    # independent with mean 0. A two-sided one-sample t test on d rejects a
+    # correct sweep with probability alpha = 1e-4; a noise variance off by
+    # 2x moves the mean by about 20 standard errors.
+    alpha = 1e-4
+    rng = np.random.default_rng(47)
+    design, const = get_design("qostbc-4"), Constellation("qpsk-rot")
+    pod = PodStructure(inner=design, n=design.m)
+    decoder = _group_decoder(design, const)
+    frames, blocks = 1024, 8
+    sigma_n2 = design.m / 10.0 ** (4.0 / 10.0)
+    h = complex_gaussian((frames, design.m), rng)
+    gains = table_gains(decoder, pod, h)
+    sweep = np.array([
+        _block_errors(decoder, gains[f : f + 1], blocks, sigma_n2, rng, _Scratch())
+        for f in range(frames)
+    ])
+    alphabets = np.array(_slot_alphabets(design, const))
+    slots = np.arange(design.n_sym)
+    sent = rng.integers(0, alphabets.shape[1], size=(frames * blocks, design.n_sym))
+    h_rep = np.repeat(h, blocks, axis=0)
+    y = np.stack([
+        received_block(pod, np.eye(pod.n), alphabets[slots, d], hf, sigma_n2, rng)
+        for d, hf in zip(sent, h_rep)
+    ])
+    eyes = np.broadcast_to(np.eye(pod.n, dtype=complex), (len(y), pod.n, pod.n))
+    decided = decode_frames(pod, eyes, h_rep, y, const)
+    got = np.argmin(np.abs(decided[:, :, None] - alphabets[None]), axis=2)
+    ones = np.array([bin(v).count("1") for v in range(alphabets.shape[1])])
+    oracle = ones[(sent ^ (sent >> 1)) ^ (got ^ (got >> 1))].reshape(frames, -1).sum(axis=1)
+    assert oracle.sum() > 1000  # enough errors for the test to have power
+    p = stats.ttest_1samp(sweep - oracle, 0.0).pvalue
+    assert p >= alpha, (sweep.sum(), oracle.sum(), p)
 
 
 STORED_CODEBOOK = Path(__file__).resolve().parents[1] / "bench" / "data" / "k16_m4_rho0.04.pcb"
 
 
 @pytest.mark.parametrize("loop", ["open", "genie", "closed"])
-@pytest.mark.parametrize("kind,n", [("real-od-4", 4), ("real-od-4", 2), ("real-od-6x8", 4)])
+@pytest.mark.parametrize("kind,n", [
+    ("real-od-4", 4), ("real-od-4", 2), ("real-od-6x8", 4), ("qostbc-4", 4), ("qostbc-4", 2),
+])
 def test_sweep_gain_matches_explicit_precoding(kind, n, loop, monkeypatch):
-    # On an orthogonal design the sweep carries gamma = ||head||^2 +
-    # F(tail) . g(P P^H) per frame in place of h_eff = [head; P^H tail].
-    # It must equal ||h_eff||^2 with h_eff precoded explicitly by the entry
-    # the transmitter applied: in the open loop (P = I), the genie (the
-    # encoder's index) and the closed loop at rho_f = 0.5 (the index after
-    # the feedback link), with every seventh tail zero.
+    # The sweep carries lambda = F(h) . g(B M_l B^H) per frame in place of
+    # h_eff = B^H h = [head; P^H tail]. lambda must equal diag(T^T Gamma T)
+    # of h_eff precoded explicitly by the entry the transmitter applied: in
+    # the open loop (P = I), the genie (the encoder's index) and the closed
+    # loop at rho_f = 0.5 (the index after the feedback link), with every
+    # seventh tail zero. qostbc-4's M_l couple head and tail antennas, so
+    # n = 2 checks the cross terms.
     rng = np.random.default_rng(41)
     design, frames, k = get_design(kind), 300, 8
+    const = Constellation("qpsk-rot" if kind == "qostbc-4" else "bpsk")
+    decoder = _group_decoder(design, const)
     head = design.m - n
     h = complex_gaussian((frames, design.m), rng)
     h[::7, head:] = 0.0
@@ -302,7 +389,7 @@ def test_sweep_gain_matches_explicit_precoding(kind, n, loop, monkeypatch):
                           marginals=np.full(k, 1.0 / k))
     config = SimulationConfig(
         snr_grid_db=[0.0], frames=frames, pod=PodStructure(inner=design, n=n),
-        constellation=Constellation("bpsk"), codebook=None if loop == "open" else cb,
+        constellation=const, codebook=None if loop == "open" else cb,
         feedback=FeedbackChannel(k=k, rho_f=0.5) if loop == "closed" else None,
     )
     monkeypatch.setattr(podsim.link, "_complex_gaussian", lambda out, parts, rng: np.copyto(out, h))
@@ -318,14 +405,15 @@ def test_sweep_gain_matches_explicit_precoding(kind, n, loop, monkeypatch):
             return applied[0]
 
         monkeypatch.setattr(config.feedback, "transmit_batch", record)
-    precoders = None if loop == "open" else _precoders(cb, True)
-    gain = _effective_channels(config, precoders, frames, True, rng, _Scratch())
-    h_eff = h.copy()
+    precoders = _precoders(config.codebook, decoder, design.m)
+    gains = _effective_channels(config, precoders, frames, rng, _Scratch())
+    h_eff = h
     if loop != "open":
         assert loop == "genie" or np.any(applied[0] != encoded)
-        for f, j in enumerate(applied[0]):
-            h_eff[f, head:] = mats[j].conj().T @ h[f, head:]
-    np.testing.assert_allclose(gain, np.sum(np.abs(h_eff) ** 2, axis=1), rtol=1e-12, atol=1e-12)
+        h_eff = precoded(h, mats[applied[0]], n)
+    gamma = statistic(design, const, h_eff, np.zeros((frames, design.t)))[1]
+    want = np.einsum("fcc->fc", decoder.rotation.T @ gamma @ decoder.rotation)
+    np.testing.assert_allclose(gains[:, decoder.component_gain], want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("rho_d", [0.0, 0.1])
@@ -534,14 +622,15 @@ def test_closed_loop_beats_open_loop_with_clean_feedback():
     assert gap > 5.0 * sigma
 
 
-# Error counts of the sweep on the configs below. The qostbc-4 counts are
-# those of the exhaustive search over every candidate codeword (the former
-# SimulationConfig(force_exhaustive=True) path), which the group-separable
-# decoder, being exact ML on the same received blocks, reproduces bit for
-# bit. The designs with diagonal Gamma draw the statistic r = U^T y in place
-# of y, so their noise draws differ from the search's: their counts were
-# recorded by running the sweep, and the exact decisions on fixed y are
-# checked against the naive ML oracle instead.
+# Error counts of the sweep on the configs below. They were first those of
+# the exhaustive search over every candidate codeword on drawn received
+# blocks, which the group-separable decoder, exact ML on the same blocks,
+# reproduced bit for bit. The sweep now draws the rotated statistic r' in
+# place of y, so its noise draws differ from the search's: the counts were
+# re-recorded by running the sweep (the orthogonal designs' when they began
+# drawing r, qostbc-4's when it began drawing r' in its rotated basis), and
+# the exact decisions on fixed y are checked against the naive ML oracle
+# instead.
 EXHAUSTIVE_CLOSED_OD2 = 1360
 EXHAUSTIVE_OPEN_OD6X8 = 4
 EXHAUSTIVE_PAIR_COUNTS = {
@@ -551,8 +640,8 @@ EXHAUSTIVE_PAIR_COUNTS = {
     ("real-od-8", "bpsk"): [877, 17],
     ("alamouti", "bpsk"): [365, 30],
     ("alamouti", "qpsk-rot"): [1341, 228],
-    ("qostbc-4", "bpsk"): [634, 47],
-    ("qostbc-4", "qpsk-rot"): [2588, 417],
+    ("qostbc-4", "bpsk"): [637, 54],
+    ("qostbc-4", "qpsk-rot"): [2611, 401],
 }
 
 
@@ -601,14 +690,15 @@ def test_sweep_matches_exhaustive_on_every_design(kind, const):
 # Error counts of closed-loop (rho_f = 0.1) and genie sweeps over 2 * 2048 +
 # 300 frames (two full chunks and a partial one) at two SNR points, recorded
 # before the chunks of a sweep shared one scratch (real-od-4: re-recorded
-# when it began drawing the decoder statistic itself). Full and
+# when it began drawing the decoder statistic itself; qostbc-4: when it
+# began drawing the rotated statistic). Full and
 # partial chunks slice their slabs of blocks differently, so a row left over
 # from a larger chunk, an earlier chunk or an earlier SNR point would change
 # them; the genie decodes with the encoder's own index array, so it also
 # catches that array's memory being handed on while still in use.
 SCRATCH_REUSE_COUNTS = {
     ("real-od-4", "bpsk", 12): {"closed": [2220, 132], "genie": [1993, 109]},
-    ("qostbc-4", "qpsk-rot", 16): {"closed": [16043, 2321], "genie": [15138, 2026]},
+    ("qostbc-4", "qpsk-rot", 16): {"closed": [15839, 2386], "genie": [15096, 1952]},
 }
 
 
@@ -651,10 +741,30 @@ def test_unequal_slot_groups_are_rejected():
         _group_decoder(design, Constellation("bpsk"))
 
 
-def test_worker_count_capped_by_tasks_and_cores():
-    assert _worker_count(10**6, 3) == min(3, os.cpu_count() or 1)
-    assert _worker_count(10**6, 10**6) == (os.cpu_count() or 1)
+def test_design_without_fixed_basis_is_rejected():
+    # Z = [[z1], [z2]]: Gamma(h) = [[|h1|^2, Re(h1^* h2)], [Re(h1^* h2),
+    # |h2|^2]] spans every symmetric 2 x 2 matrix, so no fixed rotation makes
+    # it diagonal for every channel, and there is no fallback.
+    design = InnerDesign(
+        "column-2", m=2, t=1, n_sym=2, is_real=True,
+        builder=lambda z: np.array([[z[0]], [z[1]]], dtype=complex),
+    )
+    with pytest.raises(ValueError, match="no fixed basis makes Gamma diagonal"):
+        _group_decoder(design, Constellation("bpsk"))
+
+
+def test_worker_count_capped_by_tasks_and_cores(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    assert _worker_count(10**6, 3) == min(3, cpus)
+    assert _worker_count(10**6, 10**6) == cpus
     assert _worker_count(1, 50) == 1
+    # A process allowed on one CPU of a larger machine starts one worker.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _worker_count(8, 50) == 1
 
 
 def test_genie_equals_closed_loop_at_zero_rho():
