@@ -1,7 +1,7 @@
 """Precoder codebook design and link simulation for partly orthogonal
 space-time codes driven by noisy quantized feedback."""
 
-from podsim.channel import complex_gaussian, sample_directions
+from podsim.channel import sample_directions
 from podsim.codebook import (
     CodebookError,
     PrecoderCodebook,
@@ -51,7 +51,6 @@ __all__ = [
     "bsc_inversion_matrix",
     "build_evaluation_set",
     "candidate_codewords",
-    "complex_gaussian",
     "eigen_profile",
     "eta_c_from_snr_db",
     "fit",

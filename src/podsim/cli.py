@@ -46,17 +46,22 @@ CODE_NAMES = {
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
+_MAX_SNR_POINTS = 1000  # a longer grid is a typo: the recipes use at most 7 points
+
 
 def _parse_snr_grid(text: str) -> list[float]:
-    """Either one value or an inclusive a:b:step range."""
+    """Either one value or an inclusive a:b:step range, counted before it is built."""
     parts = text.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected VALUE or A:B:STEP, got {text!r}")
     a, b, step = (float(p) for p in parts)
-    if step <= 0 or b < a:
+    if not (step > 0 and a <= b):
         raise argparse.ArgumentTypeError(f"need A <= B and STEP > 0 in {text!r}")
+    # np.arange makes ceil((b + step / 2 - a) / step) points.
+    if not (b + step / 2.0 - a) / step <= _MAX_SNR_POINTS:
+        raise argparse.ArgumentTypeError(f"{text!r} has more than {_MAX_SNR_POINTS} SNR points")
     return [float(x) for x in np.arange(a, b + step / 2.0, step)]
 
 

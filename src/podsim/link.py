@@ -35,21 +35,22 @@ components of z1 with those of z3 (z2 with z4) and has two, gamma +- beta
 the coefficient tensors, and rejects a design that no fixed T makes
 diagonal.
 
-So the sweep forms neither h_eff nor y. One table per codebook entry a,
-g(B_a M_l B_a^H), gives the frame's gains lambda = F(h) . table[a] from the
-features F(h) the encoder forms anyway (the open loop applies one identity
-entry); the sweep draws r' = lambda x' + sqrt(lambda sigma_n2 / 2) xi, D
-normals per block, and decides from it in one product.
+So the sweep forms none of h, h_eff and y. It draws h as real and imaginary
+parts, which the kernel `trainer._features` turns into F(h), and one table
+per codebook entry a, g(B_a M_l B_a^H), gives the gains lambda = F(h) .
+table[a] (the open loop applies one identity entry); it draws r' = lambda
+x' + sqrt(lambda sigma_n2 / 2) xi, D normals per block, and decides in one
+product.
 
 The inputs decide what runs: without a codebook the tail is not precoded
 (the open loop); a codebook without a feedback link applies the encoder's
 index exactly (the genie); a codebook with a feedback link runs the full
-closed loop. The encoder quantizes the tail direction, as F(tail) /
-||tail||^2, at the codebook's eta_c under its design index channel, the
-BSC at rho_d, so a codebook is always run under the channel it was trained
-for. The codebook's entry order is its index assignment, so a remapped
-index assignment is a relabeled codebook, not a link option; at rho_d > 0
-it changes the encoder's choices even when no index error occurs.
+closed loop. The encoder quantizes F(tail) / ||tail||^2, F of the parts'
+last n columns, at the codebook's eta_c under its design index channel,
+the BSC at rho_d, so a codebook is always run under the channel it was
+trained for. The codebook's entry order is its index assignment, so a
+remapped index assignment is a relabeled codebook, not a link option; at
+rho_d > 0 it changes the encoder's choices even when no index error occurs.
 
 Monte Carlo frames are processed in fixed-size chunks, each seeded from
 (seed, snr_point, chunk) independently, so results are identical for any
@@ -72,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _complex_gaussian
+from .channel import _gaussian_parts
 from .codebook import PrecoderCodebook
 from .feedback import FeedbackChannel, bsc_inversion_matrix
 from .stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets
@@ -308,6 +309,16 @@ class BerResult:
         return cls(snr_db, rho_f, frames, bits_sent, bit_errors, ber, stderr)
 
 
+def _noise_variance(m: int, snr_db: float) -> float:
+    """sigma_n2 = m / eta0, eta0 = 10^(snr_db / 10), or nan out of float range:
+    unit-magnitude symbols put power m into each received sample (m antennas,
+    unit-variance coefficients), so the received SNR is exactly eta0."""
+    try:
+        return m / 10.0 ** (float(snr_db) / 10.0)
+    except ArithmeticError:  # 10^(snr_db / 10) overflows, or underflows to 0
+        return math.nan
+
+
 @dataclass
 class SimulationConfig:
     """One BER sweep: link pieces plus Monte Carlo bookkeeping.
@@ -345,8 +356,10 @@ class SimulationConfig:
     def validate(self) -> None:
         if len(self.snr_grid_db) == 0:
             raise ValueError("need at least one SNR point")
-        if not np.all(np.isfinite(self.snr_grid_db)):
-            raise ValueError(f"SNR points must be finite, got {list(self.snr_grid_db)}")
+        sigma_n2 = [_noise_variance(self.pod.m, x) for x in self.snr_grid_db]
+        if not all(0.0 < s < math.inf for s in sigma_n2):
+            raise ValueError("SNR points must be finite, with a noise variance m / 10^(snr/10) "
+                             f"in (0, inf), got {list(self.snr_grid_db)}")
         if self.frames < 1:
             raise ValueError(f"need at least one frame, got {self.frames}")
         n_sym = self.pod.inner.n_sym
@@ -464,9 +477,9 @@ def _effective_channels(
     scratch: _Scratch,
 ) -> np.ndarray:
     """The gains lambda = F(h) . table[a], shape (F, L), of one channel draw
-    h per frame through the entry a the transmitter applies. The encoder
-    quantizes F(tail) / ||tail||^2, taken from the columns of the same
-    features F(h) that hold the tail's own."""
+    h per frame through the entry a the transmitter applies. h is drawn as
+    its real and imaginary parts, and the encoder quantizes F(tail) /
+    ||tail||^2, the kernel's features of the parts' tail columns."""
     m, n = config.pod.m, config.pod.n
     coords, design_inv, tables = precoders
     gains = scratch.take((frames, tables.shape[1]))
@@ -474,10 +487,8 @@ def _effective_channels(
     # in a closed scope), so a chunk run before the scratch has grown holds
     # no more fresh arrays at once than the scratch will.
     with scratch.scope():
-        h = scratch.take((frames, m), complex)
-        with scratch.scope():
-            _complex_gaussian(h, scratch.take((2, frames, m)), rng)
-        feats = _features(h.real, h.imag, out=scratch.take((m * m, frames)).T)
+        re, im = _gaussian_parts(scratch.take((2, frames, m)), rng)
+        feats = _features(re, im, out=scratch.take((m * m, frames)).T)
         applied = scratch.take((frames,), np.intp)
         if coords is None:
             applied[:] = 0
@@ -485,15 +496,10 @@ def _effective_channels(
             cb = config.codebook
             with scratch.scope():
                 dirs = scratch.take((n * n, frames)).T
-                if n < m:
-                    # The tail's pairs are the last n (n - 1) / 2 of F's pairs.
-                    pairs, tail_pairs = m * (m - 1) // 2, n * (n - 1) // 2
-                    cols = np.r_[m - n : m, m + pairs - tail_pairs : m + pairs,
-                                 m + 2 * pairs - tail_pairs : m + 2 * pairs]
-                    np.take(feats.T, cols, axis=0, mode="clip", out=dirs.T)
+                tail = feats if n == m else _features(re[:, m - n :], im[:, m - n :], out=dirs)
                 bufs = (scratch.take((frames, cb.k)), scratch.take((frames, cb.k)), applied)
-                _encode_features(_direction_features(feats if n == m else dirs, dirs),
-                                 coords, cb.eta_c, n, design_inv, bufs)
+                _encode_features(_direction_features(tail, dirs), coords, cb.eta_c, n,
+                                 design_inv, bufs)
             if config.feedback is not None:
                 applied = config.feedback.transmit_batch(applied, rng)
         # take() buffers its output unless the mode is "clip"; every index is in range.
@@ -557,10 +563,7 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
 
     tasks = []
     for p_idx, snr_db in enumerate(config.snr_grid_db):
-        # Unit-magnitude symbols put power m into each received sample (m
-        # antennas, unit-variance coefficients), so sigma_n2 = m / eta0 makes
-        # the received SNR exactly eta0.
-        sigma_n2 = config.pod.m / 10.0 ** (snr_db / 10.0)
+        sigma_n2 = _noise_variance(config.pod.m, snr_db)
         for c_idx, size in enumerate(plan):
             tasks.append((p_idx, c_idx, size, sigma_n2))
 

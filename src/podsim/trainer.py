@@ -91,7 +91,13 @@ def eta_c_from_snr_db(m: int, t: int, snr_db: float) -> float:
     """Design distance parameter for a target SNR: eta_c = m * eta0 / (4 t)."""
     if t < 1:
         raise ValueError(f"block length must be positive, got {t}")
-    return m * 10.0 ** (snr_db / 10.0) / (4.0 * t)
+    try:
+        eta_c = m * 10.0 ** (snr_db / 10.0) / (4.0 * t)
+    except OverflowError:
+        eta_c = np.inf
+    if not np.isfinite(eta_c):
+        raise ValueError(f"eta_c must be finite, got {eta_c} at design SNR {snr_db} dB")
+    return eta_c
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Naive reference implementations used to cross-check the library.
 
 Everything here is written with plain Python loops and the defining
-formulas, deliberately avoiding the vectorized code paths under test. The
-analytic self-checks of the bound chain (the conditional Chernoff bound, the
-per-region bound and a Monte Carlo check of its two Gamma integrals), the
-inner codeword `build` and the precoded codeword `assemble` live here too.
+formulas, deliberately avoiding the vectorized code paths under test.
+`complex_gaussian` is the reference channel draw. The analytic self-checks
+of the bound chain (the conditional Chernoff bound, the per-region bound and
+a Monte Carlo check of its two Gamma integrals), the inner codeword `build`
+and the precoded codeword `assemble` live here too.
 `decode_frames` decides with the sweep's batched decoder from the statistic
 r = U^T y that `statistic` forms from the coefficient tensors, rotated into
 the decoder's basis, and
@@ -40,6 +41,16 @@ from podsim.trainer import (
     _gram,
     _quadratic_forms,
 )
+
+
+def complex_gaussian(shape, rng):
+    """CN(0, 1) samples by the defining formula: all real parts drawn first,
+    then all imaginary parts, and (re + 1j * im) / sqrt(2). The reference for
+    the channel draw `podsim.channel._gaussian_parts`, and the channels of
+    every test that needs complex h."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def build(design, symbols):

@@ -19,6 +19,7 @@ import pytest
 import conftest
 from oracles import (
     closed_form_integrals_check,
+    complex_gaussian,
     conditional_pep_bound,
     decode_frames,
     finite_difference_gradient,
@@ -32,7 +33,7 @@ from oracles import (
     naive_objective,
     received_block,
 )
-from podsim.channel import complex_gaussian, sample_directions
+from podsim.channel import sample_directions
 from podsim.codebook import PrecoderCodebook, eigen_profile, project_psd_power
 from podsim.feedback import (
     FeedbackChannel,

@@ -9,12 +9,18 @@ reference in `tests/oracles.py`.
 
 The knobs are pinned too: the fields of the configuration dataclasses, the
 parameters of `build_evaluation_set` and the options of every subcommand, so
-that adding or removing one is a visible edit here."""
+that adding or removing one is a visible edit here.
+
+The package runs on numpy and the standard library alone: scipy is a test
+extra, so no module under `src/podsim` may import it, or anything else."""
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,15 +34,15 @@ PUBLIC_NAMES = [
     "BerResult", "CodebookError", "Constellation", "EvaluationSet", "FeedbackChannel",
     "InnerDesign", "PodStructure", "PrecoderCodebook", "SimulationConfig", "TrainerConfig",
     "TrainingState", "average_pep_bound", "bsc_inversion_matrix", "build_evaluation_set",
-    "candidate_codewords", "complex_gaussian", "eigen_profile", "eta_c_from_snr_db", "fit",
-    "get_design", "load_codebook", "load_mapping", "mapping_cost", "optimize_mapping",
-    "project_psd_power", "range_design", "run_ber_sweep", "sample_directions", "save_codebook",
-    "save_mapping", "write_ber_csv",
+    "candidate_codewords", "eigen_profile", "eta_c_from_snr_db", "fit", "get_design",
+    "load_codebook", "load_mapping", "mapping_cost", "optimize_mapping", "project_psd_power",
+    "range_design", "run_ber_sweep", "sample_directions", "save_codebook", "save_mapping",
+    "write_ber_csv",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 30
     assert podsim.__all__ == PUBLIC_NAMES
 
 
@@ -95,3 +101,21 @@ def test_subcommand_options_are_pinned():
         for name, cmd in sub.choices.items()
     }
     assert got == SUBCOMMAND_OPTIONS
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    sources = sorted(Path(podsim.__file__).parent.glob("*.py"))
+    assert len(sources) == len(LIBRARY_LAYERS) + 2  # the layers, cli and __init__
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else ["podsim"]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in {"numpy", "podsim"} | sys.stdlib_module_names, (
+                    f"{path.name}:{node.lineno} imports {name}"
+                )

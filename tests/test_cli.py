@@ -1,6 +1,7 @@
 """Command line interface tests: flag validation, exit codes, file
 artifacts, and recipe determinism."""
 
+import argparse
 import dataclasses
 import logging
 
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 from podsim.channel import sample_directions
-from podsim.cli import CODE_NAMES, RECIPES, _build_parser, _parse_snr_grid, main
+from podsim.cli import (
+    _MAX_SNR_POINTS,
+    CODE_NAMES,
+    RECIPES,
+    _build_parser,
+    _parse_snr_grid,
+    main,
+)
 from podsim.codebook import load_codebook, save_codebook
 from podsim.feedback import bsc_inversion_matrix, load_mapping, save_mapping
 from podsim.link import _BER_CSV_HEADER, SimulationConfig, run_ber_sweep
@@ -41,16 +49,38 @@ def test_no_subcommand_is_usage_error():
 
 
 def test_bad_snr_grid_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as ei:
-        main(["simulate", "--code", "od2", "--constellation", "bpsk",
-              "--snr-db", "5:1", "--frames", "10", "--out", str(tmp_path / "x.csv")])
-    assert ei.value.code == 2
+    for grid in ("5:1", "0:nan:1", "0:1:nan"):
+        with pytest.raises(SystemExit) as ei:
+            main(["simulate", "--code", "od2", "--constellation", "bpsk",
+                  "--snr-db", grid, "--frames", "10", "--out", str(tmp_path / "x.csv")])
+        assert ei.value.code == 2
 
 
 def test_snr_grid_parsing():
     assert _parse_snr_grid("10") == [10.0]
     assert _parse_snr_grid("0:12:2") == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
     assert _parse_snr_grid("4:8:2") == [4.0, 6.0, 8.0]
+
+
+def test_snr_grid_past_the_point_ceiling_is_usage_error(tmp_path, capsys, monkeypatch):
+    # The points are counted from A, B and STEP before any is made, so a grid
+    # the run cannot hold exits 2 without reaching np.arange.
+    assert len(_parse_snr_grid(f"0:{_MAX_SNR_POINTS - 1}:1")) == _MAX_SNR_POINTS
+    with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+        _parse_snr_grid(f"0:{_MAX_SNR_POINTS}:1")
+
+    def no_arange(*args, **kwargs):
+        raise AssertionError(f"np.arange{args} called")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    out = tmp_path / "x.csv"
+    for grid in ("0:1e13:1", "0:inf:1"):
+        with pytest.raises(SystemExit) as ei:
+            main(["simulate", "--code", "od2", "--constellation", "bpsk",
+                  "--snr-db", grid, "--frames", "10", "--out", str(out)])
+        assert ei.value.code == 2
+        assert capsys.readouterr().err.strip().endswith("SNR points")
+    assert not out.exists()
 
 
 def test_zero_feedback_bits_rejected(tmp_path, capsys):
@@ -374,6 +404,14 @@ TRAIN_SMALL = ["train", "--antennas", "2", "--feedback-bits", "1", "--rho-d", "0
       "--snr-db", "nan"], "SNR points"),
     (["simulate", "--code", "od2", "--constellation", "bpsk", "--frames", "20",
       "--snr-db=-inf"], "SNR points"),
+    # Finite values whose 10^(snr/10) leaves the float range, so that neither
+    # the noise variance m / 10^(snr/10) nor eta_c = m 10^(snr/10) / (4 T)
+    # is a finite positive number.
+    (["simulate", "--code", "od4", "--constellation", "bpsk", "--frames", "1",
+      "--snr-db", "4000"], "SNR points"),
+    (["simulate", "--code", "od4", "--constellation", "bpsk", "--frames", "1",
+      "--snr-db=-4000"], "SNR points"),
+    (TRAIN_SMALL + ["--design-snr-db", "4000"], "eta_c"),
 ])
 def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys):
     out = tmp_path / "out"

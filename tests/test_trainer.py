@@ -6,6 +6,7 @@ import pytest
 import podsim.trainer
 from oracles import (
     complex_features,
+    complex_gaussian,
     finite_difference_gradient,
     kernel_encode,
     kernel_features,
@@ -16,7 +17,7 @@ from oracles import (
     naive_objective,
     naive_quadratic_forms,
 )
-from podsim.channel import complex_gaussian, sample_directions
+from podsim.channel import sample_directions
 from podsim.codebook import PrecoderCodebook, eigen_profile, project_psd_power
 from podsim.feedback import bsc_inversion_matrix
 from podsim.trainer import (
