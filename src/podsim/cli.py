@@ -29,7 +29,14 @@ from .feedback import (
 from .link import SimulationConfig, run_ber_sweep, write_ber_csv
 from .pep import average_pep_bound, build_evaluation_set
 from .stbc import Constellation, PodStructure, get_design
-from .trainer import TrainerConfig, _draw_direction_features, eta_c_from_snr_db, fit, range_design
+from .trainer import (
+    TrainerConfig,
+    _check_elements,
+    _draw_direction_features,
+    eta_c_from_snr_db,
+    fit,
+    range_design,
+)
 
 __all__ = ["main"]
 
@@ -154,6 +161,7 @@ def cmd_train(args) -> int:
 def cmd_eval_pep(args) -> int:
     cb = load_codebook(args.codebook)
     eta_c = args.eta_c if args.eta_c is not None else cb.eta_c
+    _check_elements(f"--samples {args.samples}", args.samples * cb.n**2)
     dirs = _draw_direction_features(cb.n, args.samples, np.random.default_rng(args.seed))
     evset = build_evaluation_set(cb, dirs, eta_c)
     lines = ["rho_f,eta_c,bound"]

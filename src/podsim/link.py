@@ -52,14 +52,16 @@ trained for. The codebook's entry order is its index assignment, so a
 remapped index assignment is a relabeled codebook, not a link option; at
 rho_d > 0 it changes the encoder's choices even when no index error occurs.
 
-Monte Carlo frames are processed in fixed-size chunks, each seeded from
-(seed, snr_point, chunk) independently, so results are identical for any
-worker count. A sweep runs its chunks through one scratch of preallocated
-arrays, sized by its largest chunk, that every chunk and SNR point writes
-into; with several workers, each worker runs one contiguous batch of chunks
-through its own scratch. Fresh (frames, .) blocks per chunk would go back
-to the OS between chunks and fault their pages in again, which costs a
-sweep a measurable share of its time.
+Monte Carlo frames are processed in chunks of _CHUNK_FRAMES frames, the
+last one holding the rest. Task i of a sweep is chunk i % n_chunks at SNR point
+i // n_chunks, seeded from (seed, point, chunk), so results are identical
+for any worker count, and nothing is sized by the frame count. The sweep, or
+each worker of a parallel one, runs one contiguous range of tasks through
+one scratch of preallocated arrays, sized by its largest chunk, that every
+chunk and SNR point writes into, and returns each point's error sum. Fresh
+(frames, .) blocks per chunk would go back to the OS between chunks and
+fault their pages in again, which costs a sweep a measurable share of its
+time.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .channel import _gaussian_parts
 from .codebook import PrecoderCodebook
 from .feedback import FeedbackChannel, bsc_inversion_matrix
 from .stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets
-from .trainer import _coordinates, _direction_features, _encode_features, _features, _gram
+from .trainer import _check_elements, _coordinates, _direction_features, _encode_features, _features, _gram
 
 __all__ = [
     "BerResult",
@@ -90,6 +92,11 @@ __all__ = [
 _CHUNK_FRAMES = 2048
 _SLAB_METRICS = 1 << 16  # group-candidate metrics per slab of blocks (512 KB)
 _SERIAL_MACS = 1 << 18  # OpenBLAS runs a product of fewer multiply-adds on one thread
+# A ceiling on any gain lambda = h_eff^H M h_eff, so that a noise variance
+# whose product with it is finite draws a finite noise scale. lambda is at
+# most 2 n ||h||^2 (||P||_2^2 <= ||P||_F^2 = n, ||M|| <= 2, n <= 8), so 1e6
+# would need a normal draw beyond 80 standard deviations in one part of h.
+_MAX_GAIN = 1e6
 
 _BER_CSV_HEADER = "snr_db,rho_f,frames,bits_sent,bit_errors,ber,ber_stderr,ber_wilson_low,ber_wilson_high"
 
@@ -290,23 +297,22 @@ def _group_decoder(design: InnerDesign, constellation: Constellation) -> _GroupD
 
 @dataclass(frozen=True)
 class BerResult:
-    """Bit error measurement at one SNR point."""
+    """Bit error counts at one SNR point, and the BER they give."""
 
     snr_db: float
     rho_f: float
     frames: int
     bits_sent: int
     bit_errors: int
-    ber: float
-    ber_stderr: float
 
-    @classmethod
-    def from_counts(
-        cls, snr_db: float, rho_f: float, frames: int, bits_sent: int, bit_errors: int
-    ) -> "BerResult":
-        ber = bit_errors / bits_sent
-        stderr = math.sqrt(ber * (1.0 - ber) / bits_sent)
-        return cls(snr_db, rho_f, frames, bits_sent, bit_errors, ber, stderr)
+    @property
+    def ber(self) -> float:
+        return self.bit_errors / self.bits_sent
+
+    @property
+    def ber_stderr(self) -> float:
+        """The binomial standard error sqrt(ber (1 - ber) / bits_sent)."""
+        return math.sqrt(self.ber * (1.0 - self.ber) / self.bits_sent)
 
 
 def _noise_variance(m: int, snr_db: float) -> float:
@@ -357,9 +363,10 @@ class SimulationConfig:
         if len(self.snr_grid_db) == 0:
             raise ValueError("need at least one SNR point")
         sigma_n2 = [_noise_variance(self.pod.m, x) for x in self.snr_grid_db]
-        if not all(0.0 < s < math.inf for s in sigma_n2):
-            raise ValueError("SNR points must be finite, with a noise variance m / 10^(snr/10) "
-                             f"in (0, inf), got {list(self.snr_grid_db)}")
+        if not all(0.0 < s and s * _MAX_GAIN < math.inf for s in sigma_n2):
+            raise ValueError("SNR points must be finite, with a positive noise variance "
+                             f"m / 10^(snr/10) that stays finite times a gain of {_MAX_GAIN:g}, "
+                             f"got {list(self.snr_grid_db)}")
         if self.frames < 1:
             raise ValueError(f"need at least one frame, got {self.frames}")
         n_sym = self.pod.inner.n_sym
@@ -368,6 +375,9 @@ class SimulationConfig:
                 f"symbols_per_frame must be a positive multiple of {n_sym} "
                 f"for {self.pod.inner.kind}, got {self.symbols_per_frame}"
             )
+        # The largest array of a sweep: the symbol indices of one chunk.
+        _check_elements(f"frames={self.frames} with symbols_per_frame={self.symbols_per_frame}",
+                        min(self.frames, _CHUNK_FRAMES) * self.blocks_per_frame)
         if self.codebook is None:
             if self.feedback is not None:
                 raise ValueError("a feedback channel needs a codebook to carry indices of")
@@ -406,6 +416,9 @@ def _sampler(decoder: _GroupDecoder, gains: np.ndarray, sigma_n2: float, scratch
                   out=scratch.take((frames, d)))
     # The kernel can round a zero gain to a tiny negative value.
     sd = np.maximum(lam, 0.0, out=scratch.take((frames, d)))
+    if not math.isfinite(float(sd.max()) * sigma_n2 / 2.0):
+        raise ValueError(f"noise variance sigma_n2 / 2 = {sigma_n2 / 2.0} times a gain of "
+                         f"{sd.max()} is not finite")
     sd *= sigma_n2 / 2.0
     np.sqrt(sd, out=sd)
 
@@ -509,32 +522,28 @@ def _effective_channels(
     return gains
 
 
-def _simulate_chunks(config: SimulationConfig, tasks: list[tuple]) -> list[int]:
-    """Bit errors of each (point_idx, chunk_idx, frames, sigma_n2) task, in
-    task order. The decoder tables and the gain tables are looked up once,
-    and every chunk takes its arrays from one scratch. No array of a chunk
-    outlives it, so the scratch grows after the first full chunk without
-    holding that chunk's arrays as well."""
+def _simulate_chunks(config: SimulationConfig, lo: int, hi: int) -> list[int]:
+    """Bit errors of the tasks lo <= i < hi, summed per SNR point. Task i is
+    chunk i % n_chunks at point i // n_chunks (see the module docstring). The
+    decoder tables and the gain tables are looked up once, and every chunk
+    takes its arrays from one scratch. No array of a chunk outlives it, so
+    the scratch grows after the first full chunk without holding that
+    chunk's arrays as well."""
     decoder = _group_decoder(config.pod.inner, config.constellation)
     precoders = _precoders(config.codebook, decoder, config.pod.m)
+    n_chunks = -(-config.frames // _CHUNK_FRAMES)
     scratch = _Scratch()
-    counts = []
-    for point_idx, chunk_idx, frames, sigma_n2 in tasks:
+    errors = [0] * len(config.snr_grid_db)
+    for task in range(lo, hi):
+        point, chunk = divmod(task, n_chunks)
+        frames = min(_CHUNK_FRAMES, config.frames - chunk * _CHUNK_FRAMES)
+        sigma_n2 = _noise_variance(config.pod.m, config.snr_grid_db[point])
         scratch.reset()
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, point_idx, chunk_idx)))
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, point, chunk)))
         gains = _effective_channels(config, precoders, frames, rng, scratch)
-        counts.append(
-            _block_errors(decoder, gains, config.blocks_per_frame, sigma_n2, rng, scratch)
-        )
+        errors[point] += _block_errors(decoder, gains, config.blocks_per_frame, sigma_n2, rng, scratch)
         del gains  # before the next reset(), which may replace the buffer it lives in
-    return counts
-
-
-def _chunk_plan(frames: int) -> list[int]:
-    sizes = [_CHUNK_FRAMES] * (frames // _CHUNK_FRAMES)
-    if frames % _CHUNK_FRAMES:
-        sizes.append(frames % _CHUNK_FRAMES)
-    return sizes
+    return errors
 
 
 def _worker_count(requested: int, n_tasks: int) -> int:
@@ -559,43 +568,26 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
     bits_per_frame = (
         config.blocks_per_frame * config.pod.inner.n_sym * config.constellation.bits_per_symbol
     )
-    plan = _chunk_plan(config.frames)
-
-    tasks = []
-    for p_idx, snr_db in enumerate(config.snr_grid_db):
-        sigma_n2 = _noise_variance(config.pod.m, snr_db)
-        for c_idx, size in enumerate(plan):
-            tasks.append((p_idx, c_idx, size, sigma_n2))
-
+    n_tasks = len(config.snr_grid_db) * -(-config.frames // _CHUNK_FRAMES)
     run = functools.partial(_simulate_chunks, config)
-    workers = _worker_count(workers, len(tasks))
+    workers = _worker_count(workers, n_tasks)
     if workers == 1:
-        counts = run(tasks)
+        sums = [run(0, n_tasks)]
     else:
         # Imported here, not with the module: the process machinery adds about
         # 40 % to podsim's import time, and serial sweeps never use it.
         from concurrent.futures import ProcessPoolExecutor
 
-        # One contiguous batch of tasks per worker, so a worker too reuses one scratch.
-        bounds = [len(tasks) * w // workers for w in range(workers + 1)]
-        batches = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        # One contiguous range of tasks per worker, so a worker too reuses one scratch.
+        bounds = [n_tasks * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = [c for batch in pool.map(run, batches) for c in batch]
+            sums = list(pool.map(run, bounds[:-1], bounds[1:]))
 
-    results = []
-    per_point = len(plan)
-    for p_idx, snr_db in enumerate(config.snr_grid_db):
-        errors = sum(counts[p_idx * per_point : (p_idx + 1) * per_point])
-        results.append(
-            BerResult.from_counts(
-                snr_db=float(snr_db),
-                rho_f=config.rho_f,
-                frames=config.frames,
-                bits_sent=config.frames * bits_per_frame,
-                bit_errors=errors,
-            )
-        )
-    return results
+    bits_sent = config.frames * bits_per_frame
+    return [
+        BerResult(float(snr_db), config.rho_f, config.frames, bits_sent, errors)
+        for snr_db, errors in zip(config.snr_grid_db, map(sum, zip(*sums)))
+    ]
 
 
 def write_ber_csv(path, results: list[BerResult]) -> None:

@@ -86,6 +86,21 @@ _MAX_HALVINGS = 30
 # quadratic forms stays small, and no (S, K) array lives through the descent.
 _BLOCK_ROWS = 2048
 
+# The most elements any one array of a request may hold: 2^28 float64 is
+# 2 GiB. The recipes, tests and benchmark workloads ask at most 800k (50k
+# training directions x 16 features), the default --train-size 1.6M, so a
+# request past the ceiling is a typo, which would otherwise fail in the
+# allocator, or exhaust memory, only after the run has started.
+_MAX_ELEMENTS = 1 << 28
+
+
+def _check_elements(what: str, elements: int) -> None:
+    """Reject a request whose largest array, counted before anything is
+    drawn, holds more than _MAX_ELEMENTS elements; what names its inputs."""
+    if elements > _MAX_ELEMENTS:
+        raise ValueError(f"{what} needs an array of {elements} elements, "
+                         f"more than the ceiling of {_MAX_ELEMENTS}")
+
 
 def eta_c_from_snr_db(m: int, t: int, snr_db: float) -> float:
     """Design distance parameter for a target SNR: eta_c = m * eta0 / (4 t)."""
@@ -148,6 +163,7 @@ class TrainerConfig:
             raise ValueError(f"rho_d must lie in [0, 0.5], got {self.rho_d}")
         if self.n_train < self.k:
             raise ValueError(f"need at least k={self.k} training vectors, got {self.n_train}")
+        _check_elements(f"n_train={self.n_train}", self.n_train * self.n**2)
         if min(self.inner_iters, self.max_rounds, self.restarts) < 1:
             raise ValueError("inner_iters, max_rounds and restarts must be positive")
 

@@ -66,6 +66,7 @@ def test_all_entries_resolve_and_package_is_their_union():
     (podsim.FeedbackChannel, ["k", "rho_f"]),
     (podsim.TrainerConfig, ["m", "n", "k", "eta_c", "rho_d", "rho_range", "n_train",
                             "inner_iters", "step_m", "tol", "max_rounds", "restarts", "seed"]),
+    (podsim.BerResult, ["snr_db", "rho_f", "frames", "bits_sent", "bit_errors"]),
 ])
 def test_config_fields_are_pinned(cls, fields):
     assert [f.name for f in dataclasses.fields(cls)] == fields

@@ -412,8 +412,37 @@ TRAIN_SMALL = ["train", "--antennas", "2", "--feedback-bits", "1", "--rho-d", "0
     (["simulate", "--code", "od4", "--constellation", "bpsk", "--frames", "1",
       "--snr-db=-4000"], "SNR points"),
     (TRAIN_SMALL + ["--design-snr-db", "4000"], "eta_c"),
+    # A finite noise variance (about 1.3e308) whose product with a channel
+    # gain is not: drawn with, it would decide every block from nan metrics.
+    (["simulate", "--code", "od4", "--constellation", "bpsk", "--frames", "10",
+      "--snr-db=-3075"], "SNR points"),
 ])
 def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--code", "od4", "--constellation", "bpsk", "--snr-db", "6", "--frames", "1",
+      "--symbols-per-frame", "100000000000"], "symbols_per_frame"),
+    (["eval-pep", "--samples", "10000000000000"], "--samples"),
+    (["train", "--antennas", "2", "--feedback-bits", "1", "--eta-c", "1",
+      "--train-size", "10000000000000"], "n_train"),
+])
+def test_oversized_requests_are_validation_errors(argv, field, tiny_codebook_path, tmp_path,
+                                                  capsys, monkeypatch):
+    # Each asks for an array of 186 GiB or more; it is sized from its shapes and
+    # rejected before anything is drawn, so every draw here fails the test.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before sizing the request")
+
+    for target in ("podsim.link._simulate_chunks", "podsim.cli._draw_direction_features",
+                   "podsim.trainer._draw_direction_features"):
+        monkeypatch.setattr(target, no_draw)
+    if argv[0] == "eval-pep":
+        argv = argv + ["--codebook", str(tiny_codebook_path)]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 3
     assert field in capsys.readouterr().err

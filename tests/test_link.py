@@ -30,6 +30,7 @@ Oracles:
 
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -155,11 +156,11 @@ def test_noise_variance_formula(monkeypatch):
     # Each SNR point's chunks run at sigma_n2 = m / eta0.
     seen = []
 
-    def record(config, tasks):
-        seen.extend(task[3] for task in tasks)
-        return [0] * len(tasks)
+    def record(decoder, gains, blocks, sigma_n2, rng, scratch):
+        seen.append(sigma_n2)
+        return 0
 
-    monkeypatch.setattr(podsim.link, "_simulate_chunks", record)
+    monkeypatch.setattr(podsim.link, "_block_errors", record)
     for kind, snr_db in (("real-od-4", 0.0), ("real-od-2", 10.0)):
         design = get_design(kind)
         run_ber_sweep(SimulationConfig(
@@ -167,6 +168,15 @@ def test_noise_variance_formula(monkeypatch):
             constellation=Constellation("bpsk"),
         ))
     assert seen == [pytest.approx(4.0), pytest.approx(0.2)]
+
+
+def test_non_finite_noise_is_an_error():
+    # Validation keeps sigma_n2 times any gain finite. Should a gain pass
+    # that ceiling anyway, the draw raises rather than decide from nan metrics.
+    decoder = _group_decoder(get_design("real-od-4"), Constellation("bpsk"))
+    gains = np.full((3, 1), 4.0)
+    with pytest.raises(ValueError, match="not finite"):
+        _block_errors(decoder, gains, 2, 1e308, np.random.default_rng(0), _Scratch())
 
 
 def test_transmit_block_noiseless_matches_codeword_projection():
@@ -584,6 +594,32 @@ def test_sweep_reproducible_and_worker_invariant():
         assert [r.bit_errors for r in run_ber_sweep(cfg, workers=workers)] == a
 
 
+def test_sweep_plan_is_arithmetic(monkeypatch):
+    # A sweep's tasks are numbers, not a stored plan: 10^13 frames at two
+    # points run as one range of 2 ceil(10^13 / 2048) tasks whose error sums
+    # add per point, with nothing sized by the frame count. A list of the
+    # chunk sizes alone would take 39 GB, so the bound fails a regression
+    # long before memory runs out.
+    ranges = []
+
+    def record(config, lo, hi):
+        ranges.append((lo, hi))
+        return [0] * len(config.snr_grid_db)
+
+    monkeypatch.setattr(podsim.link, "_simulate_chunks", record)
+    frames = 10**13
+    cfg = make_sim(frames=frames, snr=[4.0, 8.0])
+    tracemalloc.start()
+    try:
+        out = run_ber_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranges == [(0, 2 * -(-frames // 2048))]
+    assert [(r.frames, r.bits_sent, r.bit_errors) for r in out] == [(frames, frames * 65 * 2 * 2, 0)] * 2
+    assert peak < 64 * 1024
+
+
 def test_sweep_counts_and_fields():
     cb = small_trained_codebook()
     cfg = make_sim(cb, frames=500, snr=[4.0, 8.0])
@@ -784,8 +820,8 @@ def test_genie_equals_closed_loop_at_zero_rho():
 
 def test_write_ber_csv_layout(tmp_path):
     rows = [
-        BerResult.from_counts(10.0, 0.1, 100, 26000, 130),
-        BerResult.from_counts(12.0, 0.1, 100, 26000, 31),
+        BerResult(10.0, 0.1, 100, 26000, 130),
+        BerResult(12.0, 0.1, 100, 26000, 31),
     ]
     path = tmp_path / "ber.csv"
     write_ber_csv(path, rows)
@@ -798,8 +834,7 @@ def test_write_ber_csv_layout(tmp_path):
 def test_write_ber_csv_wilson_interval(tmp_path):
     # ber_stderr is 0 at a point without errors; the 95 % Wilson score
     # interval in the trailing columns still bounds its BER from above.
-    rows = [BerResult.from_counts(14.0, 0.0, 100, 26000, 0),
-            BerResult.from_counts(10.0, 0.1, 100, 26000, 130)]
+    rows = [BerResult(14.0, 0.0, 100, 26000, 0), BerResult(10.0, 0.1, 100, 26000, 130)]
     path = tmp_path / "ber.csv"
     write_ber_csv(path, rows)
     header, *lines = path.read_text().splitlines()
