@@ -236,17 +236,34 @@ def cmd_map_anneal(args) -> int:
     return 0
 
 
+def _train(cb: str, rho_d: str, snr_db: str, *, antennas: str = "4", bits: str = "4",
+           step_m: str = "32767", extra: tuple[str, ...] = ()) -> list[str]:
+    """A recipe's training step: N = 4, 20000 training vectors, seed 1."""
+    return ["train", "--antennas", antennas, "--feedback-bits", bits, "--precoder-dim", "4",
+            "--rho-d", rho_d, "--design-snr-db", snr_db, *extra, "--train-size", "20000",
+            "--step-m", step_m, "--seed", "1", "--out", cb]
+
+
+def _simulate(out: Path, code: str, snr_db: str, frames: str, workers: int,
+              cb: str | None = None, rho_f: str | None = None, *,
+              constellation: str = "bpsk", seed: str = "7") -> list[str]:
+    """A recipe's sweep at 128 symbols per frame: the closed loop over cb at
+    crossover rho_f, or the open loop when neither is given."""
+    if (cb is None) != (rho_f is None):
+        raise ValueError("a recipe's closed loop needs both a codebook and its rho_f")
+    codebook, crossover = ([], []) if cb is None else (["--codebook", cb], ["--rho-f", rho_f])
+    return ["simulate", *codebook, "--code", code, "--constellation", constellation, *crossover,
+            "--snr-db", snr_db, "--frames", frames, "--symbols-per-frame", "128",
+            "--seed", seed, "--workers", str(workers), "--out", str(out)]
+
+
 def _recipe_eigen_spread(out: Path, workers: int) -> list[list[str]]:
     """Eigenvalue structure of trained codebooks across design crossover."""
     steps = []
     for rho in ("0", "0.1", "0.3", "0.5"):
         cb = str(out / f"eigen_cb_rho{rho}.cb")
-        steps.append(
-            ["train", "--antennas", "4", "--feedback-bits", "4", "--precoder-dim", "4",
-             "--rho-d", rho, "--design-snr-db", "10", "--train-size", "20000",
-             "--step-m", "32767", "--seed", "1", "--out", cb]
-        )
-        steps.append(["eigen", "--codebook", cb, "--out", str(out / f"eigen_rho{rho}.csv")])
+        steps += [_train(cb, rho, "10"),
+                  ["eigen", "--codebook", cb, "--out", str(out / f"eigen_rho{rho}.csv")]]
     return steps
 
 
@@ -255,23 +272,10 @@ def _recipe_feedback_noise_ber(out: Path, workers: int) -> list[list[str]]:
     steps = []
     for rho in ("0", "0.04", "0.2", "0.5"):
         cb = str(out / f"fn_cb_rho{rho}.cb")
-        steps.append(
-            ["train", "--antennas", "4", "--feedback-bits", "4", "--precoder-dim", "4",
-             "--rho-d", rho, "--design-snr-db", "10", "--train-size", "20000",
-             "--step-m", "32767", "--seed", "1", "--out", cb]
-        )
-        steps.append(
-            ["simulate", "--codebook", cb, "--code", "od4", "--constellation", "bpsk",
-             "--rho-f", rho, "--snr-db", "0:12:2", "--frames", "5000",
-             "--symbols-per-frame", "128", "--seed", "7", "--workers", str(workers),
-             "--out", str(out / f"fn_ber_rho{rho}.csv")]
-        )
-    steps.append(
-        ["simulate", "--code", "od4", "--constellation", "bpsk", "--snr-db", "0:12:2",
-         "--frames", "5000", "--symbols-per-frame", "128", "--seed", "7",
-         "--workers", str(workers), "--out", str(out / "fn_ber_open.csv")]
-    )
-    return steps
+        steps += [_train(cb, rho, "10"),
+                  _simulate(out / f"fn_ber_rho{rho}.csv", "od4", "0:12:2", "5000", workers,
+                            cb, rho)]
+    return steps + [_simulate(out / "fn_ber_open.csv", "od4", "0:12:2", "5000", workers)]
 
 
 def _recipe_low_rate_six_antenna(out: Path, workers: int) -> list[list[str]]:
@@ -279,63 +283,34 @@ def _recipe_low_rate_six_antenna(out: Path, workers: int) -> list[list[str]]:
     steps = []
     for rho_d, tag in (("0.04", "matched"), ("0", "mismatch")):
         cb = str(out / f"six_cb_{tag}.cb")
-        steps.append(
-            ["train", "--antennas", "6", "--feedback-bits", "2", "--precoder-dim", "4",
-             "--rho-d", rho_d, "--design-snr-db", "10", "--block-length", "8",
-             "--train-size", "20000", "--step-m", "1023", "--seed", "1", "--out", cb]
-        )
-        steps.append(
-            ["simulate", "--codebook", cb, "--code", "od6x8", "--constellation", "bpsk",
-             "--rho-f", "0.04", "--snr-db", "6:18:3", "--frames", "20000",
-             "--symbols-per-frame", "128", "--seed", "7", "--workers", str(workers),
-             "--out", str(out / f"six_ber_{tag}.csv")]
-        )
-    steps.append(
-        ["simulate", "--code", "od6x8", "--constellation", "bpsk", "--snr-db", "6:18:3",
-         "--frames", "20000", "--symbols-per-frame", "128", "--seed", "7",
-         "--workers", str(workers), "--out", str(out / "six_ber_open.csv")]
-    )
-    return steps
+        steps += [_train(cb, rho_d, "10", antennas="6", bits="2", step_m="1023",
+                         extra=("--block-length", "8")),
+                  _simulate(out / f"six_ber_{tag}.csv", "od6x8", "6:18:3", "20000", workers,
+                            cb, "0.04")]
+    return steps + [_simulate(out / "six_ber_open.csv", "od6x8", "6:18:3", "20000", workers)]
 
 
 def _recipe_rotated_qpsk(out: Path, workers: int) -> list[list[str]]:
     """Rate-one quasi-orthogonal code with rotated QPSK, closed vs open loop."""
     cb = str(out / "rq_cb.cb")
     return [
-        ["train", "--antennas", "4", "--feedback-bits", "4", "--precoder-dim", "4",
-         "--rho-d", "0.04", "--design-snr-db", "10", "--train-size", "20000",
-         "--step-m", "32767", "--seed", "1", "--out", cb],
-        ["simulate", "--codebook", cb, "--code", "qostbc4", "--constellation", "qpsk-rot45",
-         "--rho-f", "0.04", "--snr-db", "0:12:3", "--frames", "2000",
-         "--symbols-per-frame", "128", "--seed", "7", "--workers", str(workers),
-         "--out", str(out / "rq_ber_closed.csv")],
-        ["simulate", "--code", "qostbc4", "--constellation", "qpsk-rot45", "--snr-db", "0:12:3",
-         "--frames", "2000", "--symbols-per-frame", "128", "--seed", "7",
-         "--workers", str(workers), "--out", str(out / "rq_ber_open.csv")],
+        _train(cb, "0.04", "10"),
+        _simulate(out / "rq_ber_closed.csv", "qostbc4", "0:12:3", "2000", workers, cb, "0.04",
+                  constellation="qpsk-rot45"),
+        _simulate(out / "rq_ber_open.csv", "qostbc4", "0:12:3", "2000", workers,
+                  constellation="qpsk-rot45"),
     ]
 
 
 def _recipe_mismatch_grid(out: Path, workers: int) -> list[list[str]]:
     """Design/operation crossover mismatch at one SNR point."""
-    cb0 = str(out / "mis_cb_rho0.cb")
-    cb4 = str(out / "mis_cb_rho0.04.cb")
-    steps = [
-        ["train", "--antennas", "4", "--feedback-bits", "4", "--precoder-dim", "4",
-         "--rho-d", "0", "--design-snr-db", "6", "--train-size", "20000",
-         "--step-m", "32767", "--seed", "1", "--out", cb0],
-        ["train", "--antennas", "4", "--feedback-bits", "4", "--precoder-dim", "4",
-         "--rho-d", "0.04", "--design-snr-db", "6", "--train-size", "20000",
-         "--step-m", "32767", "--seed", "1", "--out", cb4],
+    crossovers = ("0", "0.04")
+    steps = [_train(str(out / f"mis_cb_rho{d}.cb"), d, "6") for d in crossovers]
+    return steps + [
+        _simulate(out / f"mis_ber_d{d}_f{f}.csv", "od4", "14", "50000", workers,
+                  str(out / f"mis_cb_rho{d}.cb"), f, seed="88")
+        for d in crossovers for f in crossovers
     ]
-    for cb, design_tag in ((cb0, "d0"), (cb4, "d0.04")):
-        for rho_f in ("0", "0.04"):
-            steps.append(
-                ["simulate", "--codebook", cb, "--code", "od4", "--constellation", "bpsk",
-                 "--rho-f", rho_f, "--snr-db", "14", "--frames", "50000",
-                 "--symbols-per-frame", "128", "--seed", "88", "--workers", str(workers),
-                 "--out", str(out / f"mis_ber_{design_tag}_f{rho_f}.csv")]
-            )
-    return steps
 
 
 def _recipe_smoke(out: Path, workers: int) -> list[list[str]]:
@@ -350,10 +325,7 @@ def _recipe_smoke(out: Path, workers: int) -> list[list[str]]:
          "--seed", "5", "--out", str(out / "smoke_pep.csv")],
         ["map-anneal", "--codebook", cb, "--rho-f", "0.1", "--sa-iters", "2000",
          "--seed", "5", "--out", str(out / "smoke_mapping.txt")],
-        ["simulate", "--codebook", cb, "--code", "od2", "--constellation", "bpsk",
-         "--rho-f", "0.1", "--snr-db", "4:8:2", "--frames", "400",
-         "--symbols-per-frame", "128", "--seed", "5", "--workers", str(workers),
-         "--out", str(out / "smoke_ber.csv")],
+        _simulate(out / "smoke_ber.csv", "od2", "4:8:2", "400", workers, cb, "0.1", seed="5"),
     ]
 
 

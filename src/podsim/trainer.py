@@ -161,6 +161,9 @@ class TrainerConfig:
             raise ValueError("tol must be a number, got nan")
         if not 0.0 <= self.rho_d <= 0.5:
             raise ValueError(f"rho_d must lie in [0, 0.5], got {self.rho_d}")
+        pair = self.rho_range
+        if pair is not None and not (len(pair) == 2 and 0.0 <= pair[0] <= pair[1] <= 0.5):
+            raise ValueError(f"rho_range must be a pair 0 <= f_a <= f_b <= 0.5, got {pair}")
         if self.n_train < self.k:
             raise ValueError(f"need at least k={self.k} training vectors, got {self.n_train}")
         _check_elements(f"n_train={self.n_train}", self.n_train * self.n**2)
@@ -479,6 +482,4 @@ def range_design(cfg: TrainerConfig, rule: str) -> TrainerConfig:
     if cfg.rho_range is None:
         raise ValueError(f"{rule} design needs cfg.rho_range = (f_a, f_b)")
     f_a, f_b = cfg.rho_range
-    if not 0.0 <= f_a <= f_b <= 0.5:
-        raise ValueError(f"need 0 <= f_a <= f_b <= 0.5, got {cfg.rho_range}")
     return replace(cfg, rho_d=f_b if rule == "worst-case" else (f_a + f_b) / 2.0)

@@ -60,6 +60,27 @@ def test_all_entries_resolve_and_package_is_their_union():
     assert cli.__all__ == ["main"] and callable(cli.main)
 
 
+def test_package_states_no_export_itself():
+    # `podsim/__init__.py` republishes each layer's `__all__` with one star
+    # import and names no export, so the layer lists are the only lists.
+    path = Path(podsim.__file__)
+    stars = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.module == "podsim":
+                assert set(names) <= set(LIBRARY_LAYERS), f"line {node.lineno} imports {names}"
+            else:
+                assert names == ["*"], f"line {node.lineno} imports {names} from {node.module}"
+                stars.append(node.module)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert node.value not in PUBLIC_NAMES, f"line {node.lineno} names {node.value!r}"
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            assert name not in PUBLIC_NAMES, f"line {node.lineno} names {name!r}"
+    assert sorted(stars) == sorted(f"podsim.{layer}" for layer in LIBRARY_LAYERS)
+
+
 @pytest.mark.parametrize("cls, fields", [
     (podsim.SimulationConfig, ["snr_grid_db", "frames", "pod", "constellation", "codebook",
                                "feedback", "symbols_per_frame", "seed"]),

@@ -123,3 +123,5 @@ def test_directions_reject_negative_count():
     assert sample_directions(3, 0, rng).shape == (0, 3)
     with pytest.raises(ValueError, match="direction count must be nonnegative, got -1"):
         sample_directions(3, -1, rng)
+    with pytest.raises(ValueError, match="direction length must be positive, got 0"):
+        sample_directions(0, 5, rng)

@@ -4,6 +4,8 @@ artifacts, and recipe determinism."""
 import argparse
 import dataclasses
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from podsim.cli import (
     RECIPES,
     _build_parser,
     _parse_snr_grid,
+    _simulate,
     main,
 )
 from podsim.codebook import load_codebook, save_codebook
@@ -447,6 +450,73 @@ def test_oversized_requests_are_validation_errors(argv, field, tiny_codebook_pat
     assert main(argv + ["--out", str(out)]) == 3
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+BENCH_CODEBOOK = Path(__file__).resolve().parents[1] / "bench" / "data" / "k16_m4_rho0.04.pcb"
+SINGLE_ENTRY_CODEBOOK = "PODCB 1\nM 2 N 2 K 1 ETA_C 1 RHO_D 0\nMARGINALS 1\nP 1\n1 0 0 0\n0 0 1 0\n"
+OPEN_LOOP = ["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6",
+             "--frames", "10"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (TRAIN_SMALL + ["--eta-c", "1", "--train-size", "1"], "at least k=2 training vectors, got 1"),
+    (TRAIN_SMALL + ["--eta-c", "1", "--max-rounds", "0"], "and restarts must be positive"),
+    (["train", "--antennas", "2", "--feedback-bits", "1", "--eta-c", "1",
+      "--rho-range", "0.3,0.1"], "rho_range must be a pair"),
+    (OPEN_LOOP + ["--codebook", "{tiny}", "--rho-f", "0.7"], r"crossover must lie in \[0, 0.5\]"),
+    (OPEN_LOOP + ["--workers", "0"], "need at least one worker, got 0"),
+    # A 2-antenna codebook on a 4-antenna code, and an N = 4 one on a 2-antenna code.
+    (["simulate", "--codebook", "{tiny}", "--code", "od4", "--constellation", "bpsk",
+      "--snr-db", "6", "--frames", "10"], r"codebook \(2, 2\) does not match"),
+    (OPEN_LOOP + ["--codebook", str(BENCH_CODEBOOK)], "precoded tail must satisfy 1 <= n <= 2"),
+    (["map-anneal", "--codebook", "{single}", "--rho-f", "0.1"],
+     "need at least one feedback bit, got K=1"),
+])
+def test_bad_values_from_flags_and_files_are_validation_errors(
+        argv, message, tiny_codebook_path, tmp_path, capsys):
+    single = tmp_path / "single.cb"
+    single.write_text(SINGLE_ENTRY_CODEBOOK, encoding="utf-8")
+    argv = [a.format(tiny=tiny_codebook_path, single=single) for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--rho-range", "--rho-average"])
+@pytest.mark.parametrize("pair", ["0.1", "0.1,0.2,0.3"])
+def test_malformed_rho_pair_is_usage_error(flag, pair, tmp_path):
+    out = tmp_path / "cb.cb"
+    with pytest.raises(SystemExit) as ei:
+        main(["train", "--antennas", "2", "--feedback-bits", "1", "--eta-c", "1",
+              flag, pair, "--out", str(out)])
+    assert ei.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not a mapping\n", "not a mapping file"),
+    ("PODMAP 1\nK 2\n", "malformed mapping file"),
+    ("PODMAP 1\nN 2\n1 2\n", "malformed mapping file"),
+    ("PODMAP 1\nK 4\n1 2 3 4\n", "mapping is for K=4, expected K=2"),
+    ("PODMAP 1\nK 2\n1 1\n", "permutation"),
+])
+def test_malformed_mapping_file_exits_3_and_writes_nothing(text, message, tiny_codebook_path,
+                                                           tmp_path, capsys):
+    mapping = tmp_path / "map.txt"
+    mapping.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(OPEN_LOOP + ["--codebook", str(tiny_codebook_path),
+                             "--mapping", f"file:{mapping}", "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recipe_sweeps_take_codebook_and_rho_f_together(tmp_path):
+    with pytest.raises(ValueError, match="both a codebook and its rho_f"):
+        _simulate(tmp_path / "x.csv", "od4", "6", "10", 1, rho_f="0.1")
+    with pytest.raises(ValueError, match="both a codebook and its rho_f"):
+        _simulate(tmp_path / "x.csv", "od4", "6", "10", 1, cb=str(tmp_path / "cb.cb"))
 
 
 def test_simulate_baseline_is_usage_error(tiny_codebook_path, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,60 @@ def test_validate_rejects_bad_range(tmp_path, rho_range):
     with pytest.raises(CodebookError):
         save_codebook(cb, tmp_path / "bad.cb")
     assert not (tmp_path / "bad.cb").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("matrices", np.eye(2)[None], r"matrices must have shape \(2, 2, 2\), got \(1, 2, 2\)"),
+    ("matrices", np.full((2, 2, 2), np.nan), "matrices contain non-finite entries"),
+    ("marginals", np.full(3, 1.0 / 3.0), r"marginals must have shape \(2,\), got \(3,\)"),
+])
+def test_validate_rejects_arrays_no_file_can_hold(field, value, message):
+    # load_codebook fills (K, N, N) finite matrices and K finite marginals
+    # from the header's counts, so only a codebook built in code can break these.
+    cb = dataclasses.replace(random_codebook(m=4, n=2, k=2, rng=np.random.default_rng(15)),
+                             **{field: value})
+    with pytest.raises(CodebookError, match=message):
+        cb.validate()
+
+
+# A valid file: two identity entries, each of power N = 2.
+GOOD_FILE = """PODCB 1
+M 2 N 2 K 2 ETA_C 1 RHO_D 0
+MARGINALS 0.5 0.5
+P 1
+1 0 0 0
+0 0 1 0
+P 2
+1 0 0 0
+0 0 1 0
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (GOOD_FILE, "", "empty file"),
+    (GOOD_FILE, "PODCB 1\nM 2 N 2 K 2 ETA_C 1 RHO_D 0\n", "truncated header"),
+    (GOOD_FILE, "PODCB 1\nM 2 N 2 K 2 ETA_C 1 RHO_D 0\nRANGE 0 0.1\n", "truncated header"),
+    ("ETA_C 1 RHO_D 0", "ETA_C 1", "malformed dimension line"),
+    ("M 2 N 2 K 2", "M two N 2 K 2", "invalid literal for int"),
+    ("MARGINALS", "MARGINS", "expected MARGINALS line"),
+    ("P 2", "P 3", "expected 'P 2', got 'P 3'"),
+    ("M 2 N 2", "M 1 N 2", "need 1 <= N <= M, got N=2, M=1"),
+    ("ETA_C 1", "ETA_C -1", "eta_c must be finite and nonnegative, got -1.0"),
+    ("RHO_D 0", "RHO_D 0.7", r"rho_d must lie in \[0, 0.5\], got 0.7"),
+    ("0.5 0.5", "0.5 0.6", "marginals must be nonnegative and sum to one"),
+    ("P 2\n1 0 0 0\n0 0 1 0", "P 2\n1 0 1 0\n0 0 0 0", "entry 1 is not Hermitian"),
+    (GOOD_FILE, "PODCB 1\nM 2 N 2 K 0 ETA_C 1 RHO_D 0\nMARGINALS\n", "need at least one entry"),
+])
+def test_malformed_file_exits_3_and_writes_nothing(tmp_path, capsys, old, new, message):
+    assert old in GOOD_FILE
+    path = tmp_path / "cb.txt"
+    path.write_text(GOOD_FILE, encoding="utf-8")
+    load_codebook(path)  # the unedited file loads, so the edit alone is at fault
+    path.write_text(GOOD_FILE.replace(old, new), encoding="utf-8")
+    out = tmp_path / "e.csv"
+    assert main(["eigen", "--codebook", str(path), "--out", str(out)]) == 3
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_load_missing_file():

@@ -89,6 +89,10 @@ def test_validation(tmp_path):
     with pytest.raises(ValueError, match="permutation"):
         save_mapping(tmp_path / "map.txt", np.array([0, 0, 1, 2]))
     assert not (tmp_path / "map.txt").exists()
+    mats = np.stack([np.eye(2, dtype=complex)] * 4)
+    for marg in (np.full(3, 1.0 / 3.0), np.array([0.5, 0.5, 0.5, -0.5])):
+        with pytest.raises(ValueError, match="marginals must be K nonnegative probabilities"):
+            optimize_mapping(mats, marg, 0.1, n_iter=10, rng=np.random.default_rng(0))
 
 
 def test_transmit_noiseless_is_identity():

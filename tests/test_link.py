@@ -547,6 +547,8 @@ def test_simulation_config_validation():
         make_sim(symbols=131).validate()
     with pytest.raises(ValueError, match="frame"):
         make_sim(frames=0).validate()
+    with pytest.raises(ValueError, match="need at least one SNR point"):
+        make_sim(snr=[]).validate()
     for bad_snr in ([float("nan")], [4.0, float("-inf")], [float("inf")]):
         with pytest.raises(ValueError, match="SNR points must be finite"):
             make_sim(snr=bad_snr).validate()

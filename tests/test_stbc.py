@@ -124,6 +124,11 @@ def test_build_validation():
         build(d, np.array([1.0, 1j, 1.0, 1.0]))
 
 
+def test_constellation_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown constellation kind 'qpsk-rot45'"):
+        Constellation("qpsk-rot45")  # the CLI's name; the library's is "qpsk-rot"
+
+
 def test_coefficient_tensors_reproduce_builder():
     rng = np.random.default_rng(12)
     for kind in _design_kinds():

@@ -535,7 +535,37 @@ def test_config_validation():
         TrainerConfig(m=2, n=2, k=2, eta_c=1.0, rho_d=0.7)
     with pytest.raises(ValueError):
         range_design(small_config(), "worst-case")  # missing range
-    with pytest.raises(ValueError):
-        range_design(small_config(rho_range=(0.3, 0.1)), "worst-case")
     with pytest.raises(ValueError, match="design rule"):
         range_design(small_config(rho_range=(0.0, 0.1)), "best-case")
+    # A bad range fails when the config is built, before any draw or round.
+    for rho_range in ((0.3, 0.1), (-0.1, 0.2), (0.1, 0.6), (0.1,), (0.0, 0.1, 0.2)):
+        with pytest.raises(ValueError, match="rho_range must be a pair"):
+            TrainerConfig(m=2, n=2, k=2, eta_c=1.0, rho_range=rho_range)
+    with pytest.raises(ValueError, match="at least k=4 training vectors, got 3"):
+        TrainerConfig(m=2, n=2, k=4, eta_c=1.0, n_train=3)
+    for field in ("inner_iters", "max_rounds", "restarts"):
+        with pytest.raises(ValueError, match="must be positive"):
+            TrainerConfig(m=2, n=2, k=2, eta_c=1.0, **{field: 0})
+
+
+def test_dead_entry_restart(monkeypatch):
+    # With error-free feedback and a large first step, some entries' regions
+    # empty out; each such entry restarts next to the busiest one. The
+    # restart draws its noise with _hermitian_noise, as the initial codebook
+    # does once.
+    draws = []
+    noise = podsim.trainer._hermitian_noise
+
+    def counting_noise(rng, count, n):
+        draws.append(count)
+        return noise(rng, count, n)
+
+    monkeypatch.setattr(podsim.trainer, "_hermitian_noise", counting_noise)
+    cfg = TrainerConfig(m=2, n=2, k=8, eta_c=2.0, rho_d=0.0, n_train=1000, step_m=63.0,
+                        seed=0, max_rounds=30)
+    state = fit(cfg)
+    assert draws[0] == cfg.k
+    assert len(draws) >= 2 and all(1 <= count < cfg.k for count in draws[1:])
+    hist = state.objective_history
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+    state.codebook.validate()
