@@ -21,6 +21,7 @@ import numpy as np
 from .codebook import PrecoderCodebook, eigen_profile, load_codebook, save_codebook
 from .feedback import (
     FeedbackChannel,
+    _check_elements,
     bsc_inversion_matrix,
     load_mapping,
     optimize_mapping,
@@ -31,7 +32,6 @@ from .pep import average_pep_bound, build_evaluation_set
 from .stbc import Constellation, PodStructure, get_design
 from .trainer import (
     TrainerConfig,
-    _check_elements,
     _draw_direction_features,
     eta_c_from_snr_db,
     fit,

@@ -47,11 +47,28 @@ _MAPPING_MAGIC = "PODMAP 1"
 _ANNEAL_T_INIT = 0.05
 _ANNEAL_COOLING = 0.9995
 
+# The most elements any one array of a request may hold: 2^28 float64 is
+# 2 GiB. The recipes, tests and benchmark workloads ask at most 800k (50k
+# training directions x 16 features), the default --train-size 1.6M, so a
+# request past the ceiling is a typo, which would otherwise fail in the
+# allocator, or exhaust memory, only after the run has started.
+_MAX_ELEMENTS = 1 << 28
+
+
+def _check_elements(what: str, elements: int) -> None:
+    """Reject a request whose largest array, counted before anything is
+    drawn, holds more than _MAX_ELEMENTS elements; what names its inputs."""
+    if elements > _MAX_ELEMENTS:
+        raise ValueError(f"{what} needs an array of {elements} elements, "
+                         f"more than the ceiling of {_MAX_ELEMENTS}")
+
 
 def _num_bits(k: int) -> int:
-    """Feedback bits b for K = 2^b indices; rejects non powers of two."""
+    """Feedback bits b for K = 2^b indices; rejects non powers of two and a K
+    whose K x K tables, each sized here first, would pass the ceiling."""
     if k < 1 or (k & (k - 1)) != 0:
         raise ValueError(f"index count must be a power of two, got K={k}")
+    _check_elements(f"K={k}", k * k)
     return k.bit_length() - 1
 
 

@@ -57,11 +57,11 @@ last one holding the rest. Task i of a sweep is chunk i % n_chunks at SNR point
 i // n_chunks, seeded from (seed, point, chunk), so results are identical
 for any worker count, and nothing is sized by the frame count. The sweep, or
 each worker of a parallel one, runs one contiguous range of tasks through
-one scratch of preallocated arrays, sized by its largest chunk, that every
-chunk and SNR point writes into, and returns each point's error sum. Fresh
-(frames, .) blocks per chunk would go back to the OS between chunks and
-fault their pages in again, which costs a sweep a measurable share of its
-time.
+one scratch, a stack of arrays in one buffer that grows while the first full
+chunk runs and that every later chunk and SNR point writes into, and returns
+each point's error sum. Fresh (frames, .) blocks per chunk would go back to
+the OS between chunks and fault their pages in again, which costs a sweep a
+measurable share of its time.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ import numpy as np
 
 from .channel import _gaussian_parts
 from .codebook import PrecoderCodebook
-from .feedback import FeedbackChannel, bsc_inversion_matrix
+from .feedback import FeedbackChannel, _check_elements, bsc_inversion_matrix
 from .stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets
-from .trainer import _check_elements, _coordinates, _direction_features, _encode_features, _features, _gram
+from .trainer import _coordinates, _direction_features, _encode_features, _features, _gram
 
 __all__ = [
     "BerResult",
@@ -115,10 +115,7 @@ def candidate_codewords(
     mesh = np.meshgrid(*alphabets, indexing="ij")
     syms = np.stack(mesh, axis=-1).reshape(-1, design.n_sym)
     a, b = design.coefficient_tensors()
-    words = np.einsum("ck,kmt->cmt", syms, a)
-    if not design.is_real:
-        words = words + np.einsum("ck,kmt->cmt", syms.conj(), b)
-    return syms, words
+    return syms, np.einsum("ck,kmt->cmt", syms, a) + np.einsum("ck,kmt->cmt", syms.conj(), b)
 
 
 def _serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -136,11 +133,12 @@ class _Scratch:
 
     take(shape, dtype) hands out the next region of one flat buffer, and
     leaving a scope() hands back every region taken inside it, so steps of a
-    chunk whose arrays are never alive together share memory. reset() starts
-    a chunk at the bottom of the stack. A region that does not fit is a fresh
-    array instead, and the next reset() grows the buffer to the deepest
-    stack seen: a run allocates in its first full chunk, and every later
-    chunk and SNR point writes into pages that are already mapped.
+    chunk whose arrays are never alive together share memory. A region that
+    does not fit moves the stack to a buffer twice the size it needs: the
+    regions already handed out keep the old buffer alive, and every later
+    region starts at or above the top, so none overlaps a live one. A run
+    grows the buffer in its first full chunk, and every later chunk and SNR
+    point writes into pages that are already mapped.
     """
 
     _ALIGN = 64  # bytes; every region starts on a cache line
@@ -148,20 +146,13 @@ class _Scratch:
     def __init__(self) -> None:
         self._buf = np.empty(0, np.uint8)
         self._top = 0
-        self._depth = 0
-
-    def reset(self) -> None:
-        if self._depth > len(self._buf):
-            self._buf = np.empty(self._depth, np.uint8)
-        self._top = 0
 
     def take(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         dtype = np.dtype(dtype)
         start, size = self._top, math.prod(shape) * dtype.itemsize
         self._top += -(-size // self._ALIGN) * self._ALIGN
-        self._depth = max(self._depth, self._top)
         if self._top > len(self._buf):
-            return np.empty(shape, dtype)
+            self._buf = np.empty(2 * self._top, np.uint8)
         return self._buf[start : start + size].view(dtype).reshape(shape)
 
     @contextlib.contextmanager
@@ -496,9 +487,6 @@ def _effective_channels(
     m, n = config.pod.m, config.pod.n
     coords, design_inv, tables = precoders
     gains = scratch.take((frames, tables.shape[1]))
-    # Each array dies right after its last use (passed on unnamed, or left
-    # in a closed scope), so a chunk run before the scratch has grown holds
-    # no more fresh arrays at once than the scratch will.
     with scratch.scope():
         re, im = _gaussian_parts(scratch.take((2, frames, m)), rng)
         feats = _features(re, im, out=scratch.take((m * m, frames)).T)
@@ -526,9 +514,8 @@ def _simulate_chunks(config: SimulationConfig, lo: int, hi: int) -> list[int]:
     """Bit errors of the tasks lo <= i < hi, summed per SNR point. Task i is
     chunk i % n_chunks at point i // n_chunks (see the module docstring). The
     decoder tables and the gain tables are looked up once, and every chunk
-    takes its arrays from one scratch. No array of a chunk outlives it, so
-    the scratch grows after the first full chunk without holding that
-    chunk's arrays as well."""
+    takes its arrays from one scratch, inside one scope, so it starts at the
+    bottom of the stack."""
     decoder = _group_decoder(config.pod.inner, config.constellation)
     precoders = _precoders(config.codebook, decoder, config.pod.m)
     n_chunks = -(-config.frames // _CHUNK_FRAMES)
@@ -538,11 +525,10 @@ def _simulate_chunks(config: SimulationConfig, lo: int, hi: int) -> list[int]:
         point, chunk = divmod(task, n_chunks)
         frames = min(_CHUNK_FRAMES, config.frames - chunk * _CHUNK_FRAMES)
         sigma_n2 = _noise_variance(config.pod.m, config.snr_grid_db[point])
-        scratch.reset()
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, point, chunk)))
-        gains = _effective_channels(config, precoders, frames, rng, scratch)
-        errors[point] += _block_errors(decoder, gains, config.blocks_per_frame, sigma_n2, rng, scratch)
-        del gains  # before the next reset(), which may replace the buffer it lives in
+        with scratch.scope():
+            gains = _effective_channels(config, precoders, frames, rng, scratch)
+            errors[point] += _block_errors(decoder, gains, config.blocks_per_frame, sigma_n2, rng, scratch)
     return errors
 
 

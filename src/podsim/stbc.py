@@ -132,18 +132,14 @@ class InnerDesign:
         """Tensors (A, B) with Z(z) = sum_k z_k A_k + conj(z_k) B_k.
 
         Probed from the builder at unit and imaginary-unit symbol vectors;
-        real designs get B = 0.
+        a real design takes no conjugate, so its B comes out 0.
         """
         a = np.zeros((self.n_sym, self.m, self.t), dtype=complex)
         b = np.zeros_like(a)
         for k in range(self.n_sym):
             e = np.zeros(self.n_sym, dtype=complex)
             e[k] = 1.0
-            z_real = self.builder(e.real) if self.is_real else self.builder(e)
-            if self.is_real:
-                a[k] = z_real
-                continue
-            z_imag = self.builder(1j * e)
+            z_real, z_imag = self.builder(e), self.builder(1j * e)
             a[k] = (z_real - 1j * z_imag) / 2.0
             b[k] = (z_real + 1j * z_imag) / 2.0
         return a, b

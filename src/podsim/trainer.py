@@ -61,7 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from podsim.codebook import PrecoderCodebook, project_psd_power
-from podsim.feedback import bsc_inversion_matrix
+from podsim.feedback import _check_elements, _num_bits, bsc_inversion_matrix
 
 __all__ = [
     "TrainerConfig",
@@ -85,21 +85,6 @@ _MAX_HALVINGS = 30
 # Rows per block in every pass over the training set: each (rows, K) block of
 # quadratic forms stays small, and no (S, K) array lives through the descent.
 _BLOCK_ROWS = 2048
-
-# The most elements any one array of a request may hold: 2^28 float64 is
-# 2 GiB. The recipes, tests and benchmark workloads ask at most 800k (50k
-# training directions x 16 features), the default --train-size 1.6M, so a
-# request past the ceiling is a typo, which would otherwise fail in the
-# allocator, or exhaust memory, only after the run has started.
-_MAX_ELEMENTS = 1 << 28
-
-
-def _check_elements(what: str, elements: int) -> None:
-    """Reject a request whose largest array, counted before anything is
-    drawn, holds more than _MAX_ELEMENTS elements; what names its inputs."""
-    if elements > _MAX_ELEMENTS:
-        raise ValueError(f"{what} needs an array of {elements} elements, "
-                         f"more than the ceiling of {_MAX_ELEMENTS}")
 
 
 def eta_c_from_snr_db(m: int, t: int, snr_db: float) -> float:
@@ -151,8 +136,7 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= self.m:
             raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
-        if self.k < 1 or (self.k & (self.k - 1)) != 0:
-            raise ValueError(f"k must be a power of two, got {self.k}")
+        _num_bits(self.k)
         if not 0.0 <= self.eta_c < np.inf:
             raise ValueError(f"eta_c must be finite and nonnegative, got {self.eta_c}")
         if not -1.0 < self.step_m < np.inf:
@@ -319,22 +303,24 @@ def _encode_features(feats, coords, eta_c, n, inv, bufs=None) -> np.ndarray:
     return asg
 
 
-def _entry_pass(feats, coords, weights, asg, eta_c, n, grad, inv=None):
+def _entry_pass(feats, coords, inv, asg, eta_c, n, grad, entries=None):
     """One pass over the rows for the matrices whose coordinates are the
     columns of coords: (values, r) with
 
-        values[l] = (1/S) sum_s weights[a_s, l] (1 + eta_c q_sl)^-n,
-        r = F^T u,  u_sl = weights[a_s, l] (1 + eta_c q_sl)^-(n+1),
+        values[l] = (1/S) sum_s p_f(j_l|a_s) (1 + eta_c q_sl)^-n,
+        r = F^T u,  u_sl = p_f(j_l|a_s) (1 + eta_c q_sl)^-(n+1),
 
-    where weights[i, l] is p_f(j_l|i) for the entry j_l being evaluated; r is
-    None unless grad. Given inv, the pass encodes as it goes: it first writes
-    each row's index a_s into asg, and weights must then be inv.T."""
+    where p_f(j|i) = inv[j, i] and r is None unless grad. With entries None
+    it is the assign pass: column l is entry j_l = l, and the pass encodes
+    as it goes, writing each row's index a_s into asg first. Otherwise column
+    l is entry j_l = entries[l], evaluated at the indices in asg."""
+    weights = inv.T if entries is None else inv[entries].T
     values = np.zeros(coords.shape[1])
     r = np.zeros((feats.shape[1], coords.shape[1])) if grad else None
     ones = np.ones(_BLOCK_ROWS)
     for rows, q in _quadratic_forms(feats, coords):
         w, t = _decay(q, eta_c, n)
-        if inv is not None:
+        if entries is None:
             asg[rows] = _encode(w, inv)
         w *= np.take(weights, asg[rows], axis=0)
         values += ones[: len(w)] @ w
@@ -342,15 +328,6 @@ def _entry_pass(feats, coords, weights, asg, eta_c, n, grad, inv=None):
             t *= w
             r += feats[rows].T @ t
     return values / len(feats), r
-
-
-def _assign(feats, coords, eta_c, n, inv, grad):
-    """Encoder indices a_s of the rows, each entry's share of J at them,
-    values[j] = (1/S) sum_s p_f(j|a_s) (1 + eta_c q_sj)^-n, and with grad the
-    r of every entry at those indices (see _entry_pass)."""
-    asg = np.empty(len(feats), dtype=np.intp)
-    values, r = _entry_pass(feats, coords, inv.T, asg, eta_c, n, grad, inv)
-    return asg, values, r
 
 
 def _gradients(r: np.ndarray, mats: np.ndarray, eta_c: float, rows: int) -> np.ndarray:
@@ -377,9 +354,10 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
     # Each entry runs its own diminishing-step descent; counters persist
     # across rounds and reset only when an entry is reinitialized.
     step_counts = np.zeros(cfg.k, dtype=np.int64)
+    asg = np.empty(len(feats), dtype=np.intp)  # the encoder's index of each row
 
     for _ in range(cfg.max_rounds):
-        asg, values, r = _assign(feats, _coordinates(_gram(mats)), cfg.eta_c, cfg.n, inv, True)
+        values, r = _entry_pass(feats, _coordinates(_gram(mats)), inv, asg, cfg.eta_c, cfg.n, True)
         counts = np.bincount(asg, minlength=cfg.k)
 
         # An empty region whose precoder also receives no feedback-error
@@ -391,14 +369,13 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
             noise = 0.05 * _hermitian_noise(rng, len(dead), cfg.n)
             mats[dead] = project_psd_power(mats[busiest] + noise, cfg.n)
             step_counts[dead] = 0
-            asg, values, r = _assign(feats, _coordinates(_gram(mats)), cfg.eta_c, cfg.n, inv, True)
+            values, r = _entry_pass(feats, _coordinates(_gram(mats)), inv, asg, cfg.eta_c, cfg.n, True)
             counts = np.bincount(asg, minlength=cfg.k)
 
         # At fixed assignments J is the sum of the entry values and the
         # entries are independent, so all of them step at once. An entry that
         # no occupied region sends any weight to has no gradient and stays.
         live = np.flatnonzero(inv[:, counts > 0].max(axis=1) > _DEAD_WEIGHT)
-        weights = inv[live].T
         # r[:, i] always belongs to the current mats[live[i]]: the assign pass
         # gives the first step's, each candidate pass hands its r to the
         # entries it accepts, and an entry none accepts keeps its own, since
@@ -420,7 +397,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
                     mats[live[todo]] - alphas[todo, None, None] * grads[todo], cfg.n
                 )
                 cand_values, cand_r = _entry_pass(
-                    feats, _coordinates(_gram(cand)), weights[:, todo], asg, cfg.eta_c, cfg.n, grad
+                    feats, _coordinates(_gram(cand)), inv, asg, cfg.eta_c, cfg.n, grad, live[todo]
                 )
                 ok = cand_values <= values[live[todo]]
                 mats[live[todo[ok]]] = cand[ok]
@@ -442,7 +419,7 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
                 break
 
     # Final assignment pass so the marginals match the returned matrices.
-    asg, values, _ = _assign(feats, _coordinates(_gram(mats)), cfg.eta_c, cfg.n, inv, False)
+    values, _ = _entry_pass(feats, _coordinates(_gram(mats)), inv, asg, cfg.eta_c, cfg.n, False)
     cb = PrecoderCodebook(
         m=cfg.m,
         n=cfg.n,

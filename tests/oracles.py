@@ -30,7 +30,6 @@ from podsim.feedback import bsc_inversion_matrix
 from podsim.link import _group_decoder, _Scratch
 from podsim.pep import EvaluationSet
 from podsim.trainer import (
-    _assign,
     _coordinates,
     _decay,
     _encode,
@@ -149,7 +148,8 @@ def kernel_objective(cb, inv, dirs):
     """The trainer's J for the encoder implied by the codebook: the sum of
     the entry values of one assign pass."""
     coords = _coordinates(_gram(np.asarray(cb.matrices)))
-    return float(np.sum(_assign(kernel_features(dirs), coords, cb.eta_c, cb.n, inv, False)[1]))
+    feats, asg = kernel_features(dirs), np.empty(len(dirs), dtype=np.intp)
+    return float(np.sum(_entry_pass(feats, coords, inv, asg, cb.eta_c, cb.n, False)[0]))
 
 
 def kernel_gradient(cb, j, inv, dirs, assignments):
@@ -158,7 +158,7 @@ def kernel_gradient(cb, j, inv, dirs, assignments):
     mats = np.asarray(cb.matrices)[j : j + 1]
     coords = _coordinates(_gram(mats))
     feats = kernel_features(dirs)
-    r = _entry_pass(feats, coords, inv[j : j + 1].T, assignments, cb.eta_c, cb.n, True)[1]
+    r = _entry_pass(feats, coords, inv, assignments, cb.eta_c, cb.n, True, [j])[1]
     return _gradients(r, mats, cb.eta_c, len(dirs))[0]
 
 

@@ -433,11 +433,14 @@ def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys)
     (["eval-pep", "--samples", "10000000000000"], "--samples"),
     (["train", "--antennas", "2", "--feedback-bits", "1", "--eta-c", "1",
       "--train-size", "10000000000000"], "n_train"),
+    (["train", "--antennas", "2", "--feedback-bits", "15", "--eta-c", "1",
+      "--train-size", "32768"], "K=32768"),
 ])
 def test_oversized_requests_are_validation_errors(argv, field, tiny_codebook_path, tmp_path,
                                                   capsys, monkeypatch):
-    # Each asks for an array of 186 GiB or more; it is sized from its shapes and
-    # rejected before anything is drawn, so every draw here fails the test.
+    # Each asks for an array of 8 GiB or more (K = 2^15 for a K x K table); it
+    # is sized from its shapes and rejected before anything is drawn, so every
+    # draw here fails the test.
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before sizing the request")
 
@@ -603,6 +606,19 @@ def test_seed_is_usage_error_where_nothing_draws(argv):
     with pytest.raises(SystemExit) as ei:
         main(argv)
     assert ei.value.code == 2
+
+
+def test_recipe_stops_at_its_first_failing_step(tiny_codebook_path, tmp_path, monkeypatch):
+    # The first step reads a missing codebook (an I/O error, exit 4); the
+    # recipe returns its code and never runs the second step.
+    def two_steps(out, workers):
+        return [["eigen", "--codebook", str(out / "missing.cb"), "--out", str(out / "first.csv")],
+                ["eigen", "--codebook", str(tiny_codebook_path), "--out", str(out / "second.csv")]]
+
+    monkeypatch.setitem(RECIPES, "smoke", two_steps)
+    assert main(["recipe", "smoke", "--out-dir", str(tmp_path)]) == 4
+    assert not (tmp_path / "first.csv").exists()
+    assert not (tmp_path / "second.csv").exists()
 
 
 def test_recipe_runs_every_step_at_its_log_level(tmp_path, caplog):

@@ -3,9 +3,11 @@ import logging
 import numpy as np
 import pytest
 
+import podsim.feedback
 from podsim.feedback import (
     FeedbackChannel,
     _chordal_distance_matrix,
+    _num_bits,
     bsc_inversion_matrix,
     load_mapping,
     mapping_cost,
@@ -93,6 +95,26 @@ def test_validation(tmp_path):
     for marg in (np.full(3, 1.0 / 3.0), np.array([0.5, 0.5, 0.5, -0.5])):
         with pytest.raises(ValueError, match="marginals must be K nonnegative probabilities"):
             optimize_mapping(mats, marg, 0.1, n_iter=10, rng=np.random.default_rng(0))
+
+
+def test_index_count_is_sized_before_any_table(monkeypatch):
+    # Every K x K table sizes K first: K = 2^15 would need 2^30 elements
+    # (8 GiB) per table and is rejected before anything is allocated, so the
+    # annealer never reaches its distance table. K = 2^14 (2 GiB) is allowed.
+    assert _num_bits(2**14) == 14
+
+    def no_table(matrices):
+        raise AssertionError("built a K x K table before sizing K")
+
+    monkeypatch.setattr(podsim.feedback, "_chordal_distance_matrix", no_table)
+    k, message = 2**15, "K=32768 needs an array of 1073741824 elements"
+    with pytest.raises(ValueError, match=message):
+        bsc_inversion_matrix(k, 0.1)
+    with pytest.raises(ValueError, match=message):
+        FeedbackChannel(k=k, rho_f=0.1)
+    with pytest.raises(ValueError, match=message):
+        optimize_mapping(np.ones((k, 1, 1), complex), np.full(k, 1.0 / k), 0.1, n_iter=10,
+                         rng=np.random.default_rng(0))
 
 
 def test_transmit_noiseless_is_identity():

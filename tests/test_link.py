@@ -764,6 +764,45 @@ def test_multi_chunk_sweep_counts_are_pinned(kind, const, symbols):
     assert [r.bit_errors for r in run_ber_sweep(cfg)] == pinned["genie"]
 
 
+@pytest.mark.parametrize("kind,const,closed", [("real-od-4", "bpsk", True),
+                                               ("qostbc-4", "qpsk-rot", False)])
+def test_sweep_stops_allocating_after_its_first_full_chunk(kind, const, closed, monkeypatch):
+    # What the scratch is for: fresh per-chunk arrays cost a sweep 1.3-2x. Over
+    # two full chunks and a partial one at two SNR points, every region taken
+    # after the first full chunk lies in one buffer that no take replaces.
+    regions, chunk_starts = [], []
+    take, effective = _Scratch.take, podsim.link._effective_channels
+
+    def recording_take(self, shape, dtype=float):
+        out = take(self, shape, dtype)
+        regions.append((self._buf, out))
+        return out
+
+    def marking_chunk(*args):
+        chunk_starts.append(len(regions))
+        return effective(*args)
+
+    monkeypatch.setattr(_Scratch, "take", recording_take)
+    monkeypatch.setattr(podsim.link, "_effective_channels", marking_chunk)
+    cb = small_trained_codebook(m=4, n=2, k=4, rho_d=0.1) if closed else None
+    cfg = SimulationConfig(
+        snr_grid_db=[2.0, 8.0],
+        frames=2 * 2048 + 300,
+        pod=PodStructure(inner=get_design(kind), n=cb.n if closed else 4),
+        constellation=Constellation(const),
+        codebook=cb,
+        feedback=FeedbackChannel(k=cb.k, rho_f=0.1) if closed else None,
+        symbols_per_frame=16,
+        seed=29,
+    )
+    assert len(podsim.link._simulate_chunks(cfg, 0, 6)) == 2
+    assert len(chunk_starts) == 6
+    later = regions[chunk_starts[1] :]
+    buf = later[0][0]
+    assert all(b is buf for b, _ in later)
+    assert all(np.shares_memory(region, buf) for _, region in later)
+
+
 @pytest.mark.parametrize("kind,const", sorted(EXHAUSTIVE_PAIR_COUNTS))
 def test_derived_slot_groups(kind, const):
     groups = _group_decoder(get_design(kind), Constellation(const)).slot_groups.tolist()

@@ -473,18 +473,19 @@ def test_fit_gradients_handed_over_by_passes_match_naive(monkeypatch):
     cfg = small_config(m=4, n=4, k=4, rho_d=0.1, n_train=2 * _BLOCK_ROWS + 1,
                        max_rounds=1, inner_iters=4, step_m=1e15)
     assigned, used = [], []
-    assign, gradients = podsim.trainer._assign, podsim.trainer._gradients
+    entry_pass, gradients = podsim.trainer._entry_pass, podsim.trainer._gradients
 
-    def recording_assign(*args):
-        out = assign(*args)
-        assigned.append(out[0])
+    def recording_pass(feats, coords, inv, asg, eta_c, n, grad, entries=None):
+        out = entry_pass(feats, coords, inv, asg, eta_c, n, grad, entries)
+        if entries is None:  # an assign pass; later passes reuse asg
+            assigned.append(asg.copy())
         return out
 
     def recording_gradients(r, mats, eta_c, rows):
         used.append((mats.copy(), assigned[-1], gradients(r, mats, eta_c, rows)))
         return used[-1][2]
 
-    monkeypatch.setattr(podsim.trainer, "_assign", recording_assign)
+    monkeypatch.setattr(podsim.trainer, "_entry_pass", recording_pass)
     monkeypatch.setattr(podsim.trainer, "_gradients", recording_gradients)
     state = fit(cfg)
     assert sum(state.halvings) > 0
