@@ -161,12 +161,19 @@ def cmd_train(args) -> int:
 def cmd_eval_pep(args) -> int:
     cb = load_codebook(args.codebook)
     eta_c = args.eta_c if args.eta_c is not None else cb.eta_c
+    # Every input is checked before a direction is drawn; the draw itself
+    # rejects a negative count before it draws.
+    invs = [bsc_inversion_matrix(cb.k, rho_f) for rho_f in args.rho_f]
+    if not (np.isfinite(eta_c) and eta_c >= 0.0):
+        raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
+    if args.samples == 0:
+        raise ValueError("need at least one direction, got --samples 0")
     _check_elements(f"--samples {args.samples}", args.samples * cb.n**2)
     dirs = _draw_direction_features(cb.n, args.samples, np.random.default_rng(args.seed))
     evset = build_evaluation_set(cb, dirs, eta_c)
     lines = ["rho_f,eta_c,bound"]
-    for rho_f in args.rho_f:
-        bound = average_pep_bound(evset, bsc_inversion_matrix(cb.k, rho_f))
+    for rho_f, inv in zip(args.rho_f, invs):
+        bound = average_pep_bound(evset, inv)
         # repr is the shortest text that reads back as the same float.
         lines.append(",".join(repr(float(v)) for v in (rho_f, eta_c, bound)))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -143,11 +143,7 @@ def eigen_profile(cb: PrecoderCodebook) -> np.ndarray:
     P_j P_j^H has eigenvalues delta^2; sum delta^2 = n by the power
     constraint.
     """
-    out = np.empty((cb.k, cb.n))
-    for j in range(cb.k):
-        w = np.linalg.eigvalsh(np.asarray(cb.matrices)[j])
-        out[j] = np.maximum(w[::-1], 0.0)
-    return out
+    return np.maximum(np.linalg.eigvalsh(np.asarray(cb.matrices))[:, ::-1], 0.0)
 
 
 def _fmt(x: float) -> str:

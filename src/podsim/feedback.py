@@ -84,17 +84,21 @@ def bsc_inversion_matrix(k: int, rho_f: float) -> np.ndarray:
 
     Works for K = 1 (zero feedback bits) where the matrix is [[1.0]].
     Columns sum to one; the matrix is symmetric because Hamming distance is.
+    Each entry is looked up in the law of the distance d = 0..b by the
+    Hamming weight of i ^ j, so at most two K x K arrays are alive at once.
     """
     bits = _num_bits(k)
     if not 0.0 <= rho_f <= 0.5:
         raise ValueError(f"crossover must lie in [0, 0.5], got {rho_f}")
-    idx = np.arange(k)
-    # Hamming distances between the bit patterns of all index pairs.
-    xor = idx[:, None] ^ idx[None, :]
-    dist = np.zeros((k, k), dtype=np.int64)
+    d = np.arange(bits + 1)
+    law = rho_f**d * (1.0 - rho_f) ** (bits - d)
+    # Hamming weights of 0..K-1: the upper half of each power-of-two range
+    # is the lower half with one more bit set.
+    weight = np.zeros(k, dtype=np.intp)
     for b in range(bits):
-        dist += (xor >> b) & 1
-    return rho_f**dist * (1.0 - rho_f) ** (bits - dist)
+        weight[1 << b : 2 << b] = weight[: 1 << b] + 1
+    idx = np.arange(k)
+    return law[weight[idx[:, None] ^ idx[None, :]]]
 
 
 @dataclass
@@ -133,12 +137,11 @@ def _chordal_distance_matrix(matrices: np.ndarray) -> np.ndarray:
     shape (K, K). Rejects numerically zero factors, whose direction is
     undefined."""
     mats = np.asarray(matrices)
-    dirs = np.empty(mats.shape[:2], dtype=complex)
-    for j, p in enumerate(mats):
-        gram = p @ p.conj().T
-        if np.linalg.norm(gram, "fro") < 1e-12:
-            raise ValueError(f"codebook entry {j} is numerically zero")
-        dirs[j] = np.linalg.eigh(gram)[1][:, -1]
+    grams = mats @ mats.conj().swapaxes(-1, -2)
+    zero = np.linalg.norm(grams, "fro", axis=(-2, -1)) < 1e-12
+    if zero.any():
+        raise ValueError(f"codebook entry {np.argmax(zero)} is numerically zero")
+    dirs = np.linalg.eigh(grams)[1][..., -1].copy()
     return np.clip(1.0 - np.abs(dirs @ dirs.conj().T) ** 2, 0.0, 1.0)
 
 

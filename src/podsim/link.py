@@ -79,7 +79,7 @@ from .channel import _gaussian_parts
 from .codebook import PrecoderCodebook
 from .feedback import FeedbackChannel, _check_elements, bsc_inversion_matrix
 from .stbc import Constellation, InnerDesign, PodStructure, _slot_alphabets
-from .trainer import _coordinates, _direction_features, _encode_features, _features, _gram
+from .trainer import _coordinates, _decay, _direction_features, _encode, _features, _gram
 
 __all__ = [
     "BerResult",
@@ -483,7 +483,8 @@ def _effective_channels(
     """The gains lambda = F(h) . table[a], shape (F, L), of one channel draw
     h per frame through the entry a the transmitter applies. h is drawn as
     its real and imaginary parts, and the encoder quantizes F(tail) /
-    ||tail||^2, the kernel's features of the parts' tail columns."""
+    ||tail||^2, the kernel's features of the parts' tail columns, with one
+    product, the trainer's `_decay` and its `_encode` on the whole chunk."""
     m, n = config.pod.m, config.pod.n
     coords, design_inv, tables = precoders
     gains = scratch.take((frames, tables.shape[1]))
@@ -498,9 +499,9 @@ def _effective_channels(
             with scratch.scope():
                 dirs = scratch.take((n * n, frames)).T
                 tail = feats if n == m else _features(re[:, m - n :], im[:, m - n :], out=dirs)
-                bufs = (scratch.take((frames, cb.k)), scratch.take((frames, cb.k)), applied)
-                _encode_features(_direction_features(tail, dirs), coords, cb.eta_c, n,
-                                 design_inv, bufs)
+                q = np.matmul(_direction_features(tail, dirs), coords, out=scratch.take((frames, cb.k)))
+                w, t = _decay(q, cb.eta_c, n, out=scratch.take((frames, cb.k)))
+                _encode(w, design_inv, out=t, idx=applied)
             if config.feedback is not None:
                 applied = config.feedback.transmit_batch(applied, rng)
         # take() buffers its output unless the mode is "clip"; every index is in range.

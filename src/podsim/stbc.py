@@ -134,15 +134,10 @@ class InnerDesign:
         Probed from the builder at unit and imaginary-unit symbol vectors;
         a real design takes no conjugate, so its B comes out 0.
         """
-        a = np.zeros((self.n_sym, self.m, self.t), dtype=complex)
-        b = np.zeros_like(a)
-        for k in range(self.n_sym):
-            e = np.zeros(self.n_sym, dtype=complex)
-            e[k] = 1.0
-            z_real, z_imag = self.builder(e), self.builder(1j * e)
-            a[k] = (z_real - 1j * z_imag) / 2.0
-            b[k] = (z_real + 1j * z_imag) / 2.0
-        return a, b
+        units = np.eye(self.n_sym, dtype=complex)
+        z_real = np.array([self.builder(e) for e in units])
+        z_imag = np.array([self.builder(1j * e) for e in units])
+        return (z_real - 1j * z_imag) / 2.0, (z_real + 1j * z_imag) / 2.0
 
 
 _REGISTRY = {
@@ -157,15 +152,11 @@ _REGISTRY = {
 }
 
 
-def _design_kinds() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 def get_design(kind: str) -> InnerDesign:
     try:
         return _REGISTRY[kind]
     except KeyError:
-        raise ValueError(f"unknown design kind {kind!r}; choose from {_design_kinds()}") from None
+        raise ValueError(f"unknown design kind {kind!r}; choose from {sorted(_REGISTRY)}") from None
 
 
 @dataclass(frozen=True)
@@ -182,10 +173,6 @@ class PodStructure:
     @property
     def m(self) -> int:
         return self.inner.m
-
-    @property
-    def t(self) -> int:
-        return self.inner.t
 
 
 @dataclass(frozen=True)
@@ -217,10 +204,6 @@ def _slot_alphabets(design: InnerDesign, constellation: Constellation) -> list[n
         raise ValueError(f"{design.kind} carries real symbols; use the bpsk constellation")
     base = constellation.base_alphabet()
     rotated = base * np.exp(1j * np.pi / 4)
-    out = []
-    for slot in range(design.n_sym):
-        if constellation.kind == "qpsk-rot" and slot in design.rotated_slots:
-            out.append(rotated)
-        else:
-            out.append(base)
-    return out
+    rotate = constellation.kind == "qpsk-rot"
+    return [rotated if rotate and slot in design.rotated_slots else base
+            for slot in range(design.n_sym)]

@@ -23,13 +23,14 @@ Hermitian-PSD power-n set. Both half-steps are nonincreasing in J (the
 gradient half because increases are backtracked away), so the per-round
 objective history is monotone.
 
-One real kernel, `_quadratic_forms`, gives every h^H P P^H h. A direction h
-becomes the feature row F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b)]
-(a < b) and a Hermitian G the coordinate column g(G) = [G_aa, 2 Re G_ab,
--2 Im G_ab], so q = F(dirs) @ g(G_1 .. G_K) with G_j = P_j P_j^H is one real
-product for all K entries. The same layout runs backwards for the gradient:
-R_j = sum_s u_sj h_s h_s^H unpacks from F^T @ u. The encoder, `fit`, the
-bounds in `podsim.pep` and the link's encoder and gains all use the kernel.
+One real product gives every h^H P P^H h. A direction h becomes the
+feature row F(h) = [|h_a|^2, Re(h_a^* h_b), Im(h_a^* h_b)] (a < b) and a
+Hermitian G the coordinate column g(G) = [G_aa, 2 Re G_ab, -2 Im G_ab], so
+q = F(dirs) @ g(G_1 .. G_K) with G_j = P_j P_j^H is one real product for all
+K entries. The same layout runs backwards for the gradient: R_j = sum_s u_sj
+h_s h_s^H unpacks from F^T @ u. `fit` and the bounds in `podsim.pep` take q
+block by block from the kernel `_quadratic_forms`; the link's chunk is one
+block, so its encoder is the product, `_decay` and `_encode`.
 
 At fixed assignments J is a sum of independent per-entry values, so `fit`
 steps all entries at once: one stacked projection and one candidate pass per
@@ -243,16 +244,13 @@ def _from_features(r: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _quadratic_forms(feats: np.ndarray, coords: np.ndarray, out: np.ndarray | None = None):
+def _quadratic_forms(feats: np.ndarray, coords: np.ndarray):
     """The quadratic-form kernel: q[s, j] = h_s^H P_j P_j^H h_s = F(h_s) . g(P_j)
     for feats = F(dirs) and coords = g(matrices), yielded as (rows, q[rows])
-    in blocks of _BLOCK_ROWS rows. Each q is the caller's to overwrite: a
-    fresh array, or the leading rows of out, a (B, K) array with B >=
-    min(S, _BLOCK_ROWS) that every block reuses."""
+    in blocks of _BLOCK_ROWS rows, each a fresh array the caller may overwrite."""
     for lo in range(0, len(feats), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        block = feats[rows]
-        yield rows, np.matmul(block, coords, out=None if out is None else out[: len(block)])
+        yield rows, feats[rows] @ coords
 
 
 def _decay(q: np.ndarray, eta_c: float, power: int, out: np.ndarray | None = None):
@@ -282,25 +280,6 @@ def _encode(
     needs: a fresh (rows, K) array per block costs page faults that slow the
     per-frame encoder."""
     return np.argmin(np.matmul(w, inv, out=out), axis=1, out=idx)
-
-
-def _encode_features(feats, coords, eta_c, n, inv, bufs=None) -> np.ndarray:
-    """Minimum expected-cost index for each feature row F(h) of a unit h in
-    C^n, ties to the smallest index, for the P whose g(P P^H) are coords.
-
-    bufs, when given, is (q, w, asg) and receives every array the encoder
-    writes: q and w two (B, K) blocks, B >= min(S, _BLOCK_ROWS), for each
-    block's quadratic forms (then its costs) and decays, and asg (S,) for the
-    S = len(feats) rows. A caller that encodes batch after batch passes the
-    same bufs, so no batch faults in fresh pages; the indices are returned
-    in asg."""
-    q_buf, w_buf, asg = bufs or (None, None, None)
-    if asg is None:
-        asg = np.empty(len(feats), dtype=np.intp)
-    for rows, q in _quadratic_forms(feats, coords, out=q_buf):
-        w, t = _decay(q, eta_c, n, out=w_buf)
-        _encode(w, inv, out=t, idx=asg[rows])
-    return asg
 
 
 def _entry_pass(feats, coords, inv, asg, eta_c, n, grad, entries=None):

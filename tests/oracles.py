@@ -9,9 +9,10 @@ and the precoded codeword `assemble` live here too.
 `decode_frames` decides with the sweep's batched decoder from the statistic
 r = U^T y that `statistic` forms from the coefficient tensors, rotated into
 the decoder's basis, and
-`kernel_gamma` gives Gamma from the quadratic-form kernel. `kernel_encode`,
-`kernel_objective` and `kernel_gradient` drive the trainer's private passes
-on one codebook, so tests can compare them with these references;
+`kernel_gamma` gives Gamma from the quadratic-form kernel. `feature_encode`,
+`kernel_encode`, `kernel_objective` and `kernel_gradient` drive the
+trainer's private passes on one codebook, so tests can compare them with
+these references;
 `kernel_encode(tail_directions(tail), ...)` is the complex-direction route
 that the sweep's encoder on F(tail) / ||tail||^2 must reproduce.
 `complex_features` is the feature map F(h) taken with complex products, and
@@ -33,7 +34,6 @@ from podsim.trainer import (
     _coordinates,
     _decay,
     _encode,
-    _encode_features,
     _entry_pass,
     _features,
     _gradients,
@@ -124,11 +124,18 @@ def bincount_evaluation_set(cb, feats, eta_c=None):
     )
 
 
+def feature_encode(feats, coords, eta_c, n, inv):
+    """The encoder index of each feature row, from the trainer's assign pass."""
+    asg = np.empty(len(feats), dtype=np.intp)
+    _entry_pass(feats, coords, inv, asg, eta_c, n, False)
+    return asg
+
+
 def kernel_encode(dirs, matrices, eta_c, inv):
     """The trainer's encoder index for each direction row, ties to the
     smallest index."""
     coords = _coordinates(_gram(np.asarray(matrices)))
-    return _encode_features(kernel_features(dirs), coords, eta_c, dirs.shape[1], inv)
+    return feature_encode(kernel_features(dirs), coords, eta_c, dirs.shape[1], inv)
 
 
 def tail_directions(tail):
@@ -254,7 +261,7 @@ def finite_difference_gradient(value_fn, p, step=1e-6):
 def received_block(pod, precoder, sym, h, sigma_n2, rng):
     """One received block y = Z_pod(sym)^H h + n of length t, with circular
     complex Gaussian noise of total variance sigma_n2 per sample."""
-    noise = rng.standard_normal(pod.t) + 1j * rng.standard_normal(pod.t)
+    noise = rng.standard_normal(pod.inner.t) + 1j * rng.standard_normal(pod.inner.t)
     return assemble(pod, precoder, sym).conj().T @ h + math.sqrt(sigma_n2 / 2.0) * noise
 
 

@@ -141,3 +141,20 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 assert top in {"numpy", "podsim"} | sys.stdlib_module_names, (
                     f"{path.name}:{node.lineno} imports {name}"
                 )
+
+
+def test_every_top_level_import_is_read():
+    # A name that a module binds by a top-level import is read in that module,
+    # so a deletion cannot leave its import behind. __init__ imports only to
+    # re-export.
+    for path in sorted(Path(podsim.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        bound = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                 for node in imports if getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread = {name: line for name, line in bound.items() if name not in read}
+        assert not unread, f"{path.name} never reads these imports (name: line): {unread}"

@@ -23,7 +23,7 @@ from podsim.cli import (
 from podsim.codebook import load_codebook, save_codebook
 from podsim.feedback import bsc_inversion_matrix, load_mapping, save_mapping
 from podsim.link import _BER_CSV_HEADER, SimulationConfig, run_ber_sweep
-from podsim.stbc import Constellation, PodStructure, _design_kinds, get_design
+from podsim.stbc import _REGISTRY, Constellation, PodStructure, get_design
 
 
 @pytest.fixture(scope="module")
@@ -435,12 +435,16 @@ def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys)
       "--train-size", "10000000000000"], "n_train"),
     (["train", "--antennas", "2", "--feedback-bits", "15", "--eta-c", "1",
       "--train-size", "32768"], "K=32768"),
+    (["eval-pep", "--rho-f", "0,0.7"], "crossover must lie in [0, 0.5], got 0.7"),
+    (["eval-pep", "--rho-f", "nan"], "crossover must lie in [0, 0.5], got nan"),
+    (["eval-pep", "--eta-c", "nan"], "eta_c must be finite and nonnegative, got nan"),
+    (["eval-pep", "--samples", "0"], "--samples 0"),
 ])
 def test_oversized_requests_are_validation_errors(argv, field, tiny_codebook_path, tmp_path,
                                                   capsys, monkeypatch):
-    # Each asks for an array of 8 GiB or more (K = 2^15 for a K x K table); it
-    # is sized from its shapes and rejected before anything is drawn, so every
-    # draw here fails the test.
+    # Each asks for an array of 8 GiB or more (K = 2^15 for a K x K table), or
+    # gives eval-pep a crossover, eta_c or sample count it cannot use; it is
+    # rejected before anything is drawn, so every draw here fails the test.
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before sizing the request")
 
@@ -556,7 +560,7 @@ def test_recipes_pass_rho_f_only_to_the_closed_loop(tmp_path):
 
 
 def test_code_names_cover_design_registry():
-    assert sorted(CODE_NAMES.values()) == _design_kinds()
+    assert sorted(CODE_NAMES.values()) == sorted(_REGISTRY)
 
 
 @pytest.mark.parametrize("code, const, constellation", [

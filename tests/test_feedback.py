@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def test_noiseless_matrix_is_identity():
 def test_uniform_at_half_crossover():
     p = bsc_inversion_matrix(4, 0.5)
     assert np.array_equal(p, np.full((4, 4), 0.25))
+
+
+def test_inversion_matrix_holds_two_tables_at_most():
+    # Each entry is looked up by the Hamming weight of i ^ j in a (b + 1)-entry
+    # law, so no more than two K x K arrays are alive at once.
+    k = 1024
+    tracemalloc.start()
+    try:
+        bsc_inversion_matrix(k, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * k * k * 8
 
 
 def test_two_bit_error_probability():
@@ -177,7 +191,12 @@ def test_dominant_directions_rank_one():
 def test_dominant_directions_rejects_zero_matrix():
     mats = np.zeros((2, 2, 2), dtype=complex)
     mats[0] = np.eye(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entry 1 is numerically zero"):
+        _chordal_distance_matrix(mats)
+    # Of several zero entries, the first is named.
+    mats = np.zeros((4, 2, 2), dtype=complex)
+    mats[0] = mats[3] = np.eye(2)
+    with pytest.raises(ValueError, match="entry 1 is numerically zero"):
         _chordal_distance_matrix(mats)
 
 

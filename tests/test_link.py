@@ -62,7 +62,6 @@ from podsim.trainer import (
     TrainerConfig,
     _coordinates,
     _direction_features,
-    _encode_features,
     _features,
     _gram,
     fit,
@@ -75,6 +74,7 @@ from oracles import (
     complex_gaussian,
     components,
     decode_frames,
+    feature_encode,
     kernel_encode,
     kernel_features,
     kernel_gamma,
@@ -446,7 +446,7 @@ def test_feature_encoder_matches_direction_route(rho_d):
     e_1 = kernel_features(np.eye(cb.n)[:1])
     np.testing.assert_array_equal(feats[:50], np.broadcast_to(e_1, (50, cb.n**2)))
     coords = _coordinates(_gram(np.asarray(cb.matrices)))
-    fast = _encode_features(feats, coords, cb.eta_c, cb.n, inv)
+    fast = feature_encode(feats, coords, cb.eta_c, cb.n, inv)
     ref = kernel_encode(tail_directions(tails), cb.matrices, cb.eta_c, inv)
     assert np.array_equal(fast, ref), np.flatnonzero(fast != ref)[:10]
 

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import assemble, build
 from podsim.link import _group_decoder, candidate_codewords
-from podsim.stbc import Constellation, PodStructure, _design_kinds, _slot_alphabets, get_design
+from podsim.stbc import _REGISTRY, Constellation, PodStructure, _slot_alphabets, get_design
 
 REAL_KINDS = ["real-od-2", "real-od-4", "real-od-8", "real-od-6x8"]
 
@@ -23,7 +23,7 @@ def test_registry_shapes():
         "alamouti": (2, 2, 2),
         "qostbc-4": (4, 4, 4),
     }
-    assert set(_design_kinds()) == set(expected)
+    assert set(_REGISTRY) == set(expected)
     for kind, (m, t, n_sym) in expected.items():
         d = get_design(kind)
         assert (d.m, d.t, d.n_sym) == (m, t, n_sym)
@@ -131,7 +131,7 @@ def test_constellation_rejects_unknown_kind():
 
 def test_coefficient_tensors_reproduce_builder():
     rng = np.random.default_rng(12)
-    for kind in _design_kinds():
+    for kind in sorted(_REGISTRY):
         d = get_design(kind)
         a, b = d.coefficient_tensors()
         for _ in range(20):
