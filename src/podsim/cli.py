@@ -86,19 +86,13 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(p) for p in parts]
 
 
-def _relabeled(cb: PrecoderCodebook, rule: str) -> PrecoderCodebook:
-    """The codebook under a --mapping rule: unchanged for identity, or with
-    entry i moved to label pi(i) for the permutation pi stored in
-    file:<path>. The entry order is the index assignment, so this is all a
-    mapping does to the link."""
-    if rule == "identity":
+def _relabeled(cb: PrecoderCodebook, path: str | None) -> PrecoderCodebook:
+    """The codebook with entry i moved to label pi(i), for the permutation pi
+    in the mapping file at path, or unchanged when there is none. The entry
+    order is the index assignment, so this is all a mapping does to the link."""
+    if path is None:
         return cb
-    if not rule.startswith("file:"):
-        raise ValueError(
-            f"--mapping accepts identity or file:<path>, got {rule!r}; "
-            "write an annealed mapping with podsim map-anneal and pass it as file:<path>"
-        )
-    perm = load_mapping(rule[5:], cb.k)
+    perm = load_mapping(path, cb.k)
     matrices, marginals = np.empty_like(cb.matrices), np.empty_like(cb.marginals)
     matrices[perm], marginals[perm] = cb.matrices, cb.marginals
     return dataclasses.replace(cb, matrices=matrices, marginals=marginals)
@@ -111,8 +105,7 @@ def cmd_train(args) -> int:
     m = args.antennas
     n = args.precoder_dim if args.precoder_dim is not None else min(k, m)
 
-    if (args.eta_c is None) == (args.design_snr_db is None):
-        raise ValueError("give exactly one of --eta-c and --design-snr-db")
+    # The parser lets one eta flag and at most one rho flag (--rho-d 0 if none) through.
     if args.eta_c is not None:
         if args.block_length is not None:
             raise ValueError("--block-length applies only to --design-snr-db")
@@ -121,23 +114,16 @@ def cmd_train(args) -> int:
         t = args.block_length if args.block_length is not None else m
         eta_c = eta_c_from_snr_db(m, t, args.design_snr_db)
 
-    modes = [
-        ("fixed", args.rho_d),
-        ("worst-case", args.rho_range),
-        ("average", args.rho_average),
-    ]
-    chosen = [(name, val) for name, val in modes if val is not None]
-    if len(chosen) > 1:
-        raise ValueError("give at most one of --rho-d, --rho-range, --rho-average")
-    mode, value = chosen[0] if chosen else ("fixed", 0.0)
+    rho_range = args.rho_range or args.rho_average
+    rule = "fixed" if rho_range is None else "worst-case" if args.rho_range else "average"
 
     cfg = TrainerConfig(
         m=m,
         n=n,
         k=k,
         eta_c=eta_c,
-        rho_d=value if mode == "fixed" else 0.0,
-        rho_range=None if mode == "fixed" else value,
+        rho_d=args.rho_d,
+        rho_range=rho_range,
         n_train=args.train_size,
         step_m=args.step_m,
         tol=args.tol,
@@ -145,9 +131,9 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     log.info(
-        "training M=%d N=%d K=%d eta_c=%.4g (%s rule)", m, n, k, eta_c, mode
+        "training M=%d N=%d K=%d eta_c=%.4g (%s rule)", m, n, k, eta_c, rule
     )
-    state = fit(cfg if mode == "fixed" else range_design(cfg, mode))
+    state = fit(cfg if rho_range is None else range_design(cfg, rule))
     log.info(
         "stopped on %s after %d rounds, J=%.6g; backtracking halvings per round: %s",
         state.stop_reason, len(state.objective_history), state.objective_history[-1],
@@ -189,7 +175,7 @@ def cmd_simulate(args) -> int:
     # the closed loop over a feedback link at --rho-f.
     codebook = feedback = None
     if args.codebook is None:
-        if args.rho_f != 0.0 or args.mapping != "identity":
+        if args.rho_f != 0.0 or args.mapping is not None:
             raise ValueError("--rho-f and --mapping act on a codebook's feedback; give --codebook")
         pod = PodStructure(inner=design, n=design.m)
     else:
@@ -347,6 +333,8 @@ RECIPES = {
 
 
 def cmd_recipe(args) -> int:
+    if args.workers < 1:  # checked before the first step, which may not sweep
+        raise ValueError(f"need at least one worker, got {args.workers}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     steps = RECIPES[args.name](out, args.workers)
@@ -385,17 +373,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--precoder-dim", type=int, default=None, help="precoder size N (default min(K, M))"
     )
-    p.add_argument("--rho-d", type=float, default=None, help="design crossover probability")
-    p.add_argument(
+    rho = p.add_mutually_exclusive_group()
+    rho.add_argument("--rho-d", type=float, default=0.0, help="design crossover probability")
+    rho.add_argument(
         "--rho-range", type=_parse_pair, default=None,
         help="crossover range A,B for the worst-case rule (trains at B)",
     )
-    p.add_argument(
+    rho.add_argument(
         "--rho-average", type=_parse_pair, default=None,
         help="crossover range A,B for the average rule (trains at the midpoint)",
     )
-    p.add_argument("--eta-c", type=float, default=None, help="design distance parameter")
-    p.add_argument(
+    eta = p.add_mutually_exclusive_group(required=True)
+    eta.add_argument("--eta-c", type=float, default=None, help="design distance parameter")
+    eta.add_argument(
         "--design-snr-db", type=float, default=None,
         help="design SNR in dB; eta_c = M * 10^(x/10) / (4 T)",
     )
@@ -447,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="data symbols per frame (default 130 rounded down to whole code blocks)"
     )
     p.add_argument(
-        "--mapping", default="identity",
-        help="identity, or file:<path> to relabel the codebook entries (needs --codebook)",
+        "--mapping", default=None, metavar="PATH",
+        help="map-anneal file that relabels the codebook entries (needs --codebook)",
     )
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="CSV output path")
@@ -485,6 +475,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(level)
     try:
+        if hasattr(args, "out"):  # every subcommand but recipe; checked before any work
+            out = Path(args.out)
+            if out.is_dir():
+                raise IsADirectoryError(f"--out {out} is a directory")
+            if not out.parent.is_dir():
+                raise FileNotFoundError(f"--out {out}: {out.parent} is not a directory")
         return args.func(args)
     except ValueError as exc:
         print(f"podsim: {exc}", file=sys.stderr)

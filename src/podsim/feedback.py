@@ -19,7 +19,7 @@ simulated annealing so that likely bit errors land on precoders whose
 dominant transmit directions are close in chordal distance. The schedule is
 fixed (start temperature 0.05, geometric cooling by 0.9995 per move); only
 the number of moves is a parameter. `podsim map-anneal` writes a mapping to
-a file, and `simulate --mapping file:<path>` relabels the codebook with it.
+a file, and `simulate --mapping <path>` relabels the codebook with it.
 A codebook trained against the noisy channel has its labels fixed by the
 training already; on such a codebook the annealer may find nothing cheaper
 than the identity.
@@ -227,8 +227,8 @@ def save_mapping(path, perm: np.ndarray) -> None:
         fh.write(" ".join(str(int(v) + 1) for v in perm) + "\n")
 
 
-def load_mapping(path, k: int | None = None) -> np.ndarray:
-    """Read a mapping file back into a 0-based permutation array."""
+def load_mapping(path, k: int) -> np.ndarray:
+    """Read a mapping file for K = k indices into a 0-based permutation."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != _MAPPING_MAGIC:
@@ -236,7 +236,7 @@ def load_mapping(path, k: int | None = None) -> np.ndarray:
     if len(lines) < 3 or not lines[1].startswith("K "):
         raise ValueError(f"{path}: malformed mapping file")
     file_k = int(lines[1].split()[1])
-    if k is not None and file_k != k:
+    if file_k != k:
         raise ValueError(f"{path}: mapping is for K={file_k}, expected K={k}")
     values = np.array(" ".join(lines[2:]).split(), dtype=np.int64) - 1
-    return _check_mapping(values, file_k)
+    return _check_mapping(values, k)

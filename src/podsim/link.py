@@ -483,8 +483,8 @@ def _effective_channels(
     """The gains lambda = F(h) . table[a], shape (F, L), of one channel draw
     h per frame through the entry a the transmitter applies. h is drawn as
     its real and imaginary parts, and the encoder quantizes F(tail) /
-    ||tail||^2, the kernel's features of the parts' tail columns, with one
-    product, the trainer's `_decay` and its `_encode` on the whole chunk."""
+    ||tail||^2, the kernel's features of the parts' tail columns, with
+    `_serial_matmul`, the trainer's `_decay` and its `_encode` on the chunk."""
     m, n = config.pod.m, config.pod.n
     coords, design_inv, tables = precoders
     gains = scratch.take((frames, tables.shape[1]))
@@ -499,7 +499,7 @@ def _effective_channels(
             with scratch.scope():
                 dirs = scratch.take((n * n, frames)).T
                 tail = feats if n == m else _features(re[:, m - n :], im[:, m - n :], out=dirs)
-                q = np.matmul(_direction_features(tail, dirs), coords, out=scratch.take((frames, cb.k)))
+                q = _serial_matmul(_direction_features(tail, dirs), coords, scratch.take((frames, cb.k)))
                 w, t = _decay(q, cb.eta_c, n, out=scratch.take((frames, cb.k)))
                 _encode(w, design_inv, out=t, idx=applied)
             if config.feedback is not None:

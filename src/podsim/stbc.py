@@ -33,6 +33,9 @@ The quasi-orthogonal 4x4 code stacks two Alamouti blocks so that the ML
 metric separates over the symbol pairs (z1, z3) and (z2, z4); full
 diversity requires the second symbol of each pair to come from a rotated
 alphabet, which the QPSK constellation here applies to z3 and z4.
+
+Each design is stated once, as its builder: a function of the n_sym symbols
+that returns Z. `InnerDesign` reads the shape and realness off the builder.
 """
 
 from __future__ import annotations
@@ -49,13 +52,11 @@ __all__ = [
 ]
 
 
-def _od2(z):
-    z1, z2 = z
+def _od2(z1, z2):
     return np.array([[z1, -z2], [z2, z1]], dtype=complex)
 
 
-def _od4(z):
-    z1, z2, z3, z4 = z
+def _od4(z1, z2, z3, z4):
     return np.array(
         [
             [z1, -z2, -z3, -z4],
@@ -67,8 +68,7 @@ def _od4(z):
     )
 
 
-def _od8(z):
-    z1, z2, z3, z4, z5, z6, z7, z8 = z
+def _od8(z1, z2, z3, z4, z5, z6, z7, z8):
     # Antenna rows = columns of the standard time-indexed 8x8 table.
     time_rows = np.array(
         [
@@ -86,17 +86,15 @@ def _od8(z):
     return time_rows.T
 
 
-def _od6x8(z):
-    return _od8(z)[:6, :]
+def _od6x8(*z):
+    return _od8(*z)[:6, :]
 
 
-def _alamouti(z):
-    z1, z2 = z
+def _alamouti(z1, z2):
     return np.array([[z1, -np.conj(z2)], [z2, np.conj(z1)]], dtype=complex)
 
 
-def _qostbc4(z):
-    z1, z2, z3, z4 = z
+def _qostbc4(z1, z2, z3, z4):
     c = np.conj
     # Two stacked Alamouti blocks, slot order chosen so the ML metric
     # separates over the pairs (z1, z3) and (z2, z4).
@@ -114,42 +112,47 @@ def _qostbc4(z):
 
 @dataclass(frozen=True)
 class InnerDesign:
-    """One inner block design: kind name, shape, and symbol layout.
+    """One inner block design: a kind name and the builder that maps its
+    n_sym symbols, one argument each, to the codeword Z. The shape m x t and
+    is_real (Z takes no conjugate) are read off one probe of the builder.
 
     rotated_slots lists the symbol positions that take the rotated alphabet
     when a rotated constellation is used (quasi-orthogonal designs only).
     """
 
     kind: str
-    m: int
-    t: int
     n_sym: int
-    is_real: bool
+    builder: callable = field(repr=False, compare=False)
     rotated_slots: tuple[int, ...] = ()
-    builder: callable = field(default=None, repr=False, compare=False)
+    m: int = field(init=False)
+    t: int = field(init=False)
+    is_real: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        a, b = self.coefficient_tensors()
+        for name, value in (("m", a.shape[1]), ("t", a.shape[2]), ("is_real", not b.any())):
+            object.__setattr__(self, name, value)
 
     def coefficient_tensors(self) -> tuple[np.ndarray, np.ndarray]:
         """Tensors (A, B) with Z(z) = sum_k z_k A_k + conj(z_k) B_k.
 
         Probed from the builder at unit and imaginary-unit symbol vectors;
-        a real design takes no conjugate, so its B comes out 0.
+        a real design takes no conjugate, so its B comes out exactly 0.
         """
         units = np.eye(self.n_sym, dtype=complex)
-        z_real = np.array([self.builder(e) for e in units])
-        z_imag = np.array([self.builder(1j * e) for e in units])
+        z_real = np.array([self.builder(*e) for e in units])
+        z_imag = np.array([self.builder(*(1j * e)) for e in units])
         return (z_real - 1j * z_imag) / 2.0, (z_real + 1j * z_imag) / 2.0
 
 
-_REGISTRY = {
-    "real-od-2": InnerDesign("real-od-2", m=2, t=2, n_sym=2, is_real=True, builder=_od2),
-    "real-od-4": InnerDesign("real-od-4", m=4, t=4, n_sym=4, is_real=True, builder=_od4),
-    "real-od-8": InnerDesign("real-od-8", m=8, t=8, n_sym=8, is_real=True, builder=_od8),
-    "real-od-6x8": InnerDesign("real-od-6x8", m=6, t=8, n_sym=8, is_real=True, builder=_od6x8),
-    "alamouti": InnerDesign("alamouti", m=2, t=2, n_sym=2, is_real=False, builder=_alamouti),
-    "qostbc-4": InnerDesign(
-        "qostbc-4", m=4, t=4, n_sym=4, is_real=False, rotated_slots=(2, 3), builder=_qostbc4
-    ),
-}
+_REGISTRY = {d.kind: d for d in (
+    InnerDesign("real-od-2", 2, _od2),
+    InnerDesign("real-od-4", 4, _od4),
+    InnerDesign("real-od-8", 8, _od8),
+    InnerDesign("real-od-6x8", 8, _od6x8),
+    InnerDesign("alamouti", 2, _alamouti),
+    InnerDesign("qostbc-4", 4, _qostbc4, rotated_slots=(2, 3)),
+)}
 
 
 def get_design(kind: str) -> InnerDesign:

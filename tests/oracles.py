@@ -63,7 +63,7 @@ def build(design, symbols):
         if np.iscomplexobj(z) and np.abs(z.imag).max() > 1e-12:
             raise ValueError(f"{design.kind} is a real design; symbols must be real")
         z = z.real.astype(float)
-    return design.builder(z)
+    return design.builder(*z)
 
 
 def assemble(pod, precoder, symbols):

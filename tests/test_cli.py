@@ -4,12 +4,16 @@ artifacts, and recipe determinism."""
 import argparse
 import dataclasses
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import podsim
 from podsim.channel import sample_directions
 from podsim.cli import (
     _MAX_SNR_POINTS,
@@ -49,6 +53,17 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as ei:
         main([])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["train"], 2)])
+def test_module_entry_point_exits_with_main(args, code):
+    src = str(Path(podsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "podsim.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "podsim" in (proc.stdout if code == 0 else proc.stderr)
 
 
 def test_bad_snr_grid_is_usage_error(tmp_path):
@@ -96,10 +111,14 @@ def test_zero_feedback_bits_rejected(tmp_path, capsys):
 
 
 def test_eta_flags_must_be_exclusive(tmp_path):
+    # The parser states the rule: exactly one of the two, or a usage error.
     base = ["train", "--antennas", "2", "--feedback-bits", "1",
             "--rho-d", "0", "--out", str(tmp_path / "cb.cb")]
-    assert main(base) == 3  # neither eta flag
-    assert main(base + ["--eta-c", "1.0", "--design-snr-db", "10"]) == 3
+    for argv in (base, base + ["--eta-c", "1.0", "--design-snr-db", "10"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+    assert not (tmp_path / "cb.cb").exists()
 
 
 def test_block_length_only_with_design_snr(tmp_path, capsys):
@@ -115,11 +134,17 @@ def test_block_length_only_with_design_snr(tmp_path, capsys):
 
 
 def test_rho_flags_must_be_exclusive(tmp_path):
-    rc = main(
-        ["train", "--antennas", "2", "--feedback-bits", "1", "--eta-c", "1.0",
-         "--rho-d", "0.1", "--rho-range", "0,0.1", "--out", str(tmp_path / "cb.cb")]
-    )
-    assert rc == 3
+    # At most one crossover flag; an explicit --rho-d 0 still counts as given.
+    base = ["train", "--antennas", "2", "--feedback-bits", "1", "--eta-c", "1.0",
+            "--out", str(tmp_path / "cb.cb")]
+    pairs = (["--rho-d", "0.1", "--rho-range", "0,0.1"],
+             ["--rho-d", "0", "--rho-average", "0,0.1"],
+             ["--rho-range", "0,0.1", "--rho-average", "0,0.1"])
+    for flags in pairs:
+        with pytest.raises(SystemExit) as ei:
+            main(base + flags)
+        assert ei.value.code == 2
+    assert not (tmp_path / "cb.cb").exists()
 
 
 def test_train_logs_stop_reason_and_halvings(tmp_path, caplog):
@@ -321,17 +346,19 @@ def test_simulate_closed_loop_without_codebook_rejected(tmp_path, capsys):
 
 
 def test_simulate_mapping_flags(tiny_codebook_path, tmp_path, capsys):
-    # An annealed mapping comes only from map-anneal, as a file.
+    # An annealed mapping comes only from map-anneal, as a file: --mapping is
+    # its path, and any other word names a file that is not there.
     mapping = tmp_path / "map.txt"
     assert main(["map-anneal", "--codebook", str(tiny_codebook_path), "--rho-f", "0.1",
                  "--seed", "2", "--out", str(mapping)]) == 0
     args = ["simulate", "--codebook", str(tiny_codebook_path), "--code", "od2",
             "--constellation", "bpsk", "--rho-f", "0.1", "--snr-db", "6",
             "--frames", "100", "--symbols-per-frame", "128", "--seed", "2"]
-    assert main(args + ["--mapping", f"file:{mapping}", "--out", str(tmp_path / "a.csv")]) == 0
-    for rule in ("anneal", "bogus"):
-        assert main(args + ["--mapping", rule, "--out", str(tmp_path / "b.csv")]) == 3
-    assert capsys.readouterr().err.count("podsim map-anneal") == 2
+    assert main(args + ["--mapping", str(mapping), "--out", str(tmp_path / "a.csv")]) == 0
+    for word in ("anneal", "identity"):
+        assert main(args + ["--mapping", str(tmp_path / word),
+                            "--out", str(tmp_path / "b.csv")]) == 4
+        assert "No such file" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
 
 
@@ -359,7 +386,7 @@ def test_simulate_mapping_relabels_the_codebook(k8_codebook_path, tmp_path):
         out = tmp_path / f"{name}.csv"
         assert main(["simulate", "--codebook", cb, "--code", "od2", "--constellation", "bpsk",
                      "--rho-f", "0.1", "--snr-db", "4:8:4", "--frames", "4000", "--seed", "3",
-                     "--mapping", f"file:{tmp_path / name}.txt", "--out", str(out)]) == 0
+                     "--mapping", f"{tmp_path / name}.txt", "--out", str(out)]) == 0
         assert [int(line.split(",")[4]) for line in out.read_text().split()[1:]] == counts, name
 
 
@@ -378,7 +405,7 @@ def test_simulate_mapping_matters_without_index_errors(k8_codebook_path, tmp_pat
             assert main(["simulate", "--codebook", str(cb), "--code", "od2",
                          "--constellation", "bpsk", "--rho-f", "0", "--snr-db", "4:8:4",
                          "--frames", "4000", "--seed", "3",
-                         "--mapping", f"file:{tmp_path / name}.txt", "--out", str(out)]) == 0
+                         "--mapping", f"{tmp_path / name}.txt", "--out", str(out)]) == 0
             counts[rho_d, name] = [int(line.split(",")[4]) for line in out.read_text().split()[1:]]
     assert counts["0.1", "pi"] != counts["0.1", "identity"]
     assert counts["0", "pi"] == counts["0", "identity"]
@@ -490,6 +517,29 @@ def test_bad_values_from_flags_and_files_are_validation_errors(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    TRAIN_SMALL + ["--eta-c", "1"],
+    ["eval-pep", "--codebook", "cb.cb"],
+    OPEN_LOOP,
+    ["eigen", "--codebook", "cb.cb"],
+    ["map-anneal", "--codebook", "cb.cb", "--rho-f", "0.1"],
+])
+@pytest.mark.parametrize("out", ["missing/out", "dir"])
+def test_out_directory_is_checked_before_any_work(argv, out, tmp_path, capsys, monkeypatch):
+    # An --out in no directory, or naming one, is an I/O error before any
+    # codebook is read, trained or swept.
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --out")
+
+    for target in ("podsim.cli.fit", "podsim.cli.load_codebook", "podsim.cli.run_ber_sweep"):
+        monkeypatch.setattr(target, no_work)
+    (tmp_path / "dir").mkdir()
+    assert main(argv + ["--out", str(tmp_path / out)]) == 4
+    assert capsys.readouterr().err.startswith("podsim: --out ")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--rho-range", "--rho-average"])
 @pytest.mark.parametrize("pair", ["0.1", "0.1,0.2,0.3"])
 def test_malformed_rho_pair_is_usage_error(flag, pair, tmp_path):
@@ -514,7 +564,7 @@ def test_malformed_mapping_file_exits_3_and_writes_nothing(text, message, tiny_c
     mapping.write_text(text, encoding="utf-8")
     out = tmp_path / "x.csv"
     assert main(OPEN_LOOP + ["--codebook", str(tiny_codebook_path),
-                             "--mapping", f"file:{mapping}", "--out", str(out)]) == 3
+                             "--mapping", str(mapping), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -545,7 +595,7 @@ def test_simulate_rejects_rho_f_outside_the_closed_loop(tmp_path, capsys):
     out = tmp_path / "x.csv"
     base = ["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6",
             "--frames", "10", "--out", str(out)]
-    for flags in (["--rho-f", "0.3"], ["--mapping", f"file:{tmp_path / 'map.txt'}"]):
+    for flags in (["--rho-f", "0.3"], ["--mapping", str(tmp_path / "map.txt")]):
         assert main(base + flags) == 3
         assert "give --codebook" in capsys.readouterr().err
     assert not out.exists()
@@ -623,6 +673,20 @@ def test_recipe_stops_at_its_first_failing_step(tiny_codebook_path, tmp_path, mo
     assert main(["recipe", "smoke", "--out-dir", str(tmp_path)]) == 4
     assert not (tmp_path / "first.csv").exists()
     assert not (tmp_path / "second.csv").exists()
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_recipe_checks_workers_before_its_first_step(name, tmp_path, capsys, monkeypatch):
+    # Every recipe trains first, and eigen-spread never sweeps at all, so a
+    # worker count is checked before any step runs.
+    def no_fit(*args, **kwargs):
+        raise AssertionError("trained before checking --workers")
+
+    monkeypatch.setattr("podsim.cli.fit", no_fit)
+    out = tmp_path / "r"
+    assert main(["recipe", name, "--out-dir", str(out), "--workers", "0"]) == 3
+    assert "need at least one worker, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_recipe_runs_every_step_at_its_log_level(tmp_path, caplog):

@@ -816,8 +816,7 @@ def test_unequal_slot_groups_are_rejected():
     # Z = [[z1, 0], [z2, z3]]: z1 and z2 share time slot 1, so they couple;
     # z3 alone fills time slot 2 and couples with neither.
     design = InnerDesign(
-        "uneven-3", m=2, t=2, n_sym=3, is_real=True,
-        builder=lambda z: np.array([[z[0], 0.0], [z[1], z[2]]], dtype=complex),
+        "uneven-3", 3, lambda z1, z2, z3: np.array([[z1, 0.0], [z2, z3]], dtype=complex)
     )
     with pytest.raises(ValueError, match=r"slot groups \[\(0, 1\), \(2,\)\] differ in size"):
         _group_decoder(design, Constellation("bpsk"))
@@ -827,12 +826,25 @@ def test_design_without_fixed_basis_is_rejected():
     # Z = [[z1], [z2]]: Gamma(h) = [[|h1|^2, Re(h1^* h2)], [Re(h1^* h2),
     # |h2|^2]] spans every symmetric 2 x 2 matrix, so no fixed rotation makes
     # it diagonal for every channel, and there is no fallback.
-    design = InnerDesign(
-        "column-2", m=2, t=1, n_sym=2, is_real=True,
-        builder=lambda z: np.array([[z[0]], [z[1]]], dtype=complex),
-    )
+    design = InnerDesign("column-2", 2, lambda z1, z2: np.array([[z1], [z2]], dtype=complex))
     with pytest.raises(ValueError, match="no fixed basis makes Gamma diagonal"):
         _group_decoder(design, Constellation("bpsk"))
+
+
+@pytest.mark.parametrize("kind, constellation", [("real-od-4", "bpsk"), ("qostbc-4", "qpsk-rot")])
+def test_closed_loop_counts_do_not_depend_on_the_serial_split(kind, constellation, monkeypatch):
+    # Every product of the sweep, the encoder's and the decoder's, is split
+    # into row blocks below _SERIAL_MACS; one row per product gives the same
+    # counts as the default split.
+    cb = load_codebook(STORED_CODEBOOK)
+    config = SimulationConfig(
+        snr_grid_db=[4.0, 8.0], frames=600, pod=PodStructure(inner=get_design(kind), n=cb.n),
+        constellation=Constellation(constellation), codebook=cb,
+        feedback=FeedbackChannel(k=cb.k, rho_f=0.04), symbols_per_frame=16, seed=5,
+    )
+    default = [r.bit_errors for r in run_ber_sweep(config)]
+    monkeypatch.setattr(podsim.link, "_SERIAL_MACS", 256)
+    assert [r.bit_errors for r in run_ber_sweep(config)] == default
 
 
 def test_worker_count_capped_by_tasks_and_cores(monkeypatch):

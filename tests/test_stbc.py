@@ -15,18 +15,20 @@ def random_psd_precoder(n, rng):
 
 
 def test_registry_shapes():
+    # m, t and is_real are read off each builder; these are the shapes the
+    # paper's designs have.
     expected = {
-        "real-od-2": (2, 2, 2),
-        "real-od-4": (4, 4, 4),
-        "real-od-8": (8, 8, 8),
-        "real-od-6x8": (6, 8, 8),
-        "alamouti": (2, 2, 2),
-        "qostbc-4": (4, 4, 4),
+        "real-od-2": (2, 2, 2, True),
+        "real-od-4": (4, 4, 4, True),
+        "real-od-8": (8, 8, 8, True),
+        "real-od-6x8": (6, 8, 8, True),
+        "alamouti": (2, 2, 2, False),
+        "qostbc-4": (4, 4, 4, False),
     }
     assert set(_REGISTRY) == set(expected)
-    for kind, (m, t, n_sym) in expected.items():
+    for kind, shape in expected.items():
         d = get_design(kind)
-        assert (d.m, d.t, d.n_sym) == (m, t, n_sym)
+        assert (d.m, d.t, d.n_sym, d.is_real) == shape
     with pytest.raises(ValueError):
         get_design("bogus")
 
