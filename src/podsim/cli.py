@@ -20,6 +20,7 @@ import numpy as np
 
 from .codebook import PrecoderCodebook, eigen_profile, load_codebook, save_codebook
 from .feedback import (
+    _MAX_ELEMENTS,
     FeedbackChannel,
     _check_elements,
     bsc_inversion_matrix,
@@ -101,6 +102,10 @@ def _relabeled(cb: PrecoderCodebook, path: str | None) -> PrecoderCodebook:
 def cmd_train(args) -> int:
     if args.feedback_bits < 1:
         raise ValueError(f"need at least one feedback bit, got {args.feedback_bits}")
+    # A K x K table holds 4^b elements; b is compared before 2^b is formed.
+    if 2 * args.feedback_bits > _MAX_ELEMENTS.bit_length() - 1:
+        raise ValueError(f"--feedback-bits {args.feedback_bits} needs K x K tables of 4^b "
+                         f"elements, more than the ceiling of {_MAX_ELEMENTS}")
     k = 2**args.feedback_bits
     m = args.antennas
     n = args.precoder_dim if args.precoder_dim is not None else min(k, m)
@@ -223,7 +228,7 @@ def cmd_eigen(args) -> int:
 def cmd_map_anneal(args) -> int:
     cb = load_codebook(args.codebook)
     rng = np.random.default_rng(args.seed)
-    perm = optimize_mapping(np.asarray(cb.matrices), cb.marginals, args.rho_f, args.sa_iters, rng)
+    perm = optimize_mapping(cb.matrices, cb.marginals, args.rho_f, args.sa_iters, rng)
     save_mapping(args.out, perm)
     log.info("wrote %s", args.out)
     return 0

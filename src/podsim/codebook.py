@@ -72,35 +72,49 @@ def project_psd_power(a: np.ndarray, power: float) -> np.ndarray:
     return psd * np.sqrt(power / norm_sq)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrecoderCodebook:
-    """K Hermitian PSD precoders with their design metadata.
+    """K Hermitian PSD precoders with their design metadata, checked when built.
 
     m: total transmit antennas the codebook was designed for
-    n: precoder size (quantized tail length)
-    k: number of entries
-    matrices: (k, n, n) complex stack
+    matrices: (K, N, N) complex stack; it fixes n, the precoder size
+        (quantized tail length), and k, the number of entries, a power of two
     eta_c: design distance-to-noise parameter
     rho_d: design crossover probability
     marginals: entry usage probabilities p(i) estimated during training
     rho_range: optional design range (f_a, f_b), 0 <= f_a <= f_b <= 0.5,
         of the worst-case and average design rules
+
+    The codebook keeps read-only copies of matrices and marginals, so no
+    edit can undo the check; the validate method only re-checks it.
     """
 
     m: int
-    n: int
-    k: int
+    n: int = field(init=False)
+    k: int = field(init=False)
     matrices: np.ndarray
     eta_c: float
     rho_d: float
     marginals: np.ndarray
     rho_range: tuple[float, float] | None = field(default=None)
 
+    def __post_init__(self) -> None:
+        mats, marg = np.array(self.matrices), np.array(self.marginals, dtype=float)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise CodebookError(f"matrices must have shape (K, N, N), got {mats.shape}")
+        mats.flags.writeable = marg.flags.writeable = False
+        for name, value in (("matrices", mats), ("marginals", marg),
+                            ("k", mats.shape[0]), ("n", mats.shape[1])):
+            object.__setattr__(self, name, value)
+        self.validate()
+
     def validate(self) -> None:
         if not 1 <= self.n <= self.m:
             raise CodebookError(f"need 1 <= N <= M, got N={self.n}, M={self.m}")
         if self.k < 1:
             raise CodebookError(f"need at least one entry, got K={self.k}")
+        if self.k & (self.k - 1):
+            raise CodebookError(f"index count must be a power of two, got K={self.k}")
         if self.eta_c < 0 or not np.isfinite(self.eta_c):
             raise CodebookError(f"eta_c must be finite and nonnegative, got {self.eta_c}")
         if not 0.0 <= self.rho_d <= 0.5:
@@ -116,14 +130,13 @@ class PrecoderCodebook:
                 raise CodebookError(
                     f"need 0 <= f_a <= f_b <= 0.5, got rho_range {self.rho_range}"
                 )
-        mats = np.asarray(self.matrices)
-        if mats.shape != (self.k, self.n, self.n):
-            raise CodebookError(f"matrices must have shape {(self.k, self.n, self.n)}, got {mats.shape}")
+        mats, marg = self.matrices, self.marginals
         if not np.all(np.isfinite(mats)):
             raise CodebookError("matrices contain non-finite entries")
-        marg = np.asarray(self.marginals, dtype=float)
         if marg.shape != (self.k,):
             raise CodebookError(f"marginals must have shape ({self.k},), got {marg.shape}")
+        if not np.all(np.isfinite(marg)):
+            raise CodebookError("marginals contain non-finite entries")
         if marg.min() < -1e-12 or abs(marg.sum() - 1.0) > 1e-6:
             raise CodebookError("marginals must be nonnegative and sum to one")
         for j in range(self.k):
@@ -143,7 +156,7 @@ def eigen_profile(cb: PrecoderCodebook) -> np.ndarray:
     P_j P_j^H has eigenvalues delta^2; sum delta^2 = n by the power
     constraint.
     """
-    return np.maximum(np.linalg.eigvalsh(np.asarray(cb.matrices))[:, ::-1], 0.0)
+    return np.maximum(np.linalg.eigvalsh(cb.matrices)[:, ::-1], 0.0)
 
 
 def _fmt(x: float) -> str:
@@ -151,19 +164,17 @@ def _fmt(x: float) -> str:
 
 
 def save_codebook(cb: PrecoderCodebook, path) -> None:
-    """Write a validated codebook in the PODCB 1 text format."""
-    cb.validate()
+    """Write a codebook in the PODCB 1 text format."""
     lines = [f"{_MAGIC} {_VERSION}"]
     lines.append(
         f"M {cb.m} N {cb.n} K {cb.k} ETA_C {_fmt(cb.eta_c)} RHO_D {_fmt(cb.rho_d)}"
     )
     if cb.rho_range is not None:
         lines.append("RANGE " + " ".join(_fmt(f) for f in cb.rho_range))
-    lines.append("MARGINALS " + " ".join(_fmt(v) for v in np.asarray(cb.marginals, dtype=float)))
-    mats = np.asarray(cb.matrices)
+    lines.append("MARGINALS " + " ".join(_fmt(v) for v in cb.marginals))
     for j in range(cb.k):
         lines.append(f"P {j + 1}")
-        for row in mats[j]:
+        for row in cb.matrices[j]:
             lines.append(" ".join(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -236,9 +247,7 @@ def load_codebook(path) -> PrecoderCodebook:
             matrices[j, r] = vals[0::2] + 1j * vals[1::2]
             pos += 1
 
-    cb = PrecoderCodebook(
-        m=m, n=n, k=k, matrices=matrices, eta_c=eta_c, rho_d=rho_d, marginals=marginals,
+    return PrecoderCodebook(
+        m=m, matrices=matrices, eta_c=eta_c, rho_d=rho_d, marginals=marginals,
         rho_range=rho_range,
     )
-    cb.validate()
-    return cb

@@ -233,10 +233,15 @@ def load_mapping(path, k: int) -> np.ndarray:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != _MAPPING_MAGIC:
         raise ValueError(f"{path}: not a mapping file (missing '{_MAPPING_MAGIC}' header)")
-    if len(lines) < 3 or not lines[1].startswith("K "):
-        raise ValueError(f"{path}: malformed mapping file")
-    file_k = int(lines[1].split()[1])
+    head = lines[1].split() if len(lines) >= 3 else []
+    if len(head) != 2 or head[0] != "K":
+        raise ValueError(f"{path}: malformed mapping file (expected 'K <int>', then the "
+                         "permutation)")
+    try:
+        file_k = int(head[1])
+        values = np.array(" ".join(lines[2:]).split(), dtype=np.int64) - 1
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed mapping file: {exc}") from None
     if file_k != k:
         raise ValueError(f"{path}: mapping is for K={file_k}, expected K={k}")
-    values = np.array(" ".join(lines[2:]).split(), dtype=np.int64) - 1
     return _check_mapping(values, k)

@@ -316,9 +316,10 @@ def _noise_variance(m: int, snr_db: float) -> float:
         return math.nan
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
-    """One BER sweep: link pieces plus Monte Carlo bookkeeping.
+    """One BER sweep: link pieces plus Monte Carlo bookkeeping, checked when
+    built; the validate method only re-checks it.
 
     snr_grid_db: SNR points (eta0 in dB)
     frames: frames per SNR point; one channel draw and one feedback event
@@ -348,7 +349,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.symbols_per_frame is None:
             n_sym = self.pod.inner.n_sym
-            self.symbols_per_frame = 130 // n_sym * n_sym
+            object.__setattr__(self, "symbols_per_frame", 130 // n_sym * n_sym)
+        self.validate()
 
     def validate(self) -> None:
         if len(self.snr_grid_db) == 0:
@@ -462,7 +464,7 @@ def _precoders(codebook: PrecoderCodebook | None, decoder: _GroupDecoder, m: int
     coords = design_inv = None
     matrices = np.eye(m)[None]
     if codebook is not None:
-        matrices = np.asarray(codebook.matrices)
+        matrices = codebook.matrices
         coords = _coordinates(_gram(matrices))
         design_inv = bsc_inversion_matrix(codebook.k, codebook.rho_d)
     k, n = matrices.shape[:2]
@@ -549,7 +551,6 @@ def run_ber_sweep(config: SimulationConfig, workers: int = 1) -> list[BerResult]
     Results are independent of `workers`; chunks own disjoint seed
     branches and the error counts add exactly.
     """
-    config.validate()
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     bits_per_frame = (

@@ -103,7 +103,7 @@ def build_evaluation_set(
     counts = np.zeros(k)
     tail = np.zeros((k, k))
     identity = np.eye(k)
-    coords = _coordinates(_gram(np.asarray(cb.matrices)))
+    coords = _coordinates(_gram(cb.matrices))
     for _, q in _quadratic_forms(dirs, coords):
         w = None if eta_c == cb.eta_c else _decay(q.copy(), eta_c, cb.n)[0]
         w_enc, t = _decay(q, cb.eta_c, cb.n)

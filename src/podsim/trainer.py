@@ -101,7 +101,7 @@ def eta_c_from_snr_db(m: int, t: int, snr_db: float) -> float:
     return eta_c
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerConfig:
     """Codebook training configuration.
 
@@ -401,8 +401,6 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
     values, _ = _entry_pass(feats, _coordinates(_gram(mats)), inv, asg, cfg.eta_c, cfg.n, False)
     cb = PrecoderCodebook(
         m=cfg.m,
-        n=cfg.n,
-        k=cfg.k,
         matrices=mats,
         eta_c=cfg.eta_c,
         rho_d=cfg.rho_d,
@@ -426,7 +424,6 @@ def fit(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> TrainingS
         final_objective, state = _run_single(cfg, feats, inv, rng)
         if final_objective < best_objective:
             best_objective, best = final_objective, state
-    best.codebook.validate()
     return best
 
 

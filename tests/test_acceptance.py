@@ -90,7 +90,7 @@ def _random_codebook(n, k, rng, eta_c, m=None, rho_d=0.0):
         ]
     )
     return PrecoderCodebook(
-        m=m if m is not None else n, n=n, k=k, matrices=mats, eta_c=eta_c,
+        m=m if m is not None else n, matrices=mats, eta_c=eta_c,
         rho_d=rho_d, marginals=np.full(k, 1.0 / k),
     )
 

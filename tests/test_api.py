@@ -11,6 +11,10 @@ The knobs are pinned too: the fields of the configuration dataclasses, the
 parameters of `build_evaluation_set` and the options of every subcommand, so
 that adding or removing one is a visible edit here.
 
+Every type that takes values from its caller checks them when it is built,
+and the package asks for no check later: only a `__post_init__` calls
+`validate()`.
+
 The package runs on numpy and the standard library alone: scipy is a test
 extra, so no module under `src/podsim` may import it, or anything else."""
 
@@ -22,6 +26,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import podsim
@@ -88,9 +93,72 @@ def test_package_states_no_export_itself():
     (podsim.TrainerConfig, ["m", "n", "k", "eta_c", "rho_d", "rho_range", "n_train",
                             "inner_iters", "step_m", "tol", "max_rounds", "restarts", "seed"]),
     (podsim.BerResult, ["snr_db", "rho_f", "frames", "bits_sent", "bit_errors"]),
+    # N and K are read off the (K, N, N) matrix stack.
+    (podsim.PrecoderCodebook, ["m", "matrices", "eta_c", "rho_d", "marginals", "rho_range"]),
 ])
 def test_config_fields_are_pinned(cls, fields):
-    assert [f.name for f in dataclasses.fields(cls)] == fields
+    assert [f.name for f in dataclasses.fields(cls) if f.init] == fields
+
+
+# (type, valid arguments, a change that makes them invalid)
+CHECKED_WHEN_BUILT = [
+    (podsim.TrainerConfig, dict(m=2, n=2, k=2, eta_c=1.0), dict(n=3)),
+    (podsim.PrecoderCodebook, dict(m=2, matrices=np.stack([np.eye(2)] * 2), eta_c=1.0,
+                                   rho_d=0.0, marginals=np.full(2, 0.5)),
+     dict(marginals=np.full(2, 0.9))),
+    (podsim.SimulationConfig, dict(snr_grid_db=[8.0], frames=10,
+                                   pod=podsim.PodStructure(podsim.get_design("alamouti"), 2),
+                                   constellation=podsim.Constellation("bpsk")),
+     dict(frames=0)),
+    (podsim.FeedbackChannel, dict(k=2, rho_f=0.1), dict(k=3)),
+    (podsim.PodStructure, dict(inner=podsim.get_design("alamouti"), n=2), dict(n=3)),
+    (podsim.Constellation, dict(kind="bpsk"), dict(kind="qam-16")),
+    (podsim.EvaluationSet, dict(occupancy=np.full(2, 0.5), tail=np.ones((2, 2)), head=0.5),
+     dict(tail=np.ones((3, 3)))),
+]
+FROZEN = (podsim.TrainerConfig, podsim.PrecoderCodebook, podsim.SimulationConfig)
+
+
+@pytest.mark.parametrize("cls, good, bad", CHECKED_WHEN_BUILT,
+                         ids=[case[0].__name__ for case in CHECKED_WHEN_BUILT])
+def test_inputs_are_checked_when_built(cls, good, bad):
+    obj = cls(**good)
+    with pytest.raises(ValueError):
+        cls(**{**good, **bad})
+    if cls in FROZEN:
+        # No assignment can bring back a value the check rejected.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, *next(iter(bad.items())))
+
+
+def test_codebook_holds_read_only_copies():
+    mats, marginals = np.stack([np.eye(2, dtype=complex)] * 2), np.full(2, 0.5)
+    cb = podsim.PrecoderCodebook(m=2, matrices=mats, eta_c=1.0, rho_d=0.0, marginals=marginals)
+    mats[0], marginals[0] = 0.0, 1.0
+    assert np.array_equal(cb.matrices[0], np.eye(2)) and cb.marginals[0] == 0.5
+    for array in (cb.matrices, cb.marginals):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_validate_is_called_only_from_post_init():
+    # A type checks itself when it is built; a consumer never asks again.
+    calls = []
+
+    def visit(node, owner, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"), name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "validate"):
+                calls.append((name, child.lineno, owner))
+            visit(child, owner, name)
+
+    for path in sorted(Path(podsim.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>", path.name)
+    assert [(name, owner) for name, _, owner in calls] == [
+        ("codebook.py", "__post_init__"), ("link.py", "__post_init__")], calls
 
 
 def test_evaluation_set_takes_no_index_channel():

@@ -461,15 +461,19 @@ def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys)
     (["train", "--antennas", "2", "--feedback-bits", "1", "--eta-c", "1",
       "--train-size", "10000000000000"], "n_train"),
     (["train", "--antennas", "2", "--feedback-bits", "15", "--eta-c", "1",
-      "--train-size", "32768"], "K=32768"),
+      "--train-size", "32768"], "--feedback-bits 15"),
     (["eval-pep", "--rho-f", "0,0.7"], "crossover must lie in [0, 0.5], got 0.7"),
     (["eval-pep", "--rho-f", "nan"], "crossover must lie in [0, 0.5], got nan"),
     (["eval-pep", "--eta-c", "nan"], "eta_c must be finite and nonnegative, got nan"),
     (["eval-pep", "--samples", "0"], "--samples 0"),
+    (["train", "--antennas", "2", "--feedback-bits", "5000", "--eta-c", "1"],
+     "--feedback-bits 5000"),
+    (["train", "--antennas", "2", "--feedback-bits", "1000000", "--eta-c", "1"],
+     "--feedback-bits 1000000"),
 ])
 def test_oversized_requests_are_validation_errors(argv, field, tiny_codebook_path, tmp_path,
                                                   capsys, monkeypatch):
-    # Each asks for an array of 8 GiB or more (K = 2^15 for a K x K table), or
+    # Each asks for an array of 8 GiB or more (K = 2^15 or more for a K x K table), or
     # gives eval-pep a crossover, eta_c or sample count it cannot use; it is
     # rejected before anything is drawn, so every draw here fails the test.
     def no_draw(*args, **kwargs):

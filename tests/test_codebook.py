@@ -29,7 +29,7 @@ def random_codebook(m, n, k, rng, eta_c=2.5, rho_d=0.04):
     marg = rng.random(k)
     marg /= marg.sum()
     return PrecoderCodebook(
-        m=m, n=n, k=k, matrices=mats, eta_c=eta_c, rho_d=rho_d, marginals=marg
+        m=m, matrices=mats, eta_c=eta_c, rho_d=rho_d, marginals=marg
     )
 
 
@@ -116,7 +116,7 @@ def test_eigen_profile_identity_and_rank_one():
     u = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
     mats[1] = 2.0 * np.outer(u, u.conj())
     cb = PrecoderCodebook(
-        m=4, n=4, k=2, matrices=mats, eta_c=1.0, rho_d=0.0, marginals=np.array([0.5, 0.5])
+        m=4, matrices=mats, eta_c=1.0, rho_d=0.0, marginals=np.array([0.5, 0.5])
     )
     prof = eigen_profile(cb)
     assert np.allclose(prof[0], [1.0, 1.0, 1.0, 1.0], atol=1e-12)
@@ -228,13 +228,8 @@ def test_load_rejects_non_psd(tmp_path):
     mats = np.zeros((1, 2, 2), dtype=complex)
     d = np.diag([2.0, -1.0])
     mats[0] = d * np.sqrt(2.0 / 5.0)
-    cb = PrecoderCodebook(
-        m=2, n=2, k=1, matrices=mats, eta_c=1.0, rho_d=0.0, marginals=np.array([1.0])
-    )
-    with pytest.raises(CodebookError):
-        cb.validate()
-    with pytest.raises(CodebookError):
-        save_codebook(cb, "/tmp/should_not_exist.txt")
+    with pytest.raises(CodebookError, match="below PSD tolerance"):
+        PrecoderCodebook(m=2, matrices=mats, eta_c=1.0, rho_d=0.0, marginals=np.array([1.0]))
 
 
 def test_load_rejects_nan(tmp_path):
@@ -295,28 +290,35 @@ def test_load_rejects_bad_range(tmp_path, line):
 
 
 @pytest.mark.parametrize("rho_range", [(0.3, 0.1), (-0.1, 0.2), (0.1, 0.6), (0.1,), "ab"])
-def test_validate_rejects_bad_range(tmp_path, rho_range):
+def test_validate_rejects_bad_range(rho_range):
     rng = np.random.default_rng(14)
-    cb = dataclasses.replace(random_codebook(m=4, n=2, k=2, rng=rng), rho_range=rho_range)
     with pytest.raises(CodebookError):
-        cb.validate()
-    with pytest.raises(CodebookError):
-        save_codebook(cb, tmp_path / "bad.cb")
-    assert not (tmp_path / "bad.cb").exists()
+        dataclasses.replace(random_codebook(m=4, n=2, k=2, rng=rng), rho_range=rho_range)
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("matrices", np.eye(2)[None], r"matrices must have shape \(2, 2, 2\), got \(1, 2, 2\)"),
+    ("matrices", np.ones((2, 2, 3)), r"matrices must have shape \(K, N, N\), got \(2, 2, 3\)"),
     ("matrices", np.full((2, 2, 2), np.nan), "matrices contain non-finite entries"),
     ("marginals", np.full(3, 1.0 / 3.0), r"marginals must have shape \(2,\), got \(3,\)"),
+    ("matrices", np.eye(2), r"matrices must have shape \(K, N, N\), got \(2, 2\)"),
+    ("marginals", np.array([np.nan, 0.5]), "marginals contain non-finite entries"),
 ])
 def test_validate_rejects_arrays_no_file_can_hold(field, value, message):
     # load_codebook fills (K, N, N) finite matrices and K finite marginals
     # from the header's counts, so only a codebook built in code can break these.
-    cb = dataclasses.replace(random_codebook(m=4, n=2, k=2, rng=np.random.default_rng(15)),
-                             **{field: value})
+    cb = random_codebook(m=4, n=2, k=2, rng=np.random.default_rng(15))
     with pytest.raises(CodebookError, match=message):
-        cb.validate()
+        dataclasses.replace(cb, **{field: value})
+
+
+def test_entry_count_must_be_a_power_of_two():
+    # K indices travel as log2 K feedback bits; K = 1 sends none.
+    for k in (1, 2, 4):
+        assert PrecoderCodebook(m=2, matrices=np.stack([np.eye(2)] * k), eta_c=1.0,
+                                rho_d=0.0, marginals=np.full(k, 1.0 / k)).k == k
+    with pytest.raises(CodebookError, match="power of two, got K=3"):
+        PrecoderCodebook(m=2, matrices=np.stack([np.eye(2)] * 3), eta_c=1.0, rho_d=0.0,
+                         marginals=np.full(3, 1.0 / 3.0))
 
 
 # A valid file: two identity entries, each of power N = 2.
@@ -346,6 +348,8 @@ P 2
     ("0.5 0.5", "0.5 0.6", "marginals must be nonnegative and sum to one"),
     ("P 2\n1 0 0 0\n0 0 1 0", "P 2\n1 0 1 0\n0 0 0 0", "entry 1 is not Hermitian"),
     (GOOD_FILE, "PODCB 1\nM 2 N 2 K 0 ETA_C 1 RHO_D 0\nMARGINALS\n", "need at least one entry"),
+    (GOOD_FILE, GOOD_FILE.replace("K 2", "K 3").replace("0.5 0.5", "0.5 0.25 0.25")
+     + "P 3\n1 0 0 0\n0 0 1 0\n", "index count must be a power of two, got K=3"),
 ])
 def test_malformed_file_exits_3_and_writes_nothing(tmp_path, capsys, old, new, message):
     assert old in GOOD_FILE

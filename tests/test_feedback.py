@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -319,3 +320,10 @@ def test_mapping_file_rejects_garbage(tmp_path):
     path.write_text("PODMAP 1\nK 4\n1 1 2 3\n")
     with pytest.raises(ValueError, match="permutation"):
         load_mapping(path, k=4)
+    # The header is exactly "K <int>", and every parse error names the file.
+    for text in ("PODMAP 1\nK 4 junk\n1 2 3 4\n", "PODMAP 1\nK x\n1 2 3 4\n",
+                 "PODMAP 1\nK 4.0\n1 2 3 4\n", "PODMAP 1\nK 4\n1 2 3 4.0\n",
+                 "PODMAP 1\nK 4\n1 2 3 99999999999999999999\n", "PODMAP 1\nK 4\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed mapping file"):
+            load_mapping(path, k=4)

@@ -28,6 +28,7 @@ Oracles:
   fixed channels follow the law of the received-block route.
 """
 
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -127,7 +128,7 @@ def table_gains(decoder, pod, h, precoders=None):
         tables = _precoders(None, decoder, pod.m)[2][[0] * len(h)]
     else:
         k = len(precoders)
-        cb = PrecoderCodebook(m=pod.m, n=pod.n, k=k, matrices=precoders, eta_c=1.0, rho_d=0.0,
+        cb = PrecoderCodebook(m=pod.m, matrices=precoders, eta_c=1.0, rho_d=0.0,
                               marginals=np.full(k, 1.0 / k))
         tables = _precoders(cb, decoder, pod.m)[2]
     return np.einsum("flk,fk->fl", tables, kernel_features(h))
@@ -395,7 +396,7 @@ def test_sweep_gain_matches_explicit_precoding(kind, n, loop, monkeypatch):
     h = complex_gaussian((frames, design.m), rng)
     h[::7, head:] = 0.0
     mats = np.stack([random_precoder(n, rng) for _ in range(k)])
-    cb = PrecoderCodebook(m=design.m, n=n, k=k, matrices=mats, eta_c=2.5, rho_d=0.1,
+    cb = PrecoderCodebook(m=design.m, matrices=mats, eta_c=2.5, rho_d=0.1,
                           marginals=np.full(k, 1.0 / k))
     config = SimulationConfig(
         snr_grid_db=[0.0], frames=frames, pod=PodStructure(inner=design, n=n),
@@ -544,30 +545,25 @@ def make_sim(cb=None, rho_f=None, frames=400, snr=None, seed=5, symbols=130):
 def test_simulation_config_validation():
     cb = small_trained_codebook()
     with pytest.raises(ValueError, match="multiple"):
-        make_sim(symbols=131).validate()
+        make_sim(symbols=131)
     with pytest.raises(ValueError, match="frame"):
-        make_sim(frames=0).validate()
+        make_sim(frames=0)
     with pytest.raises(ValueError, match="need at least one SNR point"):
-        make_sim(snr=[]).validate()
+        make_sim(snr=[])
     for bad_snr in ([float("nan")], [4.0, float("-inf")], [float("inf")]):
         with pytest.raises(ValueError, match="SNR points must be finite"):
-            make_sim(snr=bad_snr).validate()
-    cfg = make_sim()
-    cfg.feedback = FeedbackChannel(k=2, rho_f=0.1)
+            make_sim(snr=bad_snr)
     with pytest.raises(ValueError, match="feedback channel needs a codebook"):
-        cfg.validate()
-    bad = make_sim(cb=cb, rho_f=0.0)
-    bad.feedback = FeedbackChannel(k=2, rho_f=0.0)
+        dataclasses.replace(make_sim(), feedback=FeedbackChannel(k=2, rho_f=0.1))
     with pytest.raises(ValueError, match="K="):
-        bad.validate()
+        dataclasses.replace(make_sim(cb=cb, rho_f=0.0), feedback=FeedbackChannel(k=2, rho_f=0.0))
     # 130 symbols break real-od-4 blocks
     design4 = get_design("real-od-4")
-    cfg4 = SimulationConfig(
-        snr_grid_db=[8.0], frames=10, pod=PodStructure(inner=design4, n=4),
-        constellation=Constellation("bpsk"), symbols_per_frame=130,
-    )
     with pytest.raises(ValueError, match="multiple"):
-        cfg4.validate()
+        SimulationConfig(
+            snr_grid_db=[8.0], frames=10, pod=PodStructure(inner=design4, n=4),
+            constellation=Constellation("bpsk"), symbols_per_frame=130,
+        )
 
 
 @pytest.mark.parametrize("kind, symbols", [
@@ -760,8 +756,8 @@ def test_multi_chunk_sweep_counts_are_pinned(kind, const, symbols):
     )
     pinned = SCRATCH_REUSE_COUNTS[kind, const, symbols]
     assert [r.bit_errors for r in run_ber_sweep(cfg)] == pinned["closed"]
-    cfg.feedback = None
-    assert [r.bit_errors for r in run_ber_sweep(cfg)] == pinned["genie"]
+    genie = dataclasses.replace(cfg, feedback=None)
+    assert [r.bit_errors for r in run_ber_sweep(genie)] == pinned["genie"]
 
 
 @pytest.mark.parametrize("kind,const,closed", [("real-od-4", "bpsk", True),

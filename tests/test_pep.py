@@ -39,20 +39,22 @@ from podsim.trainer import _BLOCK_ROWS, TrainerConfig, fit
 def make_codebook(m, n, k, eta_c, rho_d, matrices, marginals=None):
     if marginals is None:
         marginals = np.full(k, 1.0 / k)
-    cb = PrecoderCodebook(
-        m=m, n=n, k=k, matrices=np.asarray(matrices, dtype=complex),
+    return PrecoderCodebook(
+        m=m, matrices=np.asarray(matrices, dtype=complex),
         eta_c=eta_c, rho_d=rho_d, marginals=np.asarray(marginals, dtype=float),
     )
-    cb.validate()
-    return cb
 
 
-def random_codebook(m, n, k, eta_c, rho_d, rng):
+def random_precoders(n, k, rng):
     mats = []
     for _ in range(k):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         mats.append(project_psd_power(np.eye(n) + 0.4 * g, n))
-    return make_codebook(m, n, k, eta_c, rho_d, np.stack(mats))
+    return np.stack(mats)
+
+
+def random_codebook(m, n, k, eta_c, rho_d, rng):
+    return make_codebook(m, n, k, eta_c, rho_d, random_precoders(n, k, rng))
 
 
 def test_conditional_bound_at_zero_distance_is_half():
@@ -195,7 +197,7 @@ def test_average_bound_matches_region_sum_and_naive_objective():
     ]
     # Entry 3 repeats entry 0, so at rho = 0 every tie goes to index 0 and
     # region 3 stays empty.
-    a, b, c = random_codebook(3, 2, 3, 2.0, 0.0, rng).matrices
+    a, b, c = random_precoders(2, 3, rng)
     cases.append(make_codebook(3, 2, 4, 2.0, 0.0, np.stack([a, b, c, a])))
     for cb in cases:
         inv = bsc_inversion_matrix(cb.k, cb.rho_d)

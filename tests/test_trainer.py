@@ -46,7 +46,7 @@ def make_codebook(m, n, k, rng, eta_c=2.0, rho_d=0.0):
         ]
     )
     return PrecoderCodebook(
-        m=m, n=n, k=k, matrices=mats, eta_c=eta_c, rho_d=rho_d,
+        m=m, matrices=mats, eta_c=eta_c, rho_d=rho_d,
         marginals=np.full(k, 1.0 / k),
     )
 
@@ -54,7 +54,7 @@ def make_codebook(m, n, k, rng, eta_c=2.0, rho_d=0.0):
 def rank_one_basis_codebook(n, eta_c=2.0):
     mats = np.stack([np.sqrt(n) * np.outer(e, e.conj()) for e in np.eye(n, dtype=complex)])
     return PrecoderCodebook(
-        m=n, n=n, k=n, matrices=mats, eta_c=eta_c, rho_d=0.0,
+        m=n, matrices=mats, eta_c=eta_c, rho_d=0.0,
         marginals=np.full(n, 1.0 / n),
     )
 
@@ -184,7 +184,7 @@ def test_objective_single_entry_codebook():
     rng = np.random.default_rng(3)
     mats = np.stack([project_psd_power(np.eye(2) + 0.2, 2)])
     cb = PrecoderCodebook(
-        m=2, n=2, k=1, matrices=mats, eta_c=1.7, rho_d=0.0, marginals=np.array([1.0])
+        m=2, matrices=mats, eta_c=1.7, rho_d=0.0, marginals=np.array([1.0])
     )
     inv = bsc_inversion_matrix(1, 0.0)
     dirs = sample_directions(2, 300, rng)
@@ -233,7 +233,7 @@ def test_gradient_scalar_closed_form():
     eta = 0.8
     mats = np.array([[[1.0 + 0.0j]]])
     cb = PrecoderCodebook(
-        m=1, n=1, k=1, matrices=mats, eta_c=eta, rho_d=0.0, marginals=np.array([1.0])
+        m=1, matrices=mats, eta_c=eta, rho_d=0.0, marginals=np.array([1.0])
     )
     inv = bsc_inversion_matrix(1, 0.0)
     rng = np.random.default_rng(7)
