@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import PrecoderCodebook, eigen_profile, load_codebook, save_codebook
+from .codebook import PrecoderCodebook, _check_eta_c, eigen_profile, load_codebook, save_codebook
 from .feedback import (
     _MAX_ELEMENTS,
     FeedbackChannel,
     _check_elements,
+    _feedback_bits,
     bsc_inversion_matrix,
     load_mapping,
     optimize_mapping,
@@ -100,13 +101,12 @@ def _relabeled(cb: PrecoderCodebook, path: str | None) -> PrecoderCodebook:
 
 
 def cmd_train(args) -> int:
-    if args.feedback_bits < 1:
-        raise ValueError(f"need at least one feedback bit, got {args.feedback_bits}")
     # A K x K table holds 4^b elements; b is compared before 2^b is formed.
     if 2 * args.feedback_bits > _MAX_ELEMENTS.bit_length() - 1:
         raise ValueError(f"--feedback-bits {args.feedback_bits} needs K x K tables of 4^b "
                          f"elements, more than the ceiling of {_MAX_ELEMENTS}")
-    k = 2**args.feedback_bits
+    k = 2 ** max(args.feedback_bits, 0)  # b <= 0 leaves one index and no bit to send
+    _feedback_bits(k)
     m = args.antennas
     n = args.precoder_dim if args.precoder_dim is not None else min(k, m)
 
@@ -155,8 +155,7 @@ def cmd_eval_pep(args) -> int:
     # Every input is checked before a direction is drawn; the draw itself
     # rejects a negative count before it draws.
     invs = [bsc_inversion_matrix(cb.k, rho_f) for rho_f in args.rho_f]
-    if not (np.isfinite(eta_c) and eta_c >= 0.0):
-        raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
+    _check_eta_c(eta_c)
     if args.samples == 0:
         raise ValueError("need at least one direction, got --samples 0")
     _check_elements(f"--samples {args.samples}", args.samples * cb.n**2)
@@ -227,8 +226,7 @@ def cmd_eigen(args) -> int:
 
 def cmd_map_anneal(args) -> int:
     cb = load_codebook(args.codebook)
-    rng = np.random.default_rng(args.seed)
-    perm = optimize_mapping(cb.matrices, cb.marginals, args.rho_f, args.sa_iters, rng)
+    perm = optimize_mapping(cb, args.rho_f, args.sa_iters, np.random.default_rng(args.seed))
     save_mapping(args.out, perm)
     log.info("wrote %s", args.out)
     return 0

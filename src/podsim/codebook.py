@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from podsim.feedback import _check_crossover, _num_bits
+
 __all__ = [
     "CodebookError",
     "PrecoderCodebook",
@@ -47,6 +49,33 @@ PSD_TOL = -1e-6
 
 class CodebookError(ValueError):
     """Malformed codebook data or file."""
+
+
+def _check_eta_c(eta_c: float) -> None:
+    if not 0.0 <= eta_c < np.inf:
+        raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
+
+
+def _check_design(spec) -> None:
+    """The design rule that a codebook and the TrainerConfig writing one share,
+    on spec's m, n, k, eta_c, rho_d and rho_range; raises CodebookError."""
+    if not 1 <= spec.n <= spec.m:
+        raise CodebookError(f"need 1 <= N <= M, got N={spec.n}, M={spec.m}")
+    if spec.k < 1:
+        raise CodebookError(f"need at least one entry, got K={spec.k}")
+    try:
+        _num_bits(spec.k)
+        _check_eta_c(spec.eta_c)
+        _check_crossover(spec.rho_d, "rho_d")
+    except ValueError as exc:
+        raise CodebookError(str(exc)) from None
+    pair = spec.rho_range
+    try:
+        ok = pair is None or (len(pair) == 2 and 0.0 <= pair[0] <= pair[1] <= 0.5)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise CodebookError(f"rho_range must be a pair 0 <= f_a <= f_b <= 0.5, got {pair!r}")
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -83,7 +112,7 @@ class PrecoderCodebook:
     rho_d: design crossover probability
     marginals: entry usage probabilities p(i) estimated during training
     rho_range: optional design range (f_a, f_b), 0 <= f_a <= f_b <= 0.5,
-        of the worst-case and average design rules
+        of the worst-case and average design rules, kept as a tuple of floats
 
     The codebook keeps read-only copies of matrices and marginals, so no
     edit can undo the check; the validate method only re-checks it.
@@ -107,29 +136,11 @@ class PrecoderCodebook:
                             ("k", mats.shape[0]), ("n", mats.shape[1])):
             object.__setattr__(self, name, value)
         self.validate()
+        if self.rho_range is not None:
+            object.__setattr__(self, "rho_range", tuple(map(float, self.rho_range)))
 
     def validate(self) -> None:
-        if not 1 <= self.n <= self.m:
-            raise CodebookError(f"need 1 <= N <= M, got N={self.n}, M={self.m}")
-        if self.k < 1:
-            raise CodebookError(f"need at least one entry, got K={self.k}")
-        if self.k & (self.k - 1):
-            raise CodebookError(f"index count must be a power of two, got K={self.k}")
-        if self.eta_c < 0 or not np.isfinite(self.eta_c):
-            raise CodebookError(f"eta_c must be finite and nonnegative, got {self.eta_c}")
-        if not 0.0 <= self.rho_d <= 0.5:
-            raise CodebookError(f"rho_d must lie in [0, 0.5], got {self.rho_d}")
-        if self.rho_range is not None:
-            try:
-                f_a, f_b = (float(f) for f in self.rho_range)
-            except (TypeError, ValueError):
-                raise CodebookError(
-                    f"rho_range must be a pair (f_a, f_b), got {self.rho_range!r}"
-                ) from None
-            if not 0.0 <= f_a <= f_b <= 0.5:
-                raise CodebookError(
-                    f"need 0 <= f_a <= f_b <= 0.5, got rho_range {self.rho_range}"
-                )
+        _check_design(self)
         mats, marg = self.matrices, self.marginals
         if not np.all(np.isfinite(mats)):
             raise CodebookError("matrices contain non-finite entries")

@@ -14,8 +14,8 @@ A codebook's entry order is its index assignment: the index of entry i is
 sent as the bits of i. An index mapping pi only relabels the entries, moving
 entry i to label pi(i), so it never reaches the channel itself; the one
 place a permutation meets the BSC is `mapping_cost`, which scores pi by the
-permuted matrix p_f(pi(j) | pi(i)). The mapping can be optimized by
-simulated annealing so that likely bit errors land on precoders whose
+permuted matrix p_f(pi(j) | pi(i)). A codebook's mapping can be optimized
+by simulated annealing so that likely bit errors land on precoders whose
 dominant transmit directions are close in chordal distance. The schedule is
 fixed (start temperature 0.05, geometric cooling by 0.9995 per move); only
 the number of moves is a parameter. `podsim map-anneal` writes a mapping to
@@ -23,14 +23,21 @@ a file, and `simulate --mapping <path>` relabels the codebook with it.
 A codebook trained against the noisy channel has its labels fixed by the
 training already; on such a codebook the annealer may find nothing cheaper
 than the identity.
+
+Every layer checks a crossover and an index count by the rules stated here:
+`_check_crossover`, `_num_bits` and `_feedback_bits`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from podsim.codebook import PrecoderCodebook
 
 __all__ = [
     "FeedbackChannel",
@@ -72,6 +79,19 @@ def _num_bits(k: int) -> int:
     return k.bit_length() - 1
 
 
+def _feedback_bits(k: int) -> int:
+    bits = _num_bits(k)
+    if bits < 1:
+        raise ValueError(f"need at least one feedback bit, got K={k}")
+    return bits
+
+
+def _check_crossover(rho: float, what: str = "crossover") -> None:
+    """Reject a BSC crossover probability outside [0, 0.5]; what names it."""
+    if not 0.0 <= rho <= 0.5:
+        raise ValueError(f"{what} must lie in [0, 0.5], got {rho}")
+
+
 def _check_mapping(mapping: np.ndarray, k: int) -> np.ndarray:
     mapping = np.asarray(mapping, dtype=np.int64)
     if mapping.shape != (k,) or not np.array_equal(np.sort(mapping), np.arange(k)):
@@ -88,8 +108,7 @@ def bsc_inversion_matrix(k: int, rho_f: float) -> np.ndarray:
     Hamming weight of i ^ j, so at most two K x K arrays are alive at once.
     """
     bits = _num_bits(k)
-    if not 0.0 <= rho_f <= 0.5:
-        raise ValueError(f"crossover must lie in [0, 0.5], got {rho_f}")
+    _check_crossover(rho_f)
     d = np.arange(bits + 1)
     law = rho_f**d * (1.0 - rho_f) ** (bits - d)
     # Hamming weights of 0..K-1: the upper half of each power-of-two range
@@ -101,27 +120,21 @@ def bsc_inversion_matrix(k: int, rho_f: float) -> np.ndarray:
     return law[weight[idx[:, None] ^ idx[None, :]]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeedbackChannel:
-    """K-index feedback link over b = log2 K parallel BSCs.
+    """K-index feedback link over b = log2 K parallel BSCs, checked when built.
 
-    k: number of indices, a power of two with k >= 2
+    k: number of indices, a power of two with k >= 2; it fixes bits, b
     rho_f: bit crossover probability in [0, 0.5]
     """
 
     k: int
     rho_f: float
+    bits: int = field(init=False)
 
     def __post_init__(self) -> None:
-        bits = _num_bits(self.k)
-        if bits < 1:
-            raise ValueError(f"need at least one feedback bit, got K={self.k}")
-        if not 0.0 <= self.rho_f <= 0.5:
-            raise ValueError(f"crossover must lie in [0, 0.5], got {self.rho_f}")
-
-    @property
-    def bits(self) -> int:
-        return _num_bits(self.k)
+        object.__setattr__(self, "bits", _feedback_bits(self.k))
+        _check_crossover(self.rho_f)
 
     def transmit_batch(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Send each index through the b parallel BSCs and return the decoded
@@ -134,13 +147,8 @@ class FeedbackChannel:
 def _chordal_distance_matrix(matrices: np.ndarray) -> np.ndarray:
     """Squared chordal distances 1 - |u_i^H u_j|^2 between the unit dominant
     eigenvectors u_j of P_j P_j^H of all entry pairs, clipped to [0, 1],
-    shape (K, K). Rejects numerically zero factors, whose direction is
-    undefined."""
-    mats = np.asarray(matrices)
-    grams = mats @ mats.conj().swapaxes(-1, -2)
-    zero = np.linalg.norm(grams, "fro", axis=(-2, -1)) < 1e-12
-    if zero.any():
-        raise ValueError(f"codebook entry {np.argmax(zero)} is numerically zero")
+    shape (K, K)."""
+    grams = matrices @ matrices.conj().swapaxes(-1, -2)
     dirs = np.linalg.eigh(grams)[1][..., -1].copy()
     return np.clip(1.0 - np.abs(dirs @ dirs.conj().T) ** 2, 0.0, 1.0)
 
@@ -161,33 +169,23 @@ def mapping_cost(
     return float(np.sum(marginals[:, None] * p_mapped * dist_sq))
 
 
-def optimize_mapping(
-    matrices: np.ndarray,
-    marginals: np.ndarray,
-    rho_f: float,
-    n_iter: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Anneal an index mapping that protects nearby precoders.
+def optimize_mapping(cb: PrecoderCodebook, rho_f: float, n_iter: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Anneal an index mapping that protects nearby precoders of cb.
 
-    Cost: D(pi) = sum_i p(i) sum_j p_f^(pi)(j|i) d_c^2(u_i, u_j) with u_j the
-    dominant direction of P_j P_j^H. Each of the n_iter moves is a random
-    transposition, cooling is geometric, and the identity mapping is always
-    evaluated: the returned permutation never costs more than the identity.
-    Both costs are logged at info level.
+    Cost: D(pi) = sum_i p(i) sum_j p_f^(pi)(j|i) d_c^2(u_i, u_j) with p(i)
+    the codebook's marginals and u_j the dominant direction of P_j P_j^H,
+    which every entry has: its power is N >= 1. Each of the n_iter moves is a
+    random transposition, cooling is geometric, and the identity mapping is
+    always evaluated: the returned permutation never costs more than the
+    identity. Both costs are logged at info level.
     """
     if n_iter < 1:
         raise ValueError(f"need at least one annealing iteration, got {n_iter}")
-    k = len(matrices)
-    bits = _num_bits(k)
-    if bits < 1:
-        raise ValueError(f"need at least one feedback bit, got K={k}")
-    marginals = np.asarray(marginals, dtype=float)
-    if marginals.shape != (k,) or marginals.min() < -1e-12:
-        raise ValueError("marginals must be K nonnegative probabilities")
-
-    dist_sq = _chordal_distance_matrix(matrices)
+    k, marginals = cb.k, cb.marginals
+    _feedback_bits(k)
     bit_matrix = bsc_inversion_matrix(k, rho_f)
+    dist_sq = _chordal_distance_matrix(cb.matrices)
 
     identity = np.arange(k)
     identity_cost = mapping_cost(identity, bit_matrix, marginals, dist_sq)
@@ -219,8 +217,7 @@ def optimize_mapping(
 
 def save_mapping(path, perm: np.ndarray) -> None:
     """Write a mapping file: magic line, K line, then 1-based permutation."""
-    perm = np.asarray(perm, dtype=np.int64)
-    _check_mapping(perm, len(perm))
+    perm = _check_mapping(perm, len(perm))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_MAPPING_MAGIC}\n")
         fh.write(f"K {len(perm)}\n")

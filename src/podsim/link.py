@@ -321,11 +321,11 @@ class SimulationConfig:
     """One BER sweep: link pieces plus Monte Carlo bookkeeping, checked when
     built; the validate method only re-checks it.
 
-    snr_grid_db: SNR points (eta0 in dB)
+    snr_grid_db: SNR points (eta0 in dB), kept as a tuple of floats
     frames: frames per SNR point; one channel draw and one feedback event
         per frame
     pod: code structure (inner design + precoded tail size)
-    constellation: symbol alphabet
+    constellation: symbol alphabet, one the design's decoder can take
     codebook: trained precoder codebook, encoded under the index channel it
         was designed for (the BSC at its rho_d); None leaves the tail
         unprecoded (the open loop)
@@ -337,7 +337,7 @@ class SimulationConfig:
     seed: master seed for the deterministic per-chunk seed tree
     """
 
-    snr_grid_db: list[float]
+    snr_grid_db: tuple[float, ...]
     frames: int
     pod: PodStructure
     constellation: Constellation
@@ -347,6 +347,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "snr_grid_db", tuple(map(float, self.snr_grid_db)))
         if self.symbols_per_frame is None:
             n_sym = self.pod.inner.n_sym
             object.__setattr__(self, "symbols_per_frame", 130 // n_sym * n_sym)
@@ -371,6 +372,7 @@ class SimulationConfig:
         # The largest array of a sweep: the symbol indices of one chunk.
         _check_elements(f"frames={self.frames} with symbols_per_frame={self.symbols_per_frame}",
                         min(self.frames, _CHUNK_FRAMES) * self.blocks_per_frame)
+        _group_decoder(self.pod.inner, self.constellation)  # a cache hit after the first build
         if self.codebook is None:
             if self.feedback is not None:
                 raise ValueError("a feedback channel needs a codebook to carry indices of")

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import PrecoderCodebook
+from .codebook import PrecoderCodebook, _check_eta_c
 from .feedback import bsc_inversion_matrix
 from .trainer import _coordinates, _decay, _encode, _gram, _quadratic_forms
 
@@ -88,8 +88,7 @@ def build_evaluation_set(
     region (at the codebook's eta_c and its design index channel, the BSC at
     rho_d) and tabulate the region-pair table at eta_c (default the codebook's)."""
     eta_c = cb.eta_c if eta_c is None else eta_c
-    if not (np.isfinite(eta_c) and eta_c >= 0.0):
-        raise ValueError(f"eta_c must be finite and nonnegative, got {eta_c}")
+    _check_eta_c(eta_c)
     if len(dirs) < 1:
         raise ValueError(f"need at least one direction, got {len(dirs)}")
     # One pass of quadratic forms serves both the encoder (at the codebook's

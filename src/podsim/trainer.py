@@ -61,8 +61,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from podsim.codebook import PrecoderCodebook, project_psd_power
-from podsim.feedback import _check_elements, _num_bits, bsc_inversion_matrix
+from podsim.codebook import PrecoderCodebook, _check_design, project_psd_power
+from podsim.feedback import _check_elements, bsc_inversion_matrix
 
 __all__ = [
     "TrainerConfig",
@@ -89,28 +89,27 @@ _BLOCK_ROWS = 2048
 
 
 def eta_c_from_snr_db(m: int, t: int, snr_db: float) -> float:
-    """Design distance parameter for a target SNR: eta_c = m * eta0 / (4 t)."""
+    """Design distance parameter for a target SNR: eta_c = m * eta0 / (4 t),
+    inf past the float range; the design rule rejects one that is not finite."""
     if t < 1:
         raise ValueError(f"block length must be positive, got {t}")
     try:
-        eta_c = m * 10.0 ** (snr_db / 10.0) / (4.0 * t)
+        return m * 10.0 ** (snr_db / 10.0) / (4.0 * t)
     except OverflowError:
-        eta_c = np.inf
-    if not np.isfinite(eta_c):
-        raise ValueError(f"eta_c must be finite, got {eta_c} at design SNR {snr_db} dB")
-    return eta_c
+        return np.inf
 
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Codebook training configuration.
+    """Training configuration, checked when built; `codebook._check_design`
+    checks m through rho_range, the codebook's design rule.
 
     m, n, k: antennas, precoder size, codebook entries (k a power of two,
         or 1 for the degenerate no-feedback case)
     eta_c: design distance-to-noise parameter
     rho_d: design crossover probability
-    rho_range: optional crossover range; used by the worst-case and
-        average design rules, recorded in the codebook metadata
+    rho_range: optional crossover range, kept as a tuple of floats; used by
+        the worst-case and average design rules, recorded in the codebook metadata
     n_train: number of training direction vectors
     inner_iters: gradient steps per precoder per round
     step_m: step size numerator, alpha(t) = (1 + step_m) / (1 + t)
@@ -135,20 +134,13 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= self.m:
-            raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
-        _num_bits(self.k)
-        if not 0.0 <= self.eta_c < np.inf:
-            raise ValueError(f"eta_c must be finite and nonnegative, got {self.eta_c}")
+        _check_design(self)
+        if self.rho_range is not None:
+            object.__setattr__(self, "rho_range", tuple(map(float, self.rho_range)))
         if not -1.0 < self.step_m < np.inf:
             raise ValueError(f"step_m must be finite with 1 + step_m > 0, got {self.step_m}")
         if np.isnan(self.tol):
             raise ValueError("tol must be a number, got nan")
-        if not 0.0 <= self.rho_d <= 0.5:
-            raise ValueError(f"rho_d must lie in [0, 0.5], got {self.rho_d}")
-        pair = self.rho_range
-        if pair is not None and not (len(pair) == 2 and 0.0 <= pair[0] <= pair[1] <= 0.5):
-            raise ValueError(f"rho_range must be a pair 0 <= f_a <= f_b <= 0.5, got {pair}")
         if self.n_train < self.k:
             raise ValueError(f"need at least k={self.k} training vectors, got {self.n_train}")
         _check_elements(f"n_train={self.n_train}", self.n_train * self.n**2)

@@ -467,9 +467,8 @@ def test_annealed_mapping_near_exhaustive_optimum():
             mapping_cost(np.array(p), bit_matrix, marginals, dist_sq)
             for p in itertools.permutations(range(8))
         )
-        perm = optimize_mapping(
-            mats, marginals, 0.04, n_iter=10_000, rng=np.random.default_rng(100 + trial)
-        )
+        cb = PrecoderCodebook(m=2, matrices=mats, eta_c=1.0, rho_d=0.0, marginals=marginals)
+        perm = optimize_mapping(cb, 0.04, n_iter=10_000, rng=np.random.default_rng(100 + trial))
         got = mapping_cost(perm, bit_matrix, marginals, dist_sq)
         worst_excess = max(worst_excess, got / best - 1.0)
 

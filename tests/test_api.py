@@ -11,9 +11,10 @@ The knobs are pinned too: the fields of the configuration dataclasses, the
 parameters of `build_evaluation_set` and the options of every subcommand, so
 that adding or removing one is a visible edit here.
 
-Every type that takes values from its caller checks them when it is built,
-and the package asks for no check later: only a `__post_init__` calls
-`validate()`.
+Every type that takes values from its caller checks them when it is built
+and is frozen, and the package asks for no check later: only a
+`__post_init__` calls `validate()`. Each design rule is stated once, in the
+function of the layer that owns it.
 
 The package runs on numpy and the standard library alone: scipy is a test
 extra, so no module under `src/podsim` may import it, or anything else."""
@@ -116,7 +117,6 @@ CHECKED_WHEN_BUILT = [
     (podsim.EvaluationSet, dict(occupancy=np.full(2, 0.5), tail=np.ones((2, 2)), head=0.5),
      dict(tail=np.ones((3, 3)))),
 ]
-FROZEN = (podsim.TrainerConfig, podsim.PrecoderCodebook, podsim.SimulationConfig)
 
 
 @pytest.mark.parametrize("cls, good, bad", CHECKED_WHEN_BUILT,
@@ -125,10 +125,9 @@ def test_inputs_are_checked_when_built(cls, good, bad):
     obj = cls(**good)
     with pytest.raises(ValueError):
         cls(**{**good, **bad})
-    if cls in FROZEN:
-        # No assignment can bring back a value the check rejected.
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, *next(iter(bad.items())))
+    # Every such type is frozen: no assignment can bring back a value the check rejected.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, *next(iter(bad.items())))
 
 
 def test_codebook_holds_read_only_copies():
@@ -139,6 +138,52 @@ def test_codebook_holds_read_only_copies():
     for array in (cb.matrices, cb.marginals):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+def test_records_keep_copies_of_sequence_inputs():
+    # A caller's list edited after the build reaches no record: the grid and
+    # the ranges are kept as tuples of floats.
+    good = {cls: args for cls, args, _ in CHECKED_WHEN_BUILT}
+    grid, rho_range = [8.0], [0.0, 0.1]
+    sim = podsim.SimulationConfig(**{**good[podsim.SimulationConfig], "snr_grid_db": grid})
+    cfg = podsim.TrainerConfig(**{**good[podsim.TrainerConfig], "rho_range": rho_range})
+    cb = podsim.PrecoderCodebook(**{**good[podsim.PrecoderCodebook], "rho_range": rho_range})
+    grid.append(400.0)
+    rho_range[1] = 0.9
+    assert sim.snr_grid_db == (8.0,) and cfg.rho_range == cb.rho_range == (0.0, 0.1)
+    assert all(type(v) is float for v in (*sim.snr_grid_db, *cfg.rho_range, *cb.rho_range))
+
+
+# Each design rule's message and the one function that raises it.
+RULE_OWNERS = {
+    "must lie in [0, 0.5]": "feedback.py:_check_crossover",
+    "power of two": "feedback.py:_num_bits",
+    "at least one feedback bit": "feedback.py:_feedback_bits",
+    "eta_c must be finite and nonnegative": "codebook.py:_check_eta_c",
+    "rho_range must be a pair": "codebook.py:_check_design",
+}
+
+
+def test_each_rule_is_raised_from_one_function():
+    # A rule stated twice can drift apart; every other layer calls its owner.
+    raisers = {message: set() for message in RULE_OWNERS}
+
+    def visit(node, owner, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, name)
+                continue
+            if isinstance(child, ast.Raise):
+                text = "".join(n.value for n in ast.walk(child)
+                               if isinstance(n, ast.Constant) and isinstance(n.value, str))
+                for message, found in raisers.items():
+                    if message in text:
+                        found.add(f"{name}:{owner}")
+            visit(child, owner, name)
+
+    for path in sorted(Path(podsim.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>", path.name)
+    assert raisers == {message: {owner} for message, owner in RULE_OWNERS.items()}
 
 
 def test_validate_is_called_only_from_post_init():

@@ -470,12 +470,15 @@ def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys)
      "--feedback-bits 5000"),
     (["train", "--antennas", "2", "--feedback-bits", "1000000", "--eta-c", "1"],
      "--feedback-bits 1000000"),
+    (["simulate", "--code", "od4", "--constellation", "qpsk-rot45", "--snr-db", "6",
+      "--frames", "10", "--workers", "2"], "real-od-4 carries real symbols"),
 ])
 def test_oversized_requests_are_validation_errors(argv, field, tiny_codebook_path, tmp_path,
                                                   capsys, monkeypatch):
-    # Each asks for an array of 8 GiB or more (K = 2^15 or more for a K x K table), or
-    # gives eval-pep a crossover, eta_c or sample count it cannot use; it is
-    # rejected before anything is drawn, so every draw here fails the test.
+    # Each asks for an array of 8 GiB or more (K = 2^15 or more for a K x K table),
+    # gives eval-pep a crossover, eta_c or sample count it cannot use, or pairs a
+    # design with an alphabet its decoder cannot take; it is rejected before
+    # anything is drawn, so every draw here fails the test.
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before sizing the request")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import podsim.feedback
+from podsim.codebook import PrecoderCodebook
 from podsim.feedback import (
     FeedbackChannel,
     _chordal_distance_matrix,
@@ -24,6 +25,13 @@ def rank_one_codebook(directions, power):
     """Stack of power * u u^H matrices from unit column directions."""
     mats = np.stack([power * np.outer(u, u.conj()) for u in directions])
     return mats
+
+
+def anneal(mats, marginals, rho_f, n_iter, seed):
+    """optimize_mapping on the codebook of the entries mats, each of power N."""
+    cb = PrecoderCodebook(m=mats.shape[1], matrices=mats, eta_c=1.0, rho_d=0.0,
+                          marginals=marginals)
+    return optimize_mapping(cb, rho_f, n_iter, np.random.default_rng(seed))
 
 
 def test_noiseless_matrix_is_identity():
@@ -106,16 +114,13 @@ def test_validation(tmp_path):
     with pytest.raises(ValueError, match="permutation"):
         save_mapping(tmp_path / "map.txt", np.array([0, 0, 1, 2]))
     assert not (tmp_path / "map.txt").exists()
-    mats = np.stack([np.eye(2, dtype=complex)] * 4)
-    for marg in (np.full(3, 1.0 / 3.0), np.array([0.5, 0.5, 0.5, -0.5])):
-        with pytest.raises(ValueError, match="marginals must be K nonnegative probabilities"):
-            optimize_mapping(mats, marg, 0.1, n_iter=10, rng=np.random.default_rng(0))
 
 
 def test_index_count_is_sized_before_any_table(monkeypatch):
     # Every K x K table sizes K first: K = 2^15 would need 2^30 elements
-    # (8 GiB) per table and is rejected before anything is allocated, so the
-    # annealer never reaches its distance table. K = 2^14 (2 GiB) is allowed.
+    # (8 GiB) per table and is rejected before anything is allocated. No
+    # codebook of that K can be built, so the annealer, which takes one,
+    # never reaches its distance table. K = 2^14 (2 GiB) is allowed.
     assert _num_bits(2**14) == 14
 
     def no_table(matrices):
@@ -128,8 +133,7 @@ def test_index_count_is_sized_before_any_table(monkeypatch):
     with pytest.raises(ValueError, match=message):
         FeedbackChannel(k=k, rho_f=0.1)
     with pytest.raises(ValueError, match=message):
-        optimize_mapping(np.ones((k, 1, 1), complex), np.full(k, 1.0 / k), 0.1, n_iter=10,
-                         rng=np.random.default_rng(0))
+        anneal(np.ones((k, 1, 1), complex), np.full(k, 1.0 / k), 0.1, n_iter=10, seed=0)
 
 
 def test_transmit_noiseless_is_identity():
@@ -189,18 +193,6 @@ def test_dominant_directions_rank_one():
         assert np.abs(got - want).max() <= 1e-12
 
 
-def test_dominant_directions_rejects_zero_matrix():
-    mats = np.zeros((2, 2, 2), dtype=complex)
-    mats[0] = np.eye(2)
-    with pytest.raises(ValueError, match="entry 1 is numerically zero"):
-        _chordal_distance_matrix(mats)
-    # Of several zero entries, the first is named.
-    mats = np.zeros((4, 2, 2), dtype=complex)
-    mats[0] = mats[3] = np.eye(2)
-    with pytest.raises(ValueError, match="entry 1 is numerically zero"):
-        _chordal_distance_matrix(mats)
-
-
 def test_chordal_distance_endpoints():
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
@@ -229,9 +221,9 @@ def test_mapping_cost_small_case():
 def test_anneal_noiseless_returns_identity_with_zero_cost():
     rng = np.random.default_rng(3)
     dirs = np.stack([v / np.linalg.norm(v) for v in rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))])
-    mats = rank_one_codebook(dirs, power=2.0)
+    mats = rank_one_codebook(dirs, power=np.sqrt(2.0))
     marg = np.full(4, 0.25)
-    perm = optimize_mapping(mats, marg, 0.0, n_iter=200, rng=np.random.default_rng(0))
+    perm = anneal(mats, marg, 0.0, n_iter=200, seed=0)
     assert np.array_equal(perm, np.arange(4))
 
 
@@ -240,7 +232,7 @@ def test_anneal_symmetric_codebook_returns_identity():
     # costs the same, so the identity must come back.
     mats = rank_one_codebook(np.eye(4, dtype=complex), power=2.0)
     marg = np.full(4, 0.25)
-    perm = optimize_mapping(mats, marg, 0.1, n_iter=500, rng=np.random.default_rng(5))
+    perm = anneal(mats, marg, 0.1, n_iter=500, seed=5)
     assert np.array_equal(perm, np.arange(4))
 
 
@@ -264,7 +256,7 @@ def test_anneal_matches_exhaustive_minimum_k4():
     marg /= marg.sum()
 
     best = exhaustive_best_cost(mats, marg, 0.08)
-    perm = optimize_mapping(mats, marg, 0.08, n_iter=10_000, rng=np.random.default_rng(9))
+    perm = anneal(mats, marg, 0.08, n_iter=10_000, seed=9)
     dist = _chordal_distance_matrix(mats)
     got = mapping_cost(perm, bsc_inversion_matrix(4, 0.08), marg, dist)
     assert got <= best + 1e-12
@@ -276,7 +268,7 @@ def test_anneal_logs_identity_and_annealed_cost(caplog):
     mats = rank_one_codebook([v / np.linalg.norm(v) for v in z], power=2.0)
     marg = np.full(8, 1 / 8)
     with caplog.at_level(logging.INFO, logger="podsim.feedback"):
-        perm = optimize_mapping(mats, marg, 0.05, n_iter=2000, rng=np.random.default_rng(0))
+        perm = anneal(mats, marg, 0.05, n_iter=2000, seed=0)
     bit_matrix = bsc_inversion_matrix(8, 0.05)
     dist = _chordal_distance_matrix(mats)
     costs = [mapping_cost(p, bit_matrix, marg, dist) for p in (np.arange(8), perm)]
@@ -293,9 +285,7 @@ def test_anneal_never_worse_than_identity():
         dirs = np.stack([v / np.linalg.norm(v) for v in z])
         mats = rank_one_codebook(dirs, power=2.0)
         marg = np.full(8, 1 / 8)
-        perm = optimize_mapping(
-            mats, marg, 0.05, n_iter=2000, rng=np.random.default_rng(trial)
-        )
+        perm = anneal(mats, marg, 0.05, n_iter=2000, seed=trial)
         dist = _chordal_distance_matrix(mats)
         bit_matrix = bsc_inversion_matrix(8, 0.05)
         got = mapping_cost(perm, bit_matrix, marg, dist)

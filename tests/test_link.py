@@ -413,14 +413,15 @@ def test_sweep_gain_matches_explicit_precoding(kind, n, loop, monkeypatch):
                             bsc_inversion_matrix(k, cb.rho_d))
     applied = [encoded]
     if loop == "closed":
-        send = config.feedback.transmit_batch
+        send = FeedbackChannel.transmit_batch
 
-        def record(indices, rng):
+        def record(channel, indices, rng):
             assert np.array_equal(indices, encoded)
-            applied[0] = send(indices, rng)
+            applied[0] = send(channel, indices, rng)
             return applied[0]
 
-        monkeypatch.setattr(config.feedback, "transmit_batch", record)
+        # A FeedbackChannel is frozen, so the method is patched on its class.
+        monkeypatch.setattr(FeedbackChannel, "transmit_batch", record)
     precoders = _precoders(config.codebook, decoder, design.m)
     gains = _effective_channels(config, precoders, frames, rng, _Scratch())
     h_eff = h
