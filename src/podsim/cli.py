@@ -133,12 +133,12 @@ def cmd_train(args) -> int:
         step_m=args.step_m,
         tol=args.tol,
         max_rounds=args.max_rounds,
-        seed=args.seed,
     )
     log.info(
         "training M=%d N=%d K=%d eta_c=%.4g (%s rule)", m, n, k, eta_c, rule
     )
-    state = fit(cfg if rho_range is None else range_design(cfg, rule))
+    state = fit(cfg if rho_range is None else range_design(cfg, rule),
+                np.random.default_rng(args.seed))
     log.info(
         "stopped on %s after %d rounds, J=%.6g; backtracking halvings per round: %s",
         state.stop_reason, len(state.objective_history), state.objective_history[-1],
@@ -152,12 +152,11 @@ def cmd_train(args) -> int:
 def cmd_eval_pep(args) -> int:
     cb = load_codebook(args.codebook)
     eta_c = args.eta_c if args.eta_c is not None else cb.eta_c
-    # Every input is checked before a direction is drawn; the draw itself
-    # rejects a negative count before it draws.
+    # Every input is checked before a direction is drawn.
     invs = [bsc_inversion_matrix(cb.k, rho_f) for rho_f in args.rho_f]
     _check_eta_c(eta_c)
-    if args.samples == 0:
-        raise ValueError("need at least one direction, got --samples 0")
+    if args.samples < 1:
+        raise ValueError(f"need at least one direction, got --samples {args.samples}")
     _check_elements(f"--samples {args.samples}", args.samples * cb.n**2)
     dirs = _draw_direction_features(cb.n, args.samples, np.random.default_rng(args.seed))
     evset = build_evaluation_set(cb, dirs, eta_c)
@@ -241,13 +240,14 @@ def _train(cb: str, rho_d: str, snr_db: str, *, antennas: str = "4", bits: str =
 
 
 def _simulate(out: Path, code: str, snr_db: str, frames: str, workers: int,
-              cb: str | None = None, rho_f: str | None = None, *,
+              loop: tuple[str, str] | None = None, *,
               constellation: str = "bpsk", seed: str = "7") -> list[str]:
-    """A recipe's sweep at 128 symbols per frame: the closed loop over cb at
-    crossover rho_f, or the open loop when neither is given."""
-    if (cb is None) != (rho_f is None):
-        raise ValueError("a recipe's closed loop needs both a codebook and its rho_f")
-    codebook, crossover = ([], []) if cb is None else (["--codebook", cb], ["--rho-f", rho_f])
+    """A recipe's sweep at 128 symbols per frame: the closed loop over the
+    codebook at crossover rho_f of loop = (codebook, rho_f), or the open loop
+    when loop is None."""
+    codebook, crossover = [], []
+    if loop is not None:
+        codebook, crossover = ["--codebook", loop[0]], ["--rho-f", loop[1]]
     return ["simulate", *codebook, "--code", code, "--constellation", constellation, *crossover,
             "--snr-db", snr_db, "--frames", frames, "--symbols-per-frame", "128",
             "--seed", seed, "--workers", str(workers), "--out", str(out)]
@@ -270,7 +270,7 @@ def _recipe_feedback_noise_ber(out: Path, workers: int) -> list[list[str]]:
         cb = str(out / f"fn_cb_rho{rho}.cb")
         steps += [_train(cb, rho, "10"),
                   _simulate(out / f"fn_ber_rho{rho}.csv", "od4", "0:12:2", "5000", workers,
-                            cb, rho)]
+                            (cb, rho))]
     return steps + [_simulate(out / "fn_ber_open.csv", "od4", "0:12:2", "5000", workers)]
 
 
@@ -282,7 +282,7 @@ def _recipe_low_rate_six_antenna(out: Path, workers: int) -> list[list[str]]:
         steps += [_train(cb, rho_d, "10", antennas="6", bits="2", step_m="1023",
                          extra=("--block-length", "8")),
                   _simulate(out / f"six_ber_{tag}.csv", "od6x8", "6:18:3", "20000", workers,
-                            cb, "0.04")]
+                            (cb, "0.04"))]
     return steps + [_simulate(out / "six_ber_open.csv", "od6x8", "6:18:3", "20000", workers)]
 
 
@@ -291,7 +291,7 @@ def _recipe_rotated_qpsk(out: Path, workers: int) -> list[list[str]]:
     cb = str(out / "rq_cb.cb")
     return [
         _train(cb, "0.04", "10"),
-        _simulate(out / "rq_ber_closed.csv", "qostbc4", "0:12:3", "2000", workers, cb, "0.04",
+        _simulate(out / "rq_ber_closed.csv", "qostbc4", "0:12:3", "2000", workers, (cb, "0.04"),
                   constellation="qpsk-rot45"),
         _simulate(out / "rq_ber_open.csv", "qostbc4", "0:12:3", "2000", workers,
                   constellation="qpsk-rot45"),
@@ -304,7 +304,7 @@ def _recipe_mismatch_grid(out: Path, workers: int) -> list[list[str]]:
     steps = [_train(str(out / f"mis_cb_rho{d}.cb"), d, "6") for d in crossovers]
     return steps + [
         _simulate(out / f"mis_ber_d{d}_f{f}.csv", "od4", "14", "50000", workers,
-                  str(out / f"mis_cb_rho{d}.cb"), f, seed="88")
+                  (str(out / f"mis_cb_rho{d}.cb"), f), seed="88")
         for d in crossovers for f in crossovers
     ]
 
@@ -321,7 +321,7 @@ def _recipe_smoke(out: Path, workers: int) -> list[list[str]]:
          "--seed", "5", "--out", str(out / "smoke_pep.csv")],
         ["map-anneal", "--codebook", cb, "--rho-f", "0.1", "--sa-iters", "2000",
          "--seed", "5", "--out", str(out / "smoke_mapping.txt")],
-        _simulate(out / "smoke_ber.csv", "od2", "4:8:2", "400", workers, cb, "0.1", seed="5"),
+        _simulate(out / "smoke_ber.csv", "od2", "4:8:2", "400", workers, (cb, "0.1"), seed="5"),
     ]
 
 

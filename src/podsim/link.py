@@ -43,14 +43,14 @@ x' + sqrt(lambda sigma_n2 / 2) xi, D normals per block, and decides in one
 product.
 
 The inputs decide what runs: without a codebook the tail is not precoded
-(the open loop); a codebook without a feedback link applies the encoder's
-index exactly (the genie); a codebook with a feedback link runs the full
-closed loop. The encoder quantizes F(tail) / ||tail||^2, F of the parts'
-last n columns, at the codebook's eta_c under its design index channel,
-the BSC at rho_d, so a codebook is always run under the channel it was
-trained for. The codebook's entry order is its index assignment, so a
-remapped index assignment is a relabeled codebook, not a link option; at
-rho_d > 0 it changes the encoder's choices even when no index error occurs.
+(the open loop); a codebook comes with its feedback link and runs the closed
+loop, whose error-free limit is the link at rho_f = 0. The encoder quantizes
+F(tail) / ||tail||^2, F of the parts' last n columns, at the codebook's
+eta_c under its design index channel, the BSC at rho_d, so a codebook is
+always run under the channel it was trained for. The codebook's entry order
+is its index assignment, so a remapped index assignment is a relabeled
+codebook, not a link option; at rho_d > 0 it changes the encoder's choices
+even when no index error occurs.
 
 Monte Carlo frames are processed in chunks of _CHUNK_FRAMES frames, the
 last one holding the rest. Task i of a sweep is chunk i % n_chunks at SNR point
@@ -327,11 +327,11 @@ class SimulationConfig:
     pod: code structure (inner design + precoded tail size)
     constellation: symbol alphabet, one the design's decoder can take
     codebook: trained precoder codebook, encoded under the index channel it
-        was designed for (the BSC at its rho_d); None leaves the tail
-        unprecoded (the open loop)
-    feedback: noisy feedback link for the codebook index; None delivers the
-        index without error (the genie, the perfect-feedback reference that
-        tests compare with); needs a codebook
+        was designed for (the BSC at its rho_d)
+    feedback: feedback link that carries the codebook index; error-free
+        feedback is the link at rho_f = 0. The closed loop takes a codebook
+        and its link together; the open loop takes neither and leaves the
+        tail unprecoded
     symbols_per_frame: data symbols per frame; must fill whole blocks. The
         default None becomes 130 rounded down to whole blocks
     seed: master seed for the deterministic per-chunk seed tree
@@ -373,16 +373,17 @@ class SimulationConfig:
         _check_elements(f"frames={self.frames} with symbols_per_frame={self.symbols_per_frame}",
                         min(self.frames, _CHUNK_FRAMES) * self.blocks_per_frame)
         _group_decoder(self.pod.inner, self.constellation)  # a cache hit after the first build
+        if (self.codebook is None) != (self.feedback is None):
+            raise ValueError("a codebook and a feedback channel go together: "
+                             "the closed loop takes both, the open loop neither")
         if self.codebook is None:
-            if self.feedback is not None:
-                raise ValueError("a feedback channel needs a codebook to carry indices of")
             return
         if self.codebook.m != self.pod.m or self.codebook.n != self.pod.n:
             raise ValueError(
                 f"codebook ({self.codebook.m}, {self.codebook.n}) does not match "
                 f"design ({self.pod.m}, {self.pod.n})"
             )
-        if self.feedback is not None and self.feedback.k != self.codebook.k:
+        if self.feedback.k != self.codebook.k:
             raise ValueError(
                 f"feedback carries K={self.feedback.k} indices, codebook has K={self.codebook.k}"
             )
@@ -485,19 +486,19 @@ def _effective_channels(
     scratch: _Scratch,
 ) -> np.ndarray:
     """The gains lambda = F(h) . table[a], shape (F, L), of one channel draw
-    h per frame through the entry a the transmitter applies. h is drawn as
-    its real and imaginary parts, and the encoder quantizes F(tail) /
-    ||tail||^2, the kernel's features of the parts' tail columns, with
-    `_serial_matmul`, the trainer's `_decay` and its `_encode` on the chunk."""
+    h per frame through the entry a the transmitter applies: the index the
+    feedback link delivers, or 0 in the open loop. h is drawn as its real and
+    imaginary parts, and the encoder quantizes F(tail) / ||tail||^2, the
+    kernel's features of the parts' tail columns, with `_serial_matmul`, the
+    trainer's `_decay` and its `_encode` on the chunk."""
     m, n = config.pod.m, config.pod.n
     coords, design_inv, tables = precoders
     gains = scratch.take((frames, tables.shape[1]))
     with scratch.scope():
         re, im = _gaussian_parts(scratch.take((2, frames, m)), rng)
         feats = _features(re, im, out=scratch.take((m * m, frames)).T)
-        applied = scratch.take((frames,), np.intp)
         if coords is None:
-            applied[:] = 0
+            applied = np.zeros(frames, np.intp)
         else:
             cb = config.codebook
             with scratch.scope():
@@ -505,9 +506,8 @@ def _effective_channels(
                 tail = feats if n == m else _features(re[:, m - n :], im[:, m - n :], out=dirs)
                 q = _serial_matmul(_direction_features(tail, dirs), coords, scratch.take((frames, cb.k)))
                 w, t = _decay(q, cb.eta_c, n, out=scratch.take((frames, cb.k)))
-                _encode(w, design_inv, out=t, idx=applied)
-            if config.feedback is not None:
-                applied = config.feedback.transmit_batch(applied, rng)
+                encoded = _encode(w, design_inv, out=t, idx=scratch.take((frames,), np.intp))
+                applied = config.feedback.transmit_batch(encoded, rng)
         # take() buffers its output unless the mode is "clip"; every index is in range.
         chosen = np.take(tables, applied, axis=0, mode="clip",
                          out=scratch.take((frames, *tables.shape[1:])))

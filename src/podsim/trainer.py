@@ -116,7 +116,8 @@ class TrainerConfig:
     tol: stop when the relative objective decrease falls below this
     max_rounds: alternation round cap
     restarts: independent initializations; the best final objective wins
-    seed: master seed (training set, inits, empty-region restarts)
+
+    It holds no seed: `fit` draws everything from the generator it is given.
     """
 
     m: int
@@ -131,7 +132,6 @@ class TrainerConfig:
     tol: float = 1e-5
     max_rounds: int = 200
     restarts: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         _check_design(self)
@@ -201,9 +201,8 @@ def _draw_direction_features(n: int, count: int, rng: np.random.Generator) -> np
     """F(h / ||h||) of the count directions sample_directions(n, count, rng)
     draws, from the same (count, n) real then imaginary parts, with no complex
     array formed. Each part is copied to contiguous columns before the column
-    products; the result is a (count, n^2) view of (n^2, count) columns."""
-    if count < 0:
-        raise ValueError(f"direction count must be nonnegative, got {count}")
+    products; the result is a (count, n^2) view of (n^2, count) columns.
+    The callers check the count."""
     re, im = (np.ascontiguousarray(rng.standard_normal((count, n)).T).T for _ in range(2))
     feats = _features(re, im)
     return _direction_features(feats, out=feats)
@@ -403,10 +402,8 @@ def _run_single(cfg: TrainerConfig, feats: np.ndarray, inv: np.ndarray, rng: np.
     return float(np.sum(values)), state
 
 
-def fit(cfg: TrainerConfig, rng: np.random.Generator | None = None) -> TrainingState:
-    """Full training run with restarts; returns the best state."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+def fit(cfg: TrainerConfig, rng: np.random.Generator) -> TrainingState:
+    """Full training run with restarts, drawing from rng; returns the best state."""
     inv = bsc_inversion_matrix(cfg.k, cfg.rho_d)
     feats = _draw_direction_features(cfg.n, cfg.n_train, rng)
 

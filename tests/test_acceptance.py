@@ -124,8 +124,9 @@ def design10():
         cbs[rho] = fit(
             TrainerConfig(
                 m=4, n=4, k=16, eta_c=eta, rho_d=rho,
-                n_train=N_TRAIN, step_m=STEP_K16, seed=1,
-            )
+                n_train=N_TRAIN, step_m=STEP_K16,
+            ),
+            np.random.default_rng(1),
         ).codebook
         secs[rho] = time.monotonic() - t0
     return cbs, secs
@@ -136,12 +137,12 @@ def design6():
     """M=4, K=16 codebooks at the 6 dB design point for the mismatch study."""
     base = TrainerConfig(
         m=4, n=4, k=16, eta_c=eta_c_from_snr_db(4, 4, 6.0), rho_d=0.0,
-        rho_range=(0.0, 0.04), n_train=N_TRAIN, step_m=STEP_K16, seed=1,
+        rho_range=(0.0, 0.04), n_train=N_TRAIN, step_m=STEP_K16,
     )
     return {
-        "clean": fit(replace(base, rho_range=None)).codebook,
-        "worst": fit(range_design(base, "worst-case")).codebook,
-        "avg": fit(range_design(base, "average")).codebook,
+        "clean": fit(replace(base, rho_range=None), np.random.default_rng(1)).codebook,
+        "worst": fit(range_design(base, "worst-case"), np.random.default_rng(1)).codebook,
+        "avg": fit(range_design(base, "average"), np.random.default_rng(1)).codebook,
     }
 
 
@@ -150,11 +151,11 @@ def six_antenna():
     """M=6, K=4, N=4 codebooks for the low-rate construction."""
     kw = dict(
         m=6, n=4, k=4, eta_c=eta_c_from_snr_db(6, 8, 10.0),
-        n_train=N_TRAIN, step_m=STEP_K4, seed=1,
+        n_train=N_TRAIN, step_m=STEP_K4,
     )
     return {
-        0.0: fit(TrainerConfig(rho_d=0.0, **kw)).codebook,
-        0.04: fit(TrainerConfig(rho_d=0.04, **kw)).codebook,
+        0.0: fit(TrainerConfig(rho_d=0.0, **kw), np.random.default_rng(1)).codebook,
+        0.04: fit(TrainerConfig(rho_d=0.04, **kw), np.random.default_rng(1)).codebook,
     }
 
 
@@ -360,9 +361,9 @@ def test_fast_analytic_consistency_suite():
     for seed in range(5):
         cfg = TrainerConfig(
             m=2, n=2, k=2, eta_c=2.0, rho_d=0.05, n_train=1000,
-            inner_iters=4, max_rounds=25, tol=1e-8, step_m=63.0, seed=seed,
+            inner_iters=4, max_rounds=25, tol=1e-8, step_m=63.0,
         )
-        hist = fit(cfg).objective_history
+        hist = fit(cfg, np.random.default_rng(seed)).objective_history
         if any(hist[i + 1] > hist[i] + 1e-12 for i in range(len(hist) - 1)):
             failures.append(f"history increased at seed {seed}")
 

@@ -16,6 +16,10 @@ and is frozen, and the package asks for no check later: only a
 `__post_init__` calls `validate()`. Each design rule is stated once, in the
 function of the layer that owns it.
 
+Randomness has one source per job: a function that draws takes a
+`numpy.random.Generator` with no default, and no configuration holds a seed
+for it; a sweep's int seed roots its own seed tree.
+
 The package runs on numpy and the standard library alone: scipy is a test
 extra, so no module under `src/podsim` may import it, or anything else."""
 
@@ -92,7 +96,7 @@ def test_package_states_no_export_itself():
                                "feedback", "symbols_per_frame", "seed"]),
     (podsim.FeedbackChannel, ["k", "rho_f"]),
     (podsim.TrainerConfig, ["m", "n", "k", "eta_c", "rho_d", "rho_range", "n_train",
-                            "inner_iters", "step_m", "tol", "max_rounds", "restarts", "seed"]),
+                            "inner_iters", "step_m", "tol", "max_rounds", "restarts"]),
     (podsim.BerResult, ["snr_db", "rho_f", "frames", "bits_sent", "bit_errors"]),
     # N and K are read off the (K, N, N) matrix stack.
     (podsim.PrecoderCodebook, ["m", "matrices", "eta_c", "rho_d", "marginals", "rho_range"]),
@@ -101,16 +105,20 @@ def test_config_fields_are_pinned(cls, fields):
     assert [f.name for f in dataclasses.fields(cls) if f.init] == fields
 
 
+CODEBOOK_ARGS = dict(m=2, matrices=np.stack([np.eye(2)] * 2), eta_c=1.0, rho_d=0.0,
+                     marginals=np.full(2, 0.5))
+SIMULATION_ARGS = dict(snr_grid_db=[8.0], frames=10,
+                       pod=podsim.PodStructure(podsim.get_design("alamouti"), 2),
+                       constellation=podsim.Constellation("bpsk"))
+
 # (type, valid arguments, a change that makes them invalid)
 CHECKED_WHEN_BUILT = [
     (podsim.TrainerConfig, dict(m=2, n=2, k=2, eta_c=1.0), dict(n=3)),
-    (podsim.PrecoderCodebook, dict(m=2, matrices=np.stack([np.eye(2)] * 2), eta_c=1.0,
-                                   rho_d=0.0, marginals=np.full(2, 0.5)),
-     dict(marginals=np.full(2, 0.9))),
-    (podsim.SimulationConfig, dict(snr_grid_db=[8.0], frames=10,
-                                   pod=podsim.PodStructure(podsim.get_design("alamouti"), 2),
-                                   constellation=podsim.Constellation("bpsk")),
-     dict(frames=0)),
+    (podsim.PrecoderCodebook, CODEBOOK_ARGS, dict(marginals=np.full(2, 0.9))),
+    (podsim.SimulationConfig, SIMULATION_ARGS, dict(frames=0)),
+    # A codebook runs over a feedback link, error-free or not.
+    (podsim.SimulationConfig, SIMULATION_ARGS,
+     dict(codebook=podsim.PrecoderCodebook(**CODEBOOK_ARGS))),
     (podsim.FeedbackChannel, dict(k=2, rho_f=0.1), dict(k=3)),
     (podsim.PodStructure, dict(inner=podsim.get_design("alamouti"), n=2), dict(n=3)),
     (podsim.Constellation, dict(kind="bpsk"), dict(kind="qam-16")),
@@ -119,8 +127,16 @@ CHECKED_WHEN_BUILT = [
 ]
 
 
-@pytest.mark.parametrize("cls, good, bad", CHECKED_WHEN_BUILT,
-                         ids=[case[0].__name__ for case in CHECKED_WHEN_BUILT])
+def case_ids(cases):
+    """Each case's type name; a later case of one type adds the fields it changes."""
+    seen, ids = set(), []
+    for cls, _, bad in cases:
+        ids.append("-".join([cls.__name__, *bad]) if cls in seen else cls.__name__)
+        seen.add(cls)
+    return ids
+
+
+@pytest.mark.parametrize("cls, good, bad", CHECKED_WHEN_BUILT, ids=case_ids(CHECKED_WHEN_BUILT))
 def test_inputs_are_checked_when_built(cls, good, bad):
     obj = cls(**good)
     with pytest.raises(ValueError):
@@ -161,6 +177,7 @@ RULE_OWNERS = {
     "at least one feedback bit": "feedback.py:_feedback_bits",
     "eta_c must be finite and nonnegative": "codebook.py:_check_eta_c",
     "rho_range must be a pair": "codebook.py:_check_design",
+    "direction count must be nonnegative": "channel.py:sample_directions",
 }
 
 
@@ -204,6 +221,30 @@ def test_validate_is_called_only_from_post_init():
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>", path.name)
     assert [(name, owner) for name, _, owner in calls] == [
         ("codebook.py", "__post_init__"), ("link.py", "__post_init__")], calls
+
+
+def test_fit_takes_its_generator_from_the_caller():
+    params = inspect.signature(podsim.fit).parameters
+    assert list(params) == ["cfg", "rng"]
+    assert params["rng"].default is inspect.Parameter.empty
+
+
+def test_no_generator_parameter_has_a_default():
+    # A default generator, or a None that falls back to a seed, would be a
+    # second source for the same draws.
+    defaulted = []
+    for path in sorted(Path(podsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+            for arg, default in zip(positional + args.kwonlyargs, defaults + args.kw_defaults):
+                if (default is not None and arg.annotation is not None
+                        and "Generator" in ast.unparse(arg.annotation)):
+                    defaulted.append(f"{path.name}:{node.lineno} {arg.arg}")
+    assert not defaulted, defaulted
 
 
 def test_evaluation_set_takes_no_index_channel():

@@ -21,7 +21,6 @@ from podsim.cli import (
     RECIPES,
     _build_parser,
     _parse_snr_grid,
-    _simulate,
     main,
 )
 from podsim.codebook import load_codebook, save_codebook
@@ -267,7 +266,7 @@ def test_eval_pep_rejects_bad_eta_c_and_sample_count(tiny_codebook_path, tmp_pat
     assert rc == 3
     assert not out.exists()
     if flags == ["--samples", "-1"]:
-        assert "direction count must be nonnegative, got -1" in capsys.readouterr().err
+        assert "need at least one direction, got --samples -1" in capsys.readouterr().err
 
 
 def test_eval_pep_snr_db_does_not_change_the_bound(tiny_codebook_path, tmp_path):
@@ -574,13 +573,6 @@ def test_malformed_mapping_file_exits_3_and_writes_nothing(text, message, tiny_c
                              "--mapping", str(mapping), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_recipe_sweeps_take_codebook_and_rho_f_together(tmp_path):
-    with pytest.raises(ValueError, match="both a codebook and its rho_f"):
-        _simulate(tmp_path / "x.csv", "od4", "6", "10", 1, rho_f="0.1")
-    with pytest.raises(ValueError, match="both a codebook and its rho_f"):
-        _simulate(tmp_path / "x.csv", "od4", "6", "10", 1, cb=str(tmp_path / "cb.cb"))
 
 
 def test_simulate_baseline_is_usage_error(tiny_codebook_path, tmp_path):

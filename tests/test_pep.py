@@ -283,9 +283,9 @@ def test_average_bound_in_unit_interval_half():
 def trained_small_codebook():
     cfg = TrainerConfig(
         m=2, n=2, k=2, eta_c=2.5, rho_d=0.0, n_train=3000,
-        inner_iters=5, max_rounds=40, tol=1e-6, step_m=63.0, seed=29,
+        inner_iters=5, max_rounds=40, tol=1e-6, step_m=63.0,
     )
-    return fit(cfg).codebook
+    return fit(cfg, np.random.default_rng(29)).codebook
 
 
 def test_average_bound_nondecreasing_in_rho_for_trained_codebook():
