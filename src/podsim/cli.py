@@ -22,6 +22,7 @@ from .codebook import PrecoderCodebook, _check_eta_c, eigen_profile, load_codebo
 from .feedback import (
     _MAX_ELEMENTS,
     FeedbackChannel,
+    _check_crossover,
     _check_elements,
     _feedback_bits,
     bsc_inversion_matrix,
@@ -31,7 +32,7 @@ from .feedback import (
 )
 from .link import SimulationConfig, run_ber_sweep, write_ber_csv
 from .pep import average_pep_bound, build_evaluation_set
-from .stbc import Constellation, PodStructure, get_design
+from .stbc import _CONSTELLATION_KINDS, _REGISTRY, Constellation, PodStructure, get_design
 from .trainer import (
     TrainerConfig,
     _draw_direction_features,
@@ -43,15 +44,6 @@ from .trainer import (
 __all__ = ["main"]
 
 log = logging.getLogger("podsim")
-
-CODE_NAMES = {
-    "alamouti": "alamouti",
-    "od2": "real-od-2",
-    "od4": "real-od-4",
-    "od6x8": "real-od-6x8",
-    "od8": "real-od-8",
-    "qostbc4": "qostbc-4",
-}
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
@@ -152,8 +144,9 @@ def cmd_train(args) -> int:
 def cmd_eval_pep(args) -> int:
     cb = load_codebook(args.codebook)
     eta_c = args.eta_c if args.eta_c is not None else cb.eta_c
-    # Every input is checked before a direction is drawn.
-    invs = [bsc_inversion_matrix(cb.k, rho_f) for rho_f in args.rho_f]
+    # Every input is checked before a direction is drawn; a row builds its own K x K table.
+    for rho_f in args.rho_f:
+        _check_crossover(rho_f)
     _check_eta_c(eta_c)
     if args.samples < 1:
         raise ValueError(f"need at least one direction, got --samples {args.samples}")
@@ -161,8 +154,8 @@ def cmd_eval_pep(args) -> int:
     dirs = _draw_direction_features(cb.n, args.samples, np.random.default_rng(args.seed))
     evset = build_evaluation_set(cb, dirs, eta_c)
     lines = ["rho_f,eta_c,bound"]
-    for rho_f, inv in zip(args.rho_f, invs):
-        bound = average_pep_bound(evset, inv)
+    for rho_f in args.rho_f:
+        bound = average_pep_bound(evset, bsc_inversion_matrix(cb.k, rho_f))
         # repr is the shortest text that reads back as the same float.
         lines.append(",".join(repr(float(v)) for v in (rho_f, eta_c, bound)))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -171,8 +164,8 @@ def cmd_eval_pep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    design = get_design(CODE_NAMES[args.code])
-    constellation = Constellation("bpsk" if args.constellation == "bpsk" else "qpsk-rot")
+    design = get_design(args.code)
+    constellation = Constellation(args.constellation)
 
     # The inputs decide the run: no codebook is the open loop, a codebook is
     # the closed loop over a feedback link at --rho-f.
@@ -269,9 +262,9 @@ def _recipe_feedback_noise_ber(out: Path, workers: int) -> list[list[str]]:
     for rho in ("0", "0.04", "0.2", "0.5"):
         cb = str(out / f"fn_cb_rho{rho}.cb")
         steps += [_train(cb, rho, "10"),
-                  _simulate(out / f"fn_ber_rho{rho}.csv", "od4", "0:12:2", "5000", workers,
+                  _simulate(out / f"fn_ber_rho{rho}.csv", "real-od-4", "0:12:2", "5000", workers,
                             (cb, rho))]
-    return steps + [_simulate(out / "fn_ber_open.csv", "od4", "0:12:2", "5000", workers)]
+    return steps + [_simulate(out / "fn_ber_open.csv", "real-od-4", "0:12:2", "5000", workers)]
 
 
 def _recipe_low_rate_six_antenna(out: Path, workers: int) -> list[list[str]]:
@@ -281,9 +274,9 @@ def _recipe_low_rate_six_antenna(out: Path, workers: int) -> list[list[str]]:
         cb = str(out / f"six_cb_{tag}.cb")
         steps += [_train(cb, rho_d, "10", antennas="6", bits="2", step_m="1023",
                          extra=("--block-length", "8")),
-                  _simulate(out / f"six_ber_{tag}.csv", "od6x8", "6:18:3", "20000", workers,
+                  _simulate(out / f"six_ber_{tag}.csv", "real-od-6x8", "6:18:3", "20000", workers,
                             (cb, "0.04"))]
-    return steps + [_simulate(out / "six_ber_open.csv", "od6x8", "6:18:3", "20000", workers)]
+    return steps + [_simulate(out / "six_ber_open.csv", "real-od-6x8", "6:18:3", "20000", workers)]
 
 
 def _recipe_rotated_qpsk(out: Path, workers: int) -> list[list[str]]:
@@ -291,10 +284,10 @@ def _recipe_rotated_qpsk(out: Path, workers: int) -> list[list[str]]:
     cb = str(out / "rq_cb.cb")
     return [
         _train(cb, "0.04", "10"),
-        _simulate(out / "rq_ber_closed.csv", "qostbc4", "0:12:3", "2000", workers, (cb, "0.04"),
-                  constellation="qpsk-rot45"),
-        _simulate(out / "rq_ber_open.csv", "qostbc4", "0:12:3", "2000", workers,
-                  constellation="qpsk-rot45"),
+        _simulate(out / "rq_ber_closed.csv", "qostbc-4", "0:12:3", "2000", workers, (cb, "0.04"),
+                  constellation="qpsk-rot"),
+        _simulate(out / "rq_ber_open.csv", "qostbc-4", "0:12:3", "2000", workers,
+                  constellation="qpsk-rot"),
     ]
 
 
@@ -303,7 +296,7 @@ def _recipe_mismatch_grid(out: Path, workers: int) -> list[list[str]]:
     crossovers = ("0", "0.04")
     steps = [_train(str(out / f"mis_cb_rho{d}.cb"), d, "6") for d in crossovers]
     return steps + [
-        _simulate(out / f"mis_ber_d{d}_f{f}.csv", "od4", "14", "50000", workers,
+        _simulate(out / f"mis_ber_d{d}_f{f}.csv", "real-od-4", "14", "50000", workers,
                   (str(out / f"mis_cb_rho{d}.cb"), f), seed="88")
         for d in crossovers for f in crossovers
     ]
@@ -321,7 +314,7 @@ def _recipe_smoke(out: Path, workers: int) -> list[list[str]]:
          "--seed", "5", "--out", str(out / "smoke_pep.csv")],
         ["map-anneal", "--codebook", cb, "--rho-f", "0.1", "--sa-iters", "2000",
          "--seed", "5", "--out", str(out / "smoke_mapping.txt")],
-        _simulate(out / "smoke_ber.csv", "od2", "4:8:2", "400", workers, (cb, "0.1"), seed="5"),
+        _simulate(out / "smoke_ber.csv", "real-od-2", "4:8:2", "400", workers, (cb, "0.1"), seed="5"),
     ]
 
 
@@ -424,9 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--codebook", default=None, help="trained codebook file; without one, the open loop"
     )
-    p.add_argument("--code", choices=sorted(CODE_NAMES), required=True, help="inner design")
+    p.add_argument("--code", choices=sorted(_REGISTRY), required=True, help="inner design")
     p.add_argument(
-        "--constellation", choices=("bpsk", "qpsk-rot45"), required=True, help="symbol alphabet"
+        "--constellation", choices=_CONSTELLATION_KINDS, required=True, help="symbol alphabet"
     )
     p.add_argument(
         "--rho-f", type=float, default=0.0, help="feedback crossover probability (needs --codebook)"

@@ -34,12 +34,13 @@ metric separates over the symbol pairs (z1, z3) and (z2, z4); full
 diversity requires the second symbol of each pair to come from a rotated
 alphabet, which the QPSK constellation here applies to z3 and z4.
 
-Each design is stated once, as its builder: a function of the n_sym symbols
-that returns Z. `InnerDesign` reads the shape and realness off the builder.
+Each design is stated once, as its builder, which names its symbols and
+returns Z; `InnerDesign` reads the symbol count, shape and realness off it.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,8 +87,8 @@ def _od8(z1, z2, z3, z4, z5, z6, z7, z8):
     return time_rows.T
 
 
-def _od6x8(*z):
-    return _od8(*z)[:6, :]
+def _od6x8(z1, z2, z3, z4, z5, z6, z7, z8):
+    return _od8(z1, z2, z3, z4, z5, z6, z7, z8)[:6, :]
 
 
 def _alamouti(z1, z2):
@@ -113,22 +114,26 @@ def _qostbc4(z1, z2, z3, z4):
 @dataclass(frozen=True)
 class InnerDesign:
     """One inner block design: a kind name and the builder that maps its
-    n_sym symbols, one argument each, to the codeword Z. The shape m x t and
-    is_real (Z takes no conjugate) are read off one probe of the builder.
+    symbols, one positional parameter each, to the codeword Z. n_sym, the
+    shape m x t and is_real (Z takes no conjugate) are read off the builder.
 
     rotated_slots lists the symbol positions that take the rotated alphabet
     when a rotated constellation is used (quasi-orthogonal designs only).
     """
 
     kind: str
-    n_sym: int
     builder: callable = field(repr=False, compare=False)
     rotated_slots: tuple[int, ...] = ()
+    n_sym: int = field(init=False)
     m: int = field(init=False)
     t: int = field(init=False)
     is_real: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        params = inspect.signature(self.builder).parameters.values()
+        if any(p.kind > p.POSITIONAL_OR_KEYWORD for p in params):  # *args, or keyword-only
+            raise ValueError(f"design {self.kind!r}: its builder must name each symbol")
+        object.__setattr__(self, "n_sym", len(params))
         a, b = self.coefficient_tensors()
         for name, value in (("m", a.shape[1]), ("t", a.shape[2]), ("is_real", not b.any())):
             object.__setattr__(self, name, value)
@@ -146,13 +151,14 @@ class InnerDesign:
 
 
 _REGISTRY = {d.kind: d for d in (
-    InnerDesign("real-od-2", 2, _od2),
-    InnerDesign("real-od-4", 4, _od4),
-    InnerDesign("real-od-8", 8, _od8),
-    InnerDesign("real-od-6x8", 8, _od6x8),
-    InnerDesign("alamouti", 2, _alamouti),
-    InnerDesign("qostbc-4", 4, _qostbc4, rotated_slots=(2, 3)),
+    InnerDesign("real-od-2", _od2),
+    InnerDesign("real-od-4", _od4),
+    InnerDesign("real-od-8", _od8),
+    InnerDesign("real-od-6x8", _od6x8),
+    InnerDesign("alamouti", _alamouti),
+    InnerDesign("qostbc-4", _qostbc4, rotated_slots=(2, 3)),
 )}
+_CONSTELLATION_KINDS = ("bpsk", "qpsk-rot")  # the alphabets' names, as _REGISTRY's keys
 
 
 def get_design(kind: str) -> InnerDesign:
@@ -187,7 +193,7 @@ class Constellation:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bpsk", "qpsk-rot"):
+        if self.kind not in _CONSTELLATION_KINDS:
             raise ValueError(f"unknown constellation kind {self.kind!r}")
 
     @property

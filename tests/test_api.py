@@ -100,6 +100,8 @@ def test_package_states_no_export_itself():
     (podsim.BerResult, ["snr_db", "rho_f", "frames", "bits_sent", "bit_errors"]),
     # N and K are read off the (K, N, N) matrix stack.
     (podsim.PrecoderCodebook, ["m", "matrices", "eta_c", "rho_d", "marginals", "rho_range"]),
+    # n_sym, m, t and is_real are read off the builder.
+    (podsim.InnerDesign, ["kind", "builder", "rotated_slots"]),
 ])
 def test_config_fields_are_pinned(cls, fields):
     assert [f.name for f in dataclasses.fields(cls) if f.init] == fields

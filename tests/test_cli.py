@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ import podsim
 from podsim.channel import sample_directions
 from podsim.cli import (
     _MAX_SNR_POINTS,
-    CODE_NAMES,
     RECIPES,
     _build_parser,
     _parse_snr_grid,
@@ -26,6 +26,7 @@ from podsim.cli import (
 from podsim.codebook import load_codebook, save_codebook
 from podsim.feedback import bsc_inversion_matrix, load_mapping, save_mapping
 from podsim.link import _BER_CSV_HEADER, SimulationConfig, run_ber_sweep
+from podsim.pep import average_pep_bound
 from podsim.stbc import _REGISTRY, Constellation, PodStructure, get_design
 
 
@@ -68,7 +69,7 @@ def test_module_entry_point_exits_with_main(args, code):
 def test_bad_snr_grid_is_usage_error(tmp_path):
     for grid in ("5:1", "0:nan:1", "0:1:nan"):
         with pytest.raises(SystemExit) as ei:
-            main(["simulate", "--code", "od2", "--constellation", "bpsk",
+            main(["simulate", "--code", "real-od-2", "--constellation", "bpsk",
                   "--snr-db", grid, "--frames", "10", "--out", str(tmp_path / "x.csv")])
         assert ei.value.code == 2
 
@@ -93,7 +94,7 @@ def test_snr_grid_past_the_point_ceiling_is_usage_error(tmp_path, capsys, monkey
     out = tmp_path / "x.csv"
     for grid in ("0:1e13:1", "0:inf:1"):
         with pytest.raises(SystemExit) as ei:
-            main(["simulate", "--code", "od2", "--constellation", "bpsk",
+            main(["simulate", "--code", "real-od-2", "--constellation", "bpsk",
                   "--snr-db", grid, "--frames", "10", "--out", str(out)])
         assert ei.value.code == 2
         assert capsys.readouterr().err.strip().endswith("SNR points")
@@ -257,6 +258,27 @@ def test_parser_defaults_survive_earlier_calls(tiny_codebook_path, tmp_path):
     assert len(lines) == 2 and lines[1].startswith("0.0,")
 
 
+def test_eval_pep_holds_one_index_table_at_a_time(tiny_codebook_path, tmp_path, monkeypatch):
+    # A K x K table per crossover is built for its own row: at K = 16384 one
+    # table is 2 GiB, so a list of them would multiply the peak by the rows.
+    tables, alive = [], []
+
+    def tracked_table(k, rho_f):
+        table = bsc_inversion_matrix(k, rho_f)
+        tables.append(weakref.ref(table))
+        return table
+
+    def counted_bound(evset, inv):
+        alive.append(sum(ref() is not None for ref in tables))
+        return average_pep_bound(evset, inv)
+
+    monkeypatch.setattr("podsim.cli.bsc_inversion_matrix", tracked_table)
+    monkeypatch.setattr("podsim.cli.average_pep_bound", counted_bound)
+    assert main(["eval-pep", "--codebook", str(tiny_codebook_path), "--rho-f", "0,0.05,0.2",
+                 "--samples", "200", "--out", str(tmp_path / "pep.csv")]) == 0
+    assert len(tables) == 3 and alive == [1, 1, 1]
+
+
 @pytest.mark.parametrize("flags", [["--eta-c", "-1"], ["--eta-c", "nan"],
                                    ["--samples", "0"], ["--samples", "-1"]])
 def test_eval_pep_rejects_bad_eta_c_and_sample_count(tiny_codebook_path, tmp_path, flags, capsys):
@@ -302,7 +324,7 @@ def test_eval_pep_block_length_is_usage_error(tiny_codebook_path, tmp_path):
 
 def test_simulate_csv_header_and_grid(tiny_codebook_path, tmp_path):
     out = tmp_path / "ber.csv"
-    rc = main(["simulate", "--codebook", str(tiny_codebook_path), "--code", "od2",
+    rc = main(["simulate", "--codebook", str(tiny_codebook_path), "--code", "real-od-2",
                "--constellation", "bpsk", "--rho-f", "0.1", "--snr-db", "4:8:2",
                "--frames", "200", "--symbols-per-frame", "128", "--seed", "2",
                "--out", str(out)])
@@ -317,7 +339,7 @@ def test_simulate_open_loop_needs_no_codebook(tmp_path):
     # No codebook is the open loop: the counts are those of a sweep given no
     # codebook.
     out = tmp_path / "open.csv"
-    rc = main(["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6:10:4",
+    rc = main(["simulate", "--code", "real-od-2", "--constellation", "bpsk", "--snr-db", "6:10:4",
                "--frames", "150", "--symbols-per-frame", "128", "--seed", "2", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().split()
@@ -337,7 +359,7 @@ def test_simulate_closed_loop_without_codebook_rejected(tmp_path, capsys):
     # whose indices cross it; without one the run is refused, not run open.
     out = tmp_path / "x.csv"
     for rho_f in ("0.04", "0.5"):
-        rc = main(["simulate", "--code", "od2", "--constellation", "bpsk", "--rho-f", rho_f,
+        rc = main(["simulate", "--code", "real-od-2", "--constellation", "bpsk", "--rho-f", rho_f,
                    "--snr-db", "6", "--frames", "10", "--out", str(out)])
         assert rc == 3
         assert "give --codebook" in capsys.readouterr().err
@@ -350,7 +372,7 @@ def test_simulate_mapping_flags(tiny_codebook_path, tmp_path, capsys):
     mapping = tmp_path / "map.txt"
     assert main(["map-anneal", "--codebook", str(tiny_codebook_path), "--rho-f", "0.1",
                  "--seed", "2", "--out", str(mapping)]) == 0
-    args = ["simulate", "--codebook", str(tiny_codebook_path), "--code", "od2",
+    args = ["simulate", "--codebook", str(tiny_codebook_path), "--code", "real-od-2",
             "--constellation", "bpsk", "--rho-f", "0.1", "--snr-db", "6",
             "--frames", "100", "--symbols-per-frame", "128", "--seed", "2"]
     assert main(args + ["--mapping", str(mapping), "--out", str(tmp_path / "a.csv")]) == 0
@@ -383,8 +405,8 @@ def test_simulate_mapping_relabels_the_codebook(k8_codebook_path, tmp_path):
     for name, (perm, counts) in pinned.items():
         save_mapping(tmp_path / f"{name}.txt", perm)
         out = tmp_path / f"{name}.csv"
-        assert main(["simulate", "--codebook", cb, "--code", "od2", "--constellation", "bpsk",
-                     "--rho-f", "0.1", "--snr-db", "4:8:4", "--frames", "4000", "--seed", "3",
+        assert main(["simulate", "--codebook", cb, "--code", "real-od-2",
+                     "--constellation", "bpsk", "--rho-f", "0.1", "--snr-db", "4:8:4", "--frames", "4000", "--seed", "3",
                      "--mapping", f"{tmp_path / name}.txt", "--out", str(out)]) == 0
         assert [int(line.split(",")[4]) for line in out.read_text().split()[1:]] == counts, name
 
@@ -401,7 +423,7 @@ def test_simulate_mapping_matters_without_index_errors(k8_codebook_path, tmp_pat
         for name, perm in perms.items():
             save_mapping(tmp_path / f"{name}.txt", perm)
             out = tmp_path / f"{rho_d}_{name}.csv"
-            assert main(["simulate", "--codebook", str(cb), "--code", "od2",
+            assert main(["simulate", "--codebook", str(cb), "--code", "real-od-2",
                          "--constellation", "bpsk", "--rho-f", "0", "--snr-db", "4:8:4",
                          "--frames", "4000", "--seed", "3",
                          "--mapping", f"{tmp_path / name}.txt", "--out", str(out)]) == 0
@@ -429,21 +451,21 @@ TRAIN_SMALL = ["train", "--antennas", "2", "--feedback-bits", "1", "--rho-d", "0
     (TRAIN_SMALL + ["--eta-c", "1", "--step-m", "-3"], "step_m"),
     (TRAIN_SMALL + ["--eta-c", "1", "--step-m", "nan"], "step_m"),
     (TRAIN_SMALL + ["--eta-c", "1", "--tol", "nan"], "tol"),
-    (["simulate", "--code", "od2", "--constellation", "bpsk", "--frames", "20",
+    (["simulate", "--code", "real-od-2", "--constellation", "bpsk", "--frames", "20",
       "--snr-db", "nan"], "SNR points"),
-    (["simulate", "--code", "od2", "--constellation", "bpsk", "--frames", "20",
+    (["simulate", "--code", "real-od-2", "--constellation", "bpsk", "--frames", "20",
       "--snr-db=-inf"], "SNR points"),
     # Finite values whose 10^(snr/10) leaves the float range, so that neither
     # the noise variance m / 10^(snr/10) nor eta_c = m 10^(snr/10) / (4 T)
     # is a finite positive number.
-    (["simulate", "--code", "od4", "--constellation", "bpsk", "--frames", "1",
+    (["simulate", "--code", "real-od-4", "--constellation", "bpsk", "--frames", "1",
       "--snr-db", "4000"], "SNR points"),
-    (["simulate", "--code", "od4", "--constellation", "bpsk", "--frames", "1",
+    (["simulate", "--code", "real-od-4", "--constellation", "bpsk", "--frames", "1",
       "--snr-db=-4000"], "SNR points"),
     (TRAIN_SMALL + ["--design-snr-db", "4000"], "eta_c"),
     # A finite noise variance (about 1.3e308) whose product with a channel
     # gain is not: drawn with, it would decide every block from nan metrics.
-    (["simulate", "--code", "od4", "--constellation", "bpsk", "--frames", "10",
+    (["simulate", "--code", "real-od-4", "--constellation", "bpsk", "--frames", "10",
       "--snr-db=-3075"], "SNR points"),
 ])
 def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys):
@@ -454,8 +476,8 @@ def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["simulate", "--code", "od4", "--constellation", "bpsk", "--snr-db", "6", "--frames", "1",
-      "--symbols-per-frame", "100000000000"], "symbols_per_frame"),
+    (["simulate", "--code", "real-od-4", "--constellation", "bpsk", "--snr-db", "6",
+      "--frames", "1", "--symbols-per-frame", "100000000000"], "symbols_per_frame"),
     (["eval-pep", "--samples", "10000000000000"], "--samples"),
     (["train", "--antennas", "2", "--feedback-bits", "1", "--eta-c", "1",
       "--train-size", "10000000000000"], "n_train"),
@@ -469,7 +491,7 @@ def test_non_finite_numbers_are_validation_errors(argv, field, tmp_path, capsys)
      "--feedback-bits 5000"),
     (["train", "--antennas", "2", "--feedback-bits", "1000000", "--eta-c", "1"],
      "--feedback-bits 1000000"),
-    (["simulate", "--code", "od4", "--constellation", "qpsk-rot45", "--snr-db", "6",
+    (["simulate", "--code", "real-od-4", "--constellation", "qpsk-rot", "--snr-db", "6",
       "--frames", "10", "--workers", "2"], "real-od-4 carries real symbols"),
 ])
 def test_oversized_requests_are_validation_errors(argv, field, tiny_codebook_path, tmp_path,
@@ -494,7 +516,7 @@ def test_oversized_requests_are_validation_errors(argv, field, tiny_codebook_pat
 
 BENCH_CODEBOOK = Path(__file__).resolve().parents[1] / "bench" / "data" / "k16_m4_rho0.04.pcb"
 SINGLE_ENTRY_CODEBOOK = "PODCB 1\nM 2 N 2 K 1 ETA_C 1 RHO_D 0\nMARGINALS 1\nP 1\n1 0 0 0\n0 0 1 0\n"
-OPEN_LOOP = ["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6",
+OPEN_LOOP = ["simulate", "--code", "real-od-2", "--constellation", "bpsk", "--snr-db", "6",
              "--frames", "10"]
 
 
@@ -506,7 +528,7 @@ OPEN_LOOP = ["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db",
     (OPEN_LOOP + ["--codebook", "{tiny}", "--rho-f", "0.7"], r"crossover must lie in \[0, 0.5\]"),
     (OPEN_LOOP + ["--workers", "0"], "need at least one worker, got 0"),
     # A 2-antenna codebook on a 4-antenna code, and an N = 4 one on a 2-antenna code.
-    (["simulate", "--codebook", "{tiny}", "--code", "od4", "--constellation", "bpsk",
+    (["simulate", "--codebook", "{tiny}", "--code", "real-od-4", "--constellation", "bpsk",
       "--snr-db", "6", "--frames", "10"], r"codebook \(2, 2\) does not match"),
     (OPEN_LOOP + ["--codebook", str(BENCH_CODEBOOK)], "precoded tail must satisfy 1 <= n <= 2"),
     (["map-anneal", "--codebook", "{single}", "--rho-f", "0.1"],
@@ -580,7 +602,7 @@ def test_simulate_baseline_is_usage_error(tiny_codebook_path, tmp_path):
     out = tmp_path / "x.csv"
     for mode in ("none", "open-loop", "genie"):
         with pytest.raises(SystemExit) as ei:
-            main(["simulate", "--codebook", str(tiny_codebook_path), "--code", "od2",
+            main(["simulate", "--codebook", str(tiny_codebook_path), "--code", "real-od-2",
                   "--constellation", "bpsk", "--baseline", mode, "--snr-db", "6",
                   "--frames", "10", "--out", str(out)])
         assert ei.value.code == 2
@@ -592,7 +614,7 @@ def test_simulate_rejects_rho_f_outside_the_closed_loop(tmp_path, capsys):
     # relabel, so --rho-f or --mapping there is an error rather than a CSV
     # row saying 0.
     out = tmp_path / "x.csv"
-    base = ["simulate", "--code", "od2", "--constellation", "bpsk", "--snr-db", "6",
+    base = ["simulate", "--code", "real-od-2", "--constellation", "bpsk", "--snr-db", "6",
             "--frames", "10", "--out", str(out)]
     for flags in (["--rho-f", "0.3"], ["--mapping", str(tmp_path / "map.txt")]):
         assert main(base + flags) == 3
@@ -608,28 +630,41 @@ def test_recipes_pass_rho_f_only_to_the_closed_loop(tmp_path):
                 assert "--codebook" in step, step
 
 
-def test_code_names_cover_design_registry():
-    assert sorted(CODE_NAMES.values()) == sorted(_REGISTRY)
+@pytest.mark.parametrize("flag, old_name", [("--code", "od4"),
+                                            ("--constellation", "qpsk-rot45")])
+def test_simulate_takes_only_library_names(flag, old_name, tmp_path, capsys):
+    # A design and an alphabet have one name each, the library's; a name the
+    # command line once took is a usage error that lists the valid choices.
+    argv = ["simulate", "--code", "real-od-4", "--constellation", "bpsk", "--snr-db", "6",
+            "--frames", "10", "--out", str(tmp_path / "x.csv")]
+    argv[argv.index(flag) + 1] = old_name
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid choice: '{old_name}'" in err
+    choices = sorted(_REGISTRY) if flag == "--code" else ["bpsk", "qpsk-rot"]
+    assert all(f"'{name}'" in err for name in choices), err
+    assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("code, const, constellation", [
-    ("alamouti", "qpsk-rot45", Constellation("qpsk-rot")),
-    ("od8", "bpsk", Constellation("bpsk")),
-])
-def test_simulate_open_loop_new_codes_match_sweep(tmp_path, code, const, constellation):
+@pytest.mark.parametrize("kind", sorted(_REGISTRY))
+def test_simulate_open_loop_new_codes_match_sweep(tmp_path, kind):
+    # Every registry kind runs under its own name, with its matching alphabet.
+    design = get_design(kind)
+    alphabet = "bpsk" if design.is_real else "qpsk-rot"
     out = tmp_path / "ber.csv"
-    rc = main(["simulate", "--code", code, "--constellation", const, "--snr-db", "2:8:6",
-               "--frames", "300", "--seed", "4", "--out", str(out)])
+    rc = main(["simulate", "--code", kind, "--constellation", alphabet, "--snr-db", "0:6:6",
+               "--frames", "20", "--seed", "4", "--out", str(out)])
     assert rc == 0
-    design = get_design(CODE_NAMES[code])
     config = SimulationConfig(
-        snr_grid_db=[2.0, 8.0], frames=300, pod=PodStructure(inner=design, n=design.m),
-        constellation=constellation,
+        snr_grid_db=[0.0, 6.0], frames=20, pod=PodStructure(inner=design, n=design.m),
+        constellation=Constellation(alphabet),
         symbols_per_frame=130 // design.n_sym * design.n_sym, seed=4,
     )
     counts = [int(line.split(",")[4]) for line in out.read_text().split()[1:]]
     assert counts == [r.bit_errors for r in run_ber_sweep(config)]
-    assert min(counts) > 0
+    assert counts[0] > 0
 
 
 def test_map_anneal_writes_permutation(tiny_codebook_path, tmp_path):

@@ -641,7 +641,6 @@ def test_sweep_counts_and_fields():
 
 
 def test_sweep_ber_decreases_with_snr():
-    cb = small_trained_codebook()
     cfg = make_sim(frames=2500, snr=[0.0, 6.0, 12.0])
     out = run_ber_sweep(cfg)
     bers = [r.ber for r in out]
@@ -813,7 +812,7 @@ def test_unequal_slot_groups_are_rejected():
     # Z = [[z1, 0], [z2, z3]]: z1 and z2 share time slot 1, so they couple;
     # z3 alone fills time slot 2 and couples with neither.
     design = InnerDesign(
-        "uneven-3", 3, lambda z1, z2, z3: np.array([[z1, 0.0], [z2, z3]], dtype=complex)
+        "uneven-3", lambda z1, z2, z3: np.array([[z1, 0.0], [z2, z3]], dtype=complex)
     )
     with pytest.raises(ValueError, match=r"slot groups \[\(0, 1\), \(2,\)\] differ in size"):
         _group_decoder(design, Constellation("bpsk"))
@@ -823,7 +822,7 @@ def test_design_without_fixed_basis_is_rejected():
     # Z = [[z1], [z2]]: Gamma(h) = [[|h1|^2, Re(h1^* h2)], [Re(h1^* h2),
     # |h2|^2]] spans every symmetric 2 x 2 matrix, so no fixed rotation makes
     # it diagonal for every channel, and there is no fallback.
-    design = InnerDesign("column-2", 2, lambda z1, z2: np.array([[z1], [z2]], dtype=complex))
+    design = InnerDesign("column-2", lambda z1, z2: np.array([[z1], [z2]], dtype=complex))
     with pytest.raises(ValueError, match="no fixed basis makes Gamma diagonal"):
         _group_decoder(design, Constellation("bpsk"))
 

@@ -3,7 +3,14 @@ import pytest
 
 from oracles import assemble, build
 from podsim.link import _group_decoder, candidate_codewords
-from podsim.stbc import _REGISTRY, Constellation, PodStructure, _slot_alphabets, get_design
+from podsim.stbc import (
+    _REGISTRY,
+    Constellation,
+    InnerDesign,
+    PodStructure,
+    _slot_alphabets,
+    get_design,
+)
 
 REAL_KINDS = ["real-od-2", "real-od-4", "real-od-8", "real-od-6x8"]
 
@@ -127,8 +134,15 @@ def test_build_validation():
 
 
 def test_constellation_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown constellation kind 'qpsk-rot45'"):
-        Constellation("qpsk-rot45")  # the CLI's name; the library's is "qpsk-rot"
+    with pytest.raises(ValueError, match="unknown constellation kind '8-psk'"):
+        Constellation("8-psk")
+
+
+def test_builder_names_each_symbol():
+    # The symbol count is the builder's arity, so a builder that takes *args
+    # states none and is refused.
+    with pytest.raises(ValueError, match="design 'star-2': its builder must name each symbol"):
+        InnerDesign("star-2", lambda *z: np.diag(z).astype(complex))
 
 
 def test_coefficient_tensors_reproduce_builder():
